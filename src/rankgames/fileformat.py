@@ -37,7 +37,8 @@ def _need(doc, key, where, kind):
     if key not in doc:
         raise InputError(f"{where}: missing required field '{key}'")
     value = doc[key]
-    if not isinstance(value, kind):
+    # JSON booleans load as Python bools, which are ints too
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise InputError(f"{where}.{key}: expected {kind.__name__}")
     return value
 
@@ -130,7 +131,7 @@ def parse_game_doc(doc) -> LoadedGame:
         for v, r in values.items():
             if v not in known:
                 raise InputError(f"rank.values: unknown vertex id {v!r}")
-            if not isinstance(r, int) or r < 0:
+            if not isinstance(r, int) or isinstance(r, bool) or r < 0:
                 raise InputError(f"rank.values.{v}: rank must be a natural number")
             rk[v] = r
         for v in arena.vertices:

@@ -76,6 +76,41 @@ def update_plus(mem: MemoryStructure, prefix: Iterable[Vertex]) -> State:
     return state
 
 
+def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
+            owner: Optional[int] = None, move=None):
+    """Breadth-first walk over the (vertex, state) pairs reachable from
+    ``starts``.
+
+    ``step(state, edge)`` gives the state after taking an edge.  With
+    ``owner`` set, that player's vertices follow only ``move(vertex,
+    state)``, so the walk covers exactly the plays consistent with that
+    player's strategy.  Returns the set of reached pairs, the product edges
+    between them, and the update table ``{(state, edge): next state}``
+    holding exactly the reached (state, edge) pairs.
+    """
+    frontier = deque()
+    reached = set()
+    for v, s in starts:
+        if (v, s) not in reached:
+            reached.add((v, s))
+            frontier.append((v, s))
+    edges = []
+    update = {}
+    while frontier:
+        v, s = frontier.popleft()
+        targets = (move(v, s),) if arena.owner[v] == owner else arena.succ[v]
+        for w in targets:
+            e = (v, w)
+            t = step(s, e)
+            update[(s, e)] = t
+            node = (w, t)
+            edges.append(((v, s), node))
+            if node not in reached:
+                reached.add(node)
+                frontier.append(node)
+    return reached, edges, update
+
+
 def expand(arena: Arena, mem: MemoryStructure,
            seeds: Optional[Iterable[Tuple[Vertex, State]]] = None) -> Arena:
     """Product of an arena with a memory structure, reachable part only.
@@ -87,23 +122,9 @@ def expand(arena: Arena, mem: MemoryStructure,
     pairs widen the forward closure (used for per-vertex region solving).
     """
     start = (arena.initial, mem.initial)
-    frontier = deque([start])
-    if seeds is not None:
-        for pv in seeds:
-            frontier.append((pv[0], pv[1]))
-    seen = set(frontier)
-    edges = []
-    while frontier:
-        v, s = frontier.popleft()
-        for w in arena.succ[v]:
-            t = mem.step(s, (v, w))
-            target = (w, t)
-            edges.append(((v, s), target))
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    owner = {pv: arena.owner[pv[0]] for pv in seen}
-    return Arena(tuple(sorted(seen)), owner, frozenset(edges), start)
+    reached, edges, _update = explore(arena, [start, *(seeds or ())], mem.step)
+    owner = {pv: arena.owner[pv[0]] for pv in reached}
+    return Arena(tuple(sorted(reached)), owner, frozenset(edges), start)
 
 
 def extend_lasso(mem: MemoryStructure, lasso: Lasso) -> Lasso:
@@ -215,53 +236,36 @@ def positional_strategy(arena: Arena, owner: int, moves: Mapping[Vertex, Vertex]
     return FiniteStateStrategy(owner, mem, next_move)
 
 
-def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy,
-                     trim_arena: Optional[Arena] = None) -> FiniteStateStrategy:
-    """Pull a strategy on the ``m1``-expanded arena back to the original.
+def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy, arena: Arena,
+                     seeds: Iterable[Tuple[Vertex, State]] = ()) -> FiniteStateStrategy:
+    """Pull a strategy on the ``m1``-expanded arena back to ``arena``.
 
-    The result runs ``product_memory(m1, strat.memory)`` and moves to the
+    The result runs ``m1`` alongside ``strat``'s memory and moves to the
     vertex component of what ``strat`` would play.  Plays consistent with
     the result extend, through ``m1``, to plays consistent with ``strat``.
 
-    With ``trim_arena`` the memory is tabulated only on state pairs
-    reachable when the owner follows the strategy; used where the full
-    product table would be prohibitively large.  The cartesian state
-    count, and hence the reported size, is preserved in either mode.
+    Its states are the full cartesian product of the two memories, so its
+    size is exactly ``len(m1) * len(strat.memory)``.  Update and move rows
+    cover only the pairs that plays consistent with the result can reach,
+    from the initial vertex or from a ``seeds`` pair (vertex, ``m1``
+    state), where ``strat``'s memory starts in its initial state; its
+    memory and moves must be defined wherever those plays go.
     """
-    if trim_arena is None:
-        mem = product_memory(m1, strat.memory)
-    else:
-        mem = _trimmed_product_memory(m1, strat, trim_arena)
-    next_move = {}
-    for ((v, s1), s2), target in strat.next_move.items():
-        next_move[(v, (s1, s2))] = target[0]
-    return FiniteStateStrategy(strat.owner, mem, next_move)
-
-
-def _trimmed_product_memory(m1: MemoryStructure, strat: FiniteStateStrategy,
-                            arena: Arena) -> MemoryStructure:
     m2 = strat.memory
-    start = (m1.initial, m2.initial)
-    frontier = deque([(arena.initial, start)])
-    seen_nodes = {(arena.initial, start)}
-    states = {start}
-    update = {}
-    while frontier:
-        v, (s1, s2) = frontier.popleft()
-        if arena.owner[v] == strat.owner:
-            targets = (strat.next_move[((v, s1), s2)][0],)
-        else:
-            targets = arena.succ[v]
-        for w in targets:
-            e = (v, w)
-            t1 = m1.step(s1, e)
-            lifted = ((v, s1), (w, t1))
-            t2 = m2.update.get((s2, lifted), s2)
-            update[((s1, s2), e)] = (t1, t2)
-            states.add((t1, t2))
-            node = (w, (t1, t2))
-            if node not in seen_nodes:
-                seen_nodes.add(node)
-                frontier.append(node)
-    all_states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
-    return MemoryStructure(all_states, start, update)
+
+    def step(state, edge):
+        s1, s2 = state
+        t1 = m1.step(s1, edge)
+        lifted = ((edge[0], s1), (edge[1], t1))
+        return t1, m2.step(s2, lifted)
+
+    def move(v, state):
+        return strat.move((v, state[0]), state[1])[0]
+
+    initial = (m1.initial, m2.initial)
+    starts = [(arena.initial, initial)] + [(v, (s1, m2.initial)) for v, s1 in seeds]
+    reached, _edges, update = explore(arena, starts, step, strat.owner, move)
+    states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
+    next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == strat.owner}
+    memory = MemoryStructure(states, initial, update)
+    return FiniteStateStrategy(strat.owner, memory, next_move)

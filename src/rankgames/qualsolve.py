@@ -10,13 +10,12 @@ strategies carry the open-request memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Tuple
 
 from .arena import Arena, Vertex, attractor, restrict_any
 from .errors import InputError
 from .memory import (FiniteStateStrategy, MemoryStructure, compose_strategy,
-                     expand, positional_strategy)
+                     expand, explore, positional_strategy)
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
                          SafetyAndCoBuchi, validate_objective)
 
@@ -116,13 +115,6 @@ def solve_cobuchi(arena: Arena, avoid) -> SolveResult:
     return SolveResult(res.region_1, res.region_0, strat_0, strat_1)
 
 
-def _all_open_sets(d: int):
-    out = []
-    for size in range(d + 1):
-        out.extend(tuple(c) for c in combinations(range(d), size))
-    return sorted(out)
-
-
 def rr_open_update(pairs, open_set: tuple, entered: Vertex) -> tuple:
     """Open requests after entering a vertex: new requests are added, then
     answered ones removed, so a vertex that both requests and responds
@@ -150,25 +142,24 @@ def rr_memory(arena: Arena, pairs) -> Tuple[MemoryStructure, Dict[Vertex, tuple]
     pending; those states are the progress states.  A play satisfies the
     request-response condition iff its run passes through progress states
     infinitely often, which the product Buchi game below checks.
+
+    Of the d * 2^d such states, the memory holds only those reachable from
+    the per-vertex seed states it returns alongside, and its update table
+    holds exactly the reachable (state, edge) pairs.
     """
     d = len(pairs)
-    opens = _all_open_sets(d)
-    states = tuple(sorted((o, r) for o in opens for r in range(d)))
-    update = {}
-    for o, r in states:
-        r2 = (r + 1) % d if r not in o else r
-        for e in arena.edges:
-            update[((o, r), e)] = (rr_open_update(pairs, o, e[1]), r2)
+    if d == 0:
+        raise InputError("request-response needs at least one pair")
     seeds = {v: rr_seed_state(pairs, v) for v in arena.vertices}
+
+    def step(state, edge):
+        opened, r = state
+        r2 = (r + 1) % d if r not in opened else r
+        return rr_open_update(pairs, opened, edge[1]), r2
+
+    reached, _edges, update = explore(arena, seeds.items(), step)
+    states = tuple(sorted({s for _v, s in reached}))
     return MemoryStructure(states, seeds[arena.initial], update), seeds
-
-
-def _fill_product_moves(strat: FiniteStateStrategy, product: Arena) -> FiniteStateStrategy:
-    next_move = dict(strat.next_move)
-    for pv in product.vertices:
-        if product.owner[pv] == strat.owner:
-            next_move.setdefault((pv, 0), product.succ[pv][0])
-    return FiniteStateStrategy(strat.owner, strat.memory, next_move)
 
 
 def solve_request_response(arena: Arena, pairs) -> SolveResult:
@@ -177,7 +168,8 @@ def solve_request_response(arena: Arena, pairs) -> SolveResult:
     Player 0 wins from a vertex iff she wins the product Buchi game from
     that vertex paired with its fresh memory state.  Her strategy is the
     product strategy folded back through the memory, of size at most
-    (number of pairs) * 2^(number of pairs).
+    (number of pairs) * 2^(number of pairs); both strategies are tabulated
+    on what plays from every seeded vertex can reach.
     """
     objective = RequestResponse(tuple(pairs))
     validate_objective(objective, arena)
@@ -188,8 +180,8 @@ def solve_request_response(arena: Arena, pairs) -> SolveResult:
     res = solve_buchi(product, accept)
     region_0 = frozenset(v for v in arena.vertices if (v, seeds[v]) in res.region_0)
     region_1 = frozenset(arena.vertices) - region_0
-    strat_0 = compose_strategy(mem, _fill_product_moves(res.strategy_0, product))
-    strat_1 = compose_strategy(mem, _fill_product_moves(res.strategy_1, product))
+    strat_0 = compose_strategy(mem, res.strategy_0, arena, seeds.items())
+    strat_1 = compose_strategy(mem, res.strategy_1, arena, seeds.items())
     return SolveResult(region_0, region_1, strat_0, strat_1)
 
 

@@ -253,14 +253,14 @@ def _max_preimage(f: CorrectionFunction, b1: ExtNat, limit: ExtNat) -> ExtNat:
     return best
 
 
-def lift_strategy(r: QuantReduction, strat: FiniteStateStrategy,
-                  trim: bool = False) -> FiniteStateStrategy:
+def lift_strategy(r: QuantReduction, strat: FiniteStateStrategy) -> FiniteStateStrategy:
     """Fold a strategy on the target game back to the source game.
 
     The lifted strategy runs the reduction memory alongside the target
-    strategy's and therefore has exactly the product size.  Its cost
-    contract (target cost f(b') below the parameter gives source cost b')
-    is certified by the verify module, not assumed here.
+    strategy's and therefore has exactly the product size; its update and
+    move rows cover only what plays from the source's initial vertex that
+    are consistent with it can reach.  Its cost contract (target cost
+    f(b') below the parameter gives source cost b') is certified by the
+    verify module, not assumed here.
     """
-    return compose_strategy(r.memory, strat,
-                            trim_arena=r.source.arena if trim else None)
+    return compose_strategy(r.memory, strat, r.source.arena)

@@ -102,6 +102,8 @@ def solve_sup_with_bound(game: RankedGame, bound: int) -> SolveResult:
     """
     if game.mode != "sup":
         raise InputError("solve_sup_with_bound needs a sup-mode game")
+    if bound < 0:
+        raise InputError("bound must be non-negative")
     arena = game.arena
     high = frozenset(v for v in arena.vertices if game.rk[v] > bound)
     attr_1, toward_high = attractor(arena, 1, high)
@@ -128,6 +130,8 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
     """
     if game.mode != "lim":
         raise InputError("solve_lim_with_bound needs a lim-mode game")
+    if bound < 0:
+        raise InputError("bound must be non-negative")
     arena = game.arena
     if isinstance(game.objective, Safety):
         avoid = frozenset(v for v in arena.vertices if game.rk[v] > bound)
@@ -184,6 +188,29 @@ class OptimizeResult:
         return 0 if isinstance(self.cost, int) else 1
 
 
+def least_winning_bound(probe, candidates):
+    """Least of the ascending ``candidates`` at which Player 0 wins.
+
+    ``probe(c)`` returns ``(wins, result)``, and winning must be monotone
+    in c.  The top candidate is probed first, then binary-search
+    midpoints.  Returns the least winning candidate with its probe's
+    result, or ``None`` with the top candidate's result when even that
+    one loses.
+    """
+    wins, best = probe(candidates[-1])
+    if not wins:
+        return None, best
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        wins, res = probe(candidates[mid])
+        if wins:
+            hi, best = mid, res
+        else:
+            lo = mid + 1
+    return candidates[hi], best
+
+
 def optimize(game: RankedGame) -> OptimizeResult:
     """Binary search for the least bound Player 0 wins with.
 
@@ -192,18 +219,11 @@ def optimize(game: RankedGame) -> OptimizeResult:
     outright when even the largest rank fails, which is exactly failing
     the qualitative game.
     """
-    values = game.rank_values()
-    top = solve_with_bound(game, values[-1])
-    if game.arena.initial not in top.region_0:
-        return OptimizeResult(INF, top.strategy_1)
-    lo, hi = 0, len(values) - 1
-    best = top
-    while lo < hi:
-        mid = (lo + hi) // 2
-        res = solve_with_bound(game, values[mid])
-        if game.arena.initial in res.region_0:
-            hi = mid
-            best = res
-        else:
-            lo = mid + 1
-    return OptimizeResult(values[hi], best.strategy_0)
+    def probe(bound: int):
+        res = solve_with_bound(game, bound)
+        return game.arena.initial in res.region_0, res
+
+    cost, res = least_winning_bound(probe, game.rank_values())
+    if cost is None:
+        return OptimizeResult(INF, res.strategy_1)
+    return OptimizeResult(cost, res.strategy_0)

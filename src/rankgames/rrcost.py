@@ -10,23 +10,20 @@ without ever rebuilding the reduction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Optional, Tuple
 
 from .arena import Arena, Edge, Vertex
 from .errors import InputError
 from .extnat import INF, ExtNat
-from .memory import MemoryStructure, FiniteStateStrategy
+from .memory import FiniteStateStrategy, MemoryStructure, explore
 from .objectives import CostRRSpec, RequestResponse, cost_rr_lasso, validate_objective
 from .quantred import Cap, QuantReduction, lift_strategy
-from .ranked import OptimizeResult, RankedGame, solve_sup_with_bound
+from .ranked import (OptimizeResult, RankedGame, least_winning_bound,
+                     solve_sup_with_bound)
 
 IDLE = ("idle",)
-
-# Strategy tables beyond this many state pairs are tabulated only on the
-# moves the strategy itself allows; below it the full product is kept.
-_TRIM_THRESHOLD = 100_000
 
 
 @dataclass(frozen=True)
@@ -121,31 +118,11 @@ def build_reduction(game: CostRRGame, b: int) -> QuantReduction:
     if b < 0:
         raise InputError("reduction bound must be non-negative")
     spec, arena = game.spec, game.arena
-    cap = b + 1
     start = (arena.initial, counter_seed(spec, arena.initial))
-    frontier = deque([start])
-    seen = {start}
-    states = {start[1]}
-    update: Dict[Tuple[tuple, Edge], tuple] = {}
-    edges = []
-    while frontier:
-        v, s = frontier.popleft()
-        for w in arena.succ[v]:
-            e = (v, w)
-            key = (s, e)
-            t = update.get(key)
-            if t is None:
-                t = counter_step(spec, cap, s, e)
-                update[key] = t
-                states.add(t)
-            node = (w, t)
-            edges.append(((v, s), node))
-            if node not in seen:
-                seen.add(node)
-                frontier.append(node)
-    memory = MemoryStructure(tuple(sorted(states)), start[1], update)
-    owner = {pv: arena.owner[pv[0]] for pv in seen}
-    product = Arena(tuple(sorted(seen)), owner, frozenset(edges), start)
+    reached, edges, update = explore(arena, (start,), partial(counter_step, spec, b + 1))
+    memory = MemoryStructure(tuple(sorted({s for _v, s in reached})), start[1], update)
+    owner = {pv: arena.owner[pv[0]] for pv in reached}
+    product = Arena(tuple(sorted(reached)), owner, frozenset(edges), start)
     ranks = {pv: max(counter_value(st) for st in pv[1]) for pv in product.vertices}
     lifted = tuple(
         (frozenset(pv for pv in product.vertices if pv[0] in q),
@@ -153,11 +130,6 @@ def build_reduction(game: CostRRGame, b: int) -> QuantReduction:
         for q, p in spec.pairs)
     target = RankedGame(product, RequestResponse(lifted), ranks, "sup")
     return QuantReduction(memory, Cap(b + 1), b + 1, game, target)
-
-
-def _lift(r: QuantReduction, strat: FiniteStateStrategy) -> FiniteStateStrategy:
-    big = len(r.memory) * len(strat.memory) > _TRIM_THRESHOLD
-    return lift_strategy(r, strat, trim=big)
 
 
 def solve_with_bound(game: CostRRGame, b: int,
@@ -175,8 +147,8 @@ def solve_with_bound(game: CostRRGame, b: int,
     r = reduction if reduction is not None else build_reduction(game, cap)
     res = solve_sup_with_bound(r.target, min(b, cap))
     if r.target.arena.initial in res.region_0:
-        return 0, _lift(r, res.strategy_0)
-    return 1, _lift(r, res.strategy_1)
+        return 0, lift_strategy(r, res.strategy_0)
+    return 1, lift_strategy(r, res.strategy_1)
 
 
 def optimize(game: CostRRGame) -> OptimizeResult:
@@ -191,19 +163,10 @@ def optimize(game: CostRRGame) -> OptimizeResult:
     pv0 = r.target.arena.initial
 
     def probe(bound: int):
-        return solve_sup_with_bound(r.target, bound)
+        res = solve_sup_with_bound(r.target, bound)
+        return pv0 in res.region_0, res
 
-    top = probe(cap)
-    if pv0 not in top.region_0:
-        return OptimizeResult(INF, _lift(r, top.strategy_1))
-    lo, hi = 0, cap
-    best = top
-    while lo < hi:
-        mid = (lo + hi) // 2
-        res = probe(mid)
-        if pv0 in res.region_0:
-            hi = mid
-            best = res
-        else:
-            lo = mid + 1
-    return OptimizeResult(hi, _lift(r, best.strategy_0))
+    cost, res = least_winning_bound(probe, range(cap + 1))
+    if cost is None:
+        return OptimizeResult(INF, lift_strategy(r, res.strategy_1))
+    return OptimizeResult(cost, lift_strategy(r, res.strategy_0))

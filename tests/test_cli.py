@@ -1,12 +1,19 @@
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import rankgames
 from rankgames.cli import main
-from rankgames.fileformat import (game_to_doc, parse_game, parse_game_doc,
-                                  read_strategy, strategy_from_doc,
-                                  strategy_to_doc)
+from rankgames.fileformat import (LoadedGame, game_to_doc, parse_game,
+                                  parse_game_doc, read_strategy,
+                                  strategy_from_doc, strategy_to_doc)
 from rankgames.errors import InputError
+from rankgames.gen import random_arena, random_costrr_game, random_subset
+from rankgames.objectives import RequestResponse
 
 
 A2_COSTS = {
@@ -113,6 +120,31 @@ class TestParsing:
             assert game2.arena == game.arena
             assert game2.objective == game.objective
 
+    @pytest.mark.parametrize("field", ["owner", "rank", "pair", "cost"])
+    def test_boolean_is_not_an_integer(self, field):
+        if field == "owner":
+            doc = json.loads(json.dumps(SAFETY_WIN))
+            doc["arena"]["vertices"][1]["owner"] = True
+        elif field == "rank":
+            doc = {"arena": SAFETY_WIN["arena"], "objective": SAFETY_WIN["objective"],
+                   "rank": {"mode": "sup", "values": {"a": 0, "b": True}}}
+        else:
+            doc = json.loads(json.dumps(A2_COSTS))
+            doc["costs"][0][field] = False
+        where = {"owner": r"arena\.vertices\[1\]\.owner", "rank": r"rank\.values\.b",
+                 "pair": r"costs\[0\]\.pair", "cost": r"costs\[0\]\.cost"}[field]
+        with pytest.raises(InputError, match=where):
+            parse_game_doc(doc)
+
+    def test_boolean_strategy_owner_rejected(self, tmp_path):
+        path = write_game(tmp_path, A2_COSTS)
+        out = str(tmp_path / "strat.json")
+        assert main(["optimize", path, "--out", out]) == 0
+        doc = json.loads((tmp_path / "strat.json").read_text())
+        doc["owner"] = False
+        with pytest.raises(InputError, match=r"strategy\.owner"):
+            strategy_from_doc(doc)
+
     def test_strategy_roundtrip_is_identity(self, tmp_path):
         path = write_game(tmp_path, A2_COSTS)
         out = str(tmp_path / "strat.json")
@@ -136,6 +168,14 @@ class TestSolveCommand:
         path = write_game(tmp_path, A2_COSTS)
         assert main(["solve", path, "--bound", "2"]) == 1
         assert main(["solve", path, "--bound", "3"]) == 0
+
+    def test_negative_bound_rejected(self, tmp_path):
+        docs = [A2_COSTS] + [
+            {"arena": SAFETY_WIN["arena"], "objective": SAFETY_WIN["objective"],
+             "rank": {"mode": mode, "values": {"a": 0, "b": 1}}}
+            for mode in ("sup", "lim")]
+        for doc in docs:
+            assert main(["solve", write_game(tmp_path, doc), "--bound", "-5"]) == 2
 
     def test_missing_bound_on_quantitative(self, tmp_path):
         path = write_game(tmp_path, A2_COSTS)
@@ -258,3 +298,36 @@ class TestResilienceCommand:
     def test_non_fault_game_rejected(self, tmp_path):
         path = write_game(tmp_path, SAFETY_WIN)
         assert main(["resilience", path]) == 2
+
+
+def test_output_is_independent_of_the_hash_seed(tmp_path):
+    # set iteration order varies with PYTHONHASHSEED; stdout and strategy
+    # files must not
+    rng = random.Random(5)
+    arena = random_arena(rng, 8, p0_max_outdeg=3)
+    pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
+                  for _ in range(4))
+    cost_game = random_costrr_game(rng, 4, 2, 2, p0_max_outdeg=2)
+    games = {
+        "solve": LoadedGame("qualitative", arena, RequestResponse(pairs)),
+        "optimize": LoadedGame("costrr", cost_game.arena,
+                               cost_game.spec.rr_objective(), costrr=cost_game),
+    }
+    for command, game in games.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(game_to_doc(game)))
+    src = os.path.dirname(os.path.dirname(rankgames.__file__))
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = {}
+        for command in games:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from rankgames.cli import main; sys.exit(main())",
+                 command, f"{command}.json", "--out", "strategy.json"],
+                cwd=tmp_path, env=env, capture_output=True, timeout=120)
+            assert proc.returncode in (0, 1), proc.stderr
+            run[command] = (proc.returncode, proc.stdout,
+                            (tmp_path / "strategy.json").read_bytes())
+        runs.append(run)
+    assert runs[0] == runs[1]

@@ -180,13 +180,13 @@ class TestComposeStrategy:
     def test_size_is_memory_product(self, a1):
         m1 = toggle_memory(a1)
         strat, _ = self._product_strategy(a1, m1)
-        composed = compose_strategy(m1, strat)
+        composed = compose_strategy(m1, strat, a1)
         assert composed.size() == len(m1) * len(strat.memory)
 
     def test_trivial_first_factor_keeps_moves(self, a1):
         m1 = trivial_memory(a1)
         strat, _ = self._product_strategy(a1, m1)
-        composed = compose_strategy(m1, strat)
+        composed = compose_strategy(m1, strat, a1)
         for ((v, s1), s2), target in strat.next_move.items():
             assert composed.next_move[(v, (s1, s2))] == target[0]
 
@@ -195,7 +195,7 @@ class TestComposeStrategy:
         # the product strategy
         m1 = toggle_memory(a1)
         strat, _prod = self._product_strategy(a1, m1)
-        composed = compose_strategy(m1, strat)
+        composed = compose_strategy(m1, strat, a1)
         rng = random.Random(3)
         for _ in range(20):
             play = [a1.initial]

@@ -2,12 +2,12 @@ import random
 
 from rankgames.arena import Arena
 from rankgames.gen import random_arena, random_subset
-from rankgames.memory import trivial_memory
+from rankgames.memory import expand, trivial_memory
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
                                   SafetyAndCoBuchi)
-from rankgames.qualsolve import (rr_seed_state, solve_buchi, solve_cobuchi,
-                                 solve_request_response, solve_safety,
-                                 solve_safety_cobuchi)
+from rankgames.qualsolve import (rr_memory, rr_seed_state, solve_buchi,
+                                 solve_cobuchi, solve_request_response,
+                                 solve_safety, solve_safety_cobuchi)
 from rankgames.verify import enumerate_regions, verify_strategy
 
 
@@ -102,6 +102,31 @@ class TestSolveRequestResponse:
         res = solve_request_response(a2, pairs)
         seeds = {v: rr_seed_state(pairs, v) for v in a2.vertices}
         certify_both(a2, RequestResponse(pairs), res, seeds=seeds)
+
+    def test_memory_rows_are_exactly_the_product_edges(self):
+        # the memory is tabulated only on (state, edge) pairs the product
+        # reaches from the seeds, one row per product edge
+        rng = random.Random(12)
+        for _ in range(20):
+            d = rng.randint(1, 3)
+            arena = random_arena(rng, rng.randint(2, 6))
+            pairs = tuple((random_subset(rng, arena), random_subset(rng, arena))
+                          for _ in range(d))
+            mem, seeds = rr_memory(arena, pairs)
+            product = expand(arena, mem, seeds=seeds.items())
+            assert len(mem.update) == len(product.edges)
+
+    def test_many_pairs_on_a_cycle(self):
+        # d * 2^d memory states for d = 14, of which only a handful can be
+        # reached on this cycle
+        arena = Arena.of({i: i % 2 for i in range(4)},
+                         [(i, (i + 1) % 4) for i in range(4)], 0)
+        pairs = tuple((frozenset({i % 4}), frozenset({(i + 1) % 4}))
+                      for i in range(14))
+        res = solve_request_response(arena, pairs)
+        assert res.region_0 == frozenset(arena.vertices)
+        seeds = {v: rr_seed_state(pairs, v) for v in arena.vertices}
+        certify_both(arena, RequestResponse(pairs), res, seeds=seeds)
 
     def test_interleaved_pairs_stay_answered(self):
         # pair 0 pending exactly at odd steps, pair 1 at even steps; every

@@ -20,13 +20,13 @@ from rankgames.rrcost import build_reduction, cap_bound
 def lift_ranked(game: RankedGame):
     """Target builder for a trivial reduction of a vertex-ranked game."""
     def build(product, mem):
-        lifted = _lift_objective(game.objective, product)
+        lifted = _objective_over(game.objective, product)
         rk = {pv: game.rk[pv[0]] for pv in product.vertices}
         return RankedGame(product, lifted, rk, game.mode)
     return build
 
 
-def _lift_objective(obj, product):
+def _objective_over(obj, product):
     verts = product.vertices
     if isinstance(obj, RequestResponse):
         return RequestResponse(tuple(
@@ -87,7 +87,7 @@ class TestComposeReductions:
         from rankgames.memory import expand
 
         product = expand(source.arena, mem)
-        lifted = _lift_objective(source.objective, product)
+        lifted = _objective_over(source.objective, product)
         rk = {pv: min(source.rk[pv[0]], clamp) for pv in product.vertices}
         target = RankedGame(product, lifted, rk, source.mode)
         table = Table(tuple(min(clamp, x) for x in range(clamp + 2)),

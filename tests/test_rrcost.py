@@ -208,16 +208,15 @@ class TestOptimize:
         assert res.strategy.size() == len(r.memory) * len(target.strategy_0.memory)
 
     def test_trimmed_lifting_certifies_identically(self, a2_game):
-        # the sparse tabulation used for very large products must behave
-        # like the full one wherever plays can actually go
+        # the lifted strategy is tabulated only where consistent plays can
+        # go, yet keeps the exact product size and certifies as before
         from rankgames.quantred import lift_strategy
         from rankgames.ranked import solve_sup_with_bound
 
         r = build_reduction(a2_game, cap_bound(a2_game))
         target = solve_sup_with_bound(r.target, 3)
-        full = lift_strategy(r, target.strategy_0)
-        trimmed = lift_strategy(r, target.strategy_0, trim=True)
-        assert trimmed.size() == full.size()
+        trimmed = lift_strategy(r, target.strategy_0)
+        assert trimmed.size() == len(r.memory) * len(target.strategy_0.memory)
         for bound, expect in ((3, True), (2, False)):
             verdict = verify_strategy(a2_game.arena, a2_game.spec, trimmed,
                                       bound=bound)
