@@ -302,8 +302,9 @@ def check_strategy_against(strategy: FiniteStateStrategy, arena: Arena) -> None:
     for (_s, e) in strategy.memory.update:
         if e not in arena.edges:
             raise InputError(f"strategy memory reads unknown edge {e!r}")
+    vertices = set(arena.vertices)
     for (v, _s), w in strategy.next_move.items():
-        if v not in set(arena.vertices):
+        if v not in vertices:
             raise InputError(f"strategy moves at unknown vertex {v!r}")
         if arena.owner[v] != strategy.owner:
             raise InputError(f"strategy moves at vertex {v!r} not owned by player "

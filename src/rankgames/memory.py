@@ -52,9 +52,6 @@ class MemoryStructure:
             raise InputError(
                 f"memory update undefined for state {state!r} on edge {edge!r}") from None
 
-    def covers_edge(self, state: State, edge: Edge) -> bool:
-        return (state, edge) in self.update
-
 
 def trivial_memory(arena: Arena) -> MemoryStructure:
     """One-state memory over the given arena's edges."""

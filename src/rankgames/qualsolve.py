@@ -1,37 +1,42 @@
 """Region solvers for the shipped qualitative objectives.
 
-Each solver returns both winning regions together with finite-state
-winning strategies.  All shipped objectives are determined, so the two
-regions always partition the vertex set.  Safety, Buchi, coBuchi and the
-safety/coBuchi conjunction admit positional strategies; request-response
-strategies carry the open-request memory.
+Each solver returns both winning regions together with a builder for
+finite-state winning strategies.  All shipped objectives are determined,
+so the two regions always partition the vertex set.  Safety, Buchi,
+coBuchi and the safety/coBuchi conjunction admit positional strategies;
+request-response strategies carry the open-request memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Dict, Tuple
 
 from .arena import Arena, Vertex, attractor, restrict_any
 from .errors import InputError
 from .memory import (FiniteStateStrategy, MemoryStructure, compose_strategy,
                      expand, explore, positional_strategy)
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
-                         SafetyAndCoBuchi, validate_objective)
+                         SafetyAndCoBuchi, restrict_objective, validate_objective)
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """Winning regions plus a winning strategy for each player.
 
-    Strategies are total (moves outside a player's own region are filler)
-    but only claimed winning on that player's region.
+    ``build(player)`` constructs that player's strategy.  Strategies are
+    built on first read of ``strategy_0``, ``strategy_1`` or
+    ``strategy_of`` and cached, so callers that need only the regions
+    never build one.  Builders call the ``build`` of the results they
+    extend, so only the outermost result keeps a strategy.  Strategies
+    are total (moves outside a player's own region are filler) but only
+    claimed winning on that player's region.
     """
 
     region_0: frozenset
     region_1: frozenset
-    strategy_0: FiniteStateStrategy
-    strategy_1: FiniteStateStrategy
+    build: Callable[[int], FiniteStateStrategy] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.region_0 & self.region_1:
@@ -39,6 +44,14 @@ class SolveResult:
 
     def region_of(self, player: int) -> frozenset:
         return self.region_0 if player == 0 else self.region_1
+
+    @cached_property
+    def strategy_0(self) -> FiniteStateStrategy:
+        return self.build(0)
+
+    @cached_property
+    def strategy_1(self) -> FiniteStateStrategy:
+        return self.build(1)
 
     def strategy_of(self, player: int) -> FiniteStateStrategy:
         return self.strategy_0 if player == 0 else self.strategy_1
@@ -55,13 +68,14 @@ def solve_safety(arena: Arena, safe) -> SolveResult:
     unsafe = frozenset(arena.vertices) - safe
     region_1, toward_unsafe = attractor(arena, 1, unsafe)
     region_0 = frozenset(arena.vertices) - region_1
-    moves_0 = {}
-    for v in region_0:
-        if arena.owner[v] == 0:
-            moves_0[v] = next(w for w in arena.succ[v] if w in region_0)
-    return SolveResult(region_0, region_1,
-                       _positional(arena, 0, moves_0),
-                       _positional(arena, 1, toward_unsafe))
+
+    def build(player):
+        if player == 1:
+            return _positional(arena, 1, toward_unsafe)
+        moves_0 = {v: next(w for w in arena.succ[v] if w in region_0)
+                   for v in region_0 if arena.owner[v] == 0}
+        return _positional(arena, 0, moves_0)
+    return SolveResult(region_0, region_1, build)
 
 
 def solve_buchi(arena: Arena, accept) -> SolveResult:
@@ -78,7 +92,7 @@ def solve_buchi(arena: Arena, accept) -> SolveResult:
     moves_1: Dict[Vertex, Vertex] = {}
     while cur:
         sub = restrict_any(arena, cur)
-        reach_acc, _ = attractor(sub, 0, accept & cur)
+        reach_acc, toward_accept = attractor(sub, 0, accept & cur)
         losing = cur - reach_acc
         if not losing:
             break
@@ -90,18 +104,12 @@ def solve_buchi(arena: Arena, accept) -> SolveResult:
         cur -= trapdoor
     region_0 = frozenset(cur)
     region_1 = frozenset(arena.vertices) - region_0
-    moves_0: Dict[Vertex, Vertex] = {}
-    if cur:
-        sub = restrict_any(arena, cur)
-        target = accept & cur
-        _, toward_accept = attractor(sub, 0, target)
-        moves_0.update(toward_accept)
-        for v in sorted(target):
-            if arena.owner[v] == 0:
-                moves_0[v] = sub.succ[v][0]
-    return SolveResult(region_0, region_1,
-                       _positional(arena, 0, moves_0),
-                       _positional(arena, 1, moves_1))
+    moves_0 = dict(toward_accept) if cur else {}
+    for v in sorted(accept & cur):
+        if arena.owner[v] == 0:
+            moves_0[v] = sub.succ[v][0]
+    return SolveResult(region_0, region_1, lambda player: _positional(
+        arena, player, moves_1 if player == 1 else moves_0))
 
 
 def solve_cobuchi(arena: Arena, avoid) -> SolveResult:
@@ -110,9 +118,11 @@ def solve_cobuchi(arena: Arena, avoid) -> SolveResult:
     avoid = frozenset(avoid)
     validate_objective(CoBuchi(avoid), arena)
     res = solve_buchi(arena.swap_owners(), avoid)
-    strat_0 = FiniteStateStrategy(0, res.strategy_1.memory, dict(res.strategy_1.next_move))
-    strat_1 = FiniteStateStrategy(1, res.strategy_0.memory, dict(res.strategy_0.next_move))
-    return SolveResult(res.region_1, res.region_0, strat_0, strat_1)
+
+    def build(player):
+        dual = res.build(1 - player)
+        return FiniteStateStrategy(player, dual.memory, dict(dual.next_move))
+    return SolveResult(res.region_1, res.region_0, build)
 
 
 def rr_open_update(pairs, open_set: tuple, entered: Vertex) -> tuple:
@@ -180,9 +190,38 @@ def solve_request_response(arena: Arena, pairs) -> SolveResult:
     res = solve_buchi(product, accept)
     region_0 = frozenset(v for v in arena.vertices if (v, seeds[v]) in res.region_0)
     region_1 = frozenset(arena.vertices) - region_0
-    strat_0 = compose_strategy(mem, res.strategy_0, arena, seeds.items())
-    strat_1 = compose_strategy(mem, res.strategy_1, arena, seeds.items())
-    return SolveResult(region_0, region_1, strat_0, strat_1)
+    return SolveResult(region_0, region_1, lambda player: compose_strategy(
+        mem, res.build(player), arena, seeds.items()))
+
+
+def solve_pruned(arena: Arena, bad, objective: Objective) -> SolveResult:
+    """Hand Player 1 his attractor to ``bad`` and solve ``objective`` on
+    the rest; Player 0's strategy never enters the attractor.  The rest's
+    strategies extend back to ``arena`` with stay-put memory on unseen
+    edges, and with Player 1's attractor moves or first successors at
+    vertices they leave open."""
+    attr_1, toward_bad = attractor(arena, 1, bad)
+    keep = frozenset(arena.vertices) - attr_1
+    if not keep:
+        return SolveResult(frozenset(), frozenset(arena.vertices), lambda player: _positional(
+            arena, player, toward_bad if player == 1 else {}))
+    res = solve_objective(restrict_any(arena, keep), restrict_objective(objective, keep))
+
+    def build(player):
+        base = res.build(player)
+        mem = base.memory
+        missing = {(s, e): s for s in mem.states for e in arena.edges
+                   if (s, e) not in mem.update}
+        if missing:
+            mem = MemoryStructure(mem.states, mem.initial, {**mem.update, **missing})
+        extra = toward_bad if player == 1 else {}
+        next_move = dict(base.next_move)
+        for v in arena.owned_by(player):
+            fallback = extra.get(v, arena.succ[v][0])
+            for s in mem.states:
+                next_move.setdefault((v, s), fallback)
+        return FiniteStateStrategy(player, mem, next_move)
+    return SolveResult(res.region_0, attr_1 | res.region_1, build)
 
 
 def solve_safety_cobuchi(arena: Arena, safe, avoid) -> SolveResult:
@@ -193,22 +232,7 @@ def solve_safety_cobuchi(arena: Arena, safe, avoid) -> SolveResult:
     """
     safe, avoid = frozenset(safe), frozenset(avoid)
     validate_objective(SafetyAndCoBuchi(safe, avoid), arena)
-    unsafe = frozenset(arena.vertices) - safe
-    attr_1, toward_unsafe = attractor(arena, 1, unsafe)
-    keep = frozenset(arena.vertices) - attr_1
-    if not keep:
-        return SolveResult(frozenset(), frozenset(arena.vertices),
-                           _positional(arena, 0, {}),
-                           _positional(arena, 1, toward_unsafe))
-    sub = restrict_any(arena, keep)
-    res = solve_cobuchi(sub, avoid & keep)
-    moves_0 = {v: w for (v, _s), w in res.strategy_0.next_move.items()}
-    moves_1 = {v: w for (v, _s), w in res.strategy_1.next_move.items()
-               if v in res.region_1}
-    moves_1.update(toward_unsafe)
-    return SolveResult(res.region_0, attr_1 | res.region_1,
-                       _positional(arena, 0, moves_0),
-                       _positional(arena, 1, moves_1))
+    return solve_pruned(arena, frozenset(arena.vertices) - safe, CoBuchi(avoid))
 
 
 def solve_objective(arena: Arena, obj: Objective) -> SolveResult:

@@ -11,15 +11,15 @@ found by binary search over the realized rank values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
-from .arena import Arena, Vertex, attractor, restrict_any
+from .arena import Arena, attractor, restrict_any
 from .errors import CapabilityError, InputError
 from .extnat import INF, ExtNat
-from .memory import FiniteStateStrategy, MemoryStructure, positional_strategy
+from .memory import FiniteStateStrategy, positional_strategy
 from .objectives import (Buchi, CoBuchi, Objective, Safety, rank_cost_lasso,
-                         restrict_objective, validate_objective, validate_rank)
-from .qualsolve import SolveResult, solve_objective, solve_safety_cobuchi
+                         validate_objective, validate_rank)
+from .qualsolve import SolveResult, solve_pruned, solve_safety_cobuchi
 
 MODES = ("sup", "lim")
 
@@ -72,26 +72,6 @@ class RankedCondition:
     mode: str
 
 
-def _merge_positional(arena: Arena, owner: int, base: FiniteStateStrategy,
-                      extra: Dict[Vertex, Vertex]) -> FiniteStateStrategy:
-    """Overlay positional moves onto a strategy, extending its memory with
-    stay-put entries for edges of ``arena`` it has not seen.  The overlay
-    only fills vertices the base strategy leaves open."""
-    mem = base.memory
-    missing = {(s, e): s for s in mem.states for e in arena.edges
-               if (s, e) not in mem.update}
-    if missing:
-        upd = dict(mem.update)
-        upd.update(missing)
-        mem = MemoryStructure(mem.states, mem.initial, upd)
-    next_move = dict(base.next_move)
-    for v in arena.owned_by(owner):
-        fallback = extra.get(v, arena.succ[v][0])
-        for s in mem.states:
-            next_move.setdefault((v, s), fallback)
-    return FiniteStateStrategy(owner, mem, next_move)
-
-
 def solve_sup_with_bound(game: RankedGame, bound: int) -> SolveResult:
     """Decide, per vertex, whether Player 0 keeps the sup-cost at most b.
 
@@ -104,19 +84,8 @@ def solve_sup_with_bound(game: RankedGame, bound: int) -> SolveResult:
         raise InputError("solve_sup_with_bound needs a sup-mode game")
     if bound < 0:
         raise InputError("bound must be non-negative")
-    arena = game.arena
-    high = frozenset(v for v in arena.vertices if game.rk[v] > bound)
-    attr_1, toward_high = attractor(arena, 1, high)
-    keep = frozenset(arena.vertices) - attr_1
-    if not keep:
-        empty_0 = positional_strategy(arena, 0, {}, fill=True)
-        tau = positional_strategy(arena, 1, toward_high, fill=True)
-        return SolveResult(frozenset(), frozenset(arena.vertices), empty_0, tau)
-    sub = restrict_any(arena, keep)
-    qres = solve_objective(sub, restrict_objective(game.objective, keep))
-    strat_0 = _merge_positional(arena, 0, qres.strategy_0, {})
-    strat_1 = _merge_positional(arena, 1, qres.strategy_1, toward_high)
-    return SolveResult(qres.region_0, attr_1 | qres.region_1, strat_0, strat_1)
+    high = frozenset(v for v in game.arena.vertices if game.rk[v] > bound)
+    return solve_pruned(game.arena, high, game.objective)
 
 
 def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
@@ -133,36 +102,36 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
     if bound < 0:
         raise InputError("bound must be non-negative")
     arena = game.arena
+    high = frozenset(v for v in arena.vertices if game.rk[v] > bound)
     if isinstance(game.objective, Safety):
-        avoid = frozenset(v for v in arena.vertices if game.rk[v] > bound)
-        return solve_safety_cobuchi(arena, game.objective.safe, avoid)
+        return solve_safety_cobuchi(arena, game.objective.safe, high)
     cur = frozenset(arena.vertices)
-    moves_0: Dict[Vertex, Vertex] = {}
-    last: Optional[SolveResult] = None
-    region_0 = set()
+    rounds = []
+    last = None
     while cur:
         sub = restrict_any(arena, cur)
-        sup_sub = RankedGame(sub, restrict_objective(game.objective, cur),
-                             {v: game.rk[v] for v in cur}, "sup")
-        sres = solve_sup_with_bound(sup_sub, bound)
-        core = sres.region_0
-        if not core:
+        sres = solve_pruned(sub, high & cur, game.objective)
+        if not sres.region_0:
             last = sres
             break
-        chunk, toward_core = attractor(sub, 0, core)
-        for v in sorted(core):
-            if arena.owner[v] == 0:
-                moves_0[v] = sres.strategy_0.next_move[(v, _only_state(sres.strategy_0))]
-        moves_0.update(toward_core)
-        region_0 |= chunk
+        chunk, toward_core = attractor(sub, 0, sres.region_0)
+        rounds.append((sres, toward_core))
         cur = cur - chunk
-    strat_0 = positional_strategy(arena, 0, moves_0, fill=True)
-    if cur and last is not None:
-        moves_1 = {v: w for (v, _s), w in last.strategy_1.next_move.items() if v in cur}
-        strat_1 = positional_strategy(arena, 1, moves_1, fill=True)
-    else:
-        strat_1 = positional_strategy(arena, 1, {}, fill=True)
-    return SolveResult(frozenset(region_0), frozenset(cur), strat_0, strat_1)
+
+    def build(player):
+        moves = {}
+        if player == 0:
+            for sres, toward_core in rounds:
+                strat = sres.build(0)
+                state = _only_state(strat)
+                for v in sorted(sres.region_0):
+                    if arena.owner[v] == 0:
+                        moves[v] = strat.next_move[(v, state)]
+                moves.update(toward_core)
+        elif last is not None:
+            moves = {v: w for (v, _s), w in last.build(1).next_move.items()}
+        return positional_strategy(arena, player, moves, fill=True)
+    return SolveResult(frozenset(arena.vertices) - cur, cur, build)
 
 
 def _only_state(strat: FiniteStateStrategy):

@@ -137,9 +137,10 @@ def solve_with_bound(game: CostRRGame, b: int,
                      ) -> Tuple[int, FiniteStateStrategy]:
     """Winner at bound b and a strategy witnessing the verdict.
 
-    The reduction is built once at the cap, so repeated calls (and the
-    optimizer) share it; bounds beyond the cap are clamped, which is sound
-    because a finitely winnable game is winnable within the cap.
+    Solves on ``reduction`` when given (it must be built at the cap), and
+    otherwise builds one at the cap for this call; bounds beyond the cap
+    are clamped, which is sound because a finitely winnable game is
+    winnable within the cap.
     """
     if b < 0:
         raise InputError("bound must be non-negative")

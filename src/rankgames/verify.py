@@ -628,7 +628,7 @@ def enumerate_solve(arena: Arena, condition, template: MemoryStructure,
 
     strat_0 = uniform(0, region_0) if region_0 else FiniteStateStrategy(0, template, {})
     strat_1 = uniform(1, region_1) if region_1 else FiniteStateStrategy(1, template, {})
-    return SolveResult(region_0, region_1, strat_0, strat_1)
+    return SolveResult(region_0, region_1, (strat_0, strat_1).__getitem__)
 
 
 def max_response_cost(game: CostRRGame, strategy: FiniteStateStrategy,

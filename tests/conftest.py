@@ -1,6 +1,7 @@
 import pytest
 
 from rankgames.arena import Arena, Lasso
+from rankgames.memory import FiniteStateStrategy
 from rankgames.objectives import CostRRSpec
 from rankgames.resilience import FaultArena
 from rankgames.rrcost import CostRRGame
@@ -42,6 +43,20 @@ def fs():
 def fe():
     arena = Arena.of({"s": 0, "u": 0, "x": 1}, [("s", "s"), ("u", "s"), ("x", "x")], "u")
     return FaultArena(arena, {("s", "u"), ("u", "x")}, {"s", "u"})
+
+
+@pytest.fixture
+def strategies_built(monkeypatch):
+    """One-element list counting the FiniteStateStrategy objects created."""
+    count = [0]
+    init = FiniteStateStrategy.__post_init__
+
+    def counting(self):
+        count[0] += 1
+        init(self)
+
+    monkeypatch.setattr(FiniteStateStrategy, "__post_init__", counting)
+    return count
 
 
 def all_plays(arena, start, depth):

@@ -175,3 +175,22 @@ class TestAgainstEnumeration:
                 res = solve_with_bound(game, b)
                 oracle = enumerate_regions(game.arena, cond, template, bound=b)
                 assert res.region_0 == oracle[0], (game, b)
+
+
+class TestStrategiesBuiltOnce:
+    def test_optimize_builds_no_more_than_one_solve(self, strategies_built):
+        # the bound probes compute regions only; the strategy is built once,
+        # at the optimum
+        game = random_ranked_game(random.Random(3), 8, 4, mode="sup")
+        res = optimize(game)
+        by_optimize, strategies_built[0] = strategies_built[0], 0
+        solve_with_bound(game, res.cost).strategy_0  # the one strategy optimize reads
+        assert len(game.rank_values()) > 2
+        assert by_optimize <= strategies_built[0]
+
+    def test_strategy_is_built_on_first_read_and_cached(self, a1, strategies_built):
+        game = RankedGame(a1, Buchi(frozenset({"b"})), {"a": 1, "b": 0}, "sup")
+        res = solve_sup_with_bound(game, 1)
+        assert strategies_built[0] == 0
+        assert res.strategy_0 is res.strategy_0
+        assert res.strategy_of(0) is res.strategy_0

@@ -221,3 +221,13 @@ class TestOptimize:
             verdict = verify_strategy(a2_game.arena, a2_game.spec, trimmed,
                                       bound=bound)
             assert verdict.certified == expect
+
+
+def test_optimize_builds_no_more_strategies_than_one_solve(a3_game, strategies_built):
+    # the binary search probes several bounds, but only the winning probe's
+    # strategy is ever built and lifted
+    res = optimize(a3_game)
+    by_optimize, strategies_built[0] = strategies_built[0], 0
+    winner, _strategy = solve_with_bound(a3_game, res.cost)
+    assert winner == 0
+    assert by_optimize <= strategies_built[0]
