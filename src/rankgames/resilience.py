@@ -78,8 +78,11 @@ def compute_val(fa: FaultArena) -> Dict[Vertex, ExtNat]:
 def resilience_rank(fa: FaultArena) -> Dict[Vertex, int]:
     """Rank encoding of ``val``: |V| - val on vertices with finite value,
     zero elsewhere."""
+    return _rank_of_val(fa, compute_val(fa))
+
+
+def _rank_of_val(fa: FaultArena, val: Dict[Vertex, ExtNat]) -> Dict[Vertex, int]:
     n = len(fa.arena)
-    val = compute_val(fa)
     return {v: (n - val[v] if is_finite(val[v]) else 0) for v in fa.arena.vertices}
 
 
@@ -105,9 +108,9 @@ def max_resilience(fa: FaultArena, mode: str = "sup") -> ResilienceResult:
     crack with any number of faults, so tolerance is unbounded.  In lim
     mode the tolerance applies after a finite start-up phase.
     """
-    game = RankedGame(fa.arena, Safety(fa.safe), resilience_rank(fa), mode)
-    res = optimize_ranked(game)
     val = compute_val(fa)
+    game = RankedGame(fa.arena, Safety(fa.safe), _rank_of_val(fa, val), mode)
+    res = optimize_ranked(game)
     if not is_finite(res.cost):
         return ResilienceResult(val, INF, 0, res.strategy)
     if res.cost == 0:

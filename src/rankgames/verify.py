@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .arena import Arena, Lasso, Vertex
@@ -192,29 +193,37 @@ def _closed_walk(succ, comp: set, entry, anchors: Iterable = ()) -> List:
 
 # ---------------------------------------------------------------------------
 # the strategy-restricted product
+#
+# Product nodes are (vertex, strategy state, tracker value).  A tracker is
+# a (seed, step) pair: seed(vertex) gives the value after the play's first
+# visit, step(value, edge) advances it along an edge.
+
+_NO_TRACKER = (lambda v: None, lambda t, e: None)
+
+
+def _open_tracker(pairs):
+    """Open requests, as a sorted tuple of pair indices."""
+    return (partial(rr_open_update, pairs, ()),
+            lambda t, e: rr_open_update(pairs, t, e[1]))
+
+
+def _counter_tracker(spec: CostRRSpec, cap: int):
+    """Per-pair cost counters saturating at ``cap``."""
+    return partial(counter_seed, spec), partial(counter_step, spec, cap)
+
+
+def _counter_rank(node) -> int:
+    return max(map(counter_value, node[2]))
+
+
+def _counter_pending(node) -> frozenset:
+    return frozenset(c for c, st in enumerate(node[2]) if counter_pending(st))
+
 
 def _product_graph(arena: Arena, strategy: FiniteStateStrategy, start: Vertex,
                    start_state, tracker, halt: Callable) -> Tuple[tuple, Dict]:
-    kind, data = tracker
-    if kind == "open":
-        pairs = data
-        t0 = rr_open_update(pairs, (), start)
-
-        def step_t(t, e):
-            return rr_open_update(pairs, t, e[1])
-    elif kind == "counters":
-        spec, cap = data
-        t0 = counter_seed(spec, start)
-
-        def step_t(t, e):
-            return counter_step(spec, cap, t, e)
-    else:
-        t0 = None
-
-        def step_t(t, e):
-            return None
-
-    root = (start, start_state, t0)
+    seed, step_t = tracker
+    root = (start, start_state, seed(start))
     succ: Dict = {}
     frontier = deque([root])
     seen = {root}
@@ -225,7 +234,10 @@ def _product_graph(arena: Arena, strategy: FiniteStateStrategy, start: Vertex,
             succ[node] = ()
             continue
         if arena.owner[v] == strategy.owner:
-            moves = (strategy.move(v, s),)
+            w = strategy.move(v, s)
+            if w not in arena.succ[v]:
+                raise InputError(f"strategy moves along {(v, w)!r}, which is not an edge")
+            moves = (w,)
         else:
             moves = arena.succ[v]
         outs = []
@@ -299,8 +311,8 @@ def _rr_closers(pending_of, d: int):
     return pick
 
 
-def _satisfaction_query(succ, nodes, obj: Objective, pending_of,
-                        region: set, path_allowed: Optional[set]) -> _Query:
+def _satisfaction_query(obj: Objective, pending_of, region: set,
+                        path_allowed: Optional[set]) -> _Query:
     """Where does a play exist that satisfies ``obj`` with its recurring
     part inside ``region`` and its prefix inside ``path_allowed``?"""
     if isinstance(obj, Safety):
@@ -308,10 +320,7 @@ def _satisfaction_query(succ, nodes, obj: Objective, pending_of,
     if isinstance(obj, Buchi):
         marked = {n for n in region if n[0] in obj.accept}
         return _Query(set(), [(region, _one_of(marked))], path_allowed)
-    if isinstance(obj, CoBuchi):
-        sub = {n for n in region if n[0] not in obj.avoid}
-        return _Query(set(), [(sub, _no_anchors)], path_allowed)
-    if isinstance(obj, SafetyAndCoBuchi):
+    if isinstance(obj, (CoBuchi, SafetyAndCoBuchi)):
         sub = {n for n in region if n[0] not in obj.avoid}
         return _Query(set(), [(sub, _no_anchors)], path_allowed)
     if isinstance(obj, RequestResponse):
@@ -320,9 +329,8 @@ def _satisfaction_query(succ, nodes, obj: Objective, pending_of,
     raise InputError(f"unknown objective {obj!r}")
 
 
-def _violation_query(succ, nodes, obj: Objective, pending_of) -> _Query:
+def _violation_query(nodes: set, obj: Objective, pending_of) -> _Query:
     """Where does a play exist that violates ``obj``?  (Player 0 claims.)"""
-    all_nodes = set(nodes)
     if isinstance(obj, Safety):
         return _Query({n for n in nodes if n[0] not in obj.safe}, [], None)
     if isinstance(obj, Buchi):
@@ -330,11 +338,11 @@ def _violation_query(succ, nodes, obj: Objective, pending_of) -> _Query:
         return _Query(set(), [(region, _no_anchors)], None)
     if isinstance(obj, CoBuchi):
         marked = {n for n in nodes if n[0] in obj.avoid}
-        return _Query(set(), [(all_nodes, _one_of(marked))], None)
+        return _Query(set(), [(nodes, _one_of(marked))], None)
     if isinstance(obj, SafetyAndCoBuchi):
         bad = {n for n in nodes if n[0] not in obj.safe}
         marked = {n for n in nodes if n[0] in obj.avoid}
-        return _Query(bad, [(all_nodes, _one_of(marked))], None)
+        return _Query(bad, [(nodes, _one_of(marked))], None)
     if isinstance(obj, RequestResponse):
         loops = []
         for c in range(len(obj.pairs)):
@@ -343,33 +351,26 @@ def _violation_query(succ, nodes, obj: Objective, pending_of) -> _Query:
     raise InputError(f"unknown objective {obj!r}")
 
 
-def _claim_failure_query(succ, nodes, cond, bnd, pending_of, rank_of,
-                         player: int) -> _Query:
-    """How the claim "every consistent play is good for ``player``" fails."""
-    all_nodes = set(nodes)
-    if isinstance(cond, RankedCondition):
-        high = {n for n in nodes if rank_of(n) > bnd}
-        low = all_nodes - high
-        if player == 0:
-            q = _violation_query(succ, nodes, cond.objective, pending_of)
-            if cond.mode == "sup":
-                return _Query(q.bad | high, q.loops, q.allowed)
-            return _Query(q.bad, q.loops + [(all_nodes, _one_of(high))], q.allowed)
-        # Player 1 claims cost above the bound; failing plays satisfy the
-        # objective with low ranks: everywhere (sup) or eventually (lim).
-        base = _path_constraint(nodes, cond.objective)
-        if cond.mode == "sup":
-            region = (base if base is not None else all_nodes) & low
-            return _satisfaction_query(succ, nodes, cond.objective, pending_of,
-                                       region, region)
-        region = (base if base is not None else all_nodes) & low
-        return _satisfaction_query(succ, nodes, cond.objective, pending_of,
-                                   region, base)
+def _claim_failure_query(nodes, obj: Objective, mode: Optional[str], rank_of,
+                         bnd, pending_of, player: int) -> _Query:
+    """How the claim "every consistent play is good for ``player``" fails.
+
+    The claim is on ``obj`` at rank cost at most ``bnd`` in ``mode`` ("sup"
+    or "lim"); a qualitative claim has mode None and no node above the
+    bound."""
+    nodes = set(nodes)
+    high = {n for n in nodes if rank_of(n) > bnd} if mode else set()
     if player == 0:
-        return _violation_query(succ, nodes, cond, pending_of)
-    base = _path_constraint(nodes, cond)
-    region = base if base is not None else all_nodes
-    return _satisfaction_query(succ, nodes, cond, pending_of, region, base)
+        q = _violation_query(nodes, obj, pending_of)
+        if mode == "lim":
+            return _Query(q.bad, q.loops + [(nodes, _one_of(high))], q.allowed)
+        return _Query(q.bad | high, q.loops, q.allowed)
+    # Player 1 claims cost above the bound; failing plays satisfy the
+    # objective with low ranks: everywhere (sup) or eventually (lim).
+    base = _path_constraint(nodes, obj)
+    region = (base if base is not None else nodes) - high
+    return _satisfaction_query(obj, pending_of, region,
+                               region if mode == "sup" else base)
 
 
 def _path_constraint(nodes, obj: Objective) -> Optional[set]:
@@ -410,35 +411,35 @@ def _query_witness(arena, succ, root, query: _Query) -> Optional[Lasso]:
 # claim normalization and the public checker
 
 def _normalize_condition(condition, bound):
+    """The claim as (objective, mode, bound, rank_of).  A qualitative claim
+    has mode None; a response-cost claim is a sup rank claim over its
+    request-response pairs, ranked by the largest cost counter."""
     if isinstance(condition, (Safety, Buchi, CoBuchi, RequestResponse, SafetyAndCoBuchi)):
         if bound is not None:
             raise InputError("qualitative objectives take no bound")
-        return condition, None
+        return condition, None, None, None
     if isinstance(condition, RankedCondition):
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
             raise InputError("rank-cost claims need a non-negative integer bound")
-        return condition, bound
+        rk = condition.rk
+        return condition.objective, condition.mode, bound, lambda n: rk[n[0]]
     if isinstance(condition, CostRRSpec):
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
             raise InputError("response-cost claims need a non-negative integer bound")
-        return condition, bound
+        return condition.rr_objective(), "sup", bound, _counter_rank
     raise InputError(f"cannot verify condition {condition!r}")
 
 
-def _decided(obj: Objective, bnd: Optional[int], rank_of, mode: Optional[str]):
+def _decided(obj: Objective, mode: Optional[str], bnd: Optional[int], rank_of):
     """Nodes where the play's verdict is settled and exploration may stop:
     safety breaches always; rank breaches only when the whole play's
     maximum matters (sup mode)."""
     safe = obj.safe if isinstance(obj, (Safety, SafetyAndCoBuchi)) else None
-
-    def halt(node):
-        if safe is not None and node[0] not in safe:
-            return True
-        if mode == "sup" and rank_of is not None and rank_of(node) > bnd:
-            return True
-        return False
-
-    return halt
+    if mode != "sup":
+        return (lambda node: False) if safe is None else (lambda node: node[0] not in safe)
+    if safe is None:
+        return lambda node: rank_of(node) > bnd
+    return lambda node: node[0] not in safe or rank_of(node) > bnd
 
 
 def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
@@ -450,65 +451,30 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     satisfies the condition (at cost at most ``bound`` for quantitative
     ones); for Player 1 strategies, that every consistent play violates
     it (costs more than ``bound``).  Decided on the restricted product of
-    arena, strategy memory, and whatever bookkeeping the condition needs:
-    open requests for request-response claims, saturating cost counters
-    for response-cost claims, nothing extra otherwise.
+    arena, strategy memory, and a tracker for the bookkeeping the claim
+    needs: open requests for request-response claims, nothing extra for
+    the other qualitative and rank-cost claims.  A response-cost claim is
+    checked as a sup rank claim over its request-response pairs on the
+    counter product: per-pair cost counters saturating at ``bound`` + 1,
+    a node ranked by its largest counter.  A strategy move that is not an
+    arena edge raises ``InputError``.
     """
-    cond, bnd = _normalize_condition(condition, bound)
+    obj, mode, bnd, rank_of = _normalize_condition(condition, bound)
     start = arena.initial if start is None else start
     if start not in set(arena.vertices):
         raise InputError(f"unknown start vertex {start!r}")
     state = strategy.memory.initial if start_state is None else start_state
-
-    if isinstance(cond, CostRRSpec):
-        return _verify_cost_rr(arena, cond, strategy, bnd, start, state)
-
-    if isinstance(cond, RankedCondition):
-        obj, mode = cond.objective, cond.mode
-        rk = cond.rk
-
-        def rank_of(n):
-            return rk[n[0]]
+    if isinstance(condition, CostRRSpec):
+        tracker, pending_of = _counter_tracker(condition, bnd + 1), _counter_pending
+    elif isinstance(obj, RequestResponse):
+        tracker, pending_of = _open_tracker(obj.pairs), (lambda n: n[2])
     else:
-        obj, mode, rank_of = cond, None, None
+        tracker, pending_of = _NO_TRACKER, (lambda n: ())
 
-    tracker = ("open", obj.pairs) if isinstance(obj, RequestResponse) else ("none", None)
-    halt = _decided(obj, bnd, rank_of, mode)
+    halt = _decided(obj, mode, bnd, rank_of)
     root, succ = _product_graph(arena, strategy, start, state, tracker, halt)
-    nodes = sorted(succ)
-    pending_of = (lambda n: n[2]) if tracker[0] == "open" else (lambda n: ())
-    query = _claim_failure_query(succ, nodes, cond, bnd, pending_of, rank_of,
+    query = _claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of,
                                  strategy.owner)
-    failures = _query_failures(succ, query)
-    if root not in failures:
-        return Verdict(True, message="certified")
-    witness = _query_witness(arena, succ, root, query)
-    if witness is None:
-        raise InputError("internal error: failure detected but no witness found")
-    return Verdict(False, witness=witness, message="refuted")
-
-
-def _verify_cost_rr(arena, spec: CostRRSpec, strategy, bound: int, start,
-                    state) -> Verdict:
-    cap = bound + 1
-    tracker = ("counters", (spec, cap))
-
-    def over(n):
-        return any(counter_value(st) > bound for st in n[2])
-
-    def pending_of(n):
-        return frozenset(c for c, st in enumerate(n[2]) if counter_pending(st))
-
-    root, succ = _product_graph(arena, strategy, start, state, tracker, over)
-    nodes = sorted(succ)
-    if strategy.owner == 0:
-        loops = [({n for n in nodes if c in pending_of(n)}, _no_anchors)
-                 for c in range(spec.d)]
-        query = _Query({n for n in nodes if over(n)}, loops, None)
-    else:
-        low = {n for n in nodes if not over(n)}
-        query = _satisfaction_query(succ, nodes, RequestResponse(spec.pairs),
-                                    pending_of, low, low)
     failures = _query_failures(succ, query)
     if root not in failures:
         return Verdict(True, message="certified")
@@ -558,10 +524,38 @@ def _candidate_graphs(product: Arena, owner: int, guard: int):
         yield succ
 
 
-def _oracle_failures(succ, cond, bnd, pending_of, rank_of, player: int) -> set:
-    nodes = sorted(succ)
-    query = _claim_failure_query(succ, nodes, cond, bnd, pending_of, rank_of, player)
-    return _query_failures(succ, query)
+def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, bound,
+                 pending_of_state, guard):
+    """Start node per vertex, and a generator of ``owner``'s positional
+    candidates over the template expansion, each with the nodes from which
+    its claim fails."""
+    obj, mode, bnd, rank_of = _normalize_condition(condition, bound)
+    if isinstance(condition, CostRRSpec):
+        raise CapabilityError("response-cost values have a dedicated oracle")
+    starts = _seed_nodes(arena, template, seeds)
+    product = expand(arena, template, seeds=starts.values())
+    pending_of = pending_of_state or _default_pending
+
+    def candidates(owner: int):
+        for succ in _candidate_graphs(product, owner, guard):
+            query = _claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of,
+                                         owner)
+            yield succ, _query_failures(succ, query)
+
+    return starts, product, candidates
+
+
+def _enumerated_regions(arena: Arena, starts, candidates) -> Tuple[frozenset, frozenset]:
+    undecided = set(arena.vertices)
+    region_0 = set()
+    for _succ, failures in candidates(0):
+        for v in list(undecided):
+            if starts[v] not in failures:
+                region_0.add(v)
+                undecided.discard(v)
+        if not undecided:
+            break
+    return frozenset(region_0), frozenset(arena.vertices) - frozenset(region_0)
 
 
 def enumerate_regions(arena: Arena, condition, template: MemoryStructure,
@@ -578,24 +572,9 @@ def enumerate_regions(arena: Arena, condition, template: MemoryStructure,
     rank-cost claims over those; the open-request memory for
     request-response).
     """
-    cond, bnd = _normalize_condition(condition, bound)
-    if isinstance(cond, CostRRSpec):
-        raise CapabilityError("response-cost values have a dedicated oracle")
-    starts = _seed_nodes(arena, template, seeds)
-    product = expand(arena, template, seeds=starts.values())
-    pending_of = pending_of_state or _default_pending
-    rank_of = (lambda n: cond.rk[n[0]]) if isinstance(cond, RankedCondition) else None
-    undecided = set(arena.vertices)
-    region_0 = set()
-    for succ in _candidate_graphs(product, 0, guard):
-        failures = _oracle_failures(succ, cond, bnd, pending_of, rank_of, 0)
-        for v in list(undecided):
-            if starts[v] not in failures:
-                region_0.add(v)
-                undecided.discard(v)
-        if not undecided:
-            break
-    return frozenset(region_0), frozenset(arena.vertices) - frozenset(region_0)
+    starts, _product, candidates = _enumeration(arena, condition, template, seeds,
+                                                bound, pending_of_state, guard)
+    return _enumerated_regions(arena, starts, candidates)
 
 
 def enumerate_solve(arena: Arena, condition, template: MemoryStructure,
@@ -604,19 +583,13 @@ def enumerate_solve(arena: Arena, condition, template: MemoryStructure,
                     guard: int = 10 ** 6) -> SolveResult:
     """Brute-force solver: regions by enumeration plus uniform witness
     strategies for both players, found by further enumeration passes."""
-    cond, bnd = _normalize_condition(condition, bound)
-    starts = _seed_nodes(arena, template, seeds)
-    product = expand(arena, template, seeds=starts.values())
-    pending_of = pending_of_state or _default_pending
-    rank_of = (lambda n: cond.rk[n[0]]) if isinstance(cond, RankedCondition) else None
-    region_0, region_1 = enumerate_regions(
-        arena, condition, template, seeds=seeds, bound=bound,
-        pending_of_state=pending_of_state, guard=guard)
+    starts, product, candidates = _enumeration(arena, condition, template, seeds,
+                                               bound, pending_of_state, guard)
+    region_0, region_1 = _enumerated_regions(arena, starts, candidates)
 
     def uniform(owner: int, region: frozenset) -> FiniteStateStrategy:
         want = {starts[v] for v in region}
-        for succ in _candidate_graphs(product, owner, guard):
-            failures = _oracle_failures(succ, cond, bnd, pending_of, rank_of, owner)
+        for succ, failures in candidates(owner):
             if not (want & failures):
                 moves = {}
                 for pv, ws in succ.items():
@@ -636,32 +609,20 @@ def max_response_cost(game: CostRRGame, strategy: FiniteStateStrategy,
     """Worst response cost the strategy concedes, exact up to ``cap``.
 
     Infinity stands for an unanswered request or any cost beyond the cap;
-    otherwise the value is the largest answered accumulation occurring in
-    the strategy-restricted counter product.
+    otherwise the value is the largest rank in the strategy-restricted
+    counter product.  That is the largest answered accumulation, since
+    every pending counter there is answered later at no less.
     """
     spec = game.spec
-    tracker = ("counters", (spec, cap + 1))
-
-    def over(n):
-        return any(counter_value(st) > cap for st in n[2])
-
-    root, succ = _product_graph(game.arena, strategy, game.arena.initial,
-                                strategy.memory.initial, tracker, over)
-    nodes = sorted(succ)
-    if any(over(n) for n in nodes):
+    _root, succ = _product_graph(game.arena, strategy, game.arena.initial,
+                                 strategy.memory.initial, _counter_tracker(spec, cap + 1),
+                                 lambda n: _counter_rank(n) > cap)
+    worst = max(map(_counter_rank, succ))
+    if worst > cap:
         return INF
-
-    def pending_of(n):
-        return frozenset(c for c, st in enumerate(n[2]) if counter_pending(st))
-
-    for c in range(spec.d):
-        if _loop_comps(succ, {n for n in nodes if c in pending_of(n)}):
-            return INF
-    worst = 0
-    for n in nodes:
-        for st in n[2]:
-            if st[0] == "ans":
-                worst = max(worst, st[1])
+    query = _violation_query(set(succ), spec.rr_objective(), _counter_pending)
+    if any(_loop_comps(succ, region) for region, _anchors in query.loops):
+        return INF
     return worst
 
 

@@ -10,10 +10,12 @@ import rankgames
 from rankgames.cli import main
 from rankgames.fileformat import (LoadedGame, game_to_doc, parse_game,
                                   parse_game_doc, read_strategy,
-                                  strategy_from_doc, strategy_to_doc)
+                                  strategy_from_doc, strategy_to_doc,
+                                  write_strategy)
 from rankgames.errors import InputError
 from rankgames.gen import random_arena, random_costrr_game, random_subset
 from rankgames.objectives import RequestResponse
+from rankgames.rrcost import optimize as optimize_costrr
 
 
 A2_COSTS = {
@@ -308,26 +310,38 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
                   for _ in range(4))
     cost_game = random_costrr_game(rng, 4, 2, 2, p0_max_outdeg=2)
+    # verify at one below the optimum prints a refutation witness
+    verify_game = random_costrr_game(random.Random(1), 6, 2, 3, p0_max_outdeg=2)
+    best = optimize_costrr(verify_game)
+    assert best.cost == 7
+    write_strategy(str(tmp_path / "optimal.json"), best.strategy)
     games = {
         "solve": LoadedGame("qualitative", arena, RequestResponse(pairs)),
         "optimize": LoadedGame("costrr", cost_game.arena,
                                cost_game.spec.rr_objective(), costrr=cost_game),
+        "verify": LoadedGame("costrr", verify_game.arena,
+                             verify_game.spec.rr_objective(), costrr=verify_game),
     }
     for command, game in games.items():
         (tmp_path / f"{command}.json").write_text(json.dumps(game_to_doc(game)))
+    options = {"solve": ["--out", "strategy.json"],
+               "optimize": ["--out", "strategy.json"],
+               "verify": ["--strategy", "optimal.json", "--bound", "6"]}
     src = os.path.dirname(os.path.dirname(rankgames.__file__))
     runs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         run = {}
         for command in games:
+            (tmp_path / "strategy.json").write_bytes(b"")
             proc = subprocess.run(
                 [sys.executable, "-c",
                  "import sys; from rankgames.cli import main; sys.exit(main())",
-                 command, f"{command}.json", "--out", "strategy.json"],
+                 command, f"{command}.json", *options[command]],
                 cwd=tmp_path, env=env, capture_output=True, timeout=120)
             assert proc.returncode in (0, 1), proc.stderr
             run[command] = (proc.returncode, proc.stdout,
                             (tmp_path / "strategy.json").read_bytes())
         runs.append(run)
+    assert runs[0]["verify"][1].startswith(b"refuted\nwitness prefix:")
     assert runs[0] == runs[1]

@@ -3,17 +3,18 @@ import random
 import pytest
 
 from rankgames.arena import Arena, Lasso
-from rankgames.errors import CapacityError
+from rankgames.errors import CapacityError, InputError
 from rankgames.extnat import INF
 from rankgames.gen import random_arena, random_subset, rng_from_env
-from rankgames.memory import positional_strategy, trivial_memory
+from rankgames.memory import (FiniteStateStrategy, MemoryStructure,
+                              positional_strategy, trivial_memory)
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
                                   eval_qualitative, cost_rr_lasso,
                                   rank_cost_lasso)
 from rankgames.qualsolve import (rr_memory, solve_buchi, solve_cobuchi,
                                  solve_request_response, solve_safety)
 from rankgames.ranked import RankedCondition
-from rankgames.rrcost import cap_bound, optimize
+from rankgames.rrcost import cap_bound, optimize, solve_with_bound
 from rankgames.verify import (enumerate_regions, enumerate_solve,
                               max_response_cost, simulate_faults,
                               verify_strategy)
@@ -81,6 +82,31 @@ class TestVerifyStrategy:
         verdict = verify_strategy(a1, Safety(frozenset({"a", "b"})), tau)
         assert not verdict.certified
         assert eval_qualitative(Safety(frozenset({"a", "b"})), verdict.witness)
+
+    def test_move_that_is_not_an_edge_rejected(self):
+        # a -> a is not an edge, although the memory has a row for it
+        arena = Arena.of({"a": 0, "b": 1}, [("a", "b"), ("b", "b")], "a")
+        memory = MemoryStructure((0,), 0, {(0, ("a", "a")): 0, (0, ("a", "b")): 0,
+                                           (0, ("b", "b")): 0})
+        stay = FiniteStateStrategy(0, memory, {("a", 0): "a"})
+        with pytest.raises(InputError, match="not an edge"):
+            verify_strategy(arena, Safety(frozenset({"a"})), stay)
+
+    def test_cost_rr_player1_certified_and_refuted(self, a3_game):
+        # the optimum is 5: below it the opponent's strategy is certified,
+        # at it the refutation is a play consistent with it costing at most 5
+        winner, tau = solve_with_bound(a3_game, 4)
+        assert winner == 1
+        assert verify_strategy(a3_game.arena, a3_game.spec, tau, bound=4).certified
+        verdict = verify_strategy(a3_game.arena, a3_game.spec, tau, bound=5)
+        assert not verdict.certified
+        assert cost_rr_lasso(a3_game.spec, verdict.witness) <= 5
+        walk = verdict.witness.prefix + verdict.witness.loop
+        state = tau.memory.initial
+        for v, w in zip(walk, walk[1:] + verdict.witness.loop[:1]):
+            if a3_game.arena.owner[v] == 1:
+                assert tau.move(v, state) == w
+            state = tau.memory.step(state, (v, w))
 
 
 class TestCertificationSoundness:
