@@ -34,6 +34,8 @@ class LoadedGame:
 
 
 def _need(doc, key, where, kind):
+    if not isinstance(doc, dict):
+        raise InputError(f"{where}: expected an object")
     if key not in doc:
         raise InputError(f"{where}: missing required field '{key}'")
     value = doc[key]
@@ -46,7 +48,7 @@ def _need(doc, key, where, kind):
 def _vertex_list(ids, known, where):
     out = []
     for i, v in enumerate(ids):
-        if v not in known:
+        if not isinstance(v, str) or v not in known:
             raise InputError(f"{where}[{i}]: unknown vertex id {v!r}")
         out.append(v)
     return frozenset(out)
@@ -255,8 +257,8 @@ def strategy_from_doc(doc) -> FiniteStateStrategy:
     owner = _need(doc, "owner", "strategy", int)
     memdoc = _need(doc, "memory", "strategy", dict)
     states = tuple(_need(memdoc, "states", "memory", list))
-    if len(set(states)) != len(states):
-        raise InputError("memory.states: duplicate state names")
+    if not all(isinstance(s, str) for s in states) or len(set(states)) != len(states):
+        raise InputError("memory.states: state names must be distinct strings")
     initial = _need(memdoc, "initial", "memory", str)
     update = {}
     for i, entry in enumerate(_need(memdoc, "update", "memory", list)):

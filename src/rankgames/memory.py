@@ -81,9 +81,9 @@ def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
     ``step(state, edge)`` gives the state after taking an edge.  With
     ``owner`` set, that player's vertices follow only ``move(vertex,
     state)``, so the walk covers exactly the plays consistent with that
-    player's strategy.  Returns the set of reached pairs, the product edges
-    between them, and the update table ``{(state, edge): next state}``
-    holding exactly the reached (state, edge) pairs.
+    player's strategy.  Returns the set of reached pairs and the update
+    table ``{(state, edge): next state}`` holding exactly the reached
+    (state, edge) pairs, one per product edge.
     """
     frontier = deque()
     reached = set()
@@ -91,7 +91,6 @@ def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
         if (v, s) not in reached:
             reached.add((v, s))
             frontier.append((v, s))
-    edges = []
     update = {}
     while frontier:
         v, s = frontier.popleft()
@@ -101,11 +100,23 @@ def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
             t = step(s, e)
             update[(s, e)] = t
             node = (w, t)
-            edges.append(((v, s), node))
             if node not in reached:
                 reached.add(node)
                 frontier.append(node)
-    return reached, edges, update
+    return reached, update
+
+
+def explore_product(arena: Arena, initial: State, step, seeds: Iterable[Tuple[Vertex, State]] = ()
+                    ) -> Tuple[MemoryStructure, Arena]:
+    """Memory and product arena of one :func:`explore` walk from the
+    initial vertex paired with ``initial`` and from ``seeds``; both hold
+    exactly what the walk reached."""
+    start = (arena.initial, initial)
+    reached, update = explore(arena, [start, *seeds], step)
+    memory = MemoryStructure(tuple(sorted({s for _v, s in reached})), initial, update)
+    owner = {pv: arena.owner[pv[0]] for pv in reached}
+    edges = frozenset(((u, s), (w, t)) for (s, (u, w)), t in update.items())
+    return memory, Arena(tuple(sorted(reached)), owner, edges, start)
 
 
 def expand(arena: Arena, mem: MemoryStructure,
@@ -118,10 +129,7 @@ def expand(arena: Arena, mem: MemoryStructure,
     arena's initial vertex with the memory's initial state.  Extra seed
     pairs widen the forward closure (used for per-vertex region solving).
     """
-    start = (arena.initial, mem.initial)
-    reached, edges, _update = explore(arena, [start, *(seeds or ())], mem.step)
-    owner = {pv: arena.owner[pv[0]] for pv in reached}
-    return Arena(tuple(sorted(reached)), owner, frozenset(edges), start)
+    return explore_product(arena, mem.initial, mem.step, seeds or ())[1]
 
 
 def extend_lasso(mem: MemoryStructure, lasso: Lasso) -> Lasso:
@@ -159,27 +167,34 @@ def extend_lasso(mem: MemoryStructure, lasso: Lasso) -> Lasso:
         offset = (offset + 1) % n_loop
 
 
-def product_memory(m1: MemoryStructure, m2: MemoryStructure) -> MemoryStructure:
-    """Memory over the original arena combining ``m1`` with a memory ``m2``
-    that reads edges of the ``m1``-expanded arena.
+def _product_walk(m1: MemoryStructure, m2: MemoryStructure, arena: Arena, seeds=(),
+                  owner: Optional[int] = None, move=None):
+    """:func:`explore` under ``m1`` run alongside ``m2``, a memory over the
+    ``m1``-expanded arena's edges, from the initial vertex and from each
+    ``seeds`` pair (vertex, ``m1`` state) with ``m2`` initial.  Returns the
+    reached pairs and the memory: all state pairs, the reached rows."""
+    def step(state, edge):
+        s1, s2 = state
+        t1 = m1.step(s1, edge)
+        return t1, m2.step(s2, ((edge[0], s1), (edge[1], t1)))
 
-    The state set is the full cartesian product.  Update entries are
-    tabulated for every edge ``m1`` covers; where ``m2`` lacks an entry
-    (possible only on pairs no play can reach) the second component is
-    left unchanged.
-    """
+    initial = (m1.initial, m2.initial)
+    starts = [(arena.initial, initial)] + [(v, (s1, m2.initial)) for v, s1 in seeds]
+    reached, update = explore(arena, starts, step, owner, move)
+    states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
+    return reached, MemoryStructure(states, initial, update)
+
+
+def product_memory(m1: MemoryStructure, m2: MemoryStructure, arena: Arena) -> MemoryStructure:
+    """Memory over ``arena`` running ``m1`` alongside a memory ``m2`` over
+    the ``m1``-expanded arena's edges: all state pairs, with update rows on
+    exactly the (state, edge) pairs that plays from the initial vertex
+    reach.  A step there that ``m1`` or ``m2`` lacks raises ``InputError``."""
     for (_s, e) in m2.update:
-        u, w = e
-        if not (isinstance(u, tuple) and len(u) == 2 and isinstance(w, tuple) and len(w) == 2):
+        if not all(isinstance(pv, tuple) and len(pv) == 2 for pv in e):
             raise InputError("second memory must read edges of the expanded arena")
         break
-    states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
-    update = {}
-    for (s1, e), t1 in m1.update.items():
-        lifted = ((e[0], s1), (e[1], t1))
-        for s2 in m2.states:
-            update[((s1, s2), e)] = (t1, m2.update.get((s2, lifted), s2))
-    return MemoryStructure(states, (m1.initial, m2.initial), update)
+    return _product_walk(m1, m2, arena)[1]
 
 
 @dataclass(frozen=True)
@@ -248,21 +263,9 @@ def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy, arena: Are
     state), where ``strat``'s memory starts in its initial state; its
     memory and moves must be defined wherever those plays go.
     """
-    m2 = strat.memory
-
-    def step(state, edge):
-        s1, s2 = state
-        t1 = m1.step(s1, edge)
-        lifted = ((edge[0], s1), (edge[1], t1))
-        return t1, m2.step(s2, lifted)
-
     def move(v, state):
         return strat.move((v, state[0]), state[1])[0]
 
-    initial = (m1.initial, m2.initial)
-    starts = [(arena.initial, initial)] + [(v, (s1, m2.initial)) for v, s1 in seeds]
-    reached, _edges, update = explore(arena, starts, step, strat.owner, move)
-    states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
+    reached, memory = _product_walk(m1, strat.memory, arena, seeds, strat.owner, move)
     next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == strat.owner}
-    memory = MemoryStructure(states, initial, update)
     return FiniteStateStrategy(strat.owner, memory, next_move)

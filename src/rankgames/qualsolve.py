@@ -16,7 +16,7 @@ from typing import Callable, Dict, Tuple
 from .arena import Arena, Vertex, attractor, restrict_any
 from .errors import InputError
 from .memory import (FiniteStateStrategy, MemoryStructure, compose_strategy,
-                     expand, explore, positional_strategy)
+                     explore, explore_product, positional_strategy)
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
                          SafetyAndCoBuchi, restrict_objective, validate_objective)
 
@@ -144,7 +144,7 @@ def rr_seed_state(pairs, vertex: Vertex) -> tuple:
     return (rr_open_update(pairs, (), vertex), 0)
 
 
-def rr_memory(arena: Arena, pairs) -> Tuple[MemoryStructure, Dict[Vertex, tuple]]:
+def rr_memory(arena: Arena, pairs) -> Tuple[MemoryStructure, Dict[Vertex, tuple], Arena]:
     """Open-request memory with a round-robin pointer.
 
     States are (open requests, pointer).  The pointer advances, cyclically,
@@ -153,9 +153,9 @@ def rr_memory(arena: Arena, pairs) -> Tuple[MemoryStructure, Dict[Vertex, tuple]
     request-response condition iff its run passes through progress states
     infinitely often, which the product Buchi game below checks.
 
-    Of the d * 2^d such states, the memory holds only those reachable from
-    the per-vertex seed states it returns alongside, and its update table
-    holds exactly the reachable (state, edge) pairs.
+    Returns the memory, the per-vertex seed states and the product arena
+    from one walk over what plays from the seeded vertices reach: of the
+    d * 2^d states the memory holds only those, one row per product edge.
     """
     d = len(pairs)
     if d == 0:
@@ -167,9 +167,8 @@ def rr_memory(arena: Arena, pairs) -> Tuple[MemoryStructure, Dict[Vertex, tuple]
         r2 = (r + 1) % d if r not in opened else r
         return rr_open_update(pairs, opened, edge[1]), r2
 
-    reached, _edges, update = explore(arena, seeds.items(), step)
-    states = tuple(sorted({s for _v, s in reached}))
-    return MemoryStructure(states, seeds[arena.initial], update), seeds
+    mem, product = explore_product(arena, seeds[arena.initial], step, seeds.items())
+    return mem, seeds, product
 
 
 def solve_request_response(arena: Arena, pairs) -> SolveResult:
@@ -184,8 +183,7 @@ def solve_request_response(arena: Arena, pairs) -> SolveResult:
     objective = RequestResponse(tuple(pairs))
     validate_objective(objective, arena)
     pairs = objective.pairs
-    mem, seeds = rr_memory(arena, pairs)
-    product = expand(arena, mem, seeds=seeds.items())
+    mem, seeds, product = rr_memory(arena, pairs)
     accept = frozenset(pv for pv in product.vertices if pv[1][1] not in pv[1][0])
     res = solve_buchi(product, accept)
     region_0 = frozenset(v for v in arena.vertices if (v, seeds[v]) in res.region_0)
@@ -197,30 +195,33 @@ def solve_request_response(arena: Arena, pairs) -> SolveResult:
 def solve_pruned(arena: Arena, bad, objective: Objective) -> SolveResult:
     """Hand Player 1 his attractor to ``bad`` and solve ``objective`` on
     the rest; Player 0's strategy never enters the attractor.  The rest's
-    strategies extend back to ``arena`` with stay-put memory on unseen
-    edges, and with Player 1's attractor moves or first successors at
-    vertices they leave open."""
+    strategies extend to ``arena`` only on what plays consistent with them
+    reach from every vertex with the initial memory state: the memory stays
+    put where it has no row, and vertices they leave open take Player 1's
+    attractor moves or their first successor."""
     attr_1, toward_bad = attractor(arena, 1, bad)
     keep = frozenset(arena.vertices) - attr_1
-    if not keep:
-        return SolveResult(frozenset(), frozenset(arena.vertices), lambda player: _positional(
-            arena, player, toward_bad if player == 1 else {}))
-    res = solve_objective(restrict_any(arena, keep), restrict_objective(objective, keep))
+    if keep:
+        res = solve_objective(restrict_any(arena, keep), restrict_objective(objective, keep))
+    else:
+        res = SolveResult(keep, keep, lambda player: FiniteStateStrategy(
+            player, MemoryStructure((0,), 0, {}), {}))
 
     def build(player):
         base = res.build(player)
-        mem = base.memory
-        missing = {(s, e): s for s in mem.states for e in arena.edges
-                   if (s, e) not in mem.update}
-        if missing:
-            mem = MemoryStructure(mem.states, mem.initial, {**mem.update, **missing})
-        extra = toward_bad if player == 1 else {}
-        next_move = dict(base.next_move)
-        for v in arena.owned_by(player):
-            fallback = extra.get(v, arena.succ[v][0])
-            for s in mem.states:
-                next_move.setdefault((v, s), fallback)
-        return FiniteStateStrategy(player, mem, next_move)
+        mem, moves = base.memory, base.next_move
+
+        def step(s, e):
+            return mem.update.get((s, e), s)
+
+        def move(v, s):
+            return moves[(v, s)] if (v, s) in moves else toward_bad.get(v, arena.succ[v][0])
+
+        reached, update = explore(arena, [(v, mem.initial) for v in arena.vertices], step,
+                                  player, move)
+        next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == player}
+        return FiniteStateStrategy(player, MemoryStructure(mem.states, mem.initial, update),
+                                   next_move)
     return SolveResult(res.region_0, attr_1 | res.region_1, build)
 
 

@@ -15,7 +15,7 @@ from typing import Union
 from .errors import InputError
 from .extnat import INF, ExtNat, check_extnat, fmt, is_finite
 from .memory import (FiniteStateStrategy, MemoryStructure, compose_strategy,
-                     expand, extend_lasso)
+                     expand, extend_lasso, product_memory, trivial_memory)
 
 IDENTITY_TAIL = "identity"
 CONSTANT_TAIL = "constant"
@@ -166,8 +166,6 @@ def trivial_reduction(game, target_builder) -> QuantReduction:
     ``target_builder(product_arena, memory)`` must produce the game with
     the same cost structure over the expanded arena.
     """
-    from .memory import trivial_memory
-
     mem = trivial_memory(game.arena)
     product = expand(game.arena, mem)
     return QuantReduction(mem, identity_table(), INF, game,
@@ -215,9 +213,7 @@ def compose(r1: QuantReduction, r2: QuantReduction) -> QuantReduction:
     """
     if r2.source is not r1.target and r2.source != r1.target:
         raise InputError("reductions do not chain: second source differs from first target")
-    from .memory import product_memory
-
-    mem = product_memory(r1.memory, r2.memory)
+    mem = product_memory(r1.memory, r2.memory, r1.source.arena)
     f = compose_functions(r1.f, r2.f,
                           table_span=(r1.b + 2 if is_finite(r1.b) else 0))
     if r2.b >= r1.f.apply(r1.b):

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from .arena import Arena, Edge, Vertex
 from .errors import InputError
 from .extnat import INF, ExtNat
-from .memory import FiniteStateStrategy, MemoryStructure, explore
+from .memory import FiniteStateStrategy, explore_product
 from .objectives import CostRRSpec, RequestResponse, cost_rr_lasso, validate_objective
 from .quantred import Cap, QuantReduction, lift_strategy
 from .ranked import (OptimizeResult, RankedGame, least_winning_bound,
@@ -118,11 +118,8 @@ def build_reduction(game: CostRRGame, b: int) -> QuantReduction:
     if b < 0:
         raise InputError("reduction bound must be non-negative")
     spec, arena = game.spec, game.arena
-    start = (arena.initial, counter_seed(spec, arena.initial))
-    reached, edges, update = explore(arena, (start,), partial(counter_step, spec, b + 1))
-    memory = MemoryStructure(tuple(sorted({s for _v, s in reached})), start[1], update)
-    owner = {pv: arena.owner[pv[0]] for pv in reached}
-    product = Arena(tuple(sorted(reached)), owner, frozenset(edges), start)
+    memory, product = explore_product(arena, counter_seed(spec, arena.initial),
+                                      partial(counter_step, spec, b + 1))
     ranks = {pv: max(counter_value(st) for st in pv[1]) for pv in product.vertices}
     lifted = tuple(
         (frozenset(pv for pv in product.vertices if pv[0] in q),

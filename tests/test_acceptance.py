@@ -164,7 +164,7 @@ def test_c2_request_response_oracle_and_memory_bound():
     for arena, pairs in _rr_instances(100):
         d = len(pairs)
         res = solve_request_response(arena, pairs)
-        mem, seeds = rr_memory(arena, pairs)
+        mem, seeds, _product = rr_memory(arena, pairs)
         oracle = enumerate_regions(arena, RequestResponse(pairs), mem,
                                    seeds=seeds.items(), guard=10 ** 6)
         assert (res.region_0, res.region_1) == oracle, (arena, pairs)
@@ -250,8 +250,8 @@ def _oracle_friendly_cost_games(count=30):
         game = random_costrr_game(rng, rng.randint(2, 4), 1, 2,
                                   p0_max_outdeg=2, response_density=0.6)
         r = build_reduction(game, cap_bound(game))
-        mem, _seeds = rr_memory(r.target.arena, r.target.objective.pairs)
-        template = product_memory(r.memory, mem)
+        mem, _seeds, _product = rr_memory(r.target.arena, r.target.objective.pairs)
+        template = product_memory(r.memory, mem, game.arena)
         product = expand(game.arena, template)
         total = 1
         for pv in product.vertices:
@@ -283,8 +283,8 @@ def _cost_artifacts():
     a2, a3 = a2_game(), a3_game()
     for game, expected in ((a2, 3), (a3, 5)):
         r = build_reduction(game, cap_bound(game))
-        mem, _ = rr_memory(r.target.arena, r.target.objective.pairs)
-        template = product_memory(r.memory, mem)
+        mem, _, _ = rr_memory(r.target.arena, r.target.objective.pairs)
+        template = product_memory(r.memory, mem, game.arena)
         product = expand(game.arena, template)
         assert _enumerated_minimum(game, template, product) == expected
     results = []

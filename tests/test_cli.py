@@ -14,7 +14,8 @@ from rankgames.fileformat import (LoadedGame, game_to_doc, parse_game,
                                   write_strategy)
 from rankgames.errors import InputError
 from rankgames.gen import random_arena, random_costrr_game, random_subset
-from rankgames.objectives import RequestResponse
+from rankgames.objectives import Buchi, RequestResponse
+from rankgames.ranked import RankedGame
 from rankgames.rrcost import optimize as optimize_costrr
 
 
@@ -146,6 +147,34 @@ class TestParsing:
         doc["owner"] = False
         with pytest.raises(InputError, match=r"strategy\.owner"):
             strategy_from_doc(doc)
+
+    @pytest.mark.parametrize("entry", ["vertex", "update", "vertex id", "state"])
+    def test_malformed_entry_exits_2(self, tmp_path, capsys, entry):
+        # exit 1 means Player 1 prevails; a malformed file is an input error
+        game = json.loads(json.dumps(SAFETY_WIN))
+        argv = ["solve", "game.json"]
+        if entry == "vertex":
+            game["arena"]["vertices"].append(5)
+            where = "arena.vertices[2]"
+        elif entry == "vertex id":
+            game["objective"]["safe"] = [["a"]]
+            where = "objective.safe[0]"
+        else:
+            out = str(tmp_path / "strat.json")
+            assert main(["solve", write_game(tmp_path, game), "--out", out]) == 0
+            doc = json.loads((tmp_path / "strat.json").read_text())
+            if entry == "state":
+                doc["memory"]["states"].append(["m1"])
+                where = "memory.states"
+            else:
+                doc["memory"]["update"].append(7)
+                where = f"memory.update[{len(doc['memory']['update']) - 1}]"
+            (tmp_path / "strat.json").write_text(json.dumps(doc))
+            argv = ["verify", "game.json", "--strategy", out]
+        argv[1] = write_game(tmp_path, game)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert where in capsys.readouterr().err
 
     def test_strategy_roundtrip_is_identity(self, tmp_path):
         path = write_game(tmp_path, A2_COSTS)
@@ -315,16 +344,32 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     best = optimize_costrr(verify_game)
     assert best.cost == 7
     write_strategy(str(tmp_path / "optimal.json"), best.strategy)
+    # ranked solves at bound 2 extend their strategies through the walk
+    # over the pruned arena; here Player 0 wins both, the sup game with
+    # open-request memory
+    rng = random.Random(170)
+    sup_arena = random_arena(rng, 8, p0_max_outdeg=3)
+    sup_pairs = tuple((random_subset(rng, sup_arena, 0.3), random_subset(rng, sup_arena, 0.3))
+                      for _ in range(2))
+    sup_game = RankedGame(sup_arena, RequestResponse(sup_pairs),
+                          {v: rng.randint(0, 4) for v in sup_arena.vertices}, "sup")
+    lim_arena = random_arena(rng, 10, p0_max_outdeg=3)
+    lim_game = RankedGame(lim_arena, Buchi(random_subset(rng, lim_arena, 0.4)),
+                          {v: rng.randint(0, 4) for v in lim_arena.vertices}, "lim")
     games = {
         "solve": LoadedGame("qualitative", arena, RequestResponse(pairs)),
+        "solve-sup": LoadedGame("ranked", sup_arena, sup_game.objective, ranked=sup_game),
+        "solve-lim": LoadedGame("ranked", lim_arena, lim_game.objective, ranked=lim_game),
         "optimize": LoadedGame("costrr", cost_game.arena,
                                cost_game.spec.rr_objective(), costrr=cost_game),
         "verify": LoadedGame("costrr", verify_game.arena,
                              verify_game.spec.rr_objective(), costrr=verify_game),
     }
-    for command, game in games.items():
-        (tmp_path / f"{command}.json").write_text(json.dumps(game_to_doc(game)))
+    for name, game in games.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(game_to_doc(game)))
     options = {"solve": ["--out", "strategy.json"],
+               "solve-sup": ["--bound", "2", "--out", "strategy.json"],
+               "solve-lim": ["--bound", "2", "--out", "strategy.json"],
                "optimize": ["--out", "strategy.json"],
                "verify": ["--strategy", "optimal.json", "--bound", "6"]}
     src = os.path.dirname(os.path.dirname(rankgames.__file__))
@@ -332,16 +377,17 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         run = {}
-        for command in games:
+        for name in games:
             (tmp_path / "strategy.json").write_bytes(b"")
             proc = subprocess.run(
                 [sys.executable, "-c",
                  "import sys; from rankgames.cli import main; sys.exit(main())",
-                 command, f"{command}.json", *options[command]],
+                 name.split("-")[0], f"{name}.json", *options[name]],
                 cwd=tmp_path, env=env, capture_output=True, timeout=120)
             assert proc.returncode in (0, 1), proc.stderr
-            run[command] = (proc.returncode, proc.stdout,
-                            (tmp_path / "strategy.json").read_bytes())
+            run[name] = (proc.returncode, proc.stdout,
+                         (tmp_path / "strategy.json").read_bytes())
         runs.append(run)
     assert runs[0]["verify"][1].startswith(b"refuted\nwitness prefix:")
+    assert runs[0]["solve-sup"][0] == runs[0]["solve-lim"][0] == 0
     assert runs[0] == runs[1]

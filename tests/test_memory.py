@@ -132,12 +132,12 @@ class TestProductMemory:
     def test_state_count_is_product(self, a1):
         m1 = toggle_memory(a1)
         m2 = self._m2_over(expand(a1, m1))
-        assert len(product_memory(m1, m2)) == len(m1) * len(m2)
+        assert len(product_memory(m1, m2, a1)) == len(m1) * len(m2)
 
     def test_trivial_second_factor(self, a1):
         m1 = toggle_memory(a1)
         m2 = trivial_memory(expand(a1, m1))
-        prod = product_memory(m1, m2)
+        prod = product_memory(m1, m2, a1)
         rng = random.Random(5)
         for _ in range(20):
             prefix = random_prefix(rng, a1, rng.randint(0, 6))
@@ -148,7 +148,7 @@ class TestProductMemory:
         m1 = toggle_memory(a1)
         expanded = expand(a1, m1)
         m2 = self._m2_over(expanded)
-        prod = product_memory(m1, m2)
+        prod = product_memory(m1, m2, a1)
         rng = random.Random(21)
         for _ in range(50):
             prefix = random_prefix(rng, a1, rng.randint(0, 10))
@@ -162,10 +162,41 @@ class TestProductMemory:
                 cur = nxt
             assert update_plus(prod, prefix) == (s1, s2)
 
+    def test_rows_are_exactly_the_reachable_pairs(self, a1):
+        # 'z' is never entered, so no row pairs it with anything; every
+        # (state, edge) pair that plays from the initial vertex reach has one
+        m1 = toggle_memory(a1)
+        expanded = expand(a1, m1)
+        m2 = MemoryStructure(("x", "y", "z"), "x",
+                             {(s, e): "y" if e[0][0] == "b" else s
+                              for s in ("x", "y", "z") for e in expanded.edges})
+        prod = product_memory(m1, m2, a1)
+        assert len(prod) == len(m1) * len(m2)
+        rows = {}
+        start = (a1.initial, prod.initial)
+        seen, todo = {start}, [start]
+        while todo:
+            v, (s1, s2) = todo.pop()
+            for w in a1.succ[v]:
+                t1 = m1.step(s1, (v, w))
+                nxt = (w, (t1, m2.step(s2, ((v, s1), (w, t1)))))
+                rows[((s1, s2), (v, w))] = nxt[1]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        assert prod.update == rows
+
+    def test_missing_second_row_rejected(self, a1):
+        m1 = toggle_memory(a1)
+        m2 = self._m2_over(expand(a1, m1))
+        del m2.update[("x", (("a", 0), ("b", 1)))]
+        with pytest.raises(InputError, match="undefined"):
+            product_memory(m1, m2, a1)
+
     def test_alphabet_shape_checked(self, a1):
         m1 = toggle_memory(a1)
         with pytest.raises(InputError, match="expanded"):
-            product_memory(m1, toggle_memory(a1))
+            product_memory(m1, toggle_memory(a1), a1)
 
 
 class TestComposeStrategy:

@@ -112,7 +112,7 @@ class TestSolveRequestResponse:
             arena = random_arena(rng, rng.randint(2, 6))
             pairs = tuple((random_subset(rng, arena), random_subset(rng, arena))
                           for _ in range(d))
-            mem, seeds = rr_memory(arena, pairs)
+            mem, seeds, _product = rr_memory(arena, pairs)
             product = expand(arena, mem, seeds=seeds.items())
             assert len(mem.update) == len(product.edges)
 

@@ -49,6 +49,20 @@ class TestSolveSupWithBound:
                 assert verify_strategy(a1, cond, res.strategy_1, bound=b,
                                        start=v).certified
 
+    def test_no_rows_for_player0_edges_never_taken(self):
+        # at her own vertices the strategy's memory reads only the edges she
+        # moves along; the edges she never takes get no update row
+        rng = random.Random(17)
+        untaken = 0
+        for _ in range(30):
+            game = random_ranked_game(rng, rng.randint(3, 8), 4, mode="sup")
+            strat = solve_sup_with_bound(game, 2).strategy_0
+            for (s, (v, w)) in strat.memory.update:
+                if game.arena.owner[v] == 0:
+                    assert strat.next_move[(v, s)] == w
+            untaken += sum(len(game.arena.succ[v]) - 1 for v in game.arena.owned_by(0))
+        assert untaken > 0
+
     def test_random_instances_certified_both_players(self):
         rng = random.Random(7207)
         for _ in range(30):

@@ -171,7 +171,7 @@ class TestEnumerate:
         for _ in range(10):
             arena = random_arena(rng, rng.randint(2, 4), p0_max_outdeg=2)
             pairs = ((random_subset(rng, arena), random_subset(rng, arena)),)
-            mem, seeds = rr_memory(arena, pairs)
+            mem, seeds, _product = rr_memory(arena, pairs)
             oracle = enumerate_regions(arena, RequestResponse(pairs), mem,
                                        seeds=seeds.items())
             assert oracle[0] == solve_request_response(arena, pairs).region_0
