@@ -17,7 +17,6 @@ from .errors import InputError
 
 Vertex = Any
 Edge = Tuple[Vertex, Vertex]
-VertexSet = frozenset
 
 
 @dataclass(frozen=True)
@@ -75,9 +74,6 @@ class Arena:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def vertex_set(self) -> VertexSet:
-        return frozenset(self.vertices)
 
     def owned_by(self, player: int) -> tuple:
         return tuple(v for v in self.vertices if self.owner[v] == player)

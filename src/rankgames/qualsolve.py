@@ -42,9 +42,6 @@ class SolveResult:
         if self.region_0 & self.region_1:
             raise InputError("winning regions overlap")
 
-    def region_of(self, player: int) -> frozenset:
-        return self.region_0 if player == 0 else self.region_1
-
     @cached_property
     def strategy_0(self) -> FiniteStateStrategy:
         return self.build(0)
@@ -161,11 +158,17 @@ def rr_memory(arena: Arena, pairs) -> Tuple[MemoryStructure, Dict[Vertex, tuple]
     if d == 0:
         raise InputError("request-response needs at least one pair")
     seeds = {v: rr_seed_state(pairs, v) for v in arena.vertices}
+    # the open set after an edge depends only on (open set, entered vertex)
+    opened_after: Dict[tuple, tuple] = {}
 
     def step(state, edge):
         opened, r = state
         r2 = (r + 1) % d if r not in opened else r
-        return rr_open_update(pairs, opened, edge[1]), r2
+        key = (opened, edge[1])
+        nxt = opened_after.get(key)
+        if nxt is None:
+            nxt = opened_after[key] = rr_open_update(pairs, opened, edge[1])
+        return nxt, r2
 
     mem, product = explore_product(arena, seeds[arena.initial], step, seeds.items())
     return mem, seeds, product

@@ -2,23 +2,25 @@
 
 Plays are charged the worst summed edge cost between opening a request
 and its earliest answer; Player 0 minimizes that worst cost.  Solving
-goes through a single quantitative reduction: a per-pair cost counter
-memory turns the game into a vertex-ranked sup game over request-response
-pairs, which bounded solving and binary-search optimization then probe
-without ever rebuilding the reduction.
+goes through the quantitative reduction at parameter b+1: a per-pair cost
+counter memory, saturating at b+1, turns the game into a vertex-ranked
+sup game over request-response pairs that is exact below b+1.  Bounded
+solving builds it at the asked bound, and optimization builds one per
+probed bound, so no product is larger than the bound in question needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .arena import Arena, Edge, Vertex
 from .errors import InputError
 from .extnat import INF, ExtNat
 from .memory import FiniteStateStrategy, explore_product
 from .objectives import CostRRSpec, RequestResponse, cost_rr_lasso, validate_objective
+from .qualsolve import solve_request_response
 from .quantred import Cap, QuantReduction, lift_strategy
 from .ranked import (OptimizeResult, RankedGame, least_winning_bound,
                      solve_sup_with_bound)
@@ -129,22 +131,25 @@ def build_reduction(game: CostRRGame, b: int) -> QuantReduction:
     return QuantReduction(memory, Cap(b + 1), b + 1, game, target)
 
 
-def solve_with_bound(game: CostRRGame, b: int,
-                     reduction: Optional[QuantReduction] = None
-                     ) -> Tuple[int, FiniteStateStrategy]:
+def _probe(game: CostRRGame, b: int):
+    """Reduction built at bound b and its sup game solved at b: regions
+    only, so a strategy is built on first read of the result."""
+    r = build_reduction(game, b)
+    res = solve_sup_with_bound(r.target, b)
+    return r.target.arena.initial in res.region_0, (r, res)
+
+
+def solve_with_bound(game: CostRRGame, b: int) -> Tuple[int, FiniteStateStrategy]:
     """Winner at bound b and a strategy witnessing the verdict.
 
-    Solves on ``reduction`` when given (it must be built at the cap), and
-    otherwise builds one at the cap for this call; bounds beyond the cap
-    are clamped, which is sound because a finitely winnable game is
-    winnable within the cap.
+    The reduction is built at ``min(b, cap)``: bounds beyond the cap are
+    clamped, which is sound because a finitely winnable game is winnable
+    within the cap.
     """
     if b < 0:
         raise InputError("bound must be non-negative")
-    cap = cap_bound(game)
-    r = reduction if reduction is not None else build_reduction(game, cap)
-    res = solve_sup_with_bound(r.target, min(b, cap))
-    if r.target.arena.initial in res.region_0:
+    wins, (r, res) = _probe(game, min(b, cap_bound(game)))
+    if wins:
         return 0, lift_strategy(r, res.strategy_0)
     return 1, lift_strategy(r, res.strategy_1)
 
@@ -152,19 +157,29 @@ def solve_with_bound(game: CostRRGame, b: int,
 def optimize(game: CostRRGame) -> OptimizeResult:
     """Least worst-case response cost Player 0 can guarantee.
 
-    One reduction build at the cap, then binary search on the bound; the
-    per-bound question is monotone.  Cost ``INF`` (Player 1 wins) comes
-    with his witnessing strategy instead.
+    Cost ``INF`` is decided first, by the plain request-response game on
+    the source arena: a finite-state win there costs at most the cap, so
+    losing it is losing every bound, and Player 1 gets his
+    request-response strategy.  Otherwise the least winning bound is found
+    by galloping (Bentley and Yao, "An almost optimal algorithm for
+    unbounded searching", 1976): probe b = 0, 1, 3, 7, ... (clamped to the
+    cap) until Player 0 wins, then bisect the last gap.  The per-bound
+    question is monotone; every probe builds its own reduction at its
+    bound, no bound is probed twice, and only the winning probe's strategy
+    is built and lifted.
     """
     cap = cap_bound(game)
-    r = build_reduction(game, cap)
-    pv0 = r.target.arena.initial
-
-    def probe(bound: int):
-        res = solve_sup_with_bound(r.target, bound)
-        return pv0 in res.region_0, res
-
-    cost, res = least_winning_bound(probe, range(cap + 1))
-    if cost is None:
-        return OptimizeResult(INF, lift_strategy(r, res.strategy_1))
+    rr = solve_request_response(game.arena, game.spec.pairs)
+    if game.arena.initial not in rr.region_0:
+        return OptimizeResult(INF, rr.strategy_1)
+    lo, b = -1, 0
+    while True:
+        wins, won = _probe(game, b)
+        if wins:
+            break
+        if b == cap:
+            raise InputError("internal error: request-response game won but not within the cap")
+        lo, b = b, min(2 * b + 1, cap)
+    cost, (r, res) = least_winning_bound(
+        lambda c: (True, won) if c == b else _probe(game, c), range(lo + 1, b + 1))
     return OptimizeResult(cost, lift_strategy(r, res.strategy_0))

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from rankgames import rrcost
 from rankgames.arena import Arena, Lasso
 from rankgames.errors import InputError
 from rankgames.extnat import INF
 from rankgames.gen import random_costrr_game, random_lasso
 from rankgames.memory import extend_lasso
 from rankgames.objectives import CostRRSpec, RequestResponse
+from rankgames.qualsolve import solve_request_response
 from rankgames.quantred import check_reduction_on_lasso
+from rankgames.ranked import solve_sup_with_bound
 from rankgames.rrcost import (CostRRGame, build_reduction, cap_bound,
                               counter_seed, counter_step, optimize,
                               solve_with_bound)
@@ -125,10 +128,16 @@ class TestSolveWithBound:
         winner, _ = solve_with_bound(a2_game, 10 ** 9)
         assert winner == 0
 
-    def test_reuses_prebuilt_reduction(self, a2_game):
-        r = build_reduction(a2_game, cap_bound(a2_game))
-        assert solve_with_bound(a2_game, 3, reduction=r)[0] == 0
-        assert solve_with_bound(a2_game, 2, reduction=r)[0] == 1
+    def test_builds_reduction_at_clamped_bound(self, a2_game, a3_game):
+        # the strategy is lifted through the reduction built at min(b, cap);
+        # on a3 at bound 0 that memory is smaller than the cap's
+        for game, b in ((a2_game, 3), (a2_game, 10 ** 9), (a3_game, 0)):
+            bound = min(b, cap_bound(game))
+            r = build_reduction(game, bound)
+            target = solve_sup_with_bound(r.target, bound)
+            winner, strategy = solve_with_bound(game, b)
+            tau = target.strategy_of(winner)
+            assert strategy.size() == len(r.memory) * len(tau.memory)
 
 
 class TestOptimize:
@@ -199,10 +208,8 @@ class TestOptimize:
         assert max_response_cost(a2_game, res.strategy, cap_bound(a2_game)) == 3
 
     def test_lifted_size_is_memory_product(self, a2_game):
-        B = cap_bound(a2_game)
-        r = build_reduction(a2_game, B)
-        from rankgames.ranked import solve_sup_with_bound
-
+        # the winning probe at the optimum 3 built its reduction at 3
+        r = build_reduction(a2_game, 3)
         target = solve_sup_with_bound(r.target, 3)
         res = optimize(a2_game)
         assert res.strategy.size() == len(r.memory) * len(target.strategy_0.memory)
@@ -211,7 +218,6 @@ class TestOptimize:
         # the lifted strategy is tabulated only where consistent plays can
         # go, yet keeps the exact product size and certifies as before
         from rankgames.quantred import lift_strategy
-        from rankgames.ranked import solve_sup_with_bound
 
         r = build_reduction(a2_game, cap_bound(a2_game))
         target = solve_sup_with_bound(r.target, 3)
@@ -231,3 +237,68 @@ def test_optimize_builds_no_more_strategies_than_one_solve(a3_game, strategies_b
     winner, _strategy = solve_with_bound(a3_game, res.cost)
     assert winner == 0
     assert by_optimize <= strategies_built[0]
+
+
+@pytest.fixture
+def reductions_built(monkeypatch):
+    """Bounds at which rrcost builds its reductions, in call order."""
+    bounds = []
+    build = rrcost.build_reduction
+
+    def spy(game, b):
+        bounds.append(b)
+        return build(game, b)
+
+    monkeypatch.setattr(rrcost, "build_reduction", spy)
+    return bounds
+
+
+def test_optimize_gallops_below_twice_the_optimum(a3_game, reductions_built):
+    # probes 0, 1, 3, 7, then bisects 4..7: never the cap, never a bound twice
+    res = optimize(a3_game)
+    assert res.cost == 5
+    assert max(reductions_built) <= 2 * res.cost + 1
+    assert cap_bound(a3_game) not in reductions_built
+    assert len(set(reductions_built)) == len(reductions_built)
+
+
+def test_optimize_finishes_the_cap_blowup_instance(monkeypatch):
+    # a reduction at this game's cap (3 pairs, 20 vertices) grew past 4 GB;
+    # the guard makes a regression fail at once instead
+    game = random_costrr_game(random.Random(3), 20, 3, 2, p0_max_outdeg=3)
+    cap = cap_bound(game)
+    build = rrcost.build_reduction
+
+    def guarded(g, b):
+        if b >= cap:
+            raise AssertionError(f"reduction built at the cap {cap}")
+        return build(g, b)
+
+    monkeypatch.setattr(rrcost, "build_reduction", guarded)
+    res = optimize(game)
+    assert res.cost == 3
+    assert verify_strategy(game.arena, game.spec, res.strategy, bound=3).certified
+    winner, tau = solve_with_bound(game, 2)
+    assert winner == 1
+    assert verify_strategy(game.arena, game.spec, tau, bound=2).certified
+
+
+def test_optimum_is_least_winning_bound_by_linear_scan():
+    # INF exactly when the plain request-response game is lost; otherwise
+    # the galloping optimum equals a linear scan over the bounds
+    rng = random.Random(20)
+    finite = infinite = 0
+    for _ in range(200):
+        game = random_costrr_game(rng, rng.randint(2, 5), rng.randint(1, 2),
+                                  rng.randint(0, 3))
+        res = optimize(game)
+        rr = solve_request_response(game.arena, game.spec.pairs)
+        assert (res.cost is INF) == (game.arena.initial not in rr.region_0)
+        if res.cost is INF:
+            infinite += 1
+            continue
+        finite += 1
+        top = min(cap_bound(game), res.cost + 2)
+        winners = [solve_with_bound(game, b)[0] for b in range(top + 1)]
+        assert winners == [1] * res.cost + [0] * (top + 1 - res.cost), game
+    assert finite >= 50 and infinite >= 10
