@@ -5,12 +5,20 @@ One game format with optional quantitative sections (exactly one of
 between game kinds and shared tooling should read them all.  Strategy
 files serialize finite-state strategies losslessly; in-memory states that
 are not strings are renamed to stable generated identifiers on write.
+
+The on-disk layout of a strategy file is part of the format: the text
+``json.dump(strategy_to_doc(s), indent=2, sort_keys=True)`` writes, plus
+a final newline.  ``write_strategy`` emits that layout directly from the
+rows, and a test holds its bytes to the ``json`` reference.  Readers check
+each row inline and fall back to the field-by-field checks only to word
+the first error.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .arena import Arena
@@ -55,34 +63,42 @@ def _vertex_list(ids, known, where):
 
 
 def _parse_arena(doc) -> Arena:
+    # Rows that are certainly valid pass one inline check; any other row
+    # goes through the field-by-field checks, which word its error.
     arena = _need(doc, "arena", "game", dict)
     vertices = _need(arena, "vertices", "arena", list)
     owner = {}
     for i, entry in enumerate(vertices):
-        where = f"arena.vertices[{i}]"
-        vid = _need(entry, "id", where, str)
-        if vid in owner:
-            raise InputError(f"{where}: duplicate vertex id {vid!r}")
-        pl = _need(entry, "owner", where, int)
-        if pl not in (0, 1):
-            raise InputError(f"{where}.owner: must be 0 or 1")
+        if not (type(entry) is dict and type(vid := entry.get("id")) is str
+                and vid not in owner and type(pl := entry.get("owner")) is int
+                and pl in (0, 1)):
+            where = f"arena.vertices[{i}]"
+            vid = _need(entry, "id", where, str)
+            if vid in owner:
+                raise InputError(f"{where}: duplicate vertex id {vid!r}")
+            pl = _need(entry, "owner", where, int)
+            if pl not in (0, 1):
+                raise InputError(f"{where}.owner: must be 0 or 1")
         owner[vid] = pl
     edges = []
     for i, entry in enumerate(_need(arena, "edges", "arena", list)):
-        where = f"arena.edges[{i}]"
-        u = _need(entry, "from", where, str)
-        w = _need(entry, "to", where, str)
-        for v in (u, w):
-            if v not in owner:
-                raise InputError(f"{where}: unknown vertex id {v!r}")
+        if not (type(entry) is dict and type(u := entry.get("from")) is str
+                and type(w := entry.get("to")) is str and u in owner and w in owner):
+            where = f"arena.edges[{i}]"
+            u = _need(entry, "from", where, str)
+            w = _need(entry, "to", where, str)
+            for v in (u, w):
+                if v not in owner:
+                    raise InputError(f"{where}: unknown vertex id {v!r}")
         edges.append((u, w))
     initial = _need(arena, "initial", "arena", str)
     if initial not in owner:
         raise InputError(f"arena.initial: unknown vertex id {initial!r}")
     with_out = {u for u, _ in edges}
-    for v in sorted(owner):
-        if v not in with_out:
-            raise InputError(f"arena: vertex {v!r} has no outgoing edge")
+    if len(with_out) != len(owner):
+        for v in sorted(owner):
+            if v not in with_out:
+                raise InputError(f"arena: vertex {v!r} has no outgoing edge")
     return Arena.of(owner, edges, initial)
 
 
@@ -176,13 +192,20 @@ def parse_game_doc(doc) -> LoadedGame:
     return LoadedGame("fault", arena, objective, fault=fa)
 
 
+def _load_json(path: str):
+    """The document in a JSON file; text that is not UTF-8 or not JSON is an
+    ``InputError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def parse_game(path: str) -> LoadedGame:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return parse_game_doc(doc)
+    return parse_game_doc(_load_json(path))
 
 
 def game_to_doc(game: LoadedGame) -> dict:
@@ -226,32 +249,43 @@ def _objective_to_doc(obj: Objective) -> dict:
                       for q, p in obj.pairs]}
 
 
-def strategy_to_doc(strategy: FiniteStateStrategy) -> dict:
+def _strategy_rows(strategy: FiniteStateStrategy):
+    """State names, initial state name, update rows (state, from, to, next)
+    and move rows (vertex, state, target) of a strategy, rows in file order."""
     mem = strategy.memory
     if all(isinstance(s, str) for s in mem.states):
         name = {s: s for s in mem.states}
     else:
         name = {s: f"m{i}" for i, s in enumerate(mem.states)}
+    # the first three fields of an update row and the first two of a move
+    # row are a table key, so no sort ever compares the last field
+    update = sorted((name[s], u, w, name[t]) for (s, (u, w)), t in mem.update.items())
+    moves = sorted((v, name[s], w) for (v, s), w in strategy.next_move.items())
+    return [name[s] for s in mem.states], name[mem.initial], update, moves
+
+
+def strategy_to_doc(strategy: FiniteStateStrategy) -> dict:
+    states, initial, update, moves = _strategy_rows(strategy)
     return {
         "owner": strategy.owner,
         "memory": {
-            "states": [name[s] for s in mem.states],
-            "initial": name[mem.initial],
-            "update": [
-                {"state": name[s], "from": e[0], "to": e[1], "next": name[t]}
-                for (s, e), t in sorted(mem.update.items(),
-                                        key=lambda kv: (name[kv[0][0]], kv[0][1]))
-            ],
+            "states": states,
+            "initial": initial,
+            "update": [{"state": s, "from": u, "to": w, "next": t}
+                       for s, u, w, t in update],
         },
-        "moves": [
-            {"vertex": v, "state": name[s], "target": w}
-            for (v, s), w in sorted(strategy.next_move.items(),
-                                    key=lambda kv: (kv[0][0], name[kv[0][1]]))
-        ],
+        "moves": [{"vertex": v, "state": s, "target": w} for v, s, w in moves],
     }
 
 
+def _fields(entry, names, where):
+    """The named string fields of a row, or the first error ``_need`` finds."""
+    return [_need(entry, key, where, str) for key in names]
+
+
 def strategy_from_doc(doc) -> FiniteStateStrategy:
+    # As in _parse_arena, only rows that fail the inline check go through
+    # _need, which words their error.
     if not isinstance(doc, dict):
         raise InputError("strategy file must hold a JSON object")
     owner = _need(doc, "owner", "strategy", int)
@@ -262,41 +296,74 @@ def strategy_from_doc(doc) -> FiniteStateStrategy:
     initial = _need(memdoc, "initial", "memory", str)
     update = {}
     for i, entry in enumerate(_need(memdoc, "update", "memory", list)):
-        where = f"memory.update[{i}]"
-        s = _need(entry, "state", where, str)
-        u = _need(entry, "from", where, str)
-        w = _need(entry, "to", where, str)
-        t = _need(entry, "next", where, str)
+        if not (type(entry) is dict and type(s := entry.get("state")) is str
+                and type(u := entry.get("from")) is str and type(w := entry.get("to")) is str
+                and type(t := entry.get("next")) is str):
+            s, u, w, t = _fields(entry, ("state", "from", "to", "next"), f"memory.update[{i}]")
         key = (s, (u, w))
         if key in update:
-            raise InputError(f"{where}: duplicate update row")
+            raise InputError(f"memory.update[{i}]: duplicate update row")
         update[key] = t
     mem = MemoryStructure(states, initial, update)
     moves = {}
     for i, entry in enumerate(_need(doc, "moves", "strategy", list)):
-        where = f"moves[{i}]"
-        v = _need(entry, "vertex", where, str)
-        s = _need(entry, "state", where, str)
-        w = _need(entry, "target", where, str)
+        if not (type(entry) is dict and type(v := entry.get("vertex")) is str
+                and type(s := entry.get("state")) is str
+                and type(w := entry.get("target")) is str):
+            v, s, w = _fields(entry, ("vertex", "state", "target"), f"moves[{i}]")
         if (v, s) in moves:
-            raise InputError(f"{where}: duplicate move row")
+            raise InputError(f"moves[{i}]: duplicate move row")
         moves[(v, s)] = w
     return FiniteStateStrategy(owner, mem, moves)
 
 
+class _Encoded(dict):
+    """JSON text of values as ``json.dump(indent=2, sort_keys=True)`` writes
+    them on a line indented by ``pad``; strings are memoized."""
+
+    def __init__(self, pad: str):
+        super().__init__()
+        self.newline = "\n" + pad
+
+    def __missing__(self, value):
+        if type(value) is str:
+            text = self[value] = encode_basestring_ascii(value)
+            return text
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", self.newline)
+
+
+def _json_list(items, pad: str) -> str:
+    """A JSON list of already indented items whose key line is indented by pad."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+
+
 def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
+    """Write ``strategy_to_doc(strategy)`` in the layout of ``json.dump`` with
+    ``indent=2, sort_keys=True`` and a final newline, built directly from
+    the rows: the two row shapes are fixed, so the pure-Python encoder's
+    generality is not needed."""
+    states, initial, update, moves = _strategy_rows(strategy)
+    at8, at6 = _Encoded(" " * 8), _Encoded(" " * 6)
+    update_rows = [f'      {{\n        "from": {at8[u]},\n        "next": {at8[t]},\n'
+                   f'        "state": {at8[s]},\n        "to": {at8[w]}\n      }}'
+                   for s, u, w, t in update]
+    move_rows = [f'    {{\n      "state": {at6[s]},\n      "target": {at6[w]},\n'
+                 f'      "vertex": {at6[v]}\n    }}'
+                 for v, s, w in moves]
+    text = "".join((
+        '{\n  "memory": {\n    "initial": ', at6[initial],
+        ',\n    "states": ', _json_list(["      " + at6[s] for s in states], "    "),
+        ',\n    "update": ', _json_list(update_rows, "    "),
+        '\n  },\n  "moves": ', _json_list(move_rows, "  "),
+        ',\n  "owner": ', json.dumps(strategy.owner), "\n}\n"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(strategy_to_doc(strategy), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_strategy(path: str) -> FiniteStateStrategy:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    return strategy_from_doc(doc)
+    return strategy_from_doc(_load_json(path))
 
 
 def check_strategy_against(strategy: FiniteStateStrategy, arena: Arena) -> None:

@@ -13,9 +13,13 @@ from rankgames.fileformat import (LoadedGame, game_to_doc, parse_game,
                                   strategy_from_doc, strategy_to_doc,
                                   write_strategy)
 from rankgames.errors import InputError
-from rankgames.gen import random_arena, random_costrr_game, random_subset
+from rankgames.gen import (random_arena, random_costrr_game, random_fault_arena,
+                           random_ranked_game, random_subset)
+from rankgames.memory import FiniteStateStrategy, MemoryStructure
 from rankgames.objectives import Buchi, RequestResponse
-from rankgames.ranked import RankedGame
+from rankgames.qualsolve import solve_request_response
+from rankgames.ranked import RankedGame, optimize as optimize_ranked, solve_with_bound
+from rankgames.resilience import max_resilience
 from rankgames.rrcost import optimize as optimize_costrr
 
 
@@ -69,10 +73,69 @@ RANKED_LIM_RR = {
 }
 
 
+# a one-state Player 0 strategy for SAFETY_WIN
+SAFETY_STRATEGY = {
+    "owner": 0,
+    "memory": {"states": ["m0"], "initial": "m0",
+               "update": [{"state": "m0", "from": u, "to": w, "next": "m0"}
+                          for u, w in (("a", "a"), ("a", "b"), ("b", "b"))]},
+    "moves": [{"vertex": "a", "state": "m0", "target": "a"}],
+}
+
+
 def write_game(tmp_path, doc, name="game.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _edit(doc, change):
+    doc = json.loads(json.dumps(doc))
+    change(doc)
+    return doc
+
+
+# (case, game document, strategy document or None, first error message)
+FIRST_ERRORS = [
+    ("duplicate vertex id",
+     _edit(SAFETY_WIN, lambda d: d["arena"]["vertices"].append({"id": "a", "owner": 1})),
+     None, "arena.vertices[2]: duplicate vertex id 'a'"),
+    ("owner 2", _edit(SAFETY_WIN, lambda d: d["arena"]["vertices"][1].update(owner=2)),
+     None, "arena.vertices[1].owner: must be 0 or 1"),
+    ("owner true", _edit(SAFETY_WIN, lambda d: d["arena"]["vertices"][1].update(owner=True)),
+     None, "arena.vertices[1].owner: expected int"),
+    ("unknown edge endpoint",
+     _edit(SAFETY_WIN, lambda d: d["arena"]["edges"].append({"from": "a", "to": "zz"})),
+     None, "arena.edges[3]: unknown vertex id 'zz'"),
+    ("unknown initial vertex", _edit(SAFETY_WIN, lambda d: d["arena"].update(initial="zz")),
+     None, "arena.initial: unknown vertex id 'zz'"),
+    # c comes first in the file, but the message names the smaller vertex
+    ("two vertices without outgoing edges",
+     {"arena": {"vertices": [{"id": v, "owner": 0} for v in "cba"],
+                "edges": [{"from": "a", "to": "c"}], "initial": "a"},
+      "objective": {"type": "safety", "safe": ["a"]}},
+     None, "arena: vertex 'b' has no outgoing edge"),
+    ("non-object edge row", _edit(SAFETY_WIN, lambda d: d["arena"]["edges"].__setitem__(1, "a")),
+     None, "arena.edges[1]: expected an object"),
+    ("duplicate update row", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"].append(d["memory"]["update"][0])),
+     "memory.update[3]: duplicate update row"),
+    ("duplicate move row", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["moves"].append(d["moves"][0])),
+     "moves[1]: duplicate move row"),
+    ("non-string state in an update row", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][1].update(state=0)),
+     "memory.update[1].state: expected str"),
+    ("non-string state in a move row", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["moves"][0].update(state=0)),
+     "moves[0].state: expected str"),
+    ("non-string memory state", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["memory"]["states"].append(1)),
+     "memory.states: state names must be distinct strings"),
+    ("missing next", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][2].pop("next")),
+     "memory.update[2]: missing required field 'next'"),
+]
 
 
 class TestParsing:
@@ -175,6 +238,29 @@ class TestParsing:
         capsys.readouterr()
         assert main(argv) == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("game,strategy,message",
+                             [case[1:] for case in FIRST_ERRORS],
+                             ids=[case[0] for case in FIRST_ERRORS])
+    def test_first_error_message(self, tmp_path, capsys, game, strategy, message):
+        argv = ["solve", write_game(tmp_path, game)]
+        if strategy is not None:
+            argv = ["verify", argv[1], "--strategy",
+                    write_game(tmp_path, strategy, "strategy.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"owner": 0, "memory": "\xff"}')
+        if command == "solve":
+            argv = ["solve", str(bad)]
+        else:
+            argv = ["verify", write_game(tmp_path, SAFETY_WIN), "--strategy", str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "0xff" in err
 
     def test_strategy_roundtrip_is_identity(self, tmp_path):
         path = write_game(tmp_path, A2_COSTS)
@@ -329,6 +415,89 @@ class TestResilienceCommand:
     def test_non_fault_game_rejected(self, tmp_path):
         path = write_game(tmp_path, SAFETY_WIN)
         assert main(["resilience", path]) == 2
+
+
+def _solver_strategies():
+    rng = random.Random(11)
+    for _ in range(3):
+        arena = random_arena(rng, 8, p0_max_outdeg=3)
+        pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.4))
+                      for _ in range(3))
+        res = solve_request_response(arena, pairs)
+        yield res.strategy_0
+        yield res.strategy_1
+        for mode in ("sup", "lim"):
+            game = random_ranked_game(rng, 8, 4, mode)
+            yield optimize_ranked(game).strategy
+            yield solve_with_bound(game, 0).strategy_1
+        cost = optimize_costrr(random_costrr_game(rng, 5, 2, 3))
+        yield cost.strategy
+        fa = random_fault_arena(rng, 8, 3)
+        for mode in ("sup", "lim"):
+            yield max_resilience(fa, mode).strategy
+
+
+def _hand_built_strategies():
+    one = MemoryStructure(("s",), "s", {("s", ("a", "b")): "s"})
+    yield FiniteStateStrategy(0, one, {})  # empty move table
+    yield FiniteStateStrategy(1, one, {("a", "s"): "b"})  # one-state memory
+    ids = ("ü", 'a"b', "x\ny", "\\")
+    mem = MemoryStructure(ids, "\\", {(s, (u, w)): s for s in ids for u in ids for w in ids})
+    yield FiniteStateStrategy(0, mem, {(v, s): v for v in ids for s in ids})
+    # vertex ids from library callers need not be strings
+    ints = MemoryStructure((0, 1), 0, {(0, (1, 2)): 1, (1, (2, 1)): 0})
+    yield FiniteStateStrategy(0, ints, {(1, 0): 2, (1, 1): 2})
+    pairs = MemoryStructure(("s",), "s", {("s", ((0, "x"), (1, "y"))): "s"})
+    yield FiniteStateStrategy(1, pairs, {((0, "x"), "s"): (1, "y")})
+
+
+def test_strategy_bytes_equal_the_json_encoder(tmp_path):
+    # the writer builds its text directly; json.dump is the reference
+    path = tmp_path / "strategy.json"
+    lifted = 0
+    for strategy in (*_solver_strategies(), *_hand_built_strategies()):
+        write_strategy(str(path), strategy)
+        text = path.read_text(encoding="ascii")
+        expected = json.dumps(strategy_to_doc(strategy), indent=2, sort_keys=True) + "\n"
+        assert text == expected
+        lifted += '"m1"' in text
+    assert lifted  # generated state names occur
+
+
+def _reference_runs(tmp_path, sequences):
+    src = os.path.dirname(os.path.dirname(rankgames.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return [[(proc.returncode, proc.stdout)
+             for proc in (subprocess.run([sys.executable, "-m", "rankgames.cli", *argv],
+                                         cwd=tmp_path, env=env, capture_output=True,
+                                         text=True, timeout=60)
+                          for argv in argvs)]
+            for argvs in sequences]
+
+
+def test_reused_parser_keeps_no_state(tmp_path, capsys):
+    write_game(tmp_path, SAFETY_WIN, "safety.json")
+    write_game(tmp_path, A2_COSTS, "costs.json")
+    write_game(tmp_path, FE_FAULTS, "faults.json")
+    sequences = [
+        [["solve", "safety.json", "--regions"], ["solve", "safety.json"]],
+        [["eval", "costs.json"], ["eval", "costs.json", "--loop", "q,p"]],
+        [["resilience", "faults.json", "--eventual"], ["resilience", "faults.json"]],
+    ]
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        in_process = []
+        for argvs in sequences:
+            runs = []
+            for argv in argvs:
+                code = main(argv)
+                runs.append((code, capsys.readouterr().out))
+            in_process.append(runs)
+    finally:
+        os.chdir(cwd)
+    assert in_process == _reference_runs(tmp_path, sequences)
+    assert [runs[0][0] for runs in in_process] == [0, 2, 0]
 
 
 def test_output_is_independent_of_the_hash_seed(tmp_path):
