@@ -1,10 +1,17 @@
-"""Game graphs: arenas, sub-arenas, lassos, and attractor computation.
+"""Game graphs: arenas, lassos, and attractor computation.
 
 An arena is a finite directed graph whose vertices are split between
 Player 0 and Player 1, with a designated initial vertex and no terminal
 vertices.  Vertex identifiers are opaque but must be totally ordered
 within one arena; every iteration in this package follows that order, so
 identical inputs always produce identical outputs.
+
+Solvers work on one fixed arena.  Where a round of a solver has given
+part of the graph away, the vertices still in play form an alive set
+``within``: a set of vertices in which each keeps a successor, so it
+induces a sub-arena.  Functions taking ``within`` act as on that
+sub-arena, with the same iteration order, without building it; ``None``
+means the whole arena.
 """
 
 from __future__ import annotations
@@ -52,19 +59,31 @@ class Arena:
             raise InputError(f"initial vertex {self.initial!r} is not a vertex")
         edges = frozenset(self.edges)
         succ = {v: [] for v in verts}
+        unknown = []
+        for u, w in edges:
+            out = succ.get(u)
+            if out is None or w not in vset:
+                unknown.append((u, w))
+            else:
+                out.append(w)
+        if unknown:
+            u, w = min(unknown)
+            raise InputError(f"edge ({u!r}, {w!r}) mentions an unknown vertex")
+        # sorted vertices, each with its sorted successors, is the order
+        # of the sorted edge list: succ and pred follow it
         pred = {v: [] for v in verts}
-        for u, w in sorted(edges):
-            if u not in vset or w not in vset:
-                raise InputError(f"edge ({u!r}, {w!r}) mentions an unknown vertex")
-            succ[u].append(w)
-            pred[w].append(u)
         for v in verts:
-            if not succ[v]:
+            out = succ[v]
+            if not out:
                 raise InputError(f"vertex {v!r} has no outgoing edge")
+            out.sort()
+            succ[v] = tuple(out)
+            for w in out:
+                pred[w].append(v)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "succ", {v: tuple(s) for v, s in succ.items()})
+        object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "pred", {v: tuple(p) for v, p in pred.items()})
 
     @classmethod
@@ -92,48 +111,64 @@ class Arena:
                      self.edges, self.initial)
 
 
-def attractor(arena: Arena, player: int, target: Iterable[Vertex]):
+def anchor(arena: Arena, within=None) -> Vertex:
+    """Initial vertex of the sub-arena induced by ``within``: the arena's
+    own if it is alive, otherwise the least alive vertex."""
+    if within is None or arena.initial in within:
+        return arena.initial
+    return min(within)
+
+
+def first_successor(arena: Arena, v: Vertex, within=None) -> Vertex:
+    """First successor of ``v``, in the arena's order, inside ``within``."""
+    for w in arena.succ[v]:
+        if within is None or w in within:
+            return w
+    raise InputError(f"vertex {v!r} has no successor inside the alive set")
+
+
+def attractor(arena: Arena, player: int, target: Iterable[Vertex], within=None):
     """Vertices from which ``player`` can force a visit to ``target``.
 
     Returns the attractor set together with a positional strategy for
     ``player``, defined on attractor vertices of that player outside the
     target; every prescribed move decreases the distance to the target
     by one.  Backward worklist with per-vertex outdegree counters; runs
-    in time linear in the number of edges.
+    in time linear in the number of edges.  With ``within``, plays stay
+    inside that alive set, which must contain the target: predecessors
+    outside it are skipped, and an opponent vertex's counter starts, on
+    its first decrement, at its number of successors inside it.
     """
     tgt = frozenset(target)
-    unknown = tgt - set(arena.vertices)
+    owner = arena.owner
+    unknown = [v for v in tgt if v not in owner]
     if unknown:
         raise InputError(f"target contains unknown vertices: {sorted(unknown)!r}")
+    alive = owner if within is None else within
+    succ, pred = arena.succ, arena.pred
     inside = set(tgt)
-    counters = {v: len(arena.succ[v]) for v in arena.vertices if arena.owner[v] != player}
+    counters: Dict[Vertex, int] = {}
     strategy: Dict[Vertex, Vertex] = {}
     queue = deque(sorted(tgt))
     while queue:
         v = queue.popleft()
-        for u in arena.pred[v]:
-            if u in inside:
+        for u in pred[v]:
+            if u in inside or u not in alive:
                 continue
-            if arena.owner[u] == player:
+            if owner[u] == player:
                 inside.add(u)
                 strategy[u] = v
                 queue.append(u)
             else:
-                counters[u] -= 1
-                if counters[u] == 0:
+                left = counters.get(u)
+                if left is None:
+                    left = (len(succ[u]) if within is None
+                            else sum(1 for w in succ[u] if w in within))
+                counters[u] = left = left - 1
+                if left == 0:
                     inside.add(u)
                     queue.append(u)
     return frozenset(inside), strategy
-
-
-def _induced(arena: Arena, keep: frozenset, initial: Vertex) -> Arena:
-    edges = [(u, v) for (u, v) in arena.edges if u in keep and v in keep]
-    with_out = {u for u, _ in edges}
-    for v in sorted(keep):
-        if v not in with_out:
-            raise InputError(f"not a valid sub-arena: vertex {v!r} would become terminal")
-    return Arena(tuple(sorted(keep)), {v: arena.owner[v] for v in keep},
-                 frozenset(edges), initial)
 
 
 def restrict(arena: Arena, keep: Iterable[Vertex]) -> Arena:
@@ -145,17 +180,13 @@ def restrict(arena: Arena, keep: Iterable[Vertex]) -> Arena:
         raise InputError(f"keep contains unknown vertices: {sorted(unknown)!r}")
     if arena.initial not in kset:
         raise InputError(f"initial vertex {arena.initial!r} not in the kept set")
-    return _induced(arena, kset, arena.initial)
-
-
-def restrict_any(arena: Arena, keep: Iterable[Vertex]) -> Arena:
-    """Like :func:`restrict` but re-anchors the initial vertex if it was
-    dropped.  For region computations, which ignore the anchor."""
-    kset = frozenset(keep)
-    if not kset:
-        raise InputError("cannot restrict to an empty vertex set")
-    initial = arena.initial if arena.initial in kset else min(kset)
-    return _induced(arena, kset, initial)
+    edges = [(u, v) for (u, v) in arena.edges if u in kset and v in kset]
+    with_out = {u for u, _ in edges}
+    for v in sorted(kset):
+        if v not in with_out:
+            raise InputError(f"not a valid sub-arena: vertex {v!r} would become terminal")
+    return Arena(tuple(sorted(kset)), {v: arena.owner[v] for v in kset},
+                 frozenset(edges), arena.initial)
 
 
 def relabel(arena: Arena, fn) -> Arena:

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Tuple
 
-from .arena import Arena, Edge, Lasso, Vertex
+from .arena import Arena, Edge, Lasso, Vertex, anchor, first_successor
 from .errors import InputError
 
 State = Any
@@ -74,17 +74,21 @@ def update_plus(mem: MemoryStructure, prefix: Iterable[Vertex]) -> State:
 
 
 def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
-            owner: Optional[int] = None, move=None):
+            owner: Optional[int] = None, move=None, within=None):
     """Breadth-first walk over the (vertex, state) pairs reachable from
     ``starts``.
 
     ``step(state, edge)`` gives the state after taking an edge.  With
     ``owner`` set, that player's vertices follow only ``move(vertex,
     state)``, so the walk covers exactly the plays consistent with that
-    player's strategy.  Returns the set of reached pairs and the update
-    table ``{(state, edge): next state}`` holding exactly the reached
-    (state, edge) pairs, one per product edge.
+    player's strategy.  Other vertices follow their successors inside the
+    alive set ``within`` (default: all of them).  Returns the set of
+    reached pairs and the update table ``{(state, edge): next state}``
+    holding exactly the reached (state, edge) pairs, one per product edge.
     """
+    succ = arena.succ
+    if within is not None:
+        succ = {v: tuple(w for w in succ[v] if w in within) for v in within}
     frontier = deque()
     reached = set()
     for v, s in starts:
@@ -94,7 +98,7 @@ def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
     update = {}
     while frontier:
         v, s = frontier.popleft()
-        targets = (move(v, s),) if arena.owner[v] == owner else arena.succ[v]
+        targets = (move(v, s),) if arena.owner[v] == owner else succ[v]
         for w in targets:
             e = (v, w)
             t = step(s, e)
@@ -106,13 +110,13 @@ def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
     return reached, update
 
 
-def explore_product(arena: Arena, initial: State, step, seeds: Iterable[Tuple[Vertex, State]] = ()
-                    ) -> Tuple[MemoryStructure, Arena]:
-    """Memory and product arena of one :func:`explore` walk from the
-    initial vertex paired with ``initial`` and from ``seeds``; both hold
-    exactly what the walk reached."""
-    start = (arena.initial, initial)
-    reached, update = explore(arena, [start, *seeds], step)
+def explore_product(arena: Arena, initial: State, step, seeds: Iterable[Tuple[Vertex, State]] = (),
+                    within=None) -> Tuple[MemoryStructure, Arena]:
+    """Memory and product arena of one :func:`explore` walk, inside the
+    alive set ``within``, from its anchor paired with ``initial`` and
+    from ``seeds``; both hold exactly what the walk reached."""
+    start = (anchor(arena, within), initial)
+    reached, update = explore(arena, [start, *seeds], step, within=within)
     memory = MemoryStructure(tuple(sorted({s for _v, s in reached})), initial, update)
     owner = {pv: arena.owner[pv[0]] for pv in reached}
     edges = frozenset(((u, s), (w, t)) for (s, (u, w)), t in update.items())
@@ -168,19 +172,20 @@ def extend_lasso(mem: MemoryStructure, lasso: Lasso) -> Lasso:
 
 
 def _product_walk(m1: MemoryStructure, m2: MemoryStructure, arena: Arena, seeds=(),
-                  owner: Optional[int] = None, move=None):
+                  owner: Optional[int] = None, move=None, within=None):
     """:func:`explore` under ``m1`` run alongside ``m2``, a memory over the
-    ``m1``-expanded arena's edges, from the initial vertex and from each
-    ``seeds`` pair (vertex, ``m1`` state) with ``m2`` initial.  Returns the
-    reached pairs and the memory: all state pairs, the reached rows."""
+    ``m1``-expanded arena's edges, inside ``within`` from its anchor and
+    from each ``seeds`` pair (vertex, ``m1`` state) with ``m2`` initial.
+    Returns the reached pairs and the memory: all state pairs, the reached
+    rows."""
     def step(state, edge):
         s1, s2 = state
         t1 = m1.step(s1, edge)
         return t1, m2.step(s2, ((edge[0], s1), (edge[1], t1)))
 
     initial = (m1.initial, m2.initial)
-    starts = [(arena.initial, initial)] + [(v, (s1, m2.initial)) for v, s1 in seeds]
-    reached, update = explore(arena, starts, step, owner, move)
+    starts = [(anchor(arena, within), initial)] + [(v, (s1, m2.initial)) for v, s1 in seeds]
+    reached, update = explore(arena, starts, step, owner, move, within)
     states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
     return reached, MemoryStructure(states, initial, update)
 
@@ -226,18 +231,21 @@ class FiniteStateStrategy:
 
 
 def positional_strategy(arena: Arena, owner: int, moves: Mapping[Vertex, Vertex],
-                        fill: bool = False) -> FiniteStateStrategy:
+                        fill: bool = False, within=None) -> FiniteStateStrategy:
     """Wrap a vertex-to-vertex move map as a one-state strategy.
 
     With ``fill``, owner vertices missing from ``moves`` get their first
     successor, which keeps strategies total without affecting the region
-    they are claimed to win on.
+    they are claimed to win on.  With an alive set ``within`` as well,
+    only its owner vertices are filled, each with its first successor
+    inside it.
     """
     mem = trivial_memory(arena)
     table = dict(moves)
     if fill:
         for v in arena.owned_by(owner):
-            table.setdefault(v, arena.succ[v][0])
+            if v not in table and (within is None or v in within):
+                table[v] = first_successor(arena, v, within)
     next_move = {}
     for v, w in table.items():
         if arena.owner.get(v) != owner:
@@ -249,7 +257,8 @@ def positional_strategy(arena: Arena, owner: int, moves: Mapping[Vertex, Vertex]
 
 
 def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy, arena: Arena,
-                     seeds: Iterable[Tuple[Vertex, State]] = ()) -> FiniteStateStrategy:
+                     seeds: Iterable[Tuple[Vertex, State]] = (),
+                     within=None) -> FiniteStateStrategy:
     """Pull a strategy on the ``m1``-expanded arena back to ``arena``.
 
     The result runs ``m1`` alongside ``strat``'s memory and moves to the
@@ -261,11 +270,12 @@ def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy, arena: Are
     cover only the pairs that plays consistent with the result can reach,
     from the initial vertex or from a ``seeds`` pair (vertex, ``m1``
     state), where ``strat``'s memory starts in its initial state; its
-    memory and moves must be defined wherever those plays go.
+    memory and moves must be defined wherever those plays go.  With an
+    alive set ``within``, plays stay inside it and start from its anchor.
     """
     def move(v, state):
         return strat.move((v, state[0]), state[1])[0]
 
-    reached, memory = _product_walk(m1, strat.memory, arena, seeds, strat.owner, move)
+    reached, memory = _product_walk(m1, strat.memory, arena, seeds, strat.owner, move, within)
     next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == strat.owner}
     return FiniteStateStrategy(strat.owner, memory, next_move)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .arena import Arena, attractor, restrict_any
+from .arena import Arena, attractor
 from .errors import CapabilityError, InputError
 from .extnat import INF, ExtNat
 from .memory import FiniteStateStrategy, positional_strategy
@@ -93,9 +93,9 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
 
     Safety objectives reduce to the safety/coBuchi conjunction (ranks above
     b may appear only finitely often).  Prefix-independent objectives are
-    peeled iteratively: take the sup-winning region of the current
-    sub-arena, hand Player 0 its 0-attractor, repeat; her strategy stitches
-    the attractor moves with the sup-game strategies.
+    peeled iteratively: take the sup-winning region inside the alive set,
+    hand Player 0 its 0-attractor, shrink the alive set, repeat; her
+    strategy stitches the attractor moves with the sup-game strategies.
     """
     if game.mode != "lim":
         raise InputError("solve_lim_with_bound needs a lim-mode game")
@@ -109,22 +109,22 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
     rounds = []
     last = None
     while cur:
-        sub = restrict_any(arena, cur)
-        sres = solve_pruned(sub, high & cur, game.objective)
+        sres = solve_pruned(arena, high & cur, game.objective, cur)
         if not sres.region_0:
             last = sres
             break
-        chunk, toward_core = attractor(sub, 0, sres.region_0)
-        rounds.append((sres, toward_core))
+        chunk, toward_core = attractor(arena, 0, sres.region_0, cur)
+        rounds.append((sres.kept, toward_core))
         cur = cur - chunk
 
     def build(player):
         moves = {}
         if player == 0:
-            for sres, toward_core in rounds:
-                strat = sres.build(0)
+            # on the core, the pruned strategy is the inner positional one
+            for kept, toward_core in rounds:
+                strat = kept.build(0)
                 state = _only_state(strat)
-                for v in sorted(sres.region_0):
+                for v in sorted(kept.region_0):
                     if arena.owner[v] == 0:
                         moves[v] = strat.next_move[(v, state)]
                 moves.update(toward_core)

@@ -5,8 +5,9 @@ and its earliest answer; Player 0 minimizes that worst cost.  Solving
 goes through the quantitative reduction at parameter b+1: a per-pair cost
 counter memory, saturating at b+1, turns the game into a vertex-ranked
 sup game over request-response pairs that is exact below b+1.  Bounded
-solving builds it at the asked bound, and optimization builds one per
-probed bound, so no product is larger than the bound in question needs.
+solving and optimization share one galloping search that builds one
+reduction per probed bound, and bounded solving stops at the asked bound,
+so no product is larger than the bound in question needs.
 """
 
 from __future__ import annotations
@@ -139,47 +140,69 @@ def _probe(game: CostRRGame, b: int):
     return r.target.arena.initial in res.region_0, (r, res)
 
 
+def _gallop(game: CostRRGame, bound: int):
+    """Probe b = 0, 1, 3, 7, ..., clamped to ``min(bound, cap)``, until
+    Player 0 wins or that last bound is probed (Bentley and Yao, "An
+    almost optimal algorithm for unbounded searching", 1976).
+
+    Before a second probe, and before a loss at the cap, the plain
+    request-response game on the source arena decides cost ``INF``: a
+    finite-state win there costs at most the cap, so losing it is losing
+    every bound.  Winning is monotone in the bound, every probe builds its
+    own reduction at its bound, and no bound is probed twice.
+
+    Returns ``(lo, b, won, lost)``: the last losing probe below b (-1 if
+    none), the last probe, and either the winning probe's (reduction,
+    result) or Player 1's strategy: his request-response strategy at cost
+    ``INF``, otherwise lifted from the probe at b.
+    """
+    cap = cap_bound(game)
+    stop = min(bound, cap)
+    lo, b, rr = -1, 0, None
+    while True:
+        wins, (r, res) = _probe(game, b)
+        if wins:
+            return lo, b, (r, res), None
+        if b == stop and b < cap:
+            return lo, b, None, lift_strategy(r, res.strategy_1)
+        if rr is None:
+            rr = solve_request_response(game.arena, game.spec.pairs)
+            if game.arena.initial not in rr.region_0:
+                return lo, b, None, rr.strategy_1
+        if b == cap:
+            raise InputError("internal error: request-response game won but not within the cap")
+        lo, b = b, min(2 * b + 1, stop)
+
+
 def solve_with_bound(game: CostRRGame, b: int) -> Tuple[int, FiniteStateStrategy]:
     """Winner at bound b and a strategy witnessing the verdict.
 
-    The reduction is built at ``min(b, cap)``: bounds beyond the cap are
-    clamped, which is sound because a finitely winnable game is winnable
-    within the cap.
+    Gallops up to ``min(b, cap)``, so no reduction is built at a bound
+    above the least winning probe: a win at b' <= b is a win at b, and
+    Player 0's strategy lifted from b' is certified at b.  Bounds beyond
+    the cap are clamped, which is sound because a finitely winnable game
+    is winnable within the cap.
     """
     if b < 0:
         raise InputError("bound must be non-negative")
-    wins, (r, res) = _probe(game, min(b, cap_bound(game)))
-    if wins:
-        return 0, lift_strategy(r, res.strategy_0)
-    return 1, lift_strategy(r, res.strategy_1)
+    _lo, _b, won, lost = _gallop(game, b)
+    if won is None:
+        return 1, lost
+    r, res = won
+    return 0, lift_strategy(r, res.strategy_0)
 
 
 def optimize(game: CostRRGame) -> OptimizeResult:
     """Least worst-case response cost Player 0 can guarantee.
 
-    Cost ``INF`` is decided first, by the plain request-response game on
-    the source arena: a finite-state win there costs at most the cap, so
-    losing it is losing every bound, and Player 1 gets his
-    request-response strategy.  Otherwise the least winning bound is found
-    by galloping (Bentley and Yao, "An almost optimal algorithm for
-    unbounded searching", 1976): probe b = 0, 1, 3, 7, ... (clamped to the
-    cap) until Player 0 wins, then bisect the last gap.  The per-bound
-    question is monotone; every probe builds its own reduction at its
-    bound, no bound is probed twice, and only the winning probe's strategy
-    is built and lifted.
+    Gallops up to the cap until Player 0 wins, which also decides cost
+    ``INF`` (Player 1 then gets his request-response strategy), then
+    bisects the last gap.  Only the winning probe's strategy is built and
+    lifted.
     """
-    cap = cap_bound(game)
-    rr = solve_request_response(game.arena, game.spec.pairs)
-    if game.arena.initial not in rr.region_0:
-        return OptimizeResult(INF, rr.strategy_1)
-    lo, b = -1, 0
-    while True:
-        wins, won = _probe(game, b)
-        if wins:
-            break
-        if b == cap:
-            raise InputError("internal error: request-response game won but not within the cap")
-        lo, b = b, min(2 * b + 1, cap)
+    lo, b, won, lost = _gallop(game, cap_bound(game))
+    if won is None:
+        return OptimizeResult(INF, lost)
     cost, (r, res) = least_winning_bound(
         lambda c: (True, won) if c == b else _probe(game, c), range(lo + 1, b + 1))
     return OptimizeResult(cost, lift_strategy(r, res.strategy_0))

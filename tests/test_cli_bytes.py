@@ -1,0 +1,161 @@
+"""CLI output pinned byte for byte on seeded 60-vertex games of every kind.
+
+Each request runs ``rankgames.cli.main`` in-process from a scratch
+directory, so the strategy paths it prints are relative.  The SHA-256 of
+stdout and of the written strategy file must equal the digests in
+``cli_bytes.json``, which were recorded before the solvers moved from
+per-round sub-arenas to alive-vertex sets.  Re-record only for a change
+that is meant to alter output: ``PYTHONPATH=src python tests/test_cli_bytes.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from rankgames.cli import main
+from rankgames.fileformat import LoadedGame, game_to_doc
+from rankgames.gen import random_arena, random_costrr_game, random_subset
+from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
+                                  SafetyAndCoBuchi)
+from rankgames.ranked import RankedGame
+from rankgames.resilience import FaultArena
+
+DIGESTS = Path(__file__).with_name("cli_bytes.json")
+SEEDS = (1, 2, 3)
+N = 60
+
+
+def _pairs(rng, arena, d):
+    return tuple((random_subset(rng, arena, 0.3),
+                  random_subset(rng, arena, 0.3) or frozenset({arena.initial}))
+                 for _ in range(d))
+
+
+def _games(seed):
+    """(name, loaded game) for one seed: qualitative, ranked, cost-RR, fault."""
+    rng = random.Random(f"cli-bytes:{seed}")
+    arena = random_arena(rng, N, max_outdeg=2, p0_max_outdeg=4)
+    safe = random_subset(rng, arena, 0.95) | {arena.initial}
+    objectives = {
+        "safety": Safety(safe),
+        "buchi": Buchi(random_subset(rng, arena, 0.4)),
+        "cobuchi": CoBuchi(random_subset(rng, arena, 0.1)),
+        "safety_cobuchi": SafetyAndCoBuchi(safe, random_subset(rng, arena, 0.1)),
+        "rr": RequestResponse(_pairs(rng, arena, 3)),
+    }
+    for name, obj in objectives.items():
+        yield f"qual-{name}", LoadedGame("qualitative", arena, obj)
+    rk = {v: rng.randint(0, 12) for v in arena.vertices}
+    for name in ("safety", "buchi", "cobuchi", "rr"):
+        for mode in ("sup", "lim") if name != "rr" else ("sup",):
+            obj = objectives[name]
+            yield (f"ranked-{name}-{mode}",
+                   LoadedGame("ranked", arena, obj, ranked=RankedGame(arena, obj, rk, mode)))
+    for i, density in enumerate((0.3, 0.6)):
+        game = random_costrr_game(rng, N, 2, 2, p0_max_outdeg=3, response_density=density)
+        yield f"costrr-{i}", LoadedGame("costrr", game.arena, game.spec.rr_objective(),
+                                        costrr=game)
+    faults = frozenset((rng.choice(arena.owned_by(0)), rng.choice(arena.vertices))
+                       for _ in range(N // 4))
+    fa = FaultArena(arena, faults, safe)
+    yield "fault", LoadedGame("fault", arena, Safety(safe), fault=fa)
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def _requests(name, game):
+    """The argv lists run on one game; later ones may depend on earlier
+    answers, so this yields and is sent ``(code, stdout)`` back."""
+    path = name + ".json"
+    if game.kind == "qualitative":
+        yield ("solve", path, "--regions", "--out", "s.json")
+    elif game.kind == "fault":
+        yield ("resilience", path, "--out", "s.json")
+        yield ("resilience", path, "--eventual", "--out", "s.json")
+    else:
+        code, out = yield ("optimize", path, "--out", "s.json")
+        cost = int(out.split()[2]) if code == 0 else None
+        if game.kind == "ranked":
+            ranks = game.ranked.rank_values()
+            below = [r for r in ranks if cost is None or r < cost]
+            bounds = [below[-1]] if below else []
+            bounds.append(ranks[len(ranks) // 2])
+            for b in bounds:
+                yield ("solve", path, "--bound", str(b), "--regions", "--out", "s.json")
+        else:
+            # at and below the optimum: bounds whose answer is found by
+            # a probe at the bound itself
+            for b in sorted({0, *([cost - 1, cost] if cost else [])}):
+                yield ("solve", path, "--bound", str(b), "--out", "s.json")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(workdir):
+    """{request key: [exit code, stdout SHA-256, strategy file SHA-256]}."""
+    out = {}
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for seed in SEEDS:
+            for name, game in _games(seed):
+                Path(name + ".json").write_text(json.dumps(game_to_doc(game)))
+                gen = _requests(name, game)
+                argv = next(gen)
+                while True:
+                    if os.path.exists("s.json"):
+                        os.remove("s.json")
+                    code, text = _run(argv)
+                    written = Path("s.json").read_bytes() if os.path.exists("s.json") else b""
+                    key = f"{seed}:{' '.join(argv[:1] + argv[2:])} @ {name}"
+                    out[key] = [code, _sha(text.encode()), _sha(written)]
+                    try:
+                        argv = gen.send((code, text))
+                    except StopIteration:
+                        break
+    finally:
+        os.chdir(old)
+    return out
+
+
+@pytest.fixture(scope="module")
+def measured(tmp_path_factory):
+    return digests(tmp_path_factory.mktemp("cli-bytes"))
+
+
+def test_every_kind_and_command_is_covered(measured):
+    commands = {key.split(":", 1)[1].split(" @ ")[0].split()[0] for key in measured}
+    assert commands == {"solve", "optimize", "resilience"}
+    assert any("--eventual" in key for key in measured)
+    kinds = {key.split(" @ ")[1].split("-")[0] for key in measured}
+    assert kinds == {"qual", "ranked", "costrr", "fault"}
+
+
+def test_stdout_and_strategy_files_match_recorded_digests(measured):
+    recorded = json.loads(DIGESTS.read_text())
+    assert sorted(measured) == sorted(recorded)
+    differ = [key for key in recorded if measured[key] != recorded[key]]
+    assert differ == []
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = digests(tmp)
+    DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(table)} requests to {DIGESTS}", file=sys.stderr)

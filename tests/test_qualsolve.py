@@ -1,13 +1,17 @@
 import random
 
-from rankgames.arena import Arena
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankgames.arena import Arena, attractor, restrict
 from rankgames.gen import random_arena, random_subset
 from rankgames.memory import expand, trivial_memory
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
-                                  SafetyAndCoBuchi)
+                                  SafetyAndCoBuchi, restrict_objective)
 from rankgames.qualsolve import (rr_memory, rr_seed_state, solve_buchi,
-                                 solve_cobuchi, solve_request_response,
-                                 solve_safety, solve_safety_cobuchi)
+                                 solve_cobuchi, solve_objective,
+                                 solve_request_response, solve_safety,
+                                 solve_safety_cobuchi)
 from rankgames.verify import enumerate_regions, verify_strategy
 
 
@@ -199,3 +203,65 @@ class TestDeterminacyAndOracle:
                 res = solver(arena, target)
                 oracle = enumerate_regions(arena, objective, template)
                 assert res.region_0 == oracle[0], (arena, objective)
+
+
+@st.composite
+def arenas_with_traps(draw):
+    """A random arena and a nonempty trap in it: the complement of an
+    attractor, so every vertex of the trap keeps a successor inside it."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    arena = random_arena(rng, draw(st.integers(2, 7)))
+    arena = arena.with_initial(draw(st.sampled_from(arena.vertices)))
+    target = frozenset(draw(st.sets(st.sampled_from(arena.vertices), max_size=3)))
+    region, _ = attractor(arena, draw(st.integers(0, 1)), target)
+    keep = frozenset(arena.vertices) - region
+    if not keep:
+        keep = frozenset(arena.vertices)
+    return rng, arena, keep
+
+
+def _restricted(arena, keep):
+    """The sub-arena induced by keep, anchored as ``within`` anchors it:
+    at the initial vertex if kept, else at the least kept vertex."""
+    initial = arena.initial if arena.initial in keep else min(keep)
+    return restrict(arena.with_initial(initial), keep)
+
+
+def _objectives(rng, arena):
+    sets = [random_subset(rng, arena) for _ in range(4)]
+    return (Safety(sets[0]), Buchi(sets[1]), CoBuchi(sets[2]),
+            SafetyAndCoBuchi(sets[0], sets[3]),
+            RequestResponse(((sets[1], sets[2]), (sets[3], sets[0]))))
+
+
+def _inside(strategy, keep):
+    """Moves and memory of a strategy on the vertices and edges of keep."""
+    mem = strategy.memory
+    update = {(s, e): t for (s, e), t in mem.update.items() if e[0] in keep and e[1] in keep}
+    moves = {(v, s): w for (v, s), w in strategy.next_move.items() if v in keep}
+    return mem.states, mem.initial, update, moves
+
+
+class TestSolvingInsideAnAliveSet:
+    """Solving inside ``within`` is solving the sub-arena it induces,
+    anchored where ``within`` anchors it."""
+
+    @given(arenas_with_traps(), st.integers(0, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_attractor_equals_attractor_on_the_restricted_arena(self, data, player):
+        rng, arena, keep = data
+        target = random_subset(rng, arena) & keep
+        sub = _restricted(arena, keep)
+        assert attractor(arena, player, target, keep) == attractor(sub, player, target)
+
+    @given(arenas_with_traps())
+    @settings(max_examples=80, deadline=None)
+    def test_every_objective_equals_its_solve_on_the_restricted_arena(self, data):
+        rng, arena, keep = data
+        sub = _restricted(arena, keep)
+        for obj in _objectives(rng, arena):
+            got = solve_objective(arena, obj, keep)
+            want = solve_objective(sub, restrict_objective(obj, keep))
+            assert (got.region_0, got.region_1) == (want.region_0, want.region_1), obj
+            for player in (0, 1):
+                assert _inside(got.build(player), keep) == _inside(want.build(player), keep)

@@ -129,8 +129,9 @@ class TestSolveWithBound:
         assert winner == 0
 
     def test_builds_reduction_at_clamped_bound(self, a2_game, a3_game):
-        # the strategy is lifted through the reduction built at min(b, cap);
-        # on a3 at bound 0 that memory is smaller than the cap's
+        # the strategy is lifted through the reduction at the probe that
+        # decided it; on a3 at bound 0 that memory is smaller than the cap's.
+        # a2 at 10**9 is won at probe 3, whose memory has the cap's size
         for game, b in ((a2_game, 3), (a2_game, 10 ** 9), (a3_game, 0)):
             bound = min(b, cap_bound(game))
             r = build_reduction(game, bound)
@@ -302,3 +303,40 @@ def test_optimum_is_least_winning_bound_by_linear_scan():
         winners = [solve_with_bound(game, b)[0] for b in range(top + 1)]
         assert winners == [1] * res.cost + [0] * (top + 1 - res.cost), game
     assert finite >= 50 and infinite >= 10
+
+
+def test_solve_far_above_the_optimum_stops_at_the_first_winning_probe(reductions_built):
+    # the reduction at bound 40 took 15 s and 272 MB, at 200 it did not
+    # finish; galloping stops at the first winning probe, 3
+    game = random_costrr_game(random.Random(3), 20, 3, 2, p0_max_outdeg=3)
+    for b in (40, 200):
+        reductions_built.clear()
+        winner, strategy = solve_with_bound(game, b)
+        assert winner == 0
+        assert reductions_built == [0, 1, 3]
+        assert verify_strategy(game.arena, game.spec, strategy, bound=b).certified
+
+
+def test_solve_around_the_optimum_agrees_with_optimize(reductions_built):
+    # Player 0 wins exactly from the optimum on, each verdict's strategy is
+    # certified at its bound, and bound 0 is one probe
+    rng = random.Random(33)
+    infinite = 0
+    for _ in range(80):
+        game = random_costrr_game(rng, rng.randint(2, 5), rng.randint(1, 2),
+                                  rng.randint(0, 3))
+        cost = optimize(game).cost
+        cap = cap_bound(game)
+        bounds = {0, cap + 5}
+        if cost is INF:
+            infinite += 1
+        else:
+            bounds |= {b for b in (cost - 1, cost, cost + 1) if b >= 0}
+        for b in sorted(bounds):
+            reductions_built.clear()
+            winner, strategy = solve_with_bound(game, b)
+            assert winner == (0 if cost is not INF and b >= cost else 1), (game, b)
+            assert verify_strategy(game.arena, game.spec, strategy, bound=b).certified
+            if b == 0:
+                assert reductions_built == [0]
+    assert infinite >= 5
