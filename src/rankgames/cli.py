@@ -50,6 +50,9 @@ def cmd_solve(args, out) -> int:
     else:
         if args.bound is None:
             raise InputError("quantitative games need --bound")
+        if args.regions:
+            # the cost-RR search probes the initial vertex only
+            raise InputError("response-cost games take no --regions")
         winner, strategy = solve_costrr(game.costrr, args.bound)
         print(f"Player {winner} wins", file=out)
         _write_out(args.out, strategy, out)
@@ -62,16 +65,21 @@ def cmd_solve(args, out) -> int:
     return winner
 
 
+def _condition(game):
+    """The claim a strategy for the game is verified against."""
+    if game.kind == "ranked":
+        return RankedCondition(game.ranked.objective, game.ranked.rk, game.ranked.mode)
+    if game.kind == "costrr":
+        return game.costrr.spec
+    return game.objective
+
+
 def cmd_optimize(args, out) -> int:
     game = ff.parse_game(args.game)
     if game.kind == "ranked":
         res = optimize_ranked(game.ranked)
-        condition, spec_bound = RankedCondition(game.ranked.objective,
-                                                game.ranked.rk,
-                                                game.ranked.mode), None
     elif game.kind == "costrr":
         res = optimize_costrr(game.costrr)
-        condition, spec_bound = game.costrr.spec, None
     else:
         raise InputError("optimize needs a quantitative game (rank or costs section)")
     if not is_finite(res.cost):
@@ -79,7 +87,7 @@ def cmd_optimize(args, out) -> int:
         _write_out(args.out, res.strategy, out)
         return 1
     print(f"minimal cost: {res.cost}", file=out)
-    verdict = verify_strategy(game.arena, condition, res.strategy, bound=res.cost)
+    verdict = verify_strategy(game.arena, _condition(game), res.strategy, bound=res.cost)
     if not verdict.certified:
         raise InputError("internal error: optimal strategy failed certification")
     print(f"certified cost: {res.cost}", file=out)
@@ -112,20 +120,14 @@ def cmd_verify(args, out) -> int:
     game = ff.parse_game(args.game)
     strategy = ff.read_strategy(args.strategy)
     ff.check_strategy_against(strategy, game.arena)
-    if game.kind == "ranked":
-        if args.bound is None:
-            raise InputError("rank-cost verification needs --bound")
-        condition, bound = RankedCondition(game.ranked.objective, game.ranked.rk,
-                                           game.ranked.mode), args.bound
-    elif game.kind == "costrr":
-        if args.bound is None:
-            raise InputError("response-cost verification needs --bound")
-        condition, bound = game.costrr.spec, args.bound
-    else:
-        if args.bound is not None:
-            raise InputError("qualitative verification takes no --bound")
-        condition, bound = game.objective, None
-    verdict = verify_strategy(game.arena, condition, strategy, bound=bound)
+    bound = args.bound
+    if game.kind == "ranked" and bound is None:
+        raise InputError("rank-cost verification needs --bound")
+    if game.kind == "costrr" and bound is None:
+        raise InputError("response-cost verification needs --bound")
+    if game.kind in ("qualitative", "fault") and bound is not None:
+        raise InputError("qualitative verification takes no --bound")
+    verdict = verify_strategy(game.arena, _condition(game), strategy, bound=bound)
     if verdict.certified:
         if bound is not None:
             print(f"certified (cost <= {bound})", file=out)

@@ -17,7 +17,7 @@ the first error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -102,32 +102,30 @@ def _parse_arena(doc) -> Arena:
     return Arena.of(owner, edges, initial)
 
 
+# objective type names in files; the flat kinds' field names are their keys
+_OBJECTIVE_TYPES = {"safety": Safety, "buchi": Buchi, "cobuchi": CoBuchi,
+                    "safety_cobuchi": SafetyAndCoBuchi,
+                    "request_response": RequestResponse}
+_TYPE_NAMES = {cls: name for name, cls in _OBJECTIVE_TYPES.items()}
+
+
 def _parse_objective(doc, arena: Arena) -> Objective:
     obj = _need(doc, "objective", "game", dict)
     kind = _need(obj, "type", "objective", str)
-    known = set(arena.vertices)
-    if kind == "safety":
-        return Safety(_vertex_list(_need(obj, "safe", "objective", list),
-                                   known, "objective.safe"))
-    if kind == "buchi":
-        return Buchi(_vertex_list(_need(obj, "accept", "objective", list),
-                                  known, "objective.accept"))
-    if kind == "cobuchi":
-        return CoBuchi(_vertex_list(_need(obj, "avoid", "objective", list),
-                                    known, "objective.avoid"))
-    if kind == "safety_cobuchi":
-        return SafetyAndCoBuchi(
-            _vertex_list(_need(obj, "safe", "objective", list), known, "objective.safe"),
-            _vertex_list(_need(obj, "avoid", "objective", list), known, "objective.avoid"))
-    if kind == "request_response":
-        pairs = []
-        for i, entry in enumerate(_need(obj, "pairs", "objective", list)):
-            where = f"objective.pairs[{i}]"
-            pairs.append((
-                _vertex_list(_need(entry, "request", where, list), known, where + ".request"),
-                _vertex_list(_need(entry, "response", where, list), known, where + ".response")))
-        return RequestResponse(tuple(pairs))
-    raise InputError(f"objective.type: unknown objective type {kind!r}")
+    cls = _OBJECTIVE_TYPES.get(kind)
+    if cls is None:
+        raise InputError(f"objective.type: unknown objective type {kind!r}")
+    known = arena.owner
+    if cls is not RequestResponse:
+        return cls(*(_vertex_list(_need(obj, f.name, "objective", list), known,
+                                  "objective." + f.name) for f in fields(cls)))
+    pairs = []
+    for i, entry in enumerate(_need(obj, "pairs", "objective", list)):
+        where = f"objective.pairs[{i}]"
+        pairs.append((
+            _vertex_list(_need(entry, "request", where, list), known, where + ".request"),
+            _vertex_list(_need(entry, "response", where, list), known, where + ".response")))
+    return RequestResponse(tuple(pairs))
 
 
 def parse_game_doc(doc) -> LoadedGame:
@@ -172,6 +170,8 @@ def parse_game_doc(doc) -> LoadedGame:
             cost = _need(entry, "cost", where, int)
             if cost < 0:
                 raise InputError(f"{where}.cost: must be a natural number")
+            if (c, (u, w)) in costs:
+                raise InputError(f"{where}: duplicate cost row")
             costs[(c, (u, w))] = cost
         spec = CostRRSpec(objective.pairs, costs)
         return LoadedGame("costrr", arena, objective, costrr=CostRRGame(arena, spec))
@@ -235,18 +235,12 @@ def game_to_doc(game: LoadedGame) -> dict:
 
 
 def _objective_to_doc(obj: Objective) -> dict:
-    if isinstance(obj, Safety):
-        return {"type": "safety", "safe": sorted(obj.safe)}
-    if isinstance(obj, Buchi):
-        return {"type": "buchi", "accept": sorted(obj.accept)}
-    if isinstance(obj, CoBuchi):
-        return {"type": "cobuchi", "avoid": sorted(obj.avoid)}
-    if isinstance(obj, SafetyAndCoBuchi):
-        return {"type": "safety_cobuchi", "safe": sorted(obj.safe),
-                "avoid": sorted(obj.avoid)}
-    return {"type": "request_response",
-            "pairs": [{"request": sorted(q), "response": sorted(p)}
-                      for q, p in obj.pairs]}
+    doc = {"type": _TYPE_NAMES[type(obj)]}
+    if isinstance(obj, RequestResponse):
+        doc["pairs"] = [{"request": sorted(q), "response": sorted(p)} for q, p in obj.pairs]
+    else:
+        doc.update((f.name, sorted(getattr(obj, f.name))) for f in fields(obj))
+    return doc
 
 
 def _strategy_rows(strategy: FiniteStateStrategy):

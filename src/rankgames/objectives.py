@@ -1,5 +1,13 @@
 """Winning conditions and their exact evaluation on ultimately periodic plays.
 
+Every qualitative objective is a conjunction of four demands on a play:
+stay inside a safe set, visit an avoid set only finitely often, visit an
+accepting set infinitely often, and answer every request of each
+request-response pair.  Each of the five objective classes is such a
+conjunction, and ``conjuncts`` states which demands each one makes;
+validation, renaming and evaluation read that statement instead of
+listing the classes.
+
 Qualitative objectives decide win/lose; the quantitative evaluators assign
 an extended natural.  All evaluators work on lassos and are independent of
 how the lasso is written (unrolling or rotating the loop never changes the
@@ -8,39 +16,38 @@ result), because they only ever inspect the infinite play the lasso denotes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Union
+from dataclasses import dataclass, field, fields
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .arena import Arena, Edge, Lasso, Vertex
 from .errors import InputError
 from .extnat import INF, ExtNat
 
 
+class _VertexSets:
+    """Objectives whose fields are all vertex sets, frozen on construction."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, frozenset(getattr(self, f.name)))
+
+
 @dataclass(frozen=True)
-class Safety:
+class Safety(_VertexSets):
     """Every visited vertex must lie in ``safe``."""
     safe: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "safe", frozenset(self.safe))
-
 
 @dataclass(frozen=True)
-class Buchi:
+class Buchi(_VertexSets):
     """Some vertex of ``accept`` must be visited infinitely often."""
     accept: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "accept", frozenset(self.accept))
-
 
 @dataclass(frozen=True)
-class CoBuchi:
+class CoBuchi(_VertexSets):
     """Vertices of ``avoid`` may be visited only finitely often."""
     avoid: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "avoid", frozenset(self.avoid))
 
 
 @dataclass(frozen=True)
@@ -61,78 +68,67 @@ class RequestResponse:
 
 
 @dataclass(frozen=True)
-class SafetyAndCoBuchi:
+class SafetyAndCoBuchi(_VertexSets):
     """Stay inside ``safe`` forever and visit ``avoid`` only finitely often."""
     safe: frozenset
     avoid: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "safe", frozenset(self.safe))
-        object.__setattr__(self, "avoid", frozenset(self.avoid))
 
 
 Objective = Union[Safety, Buchi, CoBuchi, RequestResponse, SafetyAndCoBuchi]
 
 RankFunction = Dict[Vertex, int]
 
+_EMPTY = frozenset()
+
+
+def conjuncts(obj: Objective) -> Tuple[Optional[frozenset], frozenset,
+                                       Optional[frozenset], tuple]:
+    """What ``obj`` demands of a play, as ``(safe, avoid, accept, pairs)``:
+    every vertex in ``safe`` (None: no safety demand), ``avoid`` visited
+    finitely often, ``accept`` visited infinitely often (None: no such
+    demand), and every request of ``pairs`` answered."""
+    if isinstance(obj, Safety):
+        return obj.safe, _EMPTY, None, ()
+    if isinstance(obj, Buchi):
+        return None, _EMPTY, obj.accept, ()
+    if isinstance(obj, CoBuchi):
+        return None, obj.avoid, None, ()
+    if isinstance(obj, SafetyAndCoBuchi):
+        return obj.safe, obj.avoid, None, ()
+    if isinstance(obj, RequestResponse):
+        return None, _EMPTY, None, obj.pairs
+    raise InputError(f"unknown objective {obj!r}")
+
 
 def validate_objective(obj: Objective, arena: Arena) -> None:
-    vs = set(arena.vertices)
-
-    def chk(s, what):
-        extra = frozenset(s) - vs
+    """Every vertex the objective names must be a vertex of the arena."""
+    safe, avoid, accept, pairs = conjuncts(obj)
+    named = [("safe set", safe), ("accepting set", accept), ("avoid set", avoid)]
+    for c, (q, p) in enumerate(pairs):
+        named += [(f"request set {c}", q), (f"response set {c}", p)]
+    for what, vs in named:
+        extra = vs and vs.difference(arena.owner)
         if extra:
             raise InputError(f"{what} mentions unknown vertices: {sorted(extra)!r}")
 
-    if isinstance(obj, Safety):
-        chk(obj.safe, "safe set")
-    elif isinstance(obj, Buchi):
-        chk(obj.accept, "accepting set")
-    elif isinstance(obj, CoBuchi):
-        chk(obj.avoid, "avoid set")
-    elif isinstance(obj, RequestResponse):
-        for c, (q, p) in enumerate(obj.pairs):
-            chk(q, f"request set {c}")
-            chk(p, f"response set {c}")
-    elif isinstance(obj, SafetyAndCoBuchi):
-        chk(obj.safe, "safe set")
-        chk(obj.avoid, "avoid set")
-    else:
+
+def map_sets(obj: Objective, fn) -> Objective:
+    """The same kind of condition with ``fn`` applied to each vertex set."""
+    if isinstance(obj, RequestResponse):
+        return RequestResponse(tuple((fn(q), fn(p)) for q, p in obj.pairs))
+    if not isinstance(obj, _VertexSets):
         raise InputError(f"unknown objective {obj!r}")
+    return type(obj)(*(fn(getattr(obj, f.name)) for f in fields(obj)))
 
 
 def restrict_objective(obj: Objective, keep) -> Objective:
     """The same condition over a sub-arena's vertex set."""
-    k = frozenset(keep)
-    if isinstance(obj, Safety):
-        return Safety(obj.safe & k)
-    if isinstance(obj, Buchi):
-        return Buchi(obj.accept & k)
-    if isinstance(obj, CoBuchi):
-        return CoBuchi(obj.avoid & k)
-    if isinstance(obj, RequestResponse):
-        return RequestResponse(tuple((q & k, p & k) for q, p in obj.pairs))
-    if isinstance(obj, SafetyAndCoBuchi):
-        return SafetyAndCoBuchi(obj.safe & k, obj.avoid & k)
-    raise InputError(f"unknown objective {obj!r}")
+    return map_sets(obj, frozenset(keep).intersection)
 
 
 def relabel_objective(obj: Objective, fn) -> Objective:
     """The same condition with every vertex renamed through ``fn``."""
-    if isinstance(obj, Safety):
-        return Safety(frozenset(fn(v) for v in obj.safe))
-    if isinstance(obj, Buchi):
-        return Buchi(frozenset(fn(v) for v in obj.accept))
-    if isinstance(obj, CoBuchi):
-        return CoBuchi(frozenset(fn(v) for v in obj.avoid))
-    if isinstance(obj, RequestResponse):
-        return RequestResponse(tuple(
-            (frozenset(fn(v) for v in q), frozenset(fn(v) for v in p))
-            for q, p in obj.pairs))
-    if isinstance(obj, SafetyAndCoBuchi):
-        return SafetyAndCoBuchi(frozenset(fn(v) for v in obj.safe),
-                                frozenset(fn(v) for v in obj.avoid))
-    raise InputError(f"unknown objective {obj!r}")
+    return map_sets(obj, lambda vs: frozenset(map(fn, vs)))
 
 
 def validate_rank(rk: Mapping[Vertex, int], arena: Arena) -> None:
@@ -184,27 +180,21 @@ class CostRRSpec:
 
 def eval_qualitative(obj: Objective, lasso: Lasso) -> bool:
     """Does the infinite play denoted by the lasso satisfy the objective?"""
-    everything = lasso.vertices()
+    safe, avoid, accept, pairs = conjuncts(obj)
     loop_set = frozenset(lasso.loop)
-    if isinstance(obj, Safety):
-        return everything <= obj.safe
-    if isinstance(obj, Buchi):
-        return bool(loop_set & obj.accept)
-    if isinstance(obj, CoBuchi):
-        return not (loop_set & obj.avoid)
-    if isinstance(obj, SafetyAndCoBuchi):
-        return everything <= obj.safe and not (loop_set & obj.avoid)
-    if isinstance(obj, RequestResponse):
-        # Positions in prefix plus one loop copy are representative; an
-        # answer, if any, shows up within one further loop unrolling.
-        window = lasso.prefix + lasso.loop + lasso.loop
-        horizon = len(lasso.prefix) + len(lasso.loop)
-        for q, p in obj.pairs:
-            for j in range(horizon):
-                if window[j] in q and not any(window[i] in p for i in range(j, len(window))):
-                    return False
-        return True
-    raise InputError(f"unknown objective {obj!r}")
+    if safe is not None and not lasso.vertices() <= safe:
+        return False
+    if loop_set & avoid or (accept is not None and not loop_set & accept):
+        return False
+    # Positions in prefix plus one loop copy are representative; an answer,
+    # if any, shows up within one further loop unrolling.
+    window = lasso.prefix + lasso.loop + lasso.loop
+    horizon = len(lasso.prefix) + len(lasso.loop)
+    for q, p in pairs:
+        for j in range(horizon):
+            if window[j] in q and not any(window[i] in p for i in range(j, len(window))):
+                return False
+    return True
 
 
 def cost_of_response(spec: CostRRSpec, lasso: Lasso, position: int, pair: int) -> ExtNat:

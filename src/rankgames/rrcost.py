@@ -20,7 +20,8 @@ from .arena import Arena, Edge, Vertex
 from .errors import InputError
 from .extnat import INF, ExtNat
 from .memory import FiniteStateStrategy, explore_product
-from .objectives import CostRRSpec, RequestResponse, cost_rr_lasso, validate_objective
+from .objectives import (CostRRSpec, RequestResponse, cost_rr_lasso, relabel_objective,
+                         validate_objective)
 from .qualsolve import solve_request_response
 from .quantred import Cap, QuantReduction, lift_strategy
 from .ranked import (OptimizeResult, RankedGame, least_winning_bound,
@@ -48,8 +49,7 @@ class CostRRGame:
     def relabeled(self, fn) -> "CostRRGame":
         from .arena import relabel
 
-        pairs = tuple((frozenset(fn(v) for v in q), frozenset(fn(v) for v in p))
-                      for q, p in self.spec.pairs)
+        pairs = relabel_objective(self.spec.rr_objective(), fn).pairs
         costs = {(c, (fn(e[0]), fn(e[1]))): w
                  for (c, e), w in self.spec.edge_costs.items()}
         return CostRRGame(relabel(self.arena, fn), CostRRSpec(pairs, costs))

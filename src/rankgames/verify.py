@@ -21,7 +21,7 @@ from .errors import CapabilityError, CapacityError, InputError
 from .extnat import INF, ExtNat
 from .memory import FiniteStateStrategy, MemoryStructure, expand
 from .objectives import (Buchi, CoBuchi, CostRRSpec, Objective,
-                         RequestResponse, Safety, SafetyAndCoBuchi)
+                         RequestResponse, Safety, SafetyAndCoBuchi, conjuncts)
 from .qualsolve import SolveResult, rr_open_update
 from .ranked import RankedCondition
 from .resilience import FaultArena
@@ -288,24 +288,21 @@ class _Query:
     allowed: Optional[set]
 
 
-def _no_anchors(comp):
-    return ()
-
-
-def _one_of(marked: set):
-    def pick(comp):
-        hits = sorted(marked & comp)
-        return (hits[0],) if hits else None  # no marked node: component unusable
-    return pick
-
-
-def _rr_closers(pending_of, d: int):
+def _anchors(marked: Optional[set] = None, pending_of=None, d: int = 0):
+    """Anchor batch of a component: its least ``marked`` node (when marking
+    is asked for), then per pair its least node with that pair answered;
+    None when the component has no such node, which makes it unusable."""
     def pick(comp):
         anchors = []
+        if marked is not None:
+            hits = sorted(marked & comp)
+            if not hits:
+                return None
+            anchors.append(hits[0])
         for c in range(d):
             closed = sorted(n for n in comp if c not in pending_of(n))
             if not closed:
-                return None  # component cannot answer pair c
+                return None
             anchors.append(closed[0])
         return tuple(anchors)
     return pick
@@ -314,41 +311,28 @@ def _rr_closers(pending_of, d: int):
 def _satisfaction_query(obj: Objective, pending_of, region: set,
                         path_allowed: Optional[set]) -> _Query:
     """Where does a play exist that satisfies ``obj`` with its recurring
-    part inside ``region`` and its prefix inside ``path_allowed``?"""
-    if isinstance(obj, Safety):
-        return _Query(set(), [(region, _no_anchors)], path_allowed)
-    if isinstance(obj, Buchi):
-        marked = {n for n in region if n[0] in obj.accept}
-        return _Query(set(), [(region, _one_of(marked))], path_allowed)
-    if isinstance(obj, (CoBuchi, SafetyAndCoBuchi)):
-        sub = {n for n in region if n[0] not in obj.avoid}
-        return _Query(set(), [(sub, _no_anchors)], path_allowed)
-    if isinstance(obj, RequestResponse):
-        return _Query(set(), [(region, _rr_closers(pending_of, len(obj.pairs)))],
-                      path_allowed)
-    raise InputError(f"unknown objective {obj!r}")
+    part inside ``region`` and its prefix inside ``path_allowed``?  Its
+    cycle avoids ``avoid`` and visits ``accept`` and an answer per pair."""
+    _safe, avoid, accept, pairs = conjuncts(obj)
+    sub = {n for n in region if n[0] not in avoid} if avoid else region
+    marked = None if accept is None else {n for n in sub if n[0] in accept}
+    return _Query(set(), [(sub, _anchors(marked, pending_of, len(pairs)))], path_allowed)
 
 
 def _violation_query(nodes: set, obj: Objective, pending_of) -> _Query:
-    """Where does a play exist that violates ``obj``?  (Player 0 claims.)"""
-    if isinstance(obj, Safety):
-        return _Query({n for n in nodes if n[0] not in obj.safe}, [], None)
-    if isinstance(obj, Buchi):
-        region = {n for n in nodes if n[0] not in obj.accept}
-        return _Query(set(), [(region, _no_anchors)], None)
-    if isinstance(obj, CoBuchi):
-        marked = {n for n in nodes if n[0] in obj.avoid}
-        return _Query(set(), [(nodes, _one_of(marked))], None)
-    if isinstance(obj, SafetyAndCoBuchi):
-        bad = {n for n in nodes if n[0] not in obj.safe}
-        marked = {n for n in nodes if n[0] in obj.avoid}
-        return _Query(bad, [(nodes, _one_of(marked))], None)
-    if isinstance(obj, RequestResponse):
-        loops = []
-        for c in range(len(obj.pairs)):
-            loops.append(({n for n in nodes if c in pending_of(n)}, _no_anchors))
-        return _Query(set(), loops, None)
-    raise InputError(f"unknown objective {obj!r}")
+    """Where does a play exist that violates ``obj``?  (Player 0 claims.)
+    Visiting an unsafe node does; so does a cycle through ``avoid``, a
+    cycle missing ``accept``, or a cycle on which some pair stays pending."""
+    safe, avoid, accept, pairs = conjuncts(obj)
+    bad = set() if safe is None else {n for n in nodes if n[0] not in safe}
+    loops = []
+    if avoid:
+        loops.append((nodes, _anchors({n for n in nodes if n[0] in avoid})))
+    if accept is not None:
+        loops.append(({n for n in nodes if n[0] not in accept}, _anchors()))
+    for c in range(len(pairs)):
+        loops.append(({n for n in nodes if c in pending_of(n)}, _anchors()))
+    return _Query(bad, loops, None)
 
 
 def _claim_failure_query(nodes, obj: Objective, mode: Optional[str], rank_of,
@@ -363,21 +347,16 @@ def _claim_failure_query(nodes, obj: Objective, mode: Optional[str], rank_of,
     if player == 0:
         q = _violation_query(nodes, obj, pending_of)
         if mode == "lim":
-            return _Query(q.bad, q.loops + [(nodes, _one_of(high))], q.allowed)
+            return _Query(q.bad, q.loops + [(nodes, _anchors(high))], q.allowed)
         return _Query(q.bad | high, q.loops, q.allowed)
     # Player 1 claims cost above the bound; failing plays satisfy the
-    # objective with low ranks: everywhere (sup) or eventually (lim).
-    base = _path_constraint(nodes, obj)
-    region = (base if base is not None else nodes) - high
+    # objective with low ranks: everywhere (sup) or eventually (lim), and
+    # stay safe throughout.
+    safe = conjuncts(obj)[0]
+    base = None if safe is None else {n for n in nodes if n[0] in safe}
+    region = (nodes if base is None else base) - high
     return _satisfaction_query(obj, pending_of, region,
                                region if mode == "sup" else base)
-
-
-def _path_constraint(nodes, obj: Objective) -> Optional[set]:
-    """Prefix constraint a satisfying play must obey (safety parts)."""
-    if isinstance(obj, (Safety, SafetyAndCoBuchi)):
-        return {n for n in nodes if n[0] in obj.safe}
-    return None
 
 
 def _query_failures(succ, query: _Query) -> set:
@@ -434,7 +413,7 @@ def _decided(obj: Objective, mode: Optional[str], bnd: Optional[int], rank_of):
     """Nodes where the play's verdict is settled and exploration may stop:
     safety breaches always; rank breaches only when the whole play's
     maximum matters (sup mode)."""
-    safe = obj.safe if isinstance(obj, (Safety, SafetyAndCoBuchi)) else None
+    safe = conjuncts(obj)[0]
     if mode != "sup":
         return (lambda node: False) if safe is None else (lambda node: node[0] not in safe)
     if safe is None:
@@ -464,10 +443,11 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     if start not in set(arena.vertices):
         raise InputError(f"unknown start vertex {start!r}")
     state = strategy.memory.initial if start_state is None else start_state
+    pairs = conjuncts(obj)[3]
     if isinstance(condition, CostRRSpec):
         tracker, pending_of = _counter_tracker(condition, bnd + 1), _counter_pending
-    elif isinstance(obj, RequestResponse):
-        tracker, pending_of = _open_tracker(obj.pairs), (lambda n: n[2])
+    elif pairs:
+        tracker, pending_of = _open_tracker(pairs), (lambda n: n[2])
     else:
         tracker, pending_of = _NO_TRACKER, (lambda n: ())
 
@@ -525,7 +505,7 @@ def _candidate_graphs(product: Arena, owner: int, guard: int):
 
 
 def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, bound,
-                 pending_of_state, guard):
+                 guard):
     """Start node per vertex, and a generator of ``owner``'s positional
     candidates over the template expansion, each with the nodes from which
     its claim fails."""
@@ -534,11 +514,9 @@ def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, boun
         raise CapabilityError("response-cost values have a dedicated oracle")
     starts = _seed_nodes(arena, template, seeds)
     product = expand(arena, template, seeds=starts.values())
-    pending_of = pending_of_state or _default_pending
-
     def candidates(owner: int):
         for succ in _candidate_graphs(product, owner, guard):
-            query = _claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of,
+            query = _claim_failure_query(succ, obj, mode, rank_of, bnd, _default_pending,
                                          owner)
             yield succ, _query_failures(succ, query)
 
@@ -560,7 +538,6 @@ def _enumerated_regions(arena: Arena, starts, candidates) -> Tuple[frozenset, fr
 
 def enumerate_regions(arena: Arena, condition, template: MemoryStructure,
                       seeds=None, bound: Optional[int] = None,
-                      pending_of_state: Optional[Callable] = None,
                       guard: int = 10 ** 6) -> Tuple[frozenset, frozenset]:
     """Winning regions by exhaustive strategy enumeration.
 
@@ -573,18 +550,17 @@ def enumerate_regions(arena: Arena, condition, template: MemoryStructure,
     request-response).
     """
     starts, _product, candidates = _enumeration(arena, condition, template, seeds,
-                                                bound, pending_of_state, guard)
+                                                bound, guard)
     return _enumerated_regions(arena, starts, candidates)
 
 
 def enumerate_solve(arena: Arena, condition, template: MemoryStructure,
                     seeds=None, bound: Optional[int] = None,
-                    pending_of_state: Optional[Callable] = None,
                     guard: int = 10 ** 6) -> SolveResult:
     """Brute-force solver: regions by enumeration plus uniform witness
     strategies for both players, found by further enumeration passes."""
     starts, product, candidates = _enumeration(arena, condition, template, seeds,
-                                               bound, pending_of_state, guard)
+                                               bound, guard)
     region_0, region_1 = _enumerated_regions(arena, starts, candidates)
 
     def uniform(owner: int, region: frozenset) -> FiniteStateStrategy:

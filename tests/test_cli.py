@@ -15,8 +15,10 @@ from rankgames.fileformat import (LoadedGame, game_to_doc, parse_game,
 from rankgames.errors import InputError
 from rankgames.gen import (random_arena, random_costrr_game, random_fault_arena,
                            random_ranked_game, random_subset)
+from rankgames.arena import Arena
 from rankgames.memory import FiniteStateStrategy, MemoryStructure
-from rankgames.objectives import Buchi, RequestResponse
+from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
+                                  SafetyAndCoBuchi)
 from rankgames.qualsolve import solve_request_response
 from rankgames.ranked import RankedGame, optimize as optimize_ranked, solve_with_bound
 from rankgames.resilience import max_resilience
@@ -138,6 +140,71 @@ FIRST_ERRORS = [
 ]
 
 
+def _objective(doc):
+    return {"arena": SAFETY_WIN["arena"], "objective": doc}
+
+
+# per objective type: a missing field, a field that is not a list, and an
+# unknown vertex id, each in its first field; safety_cobuchi errors come
+# from safe before avoid, request-response errors from request before
+# response
+OBJECTIVE_ERRORS = [
+    ("safety without safe", {"type": "safety"}, "objective: missing required field 'safe'"),
+    ("safety non-list safe", {"type": "safety", "safe": "a"}, "objective.safe: expected list"),
+    ("safety unknown vertex", {"type": "safety", "safe": ["a", "zz"]},
+     "objective.safe[1]: unknown vertex id 'zz'"),
+    ("buchi without accept", {"type": "buchi", "safe": ["a"]},
+     "objective: missing required field 'accept'"),
+    ("buchi non-list accept", {"type": "buchi", "accept": {"a": 1}},
+     "objective.accept: expected list"),
+    ("buchi unknown vertex", {"type": "buchi", "accept": ["b", 1]},
+     "objective.accept[1]: unknown vertex id 1"),
+    ("cobuchi without avoid", {"type": "cobuchi"}, "objective: missing required field 'avoid'"),
+    ("cobuchi non-list avoid", {"type": "cobuchi", "avoid": None},
+     "objective.avoid: expected list"),
+    ("cobuchi unknown vertex", {"type": "cobuchi", "avoid": ["zz"]},
+     "objective.avoid[0]: unknown vertex id 'zz'"),
+    ("safety_cobuchi without safe", {"type": "safety_cobuchi", "avoid": ["zz"]},
+     "objective: missing required field 'safe'"),
+    ("safety_cobuchi without avoid", {"type": "safety_cobuchi", "safe": ["a"]},
+     "objective: missing required field 'avoid'"),
+    ("safety_cobuchi non-list safe", {"type": "safety_cobuchi", "safe": "a", "avoid": "b"},
+     "objective.safe: expected list"),
+    ("safety_cobuchi non-list avoid", {"type": "safety_cobuchi", "safe": ["a"], "avoid": "b"},
+     "objective.avoid: expected list"),
+    ("safety_cobuchi unknown vertex",
+     {"type": "safety_cobuchi", "safe": ["a", "y"], "avoid": ["x"]},
+     "objective.safe[1]: unknown vertex id 'y'"),
+    ("safety_cobuchi unknown avoid vertex",
+     {"type": "safety_cobuchi", "safe": ["a"], "avoid": ["b", "x"]},
+     "objective.avoid[1]: unknown vertex id 'x'"),
+    ("request_response without pairs", {"type": "request_response"},
+     "objective: missing required field 'pairs'"),
+    ("request_response non-list pairs", {"type": "request_response", "pairs": {}},
+     "objective.pairs: expected list"),
+    ("request_response non-object pair", {"type": "request_response", "pairs": [["a"]]},
+     "objective.pairs[0]: expected an object"),
+    ("request_response without request",
+     {"type": "request_response", "pairs": [{"response": ["zz"]}]},
+     "objective.pairs[0]: missing required field 'request'"),
+    ("request_response non-list response",
+     {"type": "request_response", "pairs": [{"request": ["a"], "response": "b"}]},
+     "objective.pairs[0].response: expected list"),
+    ("request_response unknown vertex",
+     {"type": "request_response",
+      "pairs": [{"request": ["a"], "response": ["b"]},
+                {"request": ["a", "zz"], "response": ["yy"]}]},
+     "objective.pairs[1].request[1]: unknown vertex id 'zz'"),
+    ("request_response no pairs", {"type": "request_response", "pairs": []},
+     "request-response needs at least one pair"),
+    ("unknown objective type", {"type": "parity", "safe": ["a"]},
+     "objective.type: unknown objective type 'parity'"),
+    ("missing objective type", {"safe": ["a"]}, "objective: missing required field 'type'"),
+]
+FIRST_ERRORS += [(case, _objective(doc), None, message)
+                 for case, doc, message in OBJECTIVE_ERRORS]
+
+
 class TestParsing:
     def test_minimal_game_parses(self, tmp_path):
         doc = {"arena": {"vertices": [{"id": "v", "owner": 0}],
@@ -185,6 +252,28 @@ class TestParsing:
             assert game_to_doc(game2) == doc2
             assert game2.arena == game.arena
             assert game2.objective == game.objective
+
+    @pytest.mark.parametrize("objective,text", [
+        (Safety({"b", "a"}), '{"type": "safety", "safe": ["a", "b"]}'),
+        (Buchi({"c", "a"}), '{"type": "buchi", "accept": ["a", "c"]}'),
+        (CoBuchi({"b"}), '{"type": "cobuchi", "avoid": ["b"]}'),
+        (SafetyAndCoBuchi({"c", "a"}, {"c"}),
+         '{"type": "safety_cobuchi", "safe": ["a", "c"], "avoid": ["c"]}'),
+        (RequestResponse(((frozenset({"c", "a"}), frozenset({"b"})),
+                          (frozenset(), frozenset({"a"})))),
+         '{"type": "request_response", "pairs": [{"request": ["a", "c"], '
+         '"response": ["b"]}, {"request": [], "response": ["a"]}]}'),
+    ], ids=["safety", "buchi", "cobuchi", "safety_cobuchi", "request_response"])
+    def test_written_game_text(self, objective, text):
+        # the key order of a written objective is part of every game file
+        arena = Arena.of({"c": 1, "a": 0, "b": 0},
+                         [("c", "a"), ("a", "c"), ("a", "b"), ("b", "b")], "a")
+        doc = game_to_doc(LoadedGame("qualitative", arena, objective))
+        assert json.dumps(doc) == (
+            '{"arena": {"vertices": [{"id": "a", "owner": 0}, {"id": "b", "owner": 0}, '
+            '{"id": "c", "owner": 1}], "edges": [{"from": "a", "to": "b"}, '
+            '{"from": "a", "to": "c"}, {"from": "b", "to": "b"}, {"from": "c", "to": "a"}], '
+            '"initial": "a"}, "objective": ' + text + '}')
 
     @pytest.mark.parametrize("field", ["owner", "rank", "pair", "cost"])
     def test_boolean_is_not_an_integer(self, field):
@@ -286,6 +375,15 @@ class TestSolveCommand:
         assert main(["solve", path, "--bound", "2"]) == 1
         assert main(["solve", path, "--bound", "3"]) == 0
 
+    def test_regions_on_costs_rejected(self, tmp_path, capsys):
+        # cost-RR solving probes only the initial vertex, so it has no regions
+        path = write_game(tmp_path, A2_COSTS)
+        capsys.readouterr()
+        assert main(["solve", path, "--bound", "3", "--regions"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: response-cost games take no --regions\n"
+
     def test_negative_bound_rejected(self, tmp_path):
         docs = [A2_COSTS] + [
             {"arena": SAFETY_WIN["arena"], "objective": SAFETY_WIN["objective"],
@@ -321,6 +419,15 @@ class TestOptimizeCommand:
         out = capsys.readouterr().out
         assert "minimal cost: 3" in out
         assert "certified cost: 3" in out
+
+    def test_duplicate_cost_row_rejected(self, tmp_path, capsys):
+        doc = _edit(A2_COSTS, lambda d: d["costs"].append(dict(d["costs"][0], cost=1)))
+        path = write_game(tmp_path, doc)
+        capsys.readouterr()
+        assert main(["optimize", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: costs[1]: duplicate cost row\n"
 
     def test_qualitative_rejected(self, tmp_path):
         path = write_game(tmp_path, SAFETY_WIN)

@@ -3,9 +3,12 @@
 Each request runs ``rankgames.cli.main`` in-process from a scratch
 directory, so the strategy paths it prints are relative.  The SHA-256 of
 stdout and of the written strategy file must equal the digests in
-``cli_bytes.json``, which were recorded before the solvers moved from
-per-round sub-arenas to alive-vertex sets.  Re-record only for a change
-that is meant to alter output: ``PYTHONPATH=src python tests/test_cli_bytes.py``.
+``cli_bytes.json``.  The ``solve``, ``optimize`` and ``resilience`` digests
+were recorded before the solvers moved from per-round sub-arenas to
+alive-vertex sets; the ``verify`` digests, refutation witnesses included,
+before the objectives were restated as one conjunction of demands.
+Re-record only for a change that is meant to alter output:
+``PYTHONPATH=src python tests/test_cli_bytes.py``.
 """
 
 import contextlib
@@ -75,30 +78,55 @@ def _run(argv):
     return code, buf.getvalue()
 
 
-def _requests(name, game):
+def _keep(path):
+    """Keep the strategy file the last request wrote under another name."""
+    os.replace("s.json", path)
+    return path
+
+
+def _requests(name, game, qualitative):
     """The argv lists run on one game; later ones may depend on earlier
-    answers, so this yields and is sent ``(code, stdout)`` back."""
+    answers, so this yields and is sent ``(code, stdout)`` back.
+    ``qualitative`` names the seed's qualitative games, which share one
+    arena: each one's strategy is verified against all the others."""
     path = name + ".json"
     if game.kind == "qualitative":
         yield ("solve", path, "--regions", "--out", "s.json")
+        strategy = _keep(f"s-{name}.json")
+        for other in qualitative:
+            if other != name:
+                yield ("verify", other + ".json", "--strategy", strategy)
     elif game.kind == "fault":
         yield ("resilience", path, "--out", "s.json")
         yield ("resilience", path, "--eventual", "--out", "s.json")
     else:
         code, out = yield ("optimize", path, "--out", "s.json")
         cost = int(out.split()[2]) if code == 0 else None
+        if cost is not None:
+            # Player 0's optimal strategy: certified at the optimum,
+            # refuted below it
+            strategy = _keep("s-optimal.json")
+            for b in (cost, cost - 1) if cost else (cost,):
+                yield ("verify", path, "--strategy", strategy, "--bound", str(b))
         if game.kind == "ranked":
             ranks = game.ranked.rank_values()
             below = [r for r in ranks if cost is None or r < cost]
             bounds = [below[-1]] if below else []
             bounds.append(ranks[len(ranks) // 2])
-            for b in bounds:
-                yield ("solve", path, "--bound", str(b), "--regions", "--out", "s.json")
+            regions = ("--regions",)
         else:
             # at and below the optimum: bounds whose answer is found by
             # a probe at the bound itself
-            for b in sorted({0, *([cost - 1, cost] if cost else [])}):
-                yield ("solve", path, "--bound", str(b), "--out", "s.json")
+            bounds = sorted({0, *([cost - 1, cost] if cost else [])})
+            regions = ()
+        for b in bounds:
+            code, _out = yield ("solve", path, "--bound", str(b), *regions, "--out", "s.json")
+            if code == 1:
+                # Player 1's strategy: certified at its bound, refuted at
+                # the optimum
+                strategy = _keep(f"s-player1-{b}.json")
+                for claim in (b, cost) if cost is not None else (b,):
+                    yield ("verify", path, "--strategy", strategy, "--bound", str(claim))
 
 
 def _sha(data: bytes) -> str:
@@ -112,16 +140,21 @@ def digests(workdir):
     os.chdir(workdir)
     try:
         for seed in SEEDS:
-            for name, game in _games(seed):
+            games = list(_games(seed))
+            for name, game in games:
                 Path(name + ".json").write_text(json.dumps(game_to_doc(game)))
-                gen = _requests(name, game)
+            qualitative = [name for name, game in games if game.kind == "qualitative"]
+            for name, game in games:
+                gen = _requests(name, game, qualitative)
                 argv = next(gen)
                 while True:
                     if os.path.exists("s.json"):
                         os.remove("s.json")
                     code, text = _run(argv)
                     written = Path("s.json").read_bytes() if os.path.exists("s.json") else b""
-                    key = f"{seed}:{' '.join(argv[:1] + argv[2:])} @ {name}"
+                    # the request's own game file is named after the @
+                    rest = ' '.join(a for a in argv if a != name + ".json")
+                    key = f"{seed}:{rest} @ {name}"
                     out[key] = [code, _sha(text.encode()), _sha(written)]
                     try:
                         argv = gen.send((code, text))
@@ -138,8 +171,10 @@ def measured(tmp_path_factory):
 
 
 def test_every_kind_and_command_is_covered(measured):
-    commands = {key.split(":", 1)[1].split(" @ ")[0].split()[0] for key in measured}
-    assert commands == {"solve", "optimize", "resilience"}
+    command = {key: key.split(":", 1)[1].split()[0] for key in measured}
+    assert set(command.values()) == {"solve", "optimize", "resilience", "verify"}
+    verify_codes = {measured[key][0] for key in measured if command[key] == "verify"}
+    assert verify_codes == {0, 1}  # certified and refuted claims
     assert any("--eventual" in key for key in measured)
     kinds = {key.split(" @ ")[1].split("-")[0] for key in measured}
     assert kinds == {"qual", "ranked", "costrr", "fault"}
