@@ -667,3 +667,56 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     assert runs[0]["verify"][1].startswith(b"refuted\nwitness prefix:")
     assert runs[0]["solve-sup"][0] == runs[0]["solve-lim"][0] == 0
     assert runs[0] == runs[1]
+
+
+_REQUESTS_DRIVER = """
+import contextlib, io, json, sys
+from rankgames.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    runs.append([code, buf.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_six_pair_and_cost_rr_bytes_are_independent_of_the_hash_seed(tmp_path):
+    # solve --out and verify on a six-pair request-response game and on a
+    # cost-RR game at its optimum and one below, run in a fresh process
+    # per hash seed: stdout and strategy files must agree byte for byte
+    rng = random.Random(66)
+    arena = random_arena(rng, 20, p0_max_outdeg=3)
+    pairs = tuple((random_subset(rng, arena, 0.3),
+                   random_subset(rng, arena, 0.3) or frozenset({arena.initial}))
+                  for _ in range(6))
+    cost_game = random_costrr_game(random.Random(1), 6, 2, 3, p0_max_outdeg=2)
+    best = optimize_costrr(cost_game).cost
+    write_game(tmp_path, game_to_doc(LoadedGame("qualitative", arena, RequestResponse(pairs))),
+               "rr6.json")
+    write_game(tmp_path, game_to_doc(LoadedGame("costrr", cost_game.arena,
+                                                cost_game.spec.rr_objective(),
+                                                costrr=cost_game)), "costrr.json")
+    requests = [["solve", "rr6.json", "--regions", "--out", "rr6-s.json"],
+                ["verify", "rr6.json", "--strategy", "rr6-s.json"]]
+    for b in (best, best - 1):
+        requests += [["solve", "costrr.json", "--bound", str(b), "--out", f"c{b}-s.json"],
+                     ["verify", "costrr.json", "--strategy", f"c{b}-s.json", "--bound", str(b)]]
+    src = os.path.dirname(os.path.dirname(rankgames.__file__))
+    runs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", _REQUESTS_DRIVER, json.dumps(requests)],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        files = {argv[-1]: (tmp_path / argv[-1]).read_bytes()
+                 for argv in requests if argv[0] == "solve"}
+        runs.append((json.loads(proc.stdout), files))
+    outputs = runs[0][0]
+    # winners: the costrr optimum and one below split the players; every
+    # verify certifies the strategy just written
+    assert [code for code, _out in outputs[2::2]] == [0, 1]
+    assert all(code == 0 for code, _out in outputs[1::2])
+    assert len(runs[0][1]["rr6-s.json"]) > 1000
+    assert runs[0] == runs[1]
