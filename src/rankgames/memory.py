@@ -123,6 +123,41 @@ def explore_product(arena: Arena, initial: State, step, seeds: Iterable[Tuple[Ve
     return memory, Arena(tuple(sorted(reached)), owner, edges, start)
 
 
+@dataclass(frozen=True)
+class NumberedProduct:
+    """Product arena on the integers 0..N-1, numbering the (vertex, state)
+    pairs one walk reached in sorted order.
+
+    ``pairs[i]`` is product vertex i as (vertex, index of its state in the
+    sorted reached states); vertex i keeps the owner of its vertex, and
+    edges are the walk's.  ``starts`` numbers the walk's start pairs in
+    order: the anchor's first, then the seeds'.
+    """
+
+    arena: Arena
+    pairs: tuple
+    starts: tuple
+
+
+def explore_numbered(arena: Arena, initial: State, step, seeds: Iterable[Tuple[Vertex, State]] = (),
+                     within=None) -> Tuple[list, dict, NumberedProduct]:
+    """:func:`explore_product`'s walk with its product numbered: the
+    reached states in sorted order, the update table, and the numbered
+    product.  Integers hash and compare cheaply where nested (vertex,
+    state) labels do not, and the numbering keeps the labels' order."""
+    starts = [(anchor(arena, within), initial), *seeds]
+    reached, update = explore(arena, starts, step, within=within)
+    states = sorted({s for _v, s in reached})
+    index = {s: j for j, s in enumerate(states)}
+    number = {pv: i for i, pv in enumerate(sorted(reached))}
+    pairs = tuple((v, index[s]) for v, s in number)
+    owner = {i: arena.owner[v] for i, (v, _j) in enumerate(pairs)}
+    edges = frozenset((number[(u, s)], number[(w, t)]) for (s, (u, w)), t in update.items())
+    ids = tuple(number[pv] for pv in starts)
+    product = Arena(tuple(range(len(pairs))), owner, edges, ids[0])
+    return states, update, NumberedProduct(product, pairs, ids)
+
+
 def expand(arena: Arena, mem: MemoryStructure,
            seeds: Optional[Iterable[Tuple[Vertex, State]]] = None) -> Arena:
     """Product of an arena with a memory structure, reachable part only.
@@ -230,22 +265,25 @@ class FiniteStateStrategy:
                 f"strategy has no move at vertex {vertex!r} in state {state!r}") from None
 
 
+def filled_moves(arena: Arena, owner: int, moves: Mapping[Vertex, Vertex],
+                 within=None) -> dict:
+    """``moves`` with every owner vertex it misses given its first
+    successor, which keeps strategies total without affecting the region
+    they are claimed to win on.  With an alive set ``within``, only its
+    owner vertices are filled, each with its first successor inside it."""
+    table = dict(moves)
+    for v in arena.owned_by(owner):
+        if v not in table and (within is None or v in within):
+            table[v] = first_successor(arena, v, within)
+    return table
+
+
 def positional_strategy(arena: Arena, owner: int, moves: Mapping[Vertex, Vertex],
                         fill: bool = False, within=None) -> FiniteStateStrategy:
-    """Wrap a vertex-to-vertex move map as a one-state strategy.
-
-    With ``fill``, owner vertices missing from ``moves`` get their first
-    successor, which keeps strategies total without affecting the region
-    they are claimed to win on.  With an alive set ``within`` as well,
-    only its owner vertices are filled, each with its first successor
-    inside it.
-    """
+    """Wrap a vertex-to-vertex move map as a one-state strategy, filled by
+    :func:`filled_moves` with ``fill``."""
     mem = trivial_memory(arena)
-    table = dict(moves)
-    if fill:
-        for v in arena.owned_by(owner):
-            if v not in table and (within is None or v in within):
-                table[v] = first_successor(arena, v, within)
+    table = filled_moves(arena, owner, moves, within) if fill else moves
     next_move = {}
     for v, w in table.items():
         if arena.owner.get(v) != owner:
@@ -279,3 +317,25 @@ def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy, arena: Are
     reached, memory = _product_walk(m1, strat.memory, arena, seeds, strat.owner, move, within)
     next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == strat.owner}
     return FiniteStateStrategy(strat.owner, memory, next_move)
+
+
+def compose_numbered(m1: MemoryStructure, product: NumberedProduct, moves: Mapping[int, int],
+                     owner: int) -> FiniteStateStrategy:
+    """:func:`compose_strategy` for the positional strategy ``moves`` on a
+    numbered product of ``m1``, from the product's start pairs.
+
+    The result is the strategy ``compose_strategy`` pulls back, with the
+    same states ``(m1 state, 0)`` and the same rows; the walk runs on
+    product ids, and vertex i stands for the vertex and ``m1`` state of
+    ``pairs[i]``.
+    """
+    reached, rows = explore(product.arena, [(i, 0) for i in product.starts],
+                            lambda _s, _e: 0, owner, lambda i, _s: moves[i])
+    states = tuple((s, 0) for s in m1.states)
+    vertex = [v for v, _j in product.pairs]
+    state = [states[j] for _v, j in product.pairs]
+    update = {(state[i], (vertex[i], vertex[k])): state[k] for _s, (i, k) in rows}
+    next_move = {(vertex[i], state[i]): vertex[moves[i]]
+                 for i, _s in reached if product.arena.owner[i] == owner}
+    return FiniteStateStrategy(owner, MemoryStructure(states, (m1.initial, 0), update),
+                               next_move)

@@ -21,8 +21,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .arena import Arena, Vertex, anchor, attractor, first_successor
 from .errors import InputError
-from .memory import (FiniteStateStrategy, MemoryStructure, compose_strategy,
-                     explore, explore_product, positional_strategy)
+from .memory import (FiniteStateStrategy, MemoryStructure, NumberedProduct,
+                     compose_numbered, explore, explore_numbered, filled_moves,
+                     positional_strategy)
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
                          SafetyAndCoBuchi, validate_objective)
 
@@ -39,12 +40,17 @@ class SolveResult:
     are total (moves outside a player's own region are filler) but only
     claimed winning on that player's region.  A result of
     :func:`solve_pruned` keeps the inner result it extends as ``kept``.
+    A positional result also gives ``moves(player)``, the move table its
+    strategy wraps, so results that extend it need not build the one-state
+    memory with a row for every edge that ``build`` adds.
     """
 
     region_0: frozenset
     region_1: frozenset
     build: Callable[[int], FiniteStateStrategy] = field(repr=False, compare=False)
     kept: Optional[SolveResult] = field(default=None, repr=False, compare=False)
+    moves: Optional[Callable[[int], Dict[Vertex, Vertex]]] = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.region_0 & self.region_1:
@@ -66,9 +72,14 @@ def _alive(arena: Arena, within) -> frozenset:
     return frozenset(arena.vertices) if within is None else frozenset(within)
 
 
-def _positional(arena: Arena, owner: int, moves: Dict[Vertex, Vertex],
-                within=None) -> FiniteStateStrategy:
-    return positional_strategy(arena, owner, moves, fill=True, within=within)
+def _positional(arena: Arena, region_0, region_1, moves_of, within) -> SolveResult:
+    """Result whose strategies are positional: ``moves_of(player)``, filled
+    inside the alive set."""
+    def moves(player):
+        return filled_moves(arena, player, moves_of(player), within)
+    return SolveResult(region_0, region_1,
+                       lambda player: positional_strategy(arena, player, moves(player)),
+                       moves=moves)
 
 
 def solve_safety(arena: Arena, safe, within=None) -> SolveResult:
@@ -79,13 +90,12 @@ def solve_safety(arena: Arena, safe, within=None) -> SolveResult:
     region_1, toward_unsafe = attractor(arena, 1, alive - safe, within)
     region_0 = alive - region_1
 
-    def build(player):
+    def moves_of(player):
         if player == 1:
-            return _positional(arena, 1, toward_unsafe, within)
-        moves_0 = {v: first_successor(arena, v, region_0)
-                   for v in region_0 if arena.owner[v] == 0}
-        return _positional(arena, 0, moves_0, within)
-    return SolveResult(region_0, region_1, build)
+            return toward_unsafe
+        return {v: first_successor(arena, v, region_0)
+                for v in region_0 if arena.owner[v] == 0}
+    return _positional(arena, region_0, region_1, moves_of, within)
 
 
 def _buchi(arena: Arena, accept: frozenset, within, p: int) -> SolveResult:
@@ -118,8 +128,8 @@ def _buchi(arena: Arena, accept: frozenset, within, p: int) -> SolveResult:
             moves_p[v] = first_successor(arena, v, cur)
     region_p = frozenset(cur)
     regions = (region_p, alive - region_p)
-    return SolveResult(regions[p], regions[q], lambda player: _positional(
-        arena, player, moves_p if player == p else moves_q, within))
+    return _positional(arena, regions[p], regions[q],
+                       lambda player: moves_p if player == p else moves_q, within)
 
 
 def solve_buchi(arena: Arena, accept, within=None) -> SolveResult:
@@ -140,7 +150,10 @@ def solve_cobuchi(arena: Arena, avoid, within=None) -> SolveResult:
 def rr_open_update(pairs, open_set: tuple, entered: Vertex) -> tuple:
     """Open requests after entering a vertex: new requests are added, then
     answered ones removed, so a vertex that both requests and responds
-    answers its own request."""
+    answers its own request.
+
+    This is the statement on sorted tuples that :mod:`rankgames.verify`
+    tracks plays with; the solver runs the same step on bitmasks."""
     opened = set(open_set)
     for c, (q, _p) in enumerate(pairs):
         if entered in q:
@@ -156,8 +169,24 @@ def rr_seed_state(pairs, vertex: Vertex) -> tuple:
     return (rr_open_update(pairs, (), vertex), 0)
 
 
+def _tuple_rank(mask: int, d: int) -> int:
+    """Position of the open set ``mask``, written as its sorted tuple of
+    pair indices, among all subsets of range(d) in tuple order.
+
+    Tuple order puts a prefix first, so the subsets before (a1 < ... < ak)
+    are its k proper prefixes and, for each j, those that share a1..a(j-1)
+    and then take some b with a(j-1) < b < aj: 2^(d-1-b) of them for each
+    such b.  Summed, that is k + 2^d - 2^(d-1-ak) - sum of 2^(d-1-a).
+    """
+    if not mask:
+        return 0
+    members = [c for c in range(d) if mask >> c & 1]
+    return (len(members) + (1 << d) - (1 << (d - 1 - members[-1]))
+            - sum(1 << (d - 1 - c) for c in members))
+
+
 def rr_memory(arena: Arena, pairs, within=None
-              ) -> Tuple[MemoryStructure, Dict[Vertex, tuple], Arena]:
+              ) -> Tuple[MemoryStructure, Dict[Vertex, tuple], NumberedProduct]:
     """Open-request memory with a round-robin pointer.
 
     States are (open requests, pointer).  The pointer advances, cyclically,
@@ -166,53 +195,86 @@ def rr_memory(arena: Arena, pairs, within=None
     request-response condition iff its run passes through progress states
     infinitely often, which the product Buchi game below checks.
 
-    Returns the memory, the per-vertex seed states and the product arena
-    from one walk over what plays from the seeded vertices reach: of the
+    The walk runs on integers.  Open sets are bitmasks: entering ``w``
+    takes ``open`` to ``(open | requests[w]) & ~responses[w]``.  A state is
+    the code ``rank * d + pointer``, where ``rank`` is the open set's place
+    in the order of sorted tuples, so codes sort as the states do.
+
+    Returns the memory, the per-vertex seed states and the product, from
+    one walk over what plays from the seeded vertices reach: of the
     d * 2^d states the memory holds only those, one row per product edge.
-    Every vertex of ``within`` is seeded, and the memory starts in the
-    seed state of the alive set's anchor.
+    The memory and seeds are decoded once to ``(open tuple, pointer)``
+    states; the product is numbered in sorted ``(vertex, state)`` order
+    (:class:`NumberedProduct`).  Every vertex of ``within`` is seeded, and
+    the memory starts in the seed state of the alive set's anchor.
     """
     d = len(pairs)
     if d == 0:
         raise InputError("request-response needs at least one pair")
+    # per vertex: the requests entering it opens, and the mask of the
+    # pairs it leaves open
+    add = dict.fromkeys(arena.vertices, 0)
+    keep = dict.fromkeys(arena.vertices, -1)
+    for c, (q, p) in enumerate(pairs):
+        for v in q:
+            add[v] |= 1 << c
+        for v in p:
+            keep[v] &= ~(1 << c)
+    enter = {v: (add[v], keep[v]) for v in arena.vertices}
+    rank_of, mask_of = {0: 0}, {0: 0}
+
+    def opened(mask, w):
+        """Rank of the open set after entering ``w`` with ``mask`` open."""
+        plus, kept = enter[w]
+        mask = (mask | plus) & kept
+        r = rank_of.get(mask)
+        if r is None:
+            r = rank_of[mask] = _tuple_rank(mask, d)
+            mask_of[r] = mask
+        return r
+
+    def step(code, edge):
+        r, ptr = divmod(code, d)
+        mask = mask_of[r]
+        if not mask >> ptr & 1:
+            ptr = (ptr + 1) % d
+        return opened(mask, edge[1]) * d + ptr
+
     alive = arena.vertices if within is None else sorted(within)
-    seeds = {v: rr_seed_state(pairs, v) for v in alive}
-    # the open set after an edge depends only on (open set, entered vertex)
-    opened_after: Dict[tuple, tuple] = {}
-
-    def step(state, edge):
-        opened, r = state
-        r2 = (r + 1) % d if r not in opened else r
-        key = (opened, edge[1])
-        nxt = opened_after.get(key)
-        if nxt is None:
-            nxt = opened_after[key] = rr_open_update(pairs, opened, edge[1])
-        return nxt, r2
-
-    mem, product = explore_product(arena, seeds[anchor(arena, within)], step,
-                                   seeds.items(), within)
-    return mem, seeds, product
+    seeds = {v: opened(0, v) * d for v in alive}
+    initial = seeds[anchor(arena, within)]
+    codes, update, product = explore_numbered(arena, initial, step, seeds.items(), within)
+    state = {}
+    for code in codes:
+        r, ptr = divmod(code, d)
+        state[code] = (tuple(c for c in range(d) if mask_of[r] >> c & 1), ptr)
+    mem = MemoryStructure(tuple(state.values()), state[initial],
+                          {(state[s], e): state[t] for (s, e), t in update.items()})
+    return mem, {v: state[code] for v, code in seeds.items()}, product
 
 
 def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
     """Reduce to a Buchi game over the open-request memory product.
 
     Player 0 wins from a vertex iff she wins the product Buchi game from
-    that vertex paired with its fresh memory state.  Her strategy is the
-    product strategy folded back through the memory, of size at most
-    (number of pairs) * 2^(number of pairs); both strategies are tabulated
-    on what plays from every seeded vertex can reach.
+    that vertex paired with its fresh memory state.  The Buchi game runs on
+    the integer-numbered product of :func:`rr_memory`, and strategies are
+    read back through its numbering.  Her strategy is the product strategy
+    folded back through the memory, of size at most (number of pairs) *
+    2^(number of pairs); both strategies are tabulated on what plays from
+    every seeded vertex can reach.
     """
     objective = RequestResponse(tuple(pairs))
     validate_objective(objective, arena)
-    pairs = objective.pairs
-    mem, seeds, product = rr_memory(arena, pairs, within)
-    accept = frozenset(pv for pv in product.vertices if pv[1][1] not in pv[1][0])
-    res = solve_buchi(product, accept)
-    region_0 = frozenset(v for v, s in seeds.items() if (v, s) in res.region_0)
+    mem, seeds, product = rr_memory(arena, objective.pairs, within)
+    progress = [ptr not in opened for opened, ptr in mem.states]
+    res = solve_buchi(product.arena,
+                      frozenset(i for i, (_v, j) in enumerate(product.pairs) if progress[j]))
+    # the walk started from the anchor, then from each seed in order
+    region_0 = frozenset(v for v, i in zip(seeds, product.starts[1:]) if i in res.region_0)
     region_1 = frozenset(seeds) - region_0
-    return SolveResult(region_0, region_1, lambda player: compose_strategy(
-        mem, res.build(player), arena, seeds.items(), within))
+    return SolveResult(region_0, region_1, lambda player: compose_numbered(
+        mem, product, res.moves(player), player))
 
 
 def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveResult:
@@ -228,12 +290,16 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
     if keep:
         res = solve_objective(arena, objective, keep)
     else:
-        res = SolveResult(keep, keep, lambda player: FiniteStateStrategy(
-            player, MemoryStructure((0,), 0, {}), {}))
+        res = _positional(arena, keep, keep, lambda player: {}, keep)
 
     def build(player):
-        base = res.build(player)
-        mem, moves = base.memory, base.next_move
+        if res.moves is None:
+            base = res.build(player)
+            mem, moves = base.memory, base.next_move
+        else:
+            # one state, whose rows the walk below would only read as stay-put
+            mem = MemoryStructure((0,), 0, {})
+            moves = {(v, 0): w for v, w in res.moves(player).items()}
 
         def step(s, e):
             return mem.update.get((s, e), s)

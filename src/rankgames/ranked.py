@@ -122,22 +122,15 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
         if player == 0:
             # on the core, the pruned strategy is the inner positional one
             for kept, toward_core in rounds:
-                strat = kept.build(0)
-                state = _only_state(strat)
+                core_moves = kept.moves(0)
                 for v in sorted(kept.region_0):
                     if arena.owner[v] == 0:
-                        moves[v] = strat.next_move[(v, state)]
+                        moves[v] = core_moves[v]
                 moves.update(toward_core)
         elif last is not None:
             moves = {v: w for (v, _s), w in last.build(1).next_move.items()}
         return positional_strategy(arena, player, moves, fill=True)
     return SolveResult(frozenset(arena.vertices) - cur, cur, build)
-
-
-def _only_state(strat: FiniteStateStrategy):
-    if len(strat.memory) != 1:
-        raise InputError("expected a positional strategy")
-    return strat.memory.states[0]
 
 
 def solve_with_bound(game: RankedGame, bound: int) -> SolveResult:

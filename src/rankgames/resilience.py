@@ -11,7 +11,7 @@ phase) over the fault-free arena.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from .arena import Arena, Vertex, attractor
@@ -34,6 +34,7 @@ class FaultArena:
     arena: Arena
     faults: frozenset
     safe: frozenset
+    by_source: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "faults", frozenset(self.faults))
@@ -41,14 +42,19 @@ class FaultArena:
         vs = set(self.arena.vertices)
         if not self.safe <= vs:
             raise InputError("safe set mentions unknown vertices")
+        targets: Dict[Vertex, list] = {}
         for u, v in self.faults:
             if u not in vs or v not in vs:
                 raise InputError(f"fault ({u!r}, {v!r}) mentions an unknown vertex")
             if self.arena.owner[u] != 0:
                 raise InputError(f"fault source {u!r} must be owned by Player 0")
+            targets.setdefault(u, []).append(v)
+        object.__setattr__(self, "by_source", {u: tuple(sorted(ws)) for u, ws in targets.items()})
 
     def fault_targets(self, v: Vertex) -> Tuple[Vertex, ...]:
-        return tuple(sorted(w for (u, w) in self.faults if u == v))
+        """Targets of the faults rooted at ``v``, sorted; indexed by source
+        once, at construction."""
+        return self.by_source.get(v, ())
 
 
 def compute_val(fa: FaultArena) -> Dict[Vertex, ExtNat]:

@@ -3,7 +3,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankgames.arena import Arena, attractor, restrict
+import rr_reference
+from rankgames.arena import Arena, attractor, relabel, restrict
 from rankgames.gen import random_arena, random_subset
 from rankgames.memory import expand, trivial_memory
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
@@ -265,3 +266,71 @@ class TestSolvingInsideAnAliveSet:
             assert (got.region_0, got.region_1) == (want.region_0, want.region_1), obj
             for player in (0, 1):
                 assert _inside(got.build(player), keep) == _inside(want.build(player), keep)
+
+
+def _rr_pairs(rng, arena, d):
+    return tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
+                 for _ in range(d))
+
+
+def _strategy_rows(strategy):
+    mem = strategy.memory
+    return strategy.owner, mem.states, mem.initial, mem.update, strategy.next_move
+
+
+def _assert_matches_tuple_reference(arena, pairs, within):
+    """rr_memory and solve_request_response on bitmasks equal the tuple
+    reference: memory, seeds, product up to its numbering, regions and
+    both strategies."""
+    mem, seeds, product = rr_memory(arena, pairs, within)
+    ref_mem, ref_seeds, ref_product = rr_reference.rr_memory(arena, pairs, within)
+    assert (mem.states, mem.initial, mem.update) == (ref_mem.states, ref_mem.initial,
+                                                     ref_mem.update)
+    assert seeds == ref_seeds
+    labels = [(v, mem.states[j]) for v, j in product.pairs]
+    assert labels == list(ref_product.vertices)
+    assert relabel(product.arena, labels.__getitem__) == ref_product
+    index = {s: j for j, s in enumerate(mem.states)}
+    starts = [(v, index[s]) for v, s in [(ref_product.initial[0], mem.initial), *seeds.items()]]
+    assert [product.pairs[i] for i in product.starts] == starts
+    got = solve_request_response(arena, pairs, within)
+    want = rr_reference.solve_request_response(arena, pairs, within)
+    assert (got.region_0, got.region_1) == (want.region_0, want.region_1)
+    for player in (0, 1):
+        assert _strategy_rows(got.build(player)) == _strategy_rows(want.build(player))
+
+
+class TestBitmaskOpenSetsAgainstTheTupleReference:
+    """The solver runs on bitmask open sets over a numbered product; the
+    reference in ``rr_reference`` runs on sorted tuples over a labelled
+    one.  Everything either returns must agree."""
+
+    @given(arenas_with_traps(), st.integers(1, 6), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_small_games_inside_and_outside_an_alive_set(self, data, d, inside):
+        rng, arena, keep = data
+        _assert_matches_tuple_reference(arena, _rr_pairs(rng, arena, d),
+                                        keep if inside else None)
+
+    def test_twenty_vertex_games_with_up_to_six_pairs(self):
+        rng = random.Random(2024)
+        for i in range(12):
+            d = 1 + i % 6
+            arena = random_arena(rng, 20, p0_max_outdeg=3)
+            pairs = _rr_pairs(rng, arena, d)
+            region, _ = attractor(arena, rng.randint(0, 1), random_subset(rng, arena, 0.1))
+            keep = frozenset(arena.vertices) - region
+            for within in (None, keep or None):
+                _assert_matches_tuple_reference(arena, pairs, within)
+
+    def test_open_set_codes_sort_as_their_tuples(self):
+        # the walk's codes are rank * d + pointer; ranks must order the
+        # open sets as their sorted tuples order them
+        from itertools import combinations
+
+        from rankgames.qualsolve import _tuple_rank
+        for d in range(1, 9):
+            subsets = sorted(c for k in range(d + 1) for c in combinations(range(d), k))
+            assert [_tuple_rank(sum(1 << c for c in t), d) for t in subsets] == \
+                list(range(2 ** d))
+

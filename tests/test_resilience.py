@@ -21,6 +21,16 @@ class TestFaultArena:
         assert ("s", "u") in fs.faults
         assert ("s", "u") not in fs.arena.edges
 
+    def test_fault_targets_equal_a_scan_of_every_fault(self):
+        # the targets are indexed by source once; a scan over all fault
+        # pairs per call is the reference
+        rng = random.Random(31)
+        for _ in range(40):
+            fa = random_fault_arena(rng, rng.randint(1, 12), 15)
+            for v in fa.arena.vertices:
+                scan = tuple(sorted(w for (u, w) in fa.faults if u == v))
+                assert fa.fault_targets(v) == scan
+
 
 class TestComputeVal:
     def test_no_faults_is_zero_or_infinite(self):

@@ -176,6 +176,29 @@ class TestEnumerate:
                                        seeds=seeds.items())
             assert oracle[0] == solve_request_response(arena, pairs).region_0
 
+    def test_certification_runs_no_solver_open_set_code(self, monkeypatch):
+        # verify tracks open requests on sorted tuples itself; with the
+        # solver's bitmask walk disabled, it still certifies and refutes
+        import rankgames.qualsolve as qualsolve
+
+        rng = random.Random(13)
+        cases = []
+        for _ in range(6):
+            arena = random_arena(rng, 10, p0_max_outdeg=3)
+            pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
+                          for _ in range(4))
+            res = solve_request_response(arena, pairs)
+            cases.append((arena, pairs, res.strategy_0, arena.initial in res.region_0))
+
+        def disabled(*_args, **_kwargs):
+            raise AssertionError("the solver's open-set code ran")
+        monkeypatch.setattr(qualsolve, "_tuple_rank", disabled)
+        monkeypatch.setattr(qualsolve, "rr_memory", disabled)
+        verdicts = [verify_strategy(arena, RequestResponse(pairs), strategy).certified
+                    for arena, pairs, strategy, _wins in cases]
+        assert verdicts == [wins for *_rest, wins in cases]
+        assert set(verdicts) == {True, False}
+
     def test_enumerate_solve_returns_certified_strategies(self, a1):
         res = enumerate_solve(a1, Buchi(frozenset({"b"})), trivial_memory(a1))
         assert res.region_0 == frozenset({"a", "b"})
