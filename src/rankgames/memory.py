@@ -278,14 +278,12 @@ def filled_moves(arena: Arena, owner: int, moves: Mapping[Vertex, Vertex],
     return table
 
 
-def positional_strategy(arena: Arena, owner: int, moves: Mapping[Vertex, Vertex],
-                        fill: bool = False, within=None) -> FiniteStateStrategy:
-    """Wrap a vertex-to-vertex move map as a one-state strategy, filled by
-    :func:`filled_moves` with ``fill``."""
+def positional_strategy(arena: Arena, owner: int,
+                        moves: Mapping[Vertex, Vertex]) -> FiniteStateStrategy:
+    """Wrap a vertex-to-vertex move map as a one-state strategy."""
     mem = trivial_memory(arena)
-    table = filled_moves(arena, owner, moves, within) if fill else moves
     next_move = {}
-    for v, w in table.items():
+    for v, w in moves.items():
         if arena.owner.get(v) != owner:
             raise InputError(f"move given for vertex {v!r} not owned by player {owner}")
         if not arena.has_edge(v, w):

@@ -16,7 +16,7 @@ from typing import Tuple
 from .arena import Arena, attractor
 from .errors import CapabilityError, InputError
 from .extnat import INF, ExtNat
-from .memory import FiniteStateStrategy, positional_strategy
+from .memory import FiniteStateStrategy, filled_moves, positional_strategy
 from .objectives import (Buchi, CoBuchi, Objective, Safety, rank_cost_lasso,
                          validate_objective, validate_rank)
 from .qualsolve import SolveResult, solve_pruned, solve_safety_cobuchi
@@ -129,7 +129,7 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
                 moves.update(toward_core)
         elif last is not None:
             moves = {v: w for (v, _s), w in last.build(1).next_move.items()}
-        return positional_strategy(arena, player, moves, fill=True)
+        return positional_strategy(arena, player, filled_moves(arena, player, moves))
     return SolveResult(frozenset(arena.vertices) - cur, cur, build)
 
 
