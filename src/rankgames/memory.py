@@ -110,13 +110,13 @@ def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
     return reached, update
 
 
-def explore_product(arena: Arena, initial: State, step, seeds: Iterable[Tuple[Vertex, State]] = (),
-                    within=None) -> Tuple[MemoryStructure, Arena]:
-    """Memory and product arena of one :func:`explore` walk, inside the
-    alive set ``within``, from its anchor paired with ``initial`` and
-    from ``seeds``; both hold exactly what the walk reached."""
-    start = (anchor(arena, within), initial)
-    reached, update = explore(arena, [start, *seeds], step, within=within)
+def explore_product(arena: Arena, initial: State, step,
+                    seeds: Iterable[Tuple[Vertex, State]] = ()) -> Tuple[MemoryStructure, Arena]:
+    """Memory and product arena of one :func:`explore` walk from the
+    initial vertex paired with ``initial`` and from ``seeds``; both hold
+    exactly what the walk reached."""
+    start = (arena.initial, initial)
+    reached, update = explore(arena, [start, *seeds], step)
     memory = MemoryStructure(tuple(sorted({s for _v, s in reached})), initial, update)
     owner = {pv: arena.owner[pv[0]] for pv in reached}
     edges = frozenset(((u, s), (w, t)) for (s, (u, w)), t in update.items())
@@ -141,10 +141,12 @@ class NumberedProduct:
 
 def explore_numbered(arena: Arena, initial: State, step, seeds: Iterable[Tuple[Vertex, State]] = (),
                      within=None) -> Tuple[list, dict, NumberedProduct]:
-    """:func:`explore_product`'s walk with its product numbered: the
-    reached states in sorted order, the update table, and the numbered
-    product.  Integers hash and compare cheaply where nested (vertex,
-    state) labels do not, and the numbering keeps the labels' order."""
+    """One :func:`explore` walk inside the alive set ``within``, from its
+    anchor paired with ``initial`` and from ``seeds``, with its product
+    numbered: returns the reached states in sorted order, the update table
+    and the numbered product.  Integers hash and compare cheaply where
+    nested (vertex, state) labels do not, and the numbering keeps the
+    labels' order."""
     starts = [(anchor(arena, within), initial), *seeds]
     reached, update = explore(arena, starts, step, within=within)
     states = sorted({s for _v, s in reached})
@@ -206,21 +208,18 @@ def extend_lasso(mem: MemoryStructure, lasso: Lasso) -> Lasso:
         offset = (offset + 1) % n_loop
 
 
-def _product_walk(m1: MemoryStructure, m2: MemoryStructure, arena: Arena, seeds=(),
-                  owner: Optional[int] = None, move=None, within=None):
+def _product_walk(m1: MemoryStructure, m2: MemoryStructure, arena: Arena,
+                  owner: Optional[int] = None, move=None):
     """:func:`explore` under ``m1`` run alongside ``m2``, a memory over the
-    ``m1``-expanded arena's edges, inside ``within`` from its anchor and
-    from each ``seeds`` pair (vertex, ``m1`` state) with ``m2`` initial.
-    Returns the reached pairs and the memory: all state pairs, the reached
-    rows."""
+    ``m1``-expanded arena's edges, from the initial vertex.  Returns the
+    reached pairs and the memory: all state pairs, the reached rows."""
     def step(state, edge):
         s1, s2 = state
         t1 = m1.step(s1, edge)
         return t1, m2.step(s2, ((edge[0], s1), (edge[1], t1)))
 
     initial = (m1.initial, m2.initial)
-    starts = [(anchor(arena, within), initial)] + [(v, (s1, m2.initial)) for v, s1 in seeds]
-    reached, update = explore(arena, starts, step, owner, move, within)
+    reached, update = explore(arena, [(arena.initial, initial)], step, owner, move)
     states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
     return reached, MemoryStructure(states, initial, update)
 
@@ -292,9 +291,8 @@ def positional_strategy(arena: Arena, owner: int,
     return FiniteStateStrategy(owner, mem, next_move)
 
 
-def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy, arena: Arena,
-                     seeds: Iterable[Tuple[Vertex, State]] = (),
-                     within=None) -> FiniteStateStrategy:
+def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy,
+                     arena: Arena) -> FiniteStateStrategy:
     """Pull a strategy on the ``m1``-expanded arena back to ``arena``.
 
     The result runs ``m1`` alongside ``strat``'s memory and moves to the
@@ -303,16 +301,14 @@ def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy, arena: Are
 
     Its states are the full cartesian product of the two memories, so its
     size is exactly ``len(m1) * len(strat.memory)``.  Update and move rows
-    cover only the pairs that plays consistent with the result can reach,
-    from the initial vertex or from a ``seeds`` pair (vertex, ``m1``
-    state), where ``strat``'s memory starts in its initial state; its
-    memory and moves must be defined wherever those plays go.  With an
-    alive set ``within``, plays stay inside it and start from its anchor.
+    cover only the pairs that plays consistent with the result can reach
+    from the initial vertex; its memory and moves must be defined wherever
+    those plays go.
     """
     def move(v, state):
         return strat.move((v, state[0]), state[1])[0]
 
-    reached, memory = _product_walk(m1, strat.memory, arena, seeds, strat.owner, move, within)
+    reached, memory = _product_walk(m1, strat.memory, arena, strat.owner, move)
     next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == strat.owner}
     return FiniteStateStrategy(strat.owner, memory, next_move)
 
