@@ -669,7 +669,7 @@ def test_output_is_independent_of_the_hash_seed(tmp_path):
     assert runs[0] == runs[1]
 
 
-_REQUESTS_DRIVER = """
+_REQUEST_RUNNER = """
 import contextlib, io, json, sys
 from rankgames.cli import main
 runs = []
@@ -706,7 +706,7 @@ def test_six_pair_and_cost_rr_bytes_are_independent_of_the_hash_seed(tmp_path):
     src = os.path.dirname(os.path.dirname(rankgames.__file__))
     runs = []
     for seed in ("0", "1"):
-        proc = subprocess.run([sys.executable, "-c", _REQUESTS_DRIVER, json.dumps(requests)],
+        proc = subprocess.run([sys.executable, "-c", _REQUEST_RUNNER, json.dumps(requests)],
                               cwd=tmp_path, capture_output=True, text=True, timeout=120,
                               env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
