@@ -1,0 +1,128 @@
+"""Pulling product strategies back to the source arena, held to the
+reference walks in ``pullback_reference``.
+
+Memory products, composed strategies, strategies lifted through
+quantitative reductions (composed ones included) and request-response
+strategies read back through their numbered product must all agree with
+the reference on owner, states, initial state, update rows and moves.
+"""
+
+import random
+
+import pullback_reference as ref
+from rankgames.arena import attractor
+from rankgames.extnat import INF
+from rankgames.gen import random_arena, random_costrr_game, random_subset
+from rankgames.memory import (FiniteStateStrategy, MemoryStructure, compose_strategy,
+                              expand, product_memory)
+from rankgames.objectives import RequestResponse
+from rankgames.qualsolve import rr_memory, solve_buchi, solve_request_response
+from rankgames.quantred import QuantReduction, compose, identity_table, lift_strategy
+from rankgames.ranked import RankedGame, solve_sup_with_bound
+from rankgames.rrcost import build_reduction, cap_bound, optimize
+
+
+def _rows(strategy):
+    mem = strategy.memory
+    return strategy.owner, mem.states, mem.initial, mem.update, strategy.next_move
+
+
+def _random_memory(rng, arena, states):
+    """Memory on ``states`` with a random row for every (state, edge)."""
+    update = {(s, e): rng.choice(states) for s in states for e in sorted(arena.edges)}
+    return MemoryStructure(states, rng.choice(states), update)
+
+
+def _random_strategy(rng, product, owner):
+    """Random strategy on ``product`` with a memory of up to three letters."""
+    m2 = _random_memory(rng, product, tuple("xyz"[:rng.randint(1, 3)]))
+    moves = {(pv, s): rng.choice(product.succ[pv])
+             for pv in product.owned_by(owner) for s in m2.states}
+    return FiniteStateStrategy(owner, m2, moves)
+
+
+def _assert_lifts_match(r, target_result, arena):
+    for player in (0, 1):
+        strat = target_result.strategy_of(player)
+        assert _rows(lift_strategy(r, strat)) == \
+            _rows(ref.compose_strategy(r.memory, strat, arena))
+
+
+def _toggled(game: RankedGame) -> QuantReduction:
+    """Reduction of a ranked request-response game to its product with a
+    two-state memory that flips on every edge, ranks and pairs carried
+    over."""
+    arena = game.arena
+    mem = MemoryStructure((0, 1), 0, {(s, e): 1 - s for s in (0, 1) for e in arena.edges})
+    product = expand(arena, mem)
+    pairs = tuple((frozenset(pv for pv in product.vertices if pv[0] in q),
+                   frozenset(pv for pv in product.vertices if pv[0] in p))
+                  for q, p in game.objective.pairs)
+    rk = {pv: game.rk[pv[0]] for pv in product.vertices}
+    target = RankedGame(product, RequestResponse(pairs), rk, game.mode)
+    return QuantReduction(mem, identity_table(), INF, game, target)
+
+
+class TestMemoryProductsAndComposedStrategies:
+    def test_random_arenas_with_random_memories(self):
+        rng = random.Random(1101)
+        for _ in range(60):
+            arena = random_arena(rng, rng.randint(2, 8))
+            m1 = _random_memory(rng, arena, tuple(range(rng.randint(1, 3))))
+            product = expand(arena, m1)
+            m2 = _random_memory(rng, product, ("x", "y"))
+            got, want = product_memory(m1, m2, arena), ref.product_memory(m1, m2, arena)
+            assert (got.states, got.initial, got.update) == \
+                (want.states, want.initial, want.update)
+            for owner in (0, 1):
+                strat = _random_strategy(rng, product, owner)
+                assert _rows(compose_strategy(m1, strat, arena)) == \
+                    _rows(ref.compose_strategy(m1, strat, arena))
+
+
+class TestLiftedReductionStrategies:
+    def test_bounds_zero_optimum_and_cap(self, a2_game, a3_game):
+        rng = random.Random(1102)
+        games = [a2_game, a3_game] + [random_costrr_game(rng, 5, 2, 1) for _ in range(10)]
+        costs = set()
+        for game in games:
+            cost = optimize(game).cost
+            costs.add(cost)
+            for b in sorted({0, cap_bound(game)} | ({cost} if cost != INF else set())):
+                r = build_reduction(game, b)
+                _assert_lifts_match(r, solve_sup_with_bound(r.target, b), game.arena)
+        assert {0, 3, INF} <= costs
+
+    def test_composed_reduction(self, a2_game):
+        rng = random.Random(1103)
+        games = [a2_game] + [random_costrr_game(rng, 5, 2, 1) for _ in range(4)]
+        for game in games:
+            for b in (0, 2):
+                r1 = build_reduction(game, b)
+                composed = compose(r1, _toggled(r1.target))
+                assert len(composed.memory) == 2 * len(r1.memory)
+                _assert_lifts_match(composed, solve_sup_with_bound(composed.target, b),
+                                    game.arena)
+
+
+class TestRequestResponseStrategies:
+    def _assert_builder_matches(self, arena, pairs, within):
+        mem, _seeds, product = rr_memory(arena, pairs, within)
+        progress = [ptr not in opened for opened, ptr in mem.states]
+        res = solve_buchi(product.arena, frozenset(
+            i for i, (_v, j) in enumerate(product.pairs) if progress[j]))
+        got = solve_request_response(arena, pairs, within)
+        for player in (0, 1):
+            want = ref.compose_numbered(mem, product, res.moves(player), player)
+            assert _rows(got.build(player)) == _rows(want)
+
+    def test_inside_and_outside_an_alive_set(self):
+        rng = random.Random(1104)
+        for i in range(16):
+            arena = random_arena(rng, 12, p0_max_outdeg=3)
+            pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
+                          for _ in range(1 + i % 4))
+            region, _ = attractor(arena, rng.randint(0, 1), random_subset(rng, arena, 0.1))
+            keep = frozenset(arena.vertices) - region
+            for within in (None, keep or None):
+                self._assert_builder_matches(arena, pairs, within)
