@@ -105,11 +105,6 @@ class Arena:
             return self
         return Arena(self.vertices, self.owner, self.edges, v)
 
-    def swap_owners(self) -> "Arena":
-        """The same graph with the two players' vertices exchanged."""
-        return Arena(self.vertices, {v: 1 - p for v, p in self.owner.items()},
-                     self.edges, self.initial)
-
 
 def anchor(arena: Arena, within=None) -> Vertex:
     """Initial vertex of the sub-arena induced by ``within``: the arena's

@@ -180,60 +180,63 @@ def extend_lasso(mem: MemoryStructure, lasso: Lasso) -> Lasso:
     a (loop offset, state) pair repeats; the extended loop length always
     divides loop length times memory size.
     """
-    states = [mem.initial]
-    sp = lasso.spine()
-    for i in range(len(sp) - 1):
-        states.append(mem.step(states[-1], (sp[i], sp[i + 1])))
-    # states[i] is the memory state at position i of prefix+loop
-    n_pre, n_loop = len(lasso.prefix), len(lasso.loop)
-    pairs = list(zip(sp, states))
-    pos = n_pre  # current absolute position in the play
-    vertex = lasso.loop[0] if n_loop else None
-    state = states[n_pre]
-    seen = {}
-    tail = []  # (vertex, state) pairs from the start of the loop portion
-    offset = 0
-    while True:
-        key = (offset, state)
-        if key in seen:
-            start = seen[key]
-            prefix = tuple(pairs[:n_pre]) + tuple(tail[:start])
-            loop = tuple(tail[start:])
-            return Lasso(prefix, loop)
-        seen[key] = len(tail)
-        vertex = lasso.loop[offset]
-        tail.append((vertex, state))
-        nxt = lasso.loop[(offset + 1) % n_loop]
-        state = mem.step(state, (vertex, nxt))
-        offset = (offset + 1) % n_loop
+    state, prefix, loop = mem.initial, [], lasso.loop
+    for v, w in zip(lasso.prefix, lasso.spine()[1:]):
+        prefix.append((v, state))
+        state = mem.step(state, (v, w))
+    seen, tail, offset = {}, [], 0  # tail: (vertex, state) pairs of the unrolled loop
+    while (offset, state) not in seen:
+        seen[(offset, state)] = len(tail)
+        tail.append((loop[offset], state))
+        nxt = (offset + 1) % len(loop)
+        state = mem.step(state, (loop[offset], loop[nxt]))
+        offset = nxt
+    start = seen[(offset, state)]
+    return Lasso(tuple(prefix + tail[:start]), tuple(tail[start:]))
 
 
-def _product_walk(m1: MemoryStructure, m2: MemoryStructure, arena: Arena,
-                  owner: Optional[int] = None, move=None):
-    """:func:`explore` under ``m1`` run alongside ``m2``, a memory over the
-    ``m1``-expanded arena's edges, from the initial vertex.  Returns the
-    reached pairs and the memory: all state pairs, the reached rows."""
-    def step(state, edge):
-        s1, s2 = state
-        t1 = m1.step(s1, edge)
-        return t1, m2.step(s2, ((edge[0], s1), (edge[1], t1)))
+def pull_back(m1: MemoryStructure, product, m2: MemoryStructure,
+              owner: Optional[int] = None, move=None) -> Tuple[MemoryStructure, dict]:
+    """Read ``m2``, a memory over an ``m1`` product's edges, and the moves
+    ``move(product vertex, m2 state)`` of ``owner`` there back to the source.
 
-    initial = (m1.initial, m2.initial)
-    reached, update = explore(arena, [(arena.initial, initial)], step, owner, move)
-    states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
-    return reached, MemoryStructure(states, initial, update)
+    ``product`` is a labelled expansion, with (vertex, ``m1`` state) pairs
+    as vertices, or a :class:`NumberedProduct`.  One :func:`explore` walk
+    runs from its start vertices, and each vertex it reaches is decoded to
+    its pair.  As the product's successors of (u, s1) are exactly (w,
+    ``m1.step(s1, (u, w))``), this reaches what ``m1`` run alongside
+    ``m2`` over the source would.  Returns the memory, on all state pairs
+    with the walk's rows, and the moves at reached ``owner`` vertices."""
+    if isinstance(product, NumberedProduct):
+        arena, starts, pairs, states = product.arena, product.starts, product.pairs, m1.states
+
+        def decode(i):
+            v, j = pairs[i]
+            return v, states[j]
+    else:
+        arena, starts, decode = product, (product.initial,), lambda pv: pv
+    rows = explore(arena, [(p, m2.initial) for p in starts], m2.step, owner, move)[1]
+    update, next_move = {}, {}
+    for (s2, (p, q)), t2 in rows.items():
+        (v, s1), (w, t1) = decode(p), decode(q)
+        update[((s1, s2), (v, w))] = (t1, t2)
+        if arena.owner[p] == owner:  # the walk's one row there is the move
+            next_move[(v, (s1, s2))] = w
+    pair_states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
+    return MemoryStructure(pair_states, (m1.initial, m2.initial), update), next_move
 
 
 def product_memory(m1: MemoryStructure, m2: MemoryStructure, arena: Arena) -> MemoryStructure:
     """Memory over ``arena`` running ``m1`` alongside a memory ``m2`` over
-    the ``m1``-expanded arena's edges: all state pairs, with update rows on
-    exactly the (state, edge) pairs that plays from the initial vertex
-    reach.  A step there that ``m1`` or ``m2`` lacks raises ``InputError``."""
+    the ``m1``-expanded arena's edges, pulled back from ``expand(arena,
+    m1)``: all state pairs, with rows on exactly the (state, edge) pairs
+    that plays from the initial vertex reach.  ``m1`` and ``m2`` need rows
+    wherever those plays go; a missing one raises ``InputError``."""
     for (_s, e) in m2.update:
         if not all(isinstance(pv, tuple) and len(pv) == 2 for pv in e):
             raise InputError("second memory must read edges of the expanded arena")
         break
-    return _product_walk(m1, m2, arena)[1]
+    return pull_back(m1, expand(arena, m1), m2)[0]
 
 
 @dataclass(frozen=True)
@@ -296,40 +299,13 @@ def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy,
     """Pull a strategy on the ``m1``-expanded arena back to ``arena``.
 
     The result runs ``m1`` alongside ``strat``'s memory and moves to the
-    vertex component of what ``strat`` would play.  Plays consistent with
-    the result extend, through ``m1``, to plays consistent with ``strat``.
-
-    Its states are the full cartesian product of the two memories, so its
-    size is exactly ``len(m1) * len(strat.memory)``.  Update and move rows
-    cover only the pairs that plays consistent with the result can reach
-    from the initial vertex; its memory and moves must be defined wherever
-    those plays go.
+    vertex component of what ``strat`` would play, so plays consistent
+    with it extend, through ``m1``, to plays consistent with ``strat``.
+    Its states are all pairs of the two memories' states, so its size is
+    exactly ``len(m1) * len(strat.memory)``.  It is pulled back from
+    ``expand(arena, m1)``, so ``m1`` needs rows wherever a play from the
+    initial vertex can go; its own rows cover only what plays consistent
+    with it reach from there, and ``strat`` must be defined on those.
     """
-    def move(v, state):
-        return strat.move((v, state[0]), state[1])[0]
-
-    reached, memory = _product_walk(m1, strat.memory, arena, strat.owner, move)
-    next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == strat.owner}
-    return FiniteStateStrategy(strat.owner, memory, next_move)
-
-
-def compose_numbered(m1: MemoryStructure, product: NumberedProduct, moves: Mapping[int, int],
-                     owner: int) -> FiniteStateStrategy:
-    """:func:`compose_strategy` for the positional strategy ``moves`` on a
-    numbered product of ``m1``, from the product's start pairs.
-
-    The result is the strategy ``compose_strategy`` pulls back, with the
-    same states ``(m1 state, 0)`` and the same rows; the walk runs on
-    product ids, and vertex i stands for the vertex and ``m1`` state of
-    ``pairs[i]``.
-    """
-    reached, rows = explore(product.arena, [(i, 0) for i in product.starts],
-                            lambda _s, _e: 0, owner, lambda i, _s: moves[i])
-    states = tuple((s, 0) for s in m1.states)
-    vertex = [v for v, _j in product.pairs]
-    state = [states[j] for _v, j in product.pairs]
-    update = {(state[i], (vertex[i], vertex[k])): state[k] for _s, (i, k) in rows}
-    next_move = {(vertex[i], state[i]): vertex[moves[i]]
-                 for i, _s in reached if product.arena.owner[i] == owner}
-    return FiniteStateStrategy(owner, MemoryStructure(states, (m1.initial, 0), update),
-                               next_move)
+    return FiniteStateStrategy(strat.owner, *pull_back(m1, expand(arena, m1), strat.memory,
+                                                       strat.owner, strat.move))

@@ -121,11 +121,6 @@ def map_sets(obj: Objective, fn) -> Objective:
     return type(obj)(*(fn(getattr(obj, f.name)) for f in fields(obj)))
 
 
-def restrict_objective(obj: Objective, keep) -> Objective:
-    """The same condition over a sub-arena's vertex set."""
-    return map_sets(obj, frozenset(keep).intersection)
-
-
 def relabel_objective(obj: Objective, fn) -> Objective:
     """The same condition with every vertex renamed through ``fn``."""
     return map_sets(obj, lambda vs: frozenset(map(fn, vs)))

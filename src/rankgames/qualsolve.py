@@ -4,7 +4,9 @@ Each solver returns both winning regions together with a builder for
 finite-state winning strategies.  All shipped objectives are determined,
 so the two regions always partition the vertex set.  Safety, Buchi,
 coBuchi and the safety/coBuchi conjunction admit positional strategies;
-request-response strategies carry the open-request memory.
+request-response strategies carry the open-request memory.  Open request
+sets are stated here once, as bitmasks (:func:`rr_memory`); the oracle in
+:mod:`rankgames.verify` states them once on its own, as sorted tuples.
 
 Every solver takes an optional alive set ``within`` (see
 :mod:`rankgames.arena`) and then solves the sub-arena it induces, on the
@@ -21,9 +23,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .arena import Arena, Vertex, anchor, attractor, first_successor
 from .errors import InputError
-from .memory import (FiniteStateStrategy, MemoryStructure, NumberedProduct,
-                     compose_numbered, explore, explore_numbered, filled_moves,
-                     positional_strategy)
+from .memory import (FiniteStateStrategy, MemoryStructure, NumberedProduct, explore,
+                     explore_numbered, filled_moves, positional_strategy, pull_back,
+                     trivial_memory)
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
                          SafetyAndCoBuchi, validate_objective)
 
@@ -147,28 +149,6 @@ def solve_cobuchi(arena: Arena, avoid, within=None) -> SolveResult:
     return _buchi(arena, avoid, within, 1)
 
 
-def rr_open_update(pairs, open_set: tuple, entered: Vertex) -> tuple:
-    """Open requests after entering a vertex: new requests are added, then
-    answered ones removed, so a vertex that both requests and responds
-    answers its own request.
-
-    This is the statement on sorted tuples that :mod:`rankgames.verify`
-    tracks plays with; the solver runs the same step on bitmasks."""
-    opened = set(open_set)
-    for c, (q, _p) in enumerate(pairs):
-        if entered in q:
-            opened.add(c)
-    for c, (_q, p) in enumerate(pairs):
-        if entered in p:
-            opened.discard(c)
-    return tuple(sorted(opened))
-
-
-def rr_seed_state(pairs, vertex: Vertex) -> tuple:
-    """Memory state a request-response play anchored at ``vertex`` starts in."""
-    return (rr_open_update(pairs, (), vertex), 0)
-
-
 def _tuple_rank(mask: int, d: int) -> int:
     """Position of the open set ``mask``, written as its sorted tuple of
     pair indices, among all subsets of range(d) in tuple order.
@@ -258,8 +238,9 @@ def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
 
     Player 0 wins from a vertex iff she wins the product Buchi game from
     that vertex paired with its fresh memory state.  The Buchi game runs on
-    the integer-numbered product of :func:`rr_memory`, and strategies are
-    read back through its numbering.  Her strategy is the product strategy
+    the integer-numbered product of :func:`rr_memory`, and each player's
+    strategy there is read back through that product by
+    :func:`rankgames.memory.pull_back`.  Her strategy is the product strategy
     folded back through the memory, of size at most (number of pairs) *
     2^(number of pairs); both strategies are tabulated on what plays from
     every seeded vertex can reach.
@@ -273,8 +254,12 @@ def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
     # the walk started from the anchor, then from each seed in order
     region_0 = frozenset(v for v, i in zip(seeds, product.starts[1:]) if i in res.region_0)
     region_1 = frozenset(seeds) - region_0
-    return SolveResult(region_0, region_1, lambda player: compose_numbered(
-        mem, product, res.moves(player), player))
+
+    def build(player):
+        moves = res.moves(player)
+        return FiniteStateStrategy(player, *pull_back(
+            mem, product, trivial_memory(product.arena), player, lambda i, _s: moves[i]))
+    return SolveResult(region_0, region_1, build)
 
 
 def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveResult:

@@ -14,8 +14,8 @@ from typing import Union
 
 from .errors import InputError
 from .extnat import INF, ExtNat, check_extnat, fmt, is_finite
-from .memory import (FiniteStateStrategy, MemoryStructure, compose_strategy,
-                     expand, extend_lasso, product_memory, trivial_memory)
+from .memory import (FiniteStateStrategy, MemoryStructure, expand, extend_lasso,
+                     product_memory, pull_back, trivial_memory)
 
 IDENTITY_TAIL = "identity"
 CONSTANT_TAIL = "constant"
@@ -252,11 +252,15 @@ def _max_preimage(f: CorrectionFunction, b1: ExtNat, limit: ExtNat) -> ExtNat:
 def lift_strategy(r: QuantReduction, strat: FiniteStateStrategy) -> FiniteStateStrategy:
     """Fold a strategy on the target game back to the source game.
 
-    The lifted strategy runs the reduction memory alongside the target
-    strategy's and therefore has exactly the product size; its update and
-    move rows cover only what plays from the source's initial vertex that
-    are consistent with it can reach.  Its cost contract (target cost
-    f(b') below the parameter gives source cost b') is certified by the
-    verify module, not assumed here.
+    The strategy is read back through ``r.target.arena``, the expansion
+    it was solved on, by one walk of it (:func:`rankgames.memory.pull_back`):
+    no memory is stepped and no second expansion is built.  The lifted
+    strategy runs the reduction memory alongside the target strategy's and
+    therefore has exactly the product size; its update and move rows cover
+    only what plays from the source's initial vertex that are consistent
+    with it can reach.  Its cost contract (target cost f(b') below the
+    parameter gives source cost b') is certified by the verify module, not
+    assumed here.
     """
-    return compose_strategy(r.memory, strat, r.source.arena)
+    return FiniteStateStrategy(strat.owner, *pull_back(r.memory, r.target.arena, strat.memory,
+                                                       strat.owner, strat.move))

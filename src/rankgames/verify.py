@@ -22,7 +22,7 @@ from .extnat import INF, ExtNat
 from .memory import FiniteStateStrategy, MemoryStructure, expand
 from .objectives import (Buchi, CoBuchi, CostRRSpec, Objective,
                          RequestResponse, Safety, SafetyAndCoBuchi, conjuncts)
-from .qualsolve import SolveResult, rr_open_update
+from .qualsolve import SolveResult
 from .ranked import RankedCondition
 from .resilience import FaultArena
 from .rrcost import (CostRRGame, counter_pending, counter_seed, counter_step,
@@ -199,6 +199,30 @@ def _closed_walk(succ, comp: set, entry, anchors: Iterable = ()) -> List:
 # visit, step(value, edge) advances it along an edge.
 
 _NO_TRACKER = (lambda v: None, lambda t, e: None)
+
+
+def rr_open_update(pairs, open_set: tuple, entered: Vertex) -> tuple:
+    """Open requests after entering a vertex: new requests are added, then
+    answered ones removed, so a vertex that both requests and responds
+    answers its own request.
+
+    This is the oracle's own statement, on sorted tuples of pair indices;
+    the solver states the same step once, on bitmasks
+    (:func:`rankgames.qualsolve.rr_memory`)."""
+    opened = set(open_set)
+    for c, (q, _p) in enumerate(pairs):
+        if entered in q:
+            opened.add(c)
+    for c, (_q, p) in enumerate(pairs):
+        if entered in p:
+            opened.discard(c)
+    return tuple(sorted(opened))
+
+
+def rr_seed_state(pairs, vertex: Vertex) -> tuple:
+    """Open-request memory state, (open tuple, pointer), that a
+    request-response play anchored at ``vertex`` starts in."""
+    return (rr_open_update(pairs, (), vertex), 0)
 
 
 def _open_tracker(pairs):

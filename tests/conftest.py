@@ -2,7 +2,7 @@ import pytest
 
 from rankgames.arena import Arena, Lasso
 from rankgames.memory import FiniteStateStrategy
-from rankgames.objectives import CostRRSpec
+from rankgames.objectives import CostRRSpec, map_sets
 from rankgames.resilience import FaultArena
 from rankgames.rrcost import CostRRGame
 
@@ -85,3 +85,14 @@ def strategy_plays(arena, strategy, start, depth, start_state=None):
 
 def play_positions(lasso: Lasso, n: int):
     return [lasso.vertex_at(i) for i in range(n)]
+
+
+def swap_owners(arena: Arena) -> Arena:
+    """The same graph with the two players' vertices exchanged."""
+    return Arena(arena.vertices, {v: 1 - p for v, p in arena.owner.items()},
+                 arena.edges, arena.initial)
+
+
+def restrict_objective(obj, keep):
+    """The same condition over a sub-arena's vertex set."""
+    return map_sets(obj, frozenset(keep).intersection)

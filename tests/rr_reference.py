@@ -10,7 +10,8 @@ package's solver to it: same memory, regions and strategies.
 
 from rankgames.arena import Arena, anchor
 from rankgames.memory import FiniteStateStrategy, MemoryStructure, explore
-from rankgames.qualsolve import SolveResult, rr_open_update, rr_seed_state, solve_buchi
+from rankgames.qualsolve import SolveResult, solve_buchi
+from rankgames.verify import rr_open_update, rr_seed_state
 
 
 def rr_memory(arena, pairs, within=None):

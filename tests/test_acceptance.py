@@ -24,9 +24,8 @@ from rankgames.memory import (FiniteStateStrategy, expand, extend_lasso,
                               product_memory, trivial_memory)
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
                                   relabel_objective)
-from rankgames.qualsolve import (rr_memory, rr_seed_state, solve_buchi,
-                                 solve_cobuchi, solve_request_response,
-                                 solve_safety)
+from rankgames.qualsolve import (rr_memory, solve_buchi, solve_cobuchi,
+                                 solve_request_response, solve_safety)
 from rankgames.quantred import (QuantReduction, Table,
                                 check_reduction_on_lasso, compose,
                                 lift_strategy, trivial_reduction)
@@ -37,7 +36,7 @@ from rankgames.rrcost import (CostRRGame, build_reduction, cap_bound,
                               optimize as optimize_cost,
                               solve_with_bound as solve_cost)
 from rankgames.verify import (_candidate_graphs, enumerate_regions,
-                              enumerate_solve, max_response_cost,
+                              enumerate_solve, max_response_cost, rr_seed_state,
                               simulate_faults, verify_strategy)
 
 

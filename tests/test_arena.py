@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from rankgames.arena import Arena, Lasso, attractor, is_subarena, restrict
 from rankgames.errors import InputError
 
+from conftest import swap_owners
+
 
 @st.composite
 def arenas(draw, max_n=5):
@@ -152,7 +154,7 @@ class TestIsSubarena:
         assert is_subarena(a1, bigger)
 
     def test_ownership_mismatch(self, a1):
-        flipped = a1.swap_owners()
+        flipped = swap_owners(a1)
         assert not is_subarena(flipped, a1)
 
 

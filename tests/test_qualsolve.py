@@ -8,12 +8,13 @@ from rankgames.arena import Arena, attractor, relabel, restrict
 from rankgames.gen import random_arena, random_subset
 from rankgames.memory import expand, trivial_memory
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
-                                  SafetyAndCoBuchi, restrict_objective)
-from rankgames.qualsolve import (rr_memory, rr_seed_state, solve_buchi,
-                                 solve_cobuchi, solve_objective,
-                                 solve_request_response, solve_safety,
-                                 solve_safety_cobuchi)
-from rankgames.verify import enumerate_regions, verify_strategy
+                                  SafetyAndCoBuchi)
+from rankgames.qualsolve import (rr_memory, solve_buchi, solve_cobuchi,
+                                 solve_objective, solve_request_response,
+                                 solve_safety, solve_safety_cobuchi)
+from rankgames.verify import enumerate_regions, rr_seed_state, verify_strategy
+
+from conftest import restrict_objective, swap_owners
 
 
 def certify_both(arena, objective, res, seeds=None):
@@ -78,7 +79,7 @@ class TestSolveCoBuchi:
             arena = random_arena(rng, rng.randint(2, 6))
             avoid = random_subset(rng, arena)
             left = solve_cobuchi(arena, avoid).region_0
-            right = solve_buchi(arena.swap_owners(), avoid).region_1
+            right = solve_buchi(swap_owners(arena), avoid).region_1
             assert left == right
 
 
