@@ -254,7 +254,8 @@ def lift_strategy(r: QuantReduction, strat: FiniteStateStrategy) -> FiniteStateS
 
     The strategy is read back through ``r.target.arena``, the expansion
     it was solved on, by one walk of it (:func:`rankgames.memory.pull_back`):
-    no memory is stepped and no second expansion is built.  The lifted
+    the reduction memory is not stepped again and no second expansion is
+    built.  The lifted
     strategy runs the reduction memory alongside the target strategy's and
     therefore has exactly the product size; its update and move rows cover
     only what plays from the source's initial vertex that are consistent
