@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import pytest
 
+import rr_reference
 from rankgames.arena import Arena
 from rankgames.extnat import INF, is_finite
 from rankgames.gen import (random_arena, random_costrr_game,
@@ -24,7 +25,7 @@ from rankgames.memory import (FiniteStateStrategy, expand, extend_lasso,
                               product_memory, trivial_memory)
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
                                   relabel_objective)
-from rankgames.qualsolve import (rr_memory, solve_buchi, solve_cobuchi,
+from rankgames.qualsolve import (solve_buchi, solve_cobuchi,
                                  solve_request_response, solve_safety)
 from rankgames.quantred import (QuantReduction, Table,
                                 check_reduction_on_lasso, compose,
@@ -163,7 +164,7 @@ def test_c2_request_response_oracle_and_memory_bound():
     for arena, pairs in _rr_instances(100):
         d = len(pairs)
         res = solve_request_response(arena, pairs)
-        mem, seeds, _product = rr_memory(arena, pairs)
+        mem, seeds, _product = rr_reference.rr_memory(arena, pairs)
         oracle = enumerate_regions(arena, RequestResponse(pairs), mem,
                                    seeds=seeds.items(), guard=10 ** 6)
         assert (res.region_0, res.region_1) == oracle, (arena, pairs)
@@ -249,7 +250,8 @@ def _oracle_friendly_cost_games(count=30):
         game = random_costrr_game(rng, rng.randint(2, 4), 1, 2,
                                   p0_max_outdeg=2, response_density=0.6)
         r = build_reduction(game, cap_bound(game))
-        mem, _seeds, _product = rr_memory(r.target.arena, r.target.objective.pairs)
+        mem, _seeds, _product = rr_reference.rr_memory(r.target.arena,
+                                                       r.target.objective.pairs)
         template = product_memory(r.memory, mem, game.arena)
         product = expand(game.arena, template)
         total = 1
@@ -282,7 +284,7 @@ def _cost_artifacts():
     a2, a3 = a2_game(), a3_game()
     for game, expected in ((a2, 3), (a3, 5)):
         r = build_reduction(game, cap_bound(game))
-        mem, _, _ = rr_memory(r.target.arena, r.target.objective.pairs)
+        mem, _, _ = rr_reference.rr_memory(r.target.arena, r.target.objective.pairs)
         template = product_memory(r.memory, mem, game.arena)
         product = expand(game.arena, template)
         assert _enumerated_minimum(game, template, product) == expected

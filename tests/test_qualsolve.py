@@ -208,11 +208,11 @@ class TestDeterminacyAndOracle:
 
 
 @st.composite
-def arenas_with_traps(draw):
+def arenas_with_traps(draw, max_vertices=7):
     """A random arena and a nonempty trap in it: the complement of an
     attractor, so every vertex of the trap keeps a successor inside it."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    arena = random_arena(rng, draw(st.integers(2, 7)))
+    arena = random_arena(rng, draw(st.integers(2, max_vertices)))
     arena = arena.with_initial(draw(st.sampled_from(arena.vertices)))
     target = frozenset(draw(st.sets(st.sampled_from(arena.vertices), max_size=3)))
     region, _ = attractor(arena, draw(st.integers(0, 1)), target)
@@ -324,6 +324,23 @@ class TestBitmaskOpenSetsAgainstTheTupleReference:
             for within in (None, keep or None):
                 _assert_matches_tuple_reference(arena, pairs, within)
 
+    def test_small_arenas_with_seven_to_ten_pairs(self):
+        rng = random.Random(77)
+        for i in range(40):
+            arena = random_arena(rng, rng.randint(2, 8))
+            pairs = _rr_pairs(rng, arena, 7 + i % 4)
+            region, _ = attractor(arena, rng.randint(0, 1), random_subset(rng, arena, 0.3))
+            keep = frozenset(arena.vertices) - region
+            for within in (None, keep or None):
+                _assert_matches_tuple_reference(arena, pairs, within)
+
+    def test_fourteen_pairs_on_a_cycle(self):
+        arena = Arena.of({i: i % 2 for i in range(4)},
+                         [(i, (i + 1) % 4) for i in range(4)], 0)
+        pairs = tuple((frozenset({i % 4}), frozenset({(i + 1) % 4}))
+                      for i in range(14))
+        _assert_matches_tuple_reference(arena, pairs, None)
+
     def test_open_set_codes_sort_as_their_tuples(self):
         # the walk's codes are rank * d + pointer; ranks must order the
         # open sets as their sorted tuples order them
@@ -334,4 +351,25 @@ class TestBitmaskOpenSetsAgainstTheTupleReference:
             subsets = sorted(c for k in range(d + 1) for c in combinations(range(d), k))
             assert [_tuple_rank(sum(1 << c for c in t), d) for t in subsets] == \
                 list(range(2 ** d))
+
+
+class TestRequestResponseAgainstEnumeration:
+    """Regions equal the enumeration oracle's over the reference memory,
+    and both strategies certify from their regions with seed states."""
+
+    @given(arenas_with_traps(5), st.integers(1, 3), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_small_games_inside_and_outside_an_alive_set(self, data, d, inside):
+        rng, arena, keep = data
+        pairs = _rr_pairs(rng, arena, d)
+        within = keep if inside else None
+        res = solve_request_response(arena, pairs, within)
+        # the oracle and the certificate read the sub-arena the alive set
+        # induces, where the solver's strategies have all their moves
+        sub = _restricted(arena, keep) if inside else arena
+        objective = restrict_objective(RequestResponse(pairs), sub.vertices)
+        mem, seeds, _product = rr_reference.rr_memory(sub, objective.pairs)
+        oracle = enumerate_regions(sub, objective, mem, seeds=seeds.items())
+        assert (res.region_0, res.region_1) == oracle
+        certify_both(sub, objective, res, seeds=seeds)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import rr_reference
 from rankgames.arena import Arena, Lasso
 from rankgames.errors import CapacityError, InputError
 from rankgames.extnat import INF
@@ -11,7 +12,7 @@ from rankgames.memory import (FiniteStateStrategy, MemoryStructure,
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
                                   eval_qualitative, cost_rr_lasso,
                                   rank_cost_lasso)
-from rankgames.qualsolve import (rr_memory, solve_buchi, solve_cobuchi,
+from rankgames.qualsolve import (solve_buchi, solve_cobuchi,
                                  solve_request_response, solve_safety)
 from rankgames.ranked import RankedCondition
 from rankgames.rrcost import cap_bound, optimize, solve_with_bound
@@ -171,7 +172,7 @@ class TestEnumerate:
         for _ in range(10):
             arena = random_arena(rng, rng.randint(2, 4), p0_max_outdeg=2)
             pairs = ((random_subset(rng, arena), random_subset(rng, arena)),)
-            mem, seeds, _product = rr_memory(arena, pairs)
+            mem, seeds, _product = rr_reference.rr_memory(arena, pairs)
             oracle = enumerate_regions(arena, RequestResponse(pairs), mem,
                                        seeds=seeds.items())
             assert oracle[0] == solve_request_response(arena, pairs).region_0
