@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Tuple
 
-from .arena import Arena, Edge, Lasso, Vertex, anchor, first_successor
+from .arena import Arena, Edge, Lasso, Vertex, first_successor
 from .errors import InputError
 
 State = Any
@@ -126,10 +126,11 @@ def explore_product(arena: Arena, initial: State, step,
 @dataclass(frozen=True)
 class NumberedProduct:
     """Product arena on the integers 0..N-1, numbering the (vertex, state)
-    pairs one walk reached in sorted order.
+    pairs one walk reached in sorted order; built by
+    :func:`rankgames.qualsolve.rr_memory`.
 
     ``pairs[i]`` is product vertex i as (vertex, index of its state in the
-    sorted reached states); vertex i keeps the owner of its vertex, and
+    memory's sorted states); vertex i keeps the owner of its vertex, and
     edges are the walk's.  ``starts`` numbers the walk's start pairs in
     order: the anchor's first, then the seeds'.
     """
@@ -137,27 +138,6 @@ class NumberedProduct:
     arena: Arena
     pairs: tuple
     starts: tuple
-
-
-def explore_numbered(arena: Arena, initial: State, step, seeds: Iterable[Tuple[Vertex, State]] = (),
-                     within=None) -> Tuple[list, dict, NumberedProduct]:
-    """One :func:`explore` walk inside the alive set ``within``, from its
-    anchor paired with ``initial`` and from ``seeds``, with its product
-    numbered: returns the reached states in sorted order, the update table
-    and the numbered product.  Integers hash and compare cheaply where
-    nested (vertex, state) labels do not, and the numbering keeps the
-    labels' order."""
-    starts = [(anchor(arena, within), initial), *seeds]
-    reached, update = explore(arena, starts, step, within=within)
-    states = sorted({s for _v, s in reached})
-    index = {s: j for j, s in enumerate(states)}
-    number = {pv: i for i, pv in enumerate(sorted(reached))}
-    pairs = tuple((v, index[s]) for v, s in number)
-    owner = {i: arena.owner[v] for i, (v, _j) in enumerate(pairs)}
-    edges = frozenset((number[(u, s)], number[(w, t)]) for (s, (u, w)), t in update.items())
-    ids = tuple(number[pv] for pv in starts)
-    product = Arena(tuple(range(len(pairs))), owner, edges, ids[0])
-    return states, update, NumberedProduct(product, pairs, ids)
 
 
 def expand(arena: Arena, mem: MemoryStructure,

@@ -5,8 +5,10 @@ finite-state winning strategies.  All shipped objectives are determined,
 so the two regions always partition the vertex set.  Safety, Buchi,
 coBuchi and the safety/coBuchi conjunction admit positional strategies;
 request-response strategies carry the open-request memory.  Open request
-sets are stated here once, as bitmasks (:func:`rr_memory`); the oracle in
-:mod:`rankgames.verify` states them once on its own, as sorted tuples.
+sets are stated here once, as bitmasks coded with the round-robin pointer
+as ``open_mask * d + pointer`` and ordered by their decoded states
+(:func:`rr_memory`); the oracle in :mod:`rankgames.verify` states them
+once on its own, as sorted tuples.
 
 Every solver takes an optional alive set ``within`` (see
 :mod:`rankgames.arena`) and then solves the sub-arena it induces, on the
@@ -24,8 +26,7 @@ from typing import Callable, Dict, Optional, Tuple
 from .arena import Arena, Vertex, anchor, attractor, first_successor
 from .errors import InputError
 from .memory import (FiniteStateStrategy, MemoryStructure, NumberedProduct, explore,
-                     explore_numbered, filled_moves, positional_strategy, pull_back,
-                     trivial_memory)
+                     filled_moves, positional_strategy, pull_back, trivial_memory)
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
                          SafetyAndCoBuchi, validate_objective)
 
@@ -149,22 +150,6 @@ def solve_cobuchi(arena: Arena, avoid, within=None) -> SolveResult:
     return _buchi(arena, avoid, within, 1)
 
 
-def _tuple_rank(mask: int, d: int) -> int:
-    """Position of the open set ``mask``, written as its sorted tuple of
-    pair indices, among all subsets of range(d) in tuple order.
-
-    Tuple order puts a prefix first, so the subsets before (a1 < ... < ak)
-    are its k proper prefixes and, for each j, those that share a1..a(j-1)
-    and then take some b with a(j-1) < b < aj: 2^(d-1-b) of them for each
-    such b.  Summed, that is k + 2^d - 2^(d-1-ak) - sum of 2^(d-1-a).
-    """
-    if not mask:
-        return 0
-    members = [c for c in range(d) if mask >> c & 1]
-    return (len(members) + (1 << d) - (1 << (d - 1 - members[-1]))
-            - sum(1 << (d - 1 - c) for c in members))
-
-
 def rr_memory(arena: Arena, pairs, within=None
               ) -> Tuple[MemoryStructure, Dict[Vertex, tuple], NumberedProduct]:
     """Open-request memory with a round-robin pointer.
@@ -176,17 +161,19 @@ def rr_memory(arena: Arena, pairs, within=None
     infinitely often, which the product Buchi game below checks.
 
     The walk runs on integers.  Open sets are bitmasks: entering ``w``
-    takes ``open`` to ``(open | requests[w]) & ~responses[w]``.  A state is
-    the code ``rank * d + pointer``, where ``rank`` is the open set's place
-    in the order of sorted tuples, so codes sort as the states do.
+    takes ``open`` to ``(open | requests[w]) & ~responses[w]``, and a state
+    is the code ``open_mask * d + pointer``.
 
     Returns the memory, the per-vertex seed states and the product, from
-    one walk over what plays from the seeded vertices reach: of the
-    d * 2^d states the memory holds only those, one row per product edge.
-    The memory and seeds are decoded once to ``(open tuple, pointer)``
-    states; the product is numbered in sorted ``(vertex, state)`` order
-    (:class:`NumberedProduct`).  Every vertex of ``within`` is seeded, and
-    the memory starts in the seed state of the alive set's anchor.
+    one :func:`rankgames.memory.explore` walk inside ``within``, from its
+    anchor and from every alive vertex: of the d * 2^d states the memory
+    holds only those plays from there reach, one row per product edge.
+    Each reached code is decoded once to its ``(open tuple, pointer)``
+    state; the memory lists the states in sorted order, and the product
+    is numbered in sorted ``(vertex, state)`` order
+    (:class:`NumberedProduct`), as integers hash and compare cheaply where
+    nested labels do not.  The memory starts in the seed state of the
+    alive set's anchor.
     """
     d = len(pairs)
     if d == 0:
@@ -201,34 +188,33 @@ def rr_memory(arena: Arena, pairs, within=None
         for v in p:
             keep[v] &= ~(1 << c)
     enter = {v: (add[v], keep[v]) for v in arena.vertices}
-    rank_of, mask_of = {0: 0}, {0: 0}
-
-    def opened(mask, w):
-        """Rank of the open set after entering ``w`` with ``mask`` open."""
-        plus, kept = enter[w]
-        mask = (mask | plus) & kept
-        r = rank_of.get(mask)
-        if r is None:
-            r = rank_of[mask] = _tuple_rank(mask, d)
-            mask_of[r] = mask
-        return r
 
     def step(code, edge):
-        r, ptr = divmod(code, d)
-        mask = mask_of[r]
+        mask, ptr = divmod(code, d)
         if not mask >> ptr & 1:
             ptr = (ptr + 1) % d
-        return opened(mask, edge[1]) * d + ptr
+        plus, kept = enter[edge[1]]
+        return ((mask | plus) & kept) * d + ptr
 
     alive = arena.vertices if within is None else sorted(within)
-    seeds = {v: opened(0, v) * d for v in alive}
-    initial = seeds[anchor(arena, within)]
-    codes, update, product = explore_numbered(arena, initial, step, seeds.items(), within)
+    seeds = {v: (add[v] & keep[v]) * d for v in alive}
+    starts = [(anchor(arena, within), seeds[anchor(arena, within)]), *seeds.items()]
+    reached, update = explore(arena, starts, step, within=within)
     state = {}
-    for code in codes:
-        r, ptr = divmod(code, d)
-        state[code] = (tuple(c for c in range(d) if mask_of[r] >> c & 1), ptr)
-    mem = MemoryStructure(tuple(state.values()), state[initial],
+    for _v, code in reached:
+        if code not in state:
+            mask, ptr = divmod(code, d)
+            state[code] = (tuple(c for c in range(d) if mask >> c & 1), ptr)
+    codes = sorted(state, key=state.__getitem__)
+    rank = {code: j for j, code in enumerate(codes)}
+    order = sorted(reached, key=lambda pv: (pv[0], rank[pv[1]]))
+    number = {pv: i for i, pv in enumerate(order)}
+    owner = {i: arena.owner[v] for i, (v, _s) in enumerate(order)}
+    edges = frozenset((number[(u, s)], number[(w, t)]) for (s, (u, w)), t in update.items())
+    ids = tuple(number[pv] for pv in starts)
+    product = NumberedProduct(Arena(tuple(range(len(order))), owner, edges, ids[0]),
+                              tuple((v, rank[s]) for v, s in order), ids)
+    mem = MemoryStructure(tuple(state[code] for code in codes), state[starts[0][1]],
                           {(state[s], e): state[t] for (s, e), t in update.items()})
     return mem, {v: state[code] for v, code in seeds.items()}, product
 

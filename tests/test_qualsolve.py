@@ -341,17 +341,6 @@ class TestBitmaskOpenSetsAgainstTheTupleReference:
                       for i in range(14))
         _assert_matches_tuple_reference(arena, pairs, None)
 
-    def test_open_set_codes_sort_as_their_tuples(self):
-        # the walk's codes are rank * d + pointer; ranks must order the
-        # open sets as their sorted tuples order them
-        from itertools import combinations
-
-        from rankgames.qualsolve import _tuple_rank
-        for d in range(1, 9):
-            subsets = sorted(c for k in range(d + 1) for c in combinations(range(d), k))
-            assert [_tuple_rank(sum(1 << c for c in t), d) for t in subsets] == \
-                list(range(2 ** d))
-
 
 class TestRequestResponseAgainstEnumeration:
     """Regions equal the enumeration oracle's over the reference memory,

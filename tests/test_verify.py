@@ -193,7 +193,6 @@ class TestEnumerate:
 
         def disabled(*_args, **_kwargs):
             raise AssertionError("the solver's open-set code ran")
-        monkeypatch.setattr(qualsolve, "_tuple_rank", disabled)
         monkeypatch.setattr(qualsolve, "rr_memory", disabled)
         verdicts = [verify_strategy(arena, RequestResponse(pairs), strategy).certified
                     for arena, pairs, strategy, _wins in cases]
