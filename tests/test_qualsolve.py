@@ -133,6 +133,7 @@ class TestSolveRequestResponse:
         assert res.region_0 == frozenset(arena.vertices)
         seeds = {v: rr_seed_state(pairs, v) for v in arena.vertices}
         certify_both(arena, RequestResponse(pairs), res, seeds=seeds)
+        _assert_matches_tuple_reference(arena, pairs, None)
 
     def test_interleaved_pairs_stay_answered(self):
         # pair 0 pending exactly at odd steps, pair 1 at even steps; every
@@ -333,13 +334,6 @@ class TestBitmaskOpenSetsAgainstTheTupleReference:
             keep = frozenset(arena.vertices) - region
             for within in (None, keep or None):
                 _assert_matches_tuple_reference(arena, pairs, within)
-
-    def test_fourteen_pairs_on_a_cycle(self):
-        arena = Arena.of({i: i % 2 for i in range(4)},
-                         [(i, (i + 1) % 4) for i in range(4)], 0)
-        pairs = tuple((frozenset({i % 4}), frozenset({(i + 1) % 4}))
-                      for i in range(14))
-        _assert_matches_tuple_reference(arena, pairs, None)
 
 
 class TestRequestResponseAgainstEnumeration:
