@@ -137,6 +137,15 @@ FIRST_ERRORS = [
     ("missing next", SAFETY_WIN,
      _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][2].pop("next")),
      "memory.update[2]: missing required field 'next'"),
+    ("unlisted initial memory state", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["memory"].update(initial="x")),
+     "initial memory state 'x' is not a state"),
+    ("unlisted state in an update row", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][1].update(next="x")),
+     "memory update mentions an unknown state"),
+    ("unlisted state in a later update row", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][2].update(state="x")),
+     "memory update mentions an unknown state"),
 ]
 
 
