@@ -12,12 +12,20 @@ part of the graph away, the vertices still in play form an alive set
 induces a sub-arena.  Functions taking ``within`` act as on that
 sub-arena, with the same iteration order, without building it; ``None``
 means the whole arena.
+
+The arena invariants are checked once per input.  ``Arena(...)`` and
+:meth:`Arena.of` check them for callers of the library; the game-file
+parser and the product walks, which produce rows that hold them by
+construction, build arenas through the private ``Arena._checked`` without
+checking again.  Predecessor lists are built on first read of ``pred``,
+so requests that never run an attractor never build them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, Mapping, Tuple
 
 from .errors import InputError
@@ -30,9 +38,12 @@ Edge = Tuple[Vertex, Vertex]
 class Arena:
     """Finite game graph with an ownership partition and initial vertex.
 
-    Invariants enforced at construction: the owner map is total with
+    Invariants checked by the constructor: the owner map is total with
     values in {0, 1}, every edge endpoint is a known vertex, the initial
     vertex is known, and every vertex has at least one outgoing edge.
+    ``vertices`` is sorted, ``owner`` follows that order, and ``succ[v]``
+    holds ``v``'s successors sorted.  ``pred[v]``, its predecessors in the
+    order of the sorted edge list, is built on first read.
     """
 
     vertices: tuple
@@ -40,21 +51,18 @@ class Arena:
     edges: frozenset
     initial: Vertex
     succ: dict = field(init=False, repr=False, compare=False)
-    pred: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(sorted(set(self.vertices)))
         if not verts:
             raise InputError("an arena needs at least one vertex")
         vset = set(verts)
-        owner = {}
         for v in verts:
             if v not in self.owner:
                 raise InputError(f"vertex {v!r} has no owner")
             pl = self.owner[v]
             if pl not in (0, 1):
                 raise InputError(f"owner of {v!r} must be 0 or 1, got {pl!r}")
-            owner[v] = pl
         if self.initial not in vset:
             raise InputError(f"initial vertex {self.initial!r} is not a vertex")
         edges = frozenset(self.edges)
@@ -69,22 +77,45 @@ class Arena:
         if unknown:
             u, w = min(unknown)
             raise InputError(f"edge ({u!r}, {w!r}) mentions an unknown vertex")
-        # sorted vertices, each with its sorted successors, is the order
-        # of the sorted edge list: succ and pred follow it
-        pred = {v: [] for v in verts}
         for v in verts:
-            out = succ[v]
-            if not out:
+            if not succ[v]:
                 raise InputError(f"vertex {v!r} has no outgoing edge")
+        self._set(verts, self.owner, edges, succ)
+
+    @classmethod
+    def _checked(cls, owner: Mapping[Vertex, int], edges: Iterable[Edge],
+                 initial: Vertex) -> "Arena":
+        """The arena ``Arena.of(owner, edges, initial)`` builds, from rows
+        that already hold its invariants, without checking them again."""
+        verts, edges = tuple(sorted(owner)), frozenset(edges)
+        succ = {v: [] for v in verts}
+        for u, w in edges:
+            succ[u].append(w)
+        arena = object.__new__(cls)
+        object.__setattr__(arena, "initial", initial)
+        arena._set(verts, owner, edges, succ)
+        return arena
+
+    def _set(self, verts: tuple, owner: Mapping[Vertex, int], edges: frozenset,
+             succ: Dict[Vertex, list]):
+        """Set the fields: ``owner`` in the order of the sorted ``verts``,
+        and ``succ``'s lists sorted into tuples."""
+        for out in succ.values():
             out.sort()
-            succ[v] = tuple(out)
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "owner", {v: owner[v] for v in verts})
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "succ", {v: tuple(out) for v, out in succ.items()})
+
+    @cached_property
+    def pred(self) -> dict:
+        """Predecessors of each vertex, in the order of the sorted edge list
+        (sorted vertices, each with its sorted successors)."""
+        pred = {v: [] for v in self.vertices}
+        for v, out in self.succ.items():
             for w in out:
                 pred[w].append(v)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "succ", succ)
-        object.__setattr__(self, "pred", {v: tuple(p) for v, p in pred.items()})
+        return {v: tuple(p) for v, p in pred.items()}
 
     @classmethod
     def of(cls, owner: Mapping[Vertex, int], edges: Iterable[Edge], initial: Vertex) -> "Arena":

@@ -11,7 +11,9 @@ The on-disk layout of a strategy file is part of the format: the text
 a final newline.  ``write_strategy`` emits that layout directly from the
 rows, and a test holds its bytes to the ``json`` reference.  Readers check
 each row inline and fall back to the field-by-field checks only to word
-the first error.
+the first error.  Each row is checked once, here: the arenas and memories
+the readers build go through the trusted constructors, which check
+nothing again.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _parse_arena(doc) -> Arena:
         for v in sorted(owner):
             if v not in with_out:
                 raise InputError(f"arena: vertex {v!r} has no outgoing edge")
-    return Arena.of(owner, edges, initial)
+    return Arena._checked(owner, edges, initial)
 
 
 # objective type names in files; the flat kinds' field names are their keys
@@ -288,17 +290,24 @@ def strategy_from_doc(doc) -> FiniteStateStrategy:
     if not all(isinstance(s, str) for s in states) or len(set(states)) != len(states):
         raise InputError("memory.states: state names must be distinct strings")
     initial = _need(memdoc, "initial", "memory", str)
-    update = {}
+    known = set(states)
+    update, unknown = {}, False
     for i, entry in enumerate(_need(memdoc, "update", "memory", list)):
         if not (type(entry) is dict and type(s := entry.get("state")) is str
                 and type(u := entry.get("from")) is str and type(w := entry.get("to")) is str
-                and type(t := entry.get("next")) is str):
+                and type(t := entry.get("next")) is str and s in known and t in known):
             s, u, w, t = _fields(entry, ("state", "from", "to", "next"), f"memory.update[{i}]")
+            unknown = unknown or s not in known or t not in known
         key = (s, (u, w))
         if key in update:
             raise InputError(f"memory.update[{i}]: duplicate update row")
         update[key] = t
-    mem = MemoryStructure(states, initial, update)
+    # state errors come after every row error, the initial state's first
+    if initial not in known:
+        raise InputError(f"initial memory state {initial!r} is not a state")
+    if unknown:
+        raise InputError("memory update mentions an unknown state")
+    mem = MemoryStructure._checked(states, initial, update)
     moves = {}
     for i, entry in enumerate(_need(doc, "moves", "strategy", list)):
         if not (type(entry) is dict and type(v := entry.get("vertex")) is str

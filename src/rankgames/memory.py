@@ -26,6 +26,10 @@ class MemoryStructure:
     pair that can occur along a play of the associated arena; builders in
     this package tabulate generated memories exactly on those reachable
     pairs, while small hand-built memories are simply total.
+
+    The constructor checks that the initial state and every state in
+    ``update`` are listed; the strategy-file reader and the builders here,
+    whose rows hold that already, use the private ``_checked`` instead.
     """
 
     states: tuple
@@ -42,6 +46,16 @@ class MemoryStructure:
             if s not in sset or t not in sset:
                 raise InputError("memory update mentions an unknown state")
 
+    @classmethod
+    def _checked(cls, states: tuple, initial: State, update: dict) -> "MemoryStructure":
+        """The memory the constructor builds, from a tuple of states that
+        holds ``initial`` and every state ``update`` mentions, unchecked."""
+        mem = object.__new__(cls)
+        object.__setattr__(mem, "states", states)
+        object.__setattr__(mem, "initial", initial)
+        object.__setattr__(mem, "update", update)
+        return mem
+
     def __len__(self) -> int:
         return len(self.states)
 
@@ -54,8 +68,10 @@ class MemoryStructure:
 
 
 def trivial_memory(arena: Arena) -> MemoryStructure:
-    """One-state memory over the given arena's edges."""
-    return MemoryStructure((0,), 0, {(0, e): 0 for e in arena.edges})
+    """One-state memory over the given arena's edges, rows in sorted edge
+    order."""
+    return MemoryStructure._checked(
+        (0,), 0, {(0, (v, w)): 0 for v, out in arena.succ.items() for w in out})
 
 
 def update_plus(mem: MemoryStructure, prefix: Iterable[Vertex]) -> State:
@@ -117,10 +133,10 @@ def explore_product(arena: Arena, initial: State, step,
     exactly what the walk reached."""
     start = (arena.initial, initial)
     reached, update = explore(arena, [start, *seeds], step)
-    memory = MemoryStructure(tuple(sorted({s for _v, s in reached})), initial, update)
+    memory = MemoryStructure._checked(tuple(sorted({s for _v, s in reached})), initial, update)
     owner = {pv: arena.owner[pv[0]] for pv in reached}
-    edges = frozenset(((u, s), (w, t)) for (s, (u, w)), t in update.items())
-    return memory, Arena(tuple(sorted(reached)), owner, edges, start)
+    edges = [((u, s), (w, t)) for (s, (u, w)), t in update.items()]
+    return memory, Arena._checked(owner, edges, start)
 
 
 @dataclass(frozen=True)
@@ -203,7 +219,7 @@ def pull_back(m1: MemoryStructure, product, m2: MemoryStructure,
         if arena.owner[p] == owner:  # the walk's one row there is the move
             next_move[(v, (s1, s2))] = w
     pair_states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
-    return MemoryStructure(pair_states, (m1.initial, m2.initial), update), next_move
+    return MemoryStructure._checked(pair_states, (m1.initial, m2.initial), update), next_move
 
 
 def product_memory(m1: MemoryStructure, m2: MemoryStructure, arena: Arena) -> MemoryStructure:

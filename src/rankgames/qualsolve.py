@@ -210,12 +210,12 @@ def rr_memory(arena: Arena, pairs, within=None
     order = sorted(reached, key=lambda pv: (pv[0], rank[pv[1]]))
     number = {pv: i for i, pv in enumerate(order)}
     owner = {i: arena.owner[v] for i, (v, _s) in enumerate(order)}
-    edges = frozenset((number[(u, s)], number[(w, t)]) for (s, (u, w)), t in update.items())
+    edges = [(number[(u, s)], number[(w, t)]) for (s, (u, w)), t in update.items()]
     ids = tuple(number[pv] for pv in starts)
-    product = NumberedProduct(Arena(tuple(range(len(order))), owner, edges, ids[0]),
+    product = NumberedProduct(Arena._checked(owner, edges, ids[0]),
                               tuple((v, rank[s]) for v, s in order), ids)
-    mem = MemoryStructure(tuple(state[code] for code in codes), state[starts[0][1]],
-                          {(state[s], e): state[t] for (s, e), t in update.items()})
+    mem = MemoryStructure._checked(tuple(state[code] for code in codes), state[starts[0][1]],
+                                   {(state[s], e): state[t] for (s, e), t in update.items()})
     return mem, {v: state[code] for v, code in seeds.items()}, product
 
 
@@ -269,7 +269,7 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
             mem, moves = base.memory, base.next_move
         else:
             # one state, whose rows the walk below would only read as stay-put
-            mem = MemoryStructure((0,), 0, {})
+            mem = MemoryStructure._checked((0,), 0, {})
             moves = {(v, 0): w for v, w in res.moves(player).items()}
 
         def step(s, e):
@@ -284,8 +284,8 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
         reached, update = explore(arena, [(v, mem.initial) for v in alive], step,
                                   player, move, within)
         next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == player}
-        return FiniteStateStrategy(player, MemoryStructure(mem.states, mem.initial, update),
-                                   next_move)
+        return FiniteStateStrategy(
+            player, MemoryStructure._checked(mem.states, mem.initial, update), next_move)
     return SolveResult(res.region_0, attr_1 | res.region_1, build, kept=res)
 
 

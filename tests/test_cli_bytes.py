@@ -11,6 +11,10 @@ six-pair request-response game's (``qual-rr6``), before the
 request-response solver moved to bitmask open sets.
 Re-record only for a change that is meant to alter output:
 ``PYTHONPATH=src python tests/test_cli_bytes.py``.
+
+The same requests on game files with their vertex and edge rows reversed
+and one edge row repeated must give the same bytes: the parser's arena
+does not depend on the order of the rows.
 """
 
 import contextlib
@@ -137,8 +141,20 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(workdir):
-    """{request key: [exit code, stdout SHA-256, strategy file SHA-256]}."""
+def reversed_rows(doc):
+    """A game document with its vertex and edge rows reversed and its middle
+    edge row repeated at the end."""
+    doc = json.loads(json.dumps(doc))
+    rows = doc["arena"]
+    rows["vertices"].reverse()
+    rows["edges"].reverse()
+    rows["edges"].append(rows["edges"][len(rows["edges"]) // 2])
+    return doc
+
+
+def digests(workdir, rows=lambda doc: doc):
+    """{request key: [exit code, stdout SHA-256, strategy file SHA-256]},
+    with each game file's document passed through ``rows``."""
     out = {}
     old = os.getcwd()
     os.chdir(workdir)
@@ -146,7 +162,7 @@ def digests(workdir):
         for seed in SEEDS:
             games = list(_games(seed))
             for name, game in games:
-                Path(name + ".json").write_text(json.dumps(game_to_doc(game)))
+                Path(name + ".json").write_text(json.dumps(rows(game_to_doc(game))))
             qualitative = [name for name, game in games if game.kind == "qualitative"]
             for name, game in games:
                 gen = _requests(name, game, qualitative)
@@ -188,6 +204,13 @@ def test_stdout_and_strategy_files_match_recorded_digests(measured):
     recorded = json.loads(DIGESTS.read_text())
     assert sorted(measured) == sorted(recorded)
     differ = [key for key in recorded if measured[key] != recorded[key]]
+    assert differ == []
+
+
+def test_reversed_rows_with_a_repeated_edge_give_the_same_bytes(measured, tmp_path):
+    reordered = digests(tmp_path, reversed_rows)
+    assert sorted(reordered) == sorted(measured)
+    differ = [key for key in measured if reordered[key] != measured[key]]
     assert differ == []
 
 

@@ -1,10 +1,11 @@
 import random
 
-from hypothesis import given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 import rr_reference
 from rankgames.arena import Arena, attractor, relabel, restrict
+from rankgames.errors import CapacityError
 from rankgames.gen import random_arena, random_subset
 from rankgames.memory import expand, trivial_memory
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
@@ -208,6 +209,12 @@ class TestDeterminacyAndOracle:
                 assert res.region_0 == oracle[0], (arena, objective)
 
 
+# arenas_with_traps draws each game from an opaque seed, which shrinking
+# cannot simplify; the tests that share it skip the shrink phase, so a
+# failing draw is reported as soon as it is found
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
 @st.composite
 def arenas_with_traps(draw, max_vertices=7):
     """A random arena and a nonempty trap in it: the complement of an
@@ -250,7 +257,7 @@ class TestSolvingInsideAnAliveSet:
     anchored where ``within`` anchors it."""
 
     @given(arenas_with_traps(), st.integers(0, 1))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
     def test_attractor_equals_attractor_on_the_restricted_arena(self, data, player):
         rng, arena, keep = data
         target = random_subset(rng, arena) & keep
@@ -258,7 +265,7 @@ class TestSolvingInsideAnAliveSet:
         assert attractor(arena, player, target, keep) == attractor(sub, player, target)
 
     @given(arenas_with_traps())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
     def test_every_objective_equals_its_solve_on_the_restricted_arena(self, data):
         rng, arena, keep = data
         sub = _restricted(arena, keep)
@@ -308,7 +315,7 @@ class TestBitmaskOpenSetsAgainstTheTupleReference:
     one.  Everything either returns must agree."""
 
     @given(arenas_with_traps(), st.integers(1, 6), st.booleans())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
     def test_small_games_inside_and_outside_an_alive_set(self, data, d, inside):
         rng, arena, keep = data
         _assert_matches_tuple_reference(arena, _rr_pairs(rng, arena, d),
@@ -337,11 +344,12 @@ class TestBitmaskOpenSetsAgainstTheTupleReference:
 
 
 class TestRequestResponseAgainstEnumeration:
-    """Regions equal the enumeration oracle's over the reference memory,
-    and both strategies certify from their regions with seed states."""
+    """Regions equal the enumeration oracle's over the reference memory on
+    every game the oracle accepts, and both strategies certify from their
+    regions with seed states on every game."""
 
     @given(arenas_with_traps(5), st.integers(1, 3), st.booleans())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
     def test_small_games_inside_and_outside_an_alive_set(self, data, d, inside):
         rng, arena, keep = data
         pairs = _rr_pairs(rng, arena, d)
@@ -352,7 +360,12 @@ class TestRequestResponseAgainstEnumeration:
         sub = _restricted(arena, keep) if inside else arena
         objective = restrict_objective(RequestResponse(pairs), sub.vertices)
         mem, seeds, _product = rr_reference.rr_memory(sub, objective.pairs)
-        oracle = enumerate_regions(sub, objective, mem, seeds=seeds.items())
-        assert (res.region_0, res.region_1) == oracle
+        try:
+            oracle = enumerate_regions(sub, objective, mem, seeds=seeds.items())
+        except CapacityError:
+            # a few draws need more candidates than the oracle's guard allows
+            event("region comparison skipped: the enumeration oracle refused the game")
+        else:
+            assert (res.region_0, res.region_1) == oracle
         certify_both(sub, objective, res, seeds=seeds)
 

@@ -1,0 +1,134 @@
+"""The trusted constructors build what the validating ones build.
+
+The game-file parser, the strategy-file reader and the product walks
+(``explore_product``, ``rr_memory``, ``pull_back``, ``trivial_memory`` and
+``solve_pruned``'s builder) check their rows themselves and build arenas
+and memories through ``Arena._checked`` and ``MemoryStructure._checked``,
+which check nothing again.  Each result here must equal, field by field and
+in iteration order, what ``Arena.of`` and ``MemoryStructure(...)`` build
+from the same rows, and those must accept the rows.
+"""
+
+import json
+import random
+
+from rankgames.arena import Arena, attractor
+from rankgames.fileformat import (game_to_doc, parse_game_doc, strategy_from_doc,
+                                  strategy_to_doc)
+from rankgames.gen import random_arena, random_subset
+from rankgames.memory import MemoryStructure, explore_product, trivial_memory
+from rankgames.qualsolve import (rr_memory, solve_objective, solve_request_response,
+                                 solve_safety_cobuchi)
+from rankgames.verify import verify_strategy
+
+from test_cli_bytes import _games, reversed_rows
+
+
+def arena_fields(arena):
+    return (arena.vertices, list(arena.owner.items()), arena.edges, arena.initial,
+            list(arena.succ.items()), list(arena.pred.items()))
+
+
+def memory_fields(mem):
+    return type(mem.states), mem.states, mem.initial, list(mem.update.items())
+
+
+def assert_arena_as_validated(arena, owner, edges, initial):
+    assert arena_fields(arena) == arena_fields(Arena.of(owner, edges, initial))
+
+
+def assert_memory_as_validated(mem):
+    validated = MemoryStructure(mem.states, mem.initial, mem.update)
+    assert memory_fields(mem) == memory_fields(validated)
+
+
+def _arena_of_rows(doc):
+    rows = doc["arena"]
+    return ({r["id"]: r["owner"] for r in rows["vertices"]},
+            [(r["from"], r["to"]) for r in rows["edges"]], rows["initial"])
+
+
+def _memory_of_rows(doc):
+    rows = doc["memory"]
+    update = {(r["state"], (r["from"], r["to"])): r["next"] for r in rows["update"]}
+    return MemoryStructure(tuple(rows["states"]), rows["initial"], update)
+
+
+def test_parsed_games_of_every_kind_equal_the_validated_arena():
+    kinds = set()
+    for name, game in _games(1):
+        kinds.add(game.kind)
+        doc = game_to_doc(game)
+        for rows in (doc, reversed_rows(doc)):
+            arena = parse_game_doc(json.loads(json.dumps(rows))).arena
+            assert_arena_as_validated(arena, *_arena_of_rows(rows))
+            assert arena_fields(arena) == arena_fields(game.arena), name
+    assert kinds == {"qualitative", "ranked", "costrr", "fault"}
+
+
+def test_read_strategies_equal_the_validated_memory():
+    for name, game in _games(2):
+        if game.kind != "qualitative":
+            continue
+        res = solve_objective(game.arena, game.objective)
+        for player in (0, 1):
+            doc = strategy_to_doc(res.strategy_of(player))
+            mem = strategy_from_doc(doc).memory
+            assert memory_fields(mem) == memory_fields(_memory_of_rows(doc)), name
+
+
+def _trap(rng, arena):
+    region, _ = attractor(arena, rng.randint(0, 1), random_subset(rng, arena, 0.3))
+    return frozenset(arena.vertices) - region or None
+
+
+def test_rr_memory_products_inside_and_outside_an_alive_set():
+    for seed in range(40):
+        rng = random.Random(f"trusted-rr:{seed}")
+        arena = random_arena(rng, rng.randint(2, 9))
+        pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
+                      for _ in range(rng.randint(1, 3)))
+        for within in (None, _trap(rng, arena)):
+            mem, _seeds, product = rr_memory(arena, pairs, within)
+            numbered = product.arena
+            assert_arena_as_validated(numbered, numbered.owner, numbered.edges,
+                                      numbered.initial)
+            assert numbered.vertices == tuple(range(len(product.pairs)))
+            assert_memory_as_validated(mem)
+            res = solve_request_response(arena, pairs, within)
+            for player in (0, 1):  # pulled back through the numbered product
+                assert_memory_as_validated(res.strategy_of(player).memory)
+
+
+def test_explore_product_and_the_pruned_builder():
+    for seed in range(40):
+        rng = random.Random(f"trusted-product:{seed}")
+        arena = random_arena(rng, rng.randint(2, 9))
+        states = tuple(range(rng.randint(1, 3)))
+        table = {(s, e): rng.choice(states) for s in states for e in sorted(arena.edges)}
+        seeds = [(v, rng.choice(states)) for v in random_subset(rng, arena, 0.3)]
+        mem, product = explore_product(arena, states[0], lambda s, e: table[(s, e)], seeds)
+        assert_memory_as_validated(mem)
+        assert_arena_as_validated(product, product.owner, product.edges, product.initial)
+        assert product.vertices == tuple(sorted(product.vertices))
+        res = solve_safety_cobuchi(arena, random_subset(rng, arena, 0.8),
+                                   random_subset(rng, arena, 0.3), _trap(rng, arena))
+        for player in (0, 1):
+            assert_memory_as_validated(res.strategy_of(player).memory)
+
+
+def test_trivial_memory_rows_follow_the_sorted_edges():
+    arena = random_arena(random.Random("trusted-trivial"), 12)
+    mem = trivial_memory(arena)
+    assert_memory_as_validated(mem)
+    assert list(mem.update) == [(0, e) for e in sorted(arena.edges)]
+
+
+def test_pred_is_built_on_first_read_and_verify_does_not_read_it():
+    game = dict(_games(3))["qual-safety"]
+    arena = parse_game_doc(game_to_doc(game)).arena
+    strategy = solve_objective(game.arena, game.objective).strategy_0
+    verify_strategy(arena, game.objective, strategy)
+    assert "pred" not in vars(arena)
+    attractor(arena, 0, [arena.initial])
+    assert list(vars(arena)["pred"].items()) == list(game.arena.pred.items())
