@@ -195,14 +195,14 @@ def parse_game_doc(doc) -> LoadedGame:
 
 
 def _load_json(path: str):
-    """The document in a JSON file; text that is not UTF-8 or not JSON is an
-    ``InputError`` naming the file."""
+    """The document in a JSON file; text that is not UTF-8, not JSON or
+    nested too deeply to decode is an ``InputError`` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 

@@ -145,10 +145,11 @@ class NumberedProduct:
     pairs one walk reached in sorted order; built by
     :func:`rankgames.qualsolve.rr_memory`.
 
-    ``pairs[i]`` is product vertex i as (vertex, index of its state in the
-    memory's sorted states); vertex i keeps the owner of its vertex, and
-    edges are the walk's.  ``starts`` numbers the walk's start pairs in
-    order: the anchor's first, then the seeds'.
+    ``pairs[i]`` decodes product vertex i to its (vertex, memory state)
+    pair; vertex i keeps the owner of its vertex, and edges are the walk's.
+    ``starts`` holds one id per alive vertex, in vertex order: the vertex
+    paired with its seed state.  The arena's initial vertex is the
+    anchor's.
     """
 
     arena: Arena
@@ -197,24 +198,19 @@ def pull_back(m1: MemoryStructure, product, m2: MemoryStructure,
     ``move(product vertex, m2 state)`` of ``owner`` there back to the source.
 
     ``product`` is a labelled expansion, with (vertex, ``m1`` state) pairs
-    as vertices, or a :class:`NumberedProduct`.  One :func:`explore` walk
-    runs from its start vertices, and each vertex it reaches is decoded to
-    its pair.  As the product's successors of (u, s1) are exactly (w,
-    ``m1.step(s1, (u, w))``), this reaches what ``m1`` run alongside
-    ``m2`` over the source would.  Returns the memory, on all state pairs
-    with the walk's rows, and the moves at reached ``owner`` vertices."""
-    if isinstance(product, NumberedProduct):
-        arena, starts, pairs, states = product.arena, product.starts, product.pairs, m1.states
-
-        def decode(i):
-            v, j = pairs[i]
-            return v, states[j]
-    else:
-        arena, starts, decode = product, (product.initial,), lambda pv: pv
+    as vertices, or a :class:`NumberedProduct`, whose ``pairs`` decode its
+    ids to such pairs.  One :func:`explore` walk runs from its start
+    vertices, and each vertex it reaches is decoded to its pair.  As the
+    product's successors of (u, s1) are exactly (w, ``m1.step(s1, (u,
+    w))``), this reaches what ``m1`` run alongside ``m2`` over the source
+    would.  Returns the memory, on all state pairs with the walk's rows,
+    and the moves at reached ``owner`` vertices."""
+    numbered = isinstance(product, NumberedProduct)
+    arena, starts = (product.arena, product.starts) if numbered else (product, (product.initial,))
     rows = explore(arena, [(p, m2.initial) for p in starts], m2.step, owner, move)[1]
     update, next_move = {}, {}
     for (s2, (p, q)), t2 in rows.items():
-        (v, s1), (w, t1) = decode(p), decode(q)
+        (v, s1), (w, t1) = (product.pairs[p], product.pairs[q]) if numbered else (p, q)
         update[((s1, s2), (v, w))] = (t1, t2)
         if arena.owner[p] == owner:  # the walk's one row there is the move
             next_move[(v, (s1, s2))] = w

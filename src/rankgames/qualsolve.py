@@ -150,8 +150,7 @@ def solve_cobuchi(arena: Arena, avoid, within=None) -> SolveResult:
     return _buchi(arena, avoid, within, 1)
 
 
-def rr_memory(arena: Arena, pairs, within=None
-              ) -> Tuple[MemoryStructure, Dict[Vertex, tuple], NumberedProduct]:
+def rr_memory(arena: Arena, pairs, within=None) -> Tuple[MemoryStructure, NumberedProduct]:
     """Open-request memory with a round-robin pointer.
 
     States are (open requests, pointer).  The pointer advances, cyclically,
@@ -164,15 +163,15 @@ def rr_memory(arena: Arena, pairs, within=None
     takes ``open`` to ``(open | requests[w]) & ~responses[w]``, and a state
     is the code ``open_mask * d + pointer``.
 
-    Returns the memory, the per-vertex seed states and the product, from
-    one :func:`rankgames.memory.explore` walk inside ``within``, from its
-    anchor and from every alive vertex: of the d * 2^d states the memory
-    holds only those plays from there reach, one row per product edge.
-    Each reached code is decoded once to its ``(open tuple, pointer)``
-    state; the memory lists the states in sorted order, and the product
-    is numbered in sorted ``(vertex, state)`` order
-    (:class:`NumberedProduct`), as integers hash and compare cheaply where
-    nested labels do not.  The memory starts in the seed state of the
+    Returns the memory and the product of one
+    :func:`rankgames.memory.explore` walk inside ``within`` from every
+    alive vertex paired with its seed state, the requests it opens itself:
+    of the d * 2^d states the memory holds only those plays from there
+    reach, one row per product edge.  Each reached code is decoded once to
+    its ``(open tuple, pointer)`` state; the memory lists the states in
+    sorted order, and the product is numbered in sorted ``(vertex, state)``
+    order (:class:`NumberedProduct`), as integers hash and compare cheaply
+    where nested labels do not.  The memory and the product start at the
     alive set's anchor.
     """
     d = len(pairs)
@@ -198,8 +197,7 @@ def rr_memory(arena: Arena, pairs, within=None
 
     alive = arena.vertices if within is None else sorted(within)
     seeds = {v: (add[v] & keep[v]) * d for v in alive}
-    starts = [(anchor(arena, within), seeds[anchor(arena, within)]), *seeds.items()]
-    reached, update = explore(arena, starts, step, within=within)
+    reached, update = explore(arena, seeds.items(), step, within=within)
     state = {}
     for _v, code in reached:
         if code not in state:
@@ -211,12 +209,13 @@ def rr_memory(arena: Arena, pairs, within=None
     number = {pv: i for i, pv in enumerate(order)}
     owner = {i: arena.owner[v] for i, (v, _s) in enumerate(order)}
     edges = [(number[(u, s)], number[(w, t)]) for (s, (u, w)), t in update.items()]
-    ids = tuple(number[pv] for pv in starts)
-    product = NumberedProduct(Arena._checked(owner, edges, ids[0]),
-                              tuple((v, rank[s]) for v, s in order), ids)
-    mem = MemoryStructure._checked(tuple(state[code] for code in codes), state[starts[0][1]],
+    start = anchor(arena, within)
+    product = NumberedProduct(Arena._checked(owner, edges, number[(start, seeds[start])]),
+                              tuple((v, state[s]) for v, s in order),
+                              tuple(number[pv] for pv in seeds.items()))
+    mem = MemoryStructure._checked(tuple(state[code] for code in codes), state[seeds[start]],
                                    {(state[s], e): state[t] for (s, e), t in update.items()})
-    return mem, {v: state[code] for v, code in seeds.items()}, product
+    return mem, product
 
 
 def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
@@ -233,13 +232,11 @@ def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
     """
     objective = RequestResponse(tuple(pairs))
     validate_objective(objective, arena)
-    mem, seeds, product = rr_memory(arena, objective.pairs, within)
-    progress = [ptr not in opened for opened, ptr in mem.states]
-    res = solve_buchi(product.arena,
-                      frozenset(i for i, (_v, j) in enumerate(product.pairs) if progress[j]))
-    # the walk started from the anchor, then from each seed in order
-    region_0 = frozenset(v for v, i in zip(seeds, product.starts[1:]) if i in res.region_0)
-    region_1 = frozenset(seeds) - region_0
+    mem, product = rr_memory(arena, objective.pairs, within)
+    res = solve_buchi(product.arena, frozenset(
+        i for i, (_v, (opened, ptr)) in enumerate(product.pairs) if ptr not in opened))
+    region_0 = frozenset(product.pairs[i][0] for i in product.starts if i in res.region_0)
+    region_1 = _alive(arena, within) - region_0
 
     def build(player):
         moves = res.moves(player)

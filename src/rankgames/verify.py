@@ -501,11 +501,20 @@ def _seed_nodes(arena: Arena, template: MemoryStructure, seeds):
     return {v: (v, seed_map[v]) for v in arena.vertices}
 
 
-def _default_pending(node) -> frozenset:
-    state = node[1]
-    if isinstance(state, tuple) and state and isinstance(state[0], tuple):
-        return frozenset(state[0])
-    return frozenset()
+def _template_pending(pairs, template: MemoryStructure):
+    """Open requests of a node of the template expansion, read off its
+    template state.  Claims without request-response pairs have none; for
+    a claim with pairs, every template state must be an (open tuple,
+    pointer) pair over the claim's pair indices."""
+    if not pairs:
+        return lambda n: ()
+    indices = range(len(pairs))
+    for s in template.states:
+        if not (isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], tuple)
+                and all(c in indices for c in s[0]) and s[1] in indices):
+            raise InputError(f"template state {s!r} is not an (open tuple, pointer) "
+                             f"pair over the claim's {len(pairs)} pairs")
+    return lambda n: n[1][0]
 
 
 def _candidate_graphs(product: Arena, owner: int, guard: int):
@@ -536,12 +545,12 @@ def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, boun
     obj, mode, bnd, rank_of = _normalize_condition(condition, bound)
     if isinstance(condition, CostRRSpec):
         raise CapabilityError("response-cost values have a dedicated oracle")
+    pending_of = _template_pending(conjuncts(obj)[3], template)
     starts = _seed_nodes(arena, template, seeds)
     product = expand(arena, template, seeds=starts.values())
     def candidates(owner: int):
         for succ in _candidate_graphs(product, owner, guard):
-            query = _claim_failure_query(succ, obj, mode, rank_of, bnd, _default_pending,
-                                         owner)
+            query = _claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of, owner)
             yield succ, _query_failures(succ, query)
 
     return starts, product, candidates
@@ -571,7 +580,9 @@ def enumerate_regions(arena: Arena, condition, template: MemoryStructure,
     conditions being determined.  The template must be known sufficient
     for the condition (trivial memory for safety, Buchi, coBuchi and
     rank-cost claims over those; the open-request memory for
-    request-response).
+    request-response).  Pending requests are read off the template states,
+    so a claim with request-response pairs over a template whose states
+    are not (open tuple, pointer) pairs raises ``InputError``.
     """
     starts, _product, candidates = _enumeration(arena, condition, template, seeds,
                                                 bound, guard)

@@ -50,8 +50,8 @@ def compose_numbered(m1, product, moves, owner):
     reached, rows = explore(product.arena, [(i, 0) for i in product.starts],
                             lambda _s, _e: 0, owner, lambda i, _s: moves[i])
     states = tuple((s, 0) for s in m1.states)
-    vertex = [v for v, _j in product.pairs]
-    state = [states[j] for _v, j in product.pairs]
+    vertex = [v for v, _s in product.pairs]
+    state = [(s, 0) for _v, s in product.pairs]
     update = {(state[i], (vertex[i], vertex[k])): state[k] for _s, (i, k) in rows}
     next_move = {(vertex[i], state[i]): vertex[moves[i]]
                  for i, _s in reached if product.arena.owner[i] == owner}

@@ -360,6 +360,21 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "0xff" in err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys, command):
+        # deeper than the JSON decoder can recurse
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        if command == "solve":
+            argv = ["solve", str(deep)]
+        else:
+            argv = ["verify", write_game(tmp_path, SAFETY_WIN), "--strategy", str(deep)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {deep}: ") and "recursion" in captured.err
+
     def test_strategy_roundtrip_is_identity(self, tmp_path):
         path = write_game(tmp_path, A2_COSTS)
         out = str(tmp_path / "strat.json")

@@ -107,10 +107,9 @@ class TestLiftedReductionStrategies:
 
 class TestRequestResponseStrategies:
     def _assert_builder_matches(self, arena, pairs, within):
-        mem, _seeds, product = rr_memory(arena, pairs, within)
-        progress = [ptr not in opened for opened, ptr in mem.states]
+        mem, product = rr_memory(arena, pairs, within)
         res = solve_buchi(product.arena, frozenset(
-            i for i, (_v, j) in enumerate(product.pairs) if progress[j]))
+            i for i, (_v, (opened, ptr)) in enumerate(product.pairs) if ptr not in opened))
         got = solve_request_response(arena, pairs, within)
         for player in (0, 1):
             want = ref.compose_numbered(mem, product, res.moves(player), player)

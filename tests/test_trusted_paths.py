@@ -89,7 +89,7 @@ def test_rr_memory_products_inside_and_outside_an_alive_set():
         pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
                       for _ in range(rng.randint(1, 3)))
         for within in (None, _trap(rng, arena)):
-            mem, _seeds, product = rr_memory(arena, pairs, within)
+            mem, product = rr_memory(arena, pairs, within)
             numbered = product.arena
             assert_arena_as_validated(numbered, numbered.owner, numbered.edges,
                                       numbered.initial)

@@ -177,6 +177,22 @@ class TestEnumerate:
                                        seeds=seeds.items())
             assert oracle[0] == solve_request_response(arena, pairs).region_0
 
+    def test_rr_claim_over_a_template_without_open_sets_refused(self):
+        # the oracle reads pending requests off (open tuple, pointer) states;
+        # over the trivial memory it would never see a request pending and
+        # give Player 0 both vertices, where the solver gives her none
+        arena = Arena.of({"q": 0, "x": 1}, [("q", "x"), ("x", "x")], "q")
+        pairs = ((frozenset({"x"}), frozenset({"q"})),)
+        assert solve_request_response(arena, pairs).region_0 == frozenset()
+        template = trivial_memory(arena)
+        claims = [(RequestResponse(pairs), None),
+                  (RankedCondition(RequestResponse(pairs), {"q": 0, "x": 0}, "sup"), 0)]
+        for claim, bound in claims:
+            with pytest.raises(InputError, match="not an \\(open tuple, pointer\\) pair"):
+                enumerate_regions(arena, claim, template, bound=bound)
+            with pytest.raises(InputError, match="not an \\(open tuple, pointer\\) pair"):
+                enumerate_solve(arena, claim, template, bound=bound)
+
     def test_certification_runs_no_solver_open_set_code(self, monkeypatch):
         # verify tracks open requests on sorted tuples itself; with the
         # solver's bitmask walk disabled, it still certifies and refutes
