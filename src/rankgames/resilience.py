@@ -43,7 +43,7 @@ class FaultArena:
         if not self.safe <= vs:
             raise InputError("safe set mentions unknown vertices")
         targets: Dict[Vertex, list] = {}
-        for u, v in self.faults:
+        for u, v in sorted(self.faults):  # the least faulty pair is reported
             if u not in vs or v not in vs:
                 raise InputError(f"fault ({u!r}, {v!r}) mentions an unknown vertex")
             if self.arena.owner[u] != 0:

@@ -40,86 +40,68 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# graph analyses; nodes are opaque, succ maps node -> tuple of nodes
+# graph analyses; nodes are opaque, succ maps every node to a tuple of
+# nodes, and pred, built once per graph, is its reverse
 
-def _sccs(nodes, succ):
-    """Strongly connected components, iterative Tarjan."""
-    index: Dict = {}
-    low: Dict = {}
-    onstack = set()
-    stack: List = []
-    comps: List[List] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
+def _predecessors(succ) -> Dict:
+    """Predecessor lists of a successor map whose successors are all keys."""
+    pred: Dict = {n: [] for n in succ}
+    for n, ws in succ.items():
+        for w in ws:
+            pred[w].append(n)
+    return pred
+
+
+def _loop_comps(succ, pred, region) -> List[set]:
+    """SCCs of the subgraph ``region`` induces that carry at least one edge.
+
+    Two passes (Sharir 1981): a depth-first finishing order forward, then,
+    latest finished first, backward reachability among the nodes not yet
+    placed.  Both passes stay inside the region."""
+    order: List = []
+    seen = set()
+    for root in region:
+        if root in seen:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(succ.get(root, ())))]
+        seen.add(root)
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
+                if w in region and w not in seen:
+                    seen.add(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if w in onstack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(comp)
-    return comps
-
-
-def _subgraph(succ, keep) -> Dict:
-    return {n: tuple(w for w in ws if w in keep)
-            for n, ws in succ.items() if n in keep}
-
-
-def _loop_comps(succ, region) -> List[set]:
-    """SCCs inside the region that carry at least one edge."""
-    sub = _subgraph(succ, region)
+            else:
+                work.pop()
+                order.append(node)
+    placed = set()
     out = []
-    for comp in _sccs(sorted(sub), sub):
-        if len(comp) > 1 or comp[0] in sub.get(comp[0], ()):
-            out.append(set(comp))
+    for root in reversed(order):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp = {root}
+        stack = [root]
+        while stack:
+            for p in pred[stack.pop()]:
+                if p in region and p not in placed:
+                    placed.add(p)
+                    comp.add(p)
+                    stack.append(p)
+        if len(comp) > 1 or root in succ[root]:
+            out.append(comp)
     return out
 
 
-def _backward_closure(succ, cores: set, allowed: Optional[set] = None) -> set:
+def _backward_closure(pred, cores: set, allowed: Optional[set] = None) -> set:
     """Nodes from which some path, staying in ``allowed`` if given, reaches
     the cores.  Cores are assumed to lie inside ``allowed``."""
-    pred: Dict = {}
-    for n, ws in succ.items():
-        if allowed is not None and n not in allowed:
-            continue
-        for w in ws:
-            pred.setdefault(w, []).append(n)
     out = set(cores)
     queue = deque(out)
     while queue:
-        n = queue.popleft()
-        for p in pred.get(n, ()):
-            if p not in out:
+        for p in pred[queue.popleft()]:
+            if p not in out and (allowed is None or p in allowed):
                 out.add(p)
                 queue.append(p)
     return out
@@ -154,9 +136,6 @@ def _bfs_path(succ, start, targets: set, allowed: Optional[set] = None) -> Optio
 def _walk_within(succ, region: set, source, target) -> List:
     """A nonempty path source -> target inside ``region``; with source equal
     to target this is a cycle."""
-    if source == target:
-        if target in succ.get(source, ()):
-            return [source, target]
     parent = {source: None}
     queue = deque([source])
     while queue:
@@ -383,22 +362,22 @@ def _claim_failure_query(nodes, obj: Objective, mode: Optional[str], rank_of,
                                region if mode == "sup" else base)
 
 
-def _query_failures(succ, query: _Query) -> set:
+def _query_failures(succ, pred, query: _Query) -> set:
     """All start nodes from which the query finds a failing play."""
     cores = set(query.bad)
     for region, anchors_fn in query.loops:
-        for comp in _loop_comps(succ, region):
+        for comp in _loop_comps(succ, pred, region):
             if anchors_fn(comp) is not None:
                 cores |= comp
-    return _backward_closure(succ, cores, query.allowed)
+    return _backward_closure(pred, cores, query.allowed)
 
 
-def _query_witness(arena, succ, root, query: _Query) -> Optional[Lasso]:
+def _query_witness(arena, succ, pred, root, query: _Query) -> Optional[Lasso]:
     path = _bfs_path(succ, root, query.bad, query.allowed)
     if path is not None:
         return _reach_witness(arena, path)
     for region, anchors_fn in query.loops:
-        comps = [c for c in _loop_comps(succ, region) if anchors_fn(c) is not None]
+        comps = [c for c in _loop_comps(succ, pred, region) if anchors_fn(c) is not None]
         cores = set().union(*comps) if comps else set()
         path = _bfs_path(succ, root, cores, query.allowed)
         if path is None:
@@ -477,12 +456,12 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
 
     halt = _decided(obj, mode, bnd, rank_of)
     root, succ = _product_graph(arena, strategy, start, state, tracker, halt)
+    pred = _predecessors(succ)
     query = _claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of,
                                  strategy.owner)
-    failures = _query_failures(succ, query)
-    if root not in failures:
+    if root not in _query_failures(succ, pred, query):
         return Verdict(True, message="certified")
-    witness = _query_witness(arena, succ, root, query)
+    witness = _query_witness(arena, succ, pred, root, query)
     if witness is None:
         raise InputError("internal error: failure detected but no witness found")
     return Verdict(False, witness=witness, message="refuted")
@@ -549,9 +528,11 @@ def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, boun
     starts = _seed_nodes(arena, template, seeds)
     product = expand(arena, template, seeds=starts.values())
     def candidates(owner: int):
+        # every candidate has the product's vertices, so one query serves all
+        query = _claim_failure_query(product.vertices, obj, mode, rank_of, bnd,
+                                     pending_of, owner)
         for succ in _candidate_graphs(product, owner, guard):
-            query = _claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of, owner)
-            yield succ, _query_failures(succ, query)
+            yield succ, _query_failures(succ, _predecessors(succ), query)
 
     return starts, product, candidates
 
@@ -631,8 +612,9 @@ def max_response_cost(game: CostRRGame, strategy: FiniteStateStrategy,
     worst = max(map(_counter_rank, succ))
     if worst > cap:
         return INF
+    pred = _predecessors(succ)
     query = _violation_query(set(succ), spec.rr_objective(), _counter_pending)
-    if any(_loop_comps(succ, region) for region, _anchors in query.loops):
+    if any(_loop_comps(succ, pred, region) for region, _anchors in query.loops):
         return INF
     return worst
 

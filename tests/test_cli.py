@@ -75,6 +75,9 @@ RANKED_LIM_RR = {
 }
 
 
+RANKED_SUP = dict(SAFETY_WIN, rank={"mode": "sup", "values": {"a": 1}})
+
+
 # a one-state Player 0 strategy for SAFETY_WIN
 SAFETY_STRATEGY = {
     "owner": 0,
@@ -146,6 +149,39 @@ FIRST_ERRORS = [
     ("unlisted state in a later update row", SAFETY_WIN,
      _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][2].update(state="x")),
      "memory update mentions an unknown state"),
+    ("costs on a safety game", dict(SAFETY_WIN, costs=[]), None,
+     "costs: edge costs need a request_response objective"),
+    ("cost row for an unknown pair", _edit(A2_COSTS, lambda d: d["costs"][0].update(pair=5)),
+     None, "costs[0].pair: no pair with index 5"),
+    ("cost row on a non-edge", _edit(A2_COSTS, lambda d: d["costs"][0].update(to="q")),
+     None, "costs[0]: ('q', 'q') is not an edge"),
+    ("negative cost", _edit(A2_COSTS, lambda d: d["costs"][0].update(cost=-1)),
+     None, "costs[0].cost: must be a natural number"),
+    ("faults on a Buchi game",
+     dict(FS_FAULTS, objective={"type": "buchi", "accept": ["s"]}), None,
+     "faults: fault pairs need a safety objective"),
+    ("fault to an unknown vertex", _edit(FS_FAULTS, lambda d: d["faults"][0].update(to="zz")),
+     None, "faults[0]: unknown vertex id 'zz'"),
+    ("rank of an unknown vertex",
+     dict(SAFETY_WIN, rank={"mode": "sup", "values": {"a": 1, "zz": 0}}), None,
+     "rank.values: unknown vertex id 'zz'"),
+    ("unknown rank mode", dict(SAFETY_WIN, rank={"mode": "max", "values": {}}), None,
+     "mode must be one of ('sup', 'lim'), got 'max'"),
+    ("game file holding a list", [SAFETY_WIN], None, "game file must hold a JSON object"),
+    ("strategy file holding a list", SAFETY_WIN, [SAFETY_STRATEGY],
+     "strategy file must hold a JSON object"),
+    ("move at an unknown vertex", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["moves"][0].update(vertex="zz")),
+     "strategy moves at unknown vertex 'zz'"),
+    ("move at an opponent vertex", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["moves"][0].update(vertex="b", target="b")),
+     "strategy moves at vertex 'b' not owned by player 0"),
+    ("move along a non-edge", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["moves"][0].update(target="zz")),
+     "strategy move ('a' -> 'zz') is not an edge"),
+    ("memory reading a non-edge", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][2].update(to="a")),
+     "strategy memory reads unknown edge ('b', 'a')"),
 ]
 
 
@@ -348,6 +384,12 @@ class TestParsing:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_malformed_json_names_line_and_column(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{\n "a": }')
+        assert main(["solve", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:2:7: Expecting value\n"
+
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.json"
@@ -419,6 +461,11 @@ class TestSolveCommand:
     def test_missing_bound_on_quantitative(self, tmp_path):
         path = write_game(tmp_path, A2_COSTS)
         assert main(["solve", path]) == 2
+
+    def test_missing_bound_on_ranked(self, tmp_path, capsys):
+        path = write_game(tmp_path, RANKED_SUP)
+        assert main(["solve", path]) == 2
+        assert capsys.readouterr().err == "error: quantitative games need --bound\n"
 
     def test_lim_request_response_capability_error(self, tmp_path):
         path = write_game(tmp_path, RANKED_LIM_RR)
@@ -497,6 +544,16 @@ class TestEvalCommand:
         assert main(["eval", path, "--loop", "q"]) == 0
         assert capsys.readouterr().out.strip() == "inf"
 
+    def test_empty_loop_rejected(self, tmp_path, capsys):
+        path = write_game(tmp_path, A2_COSTS)
+        assert main(["eval", path, "--loop", ""]) == 2
+        assert capsys.readouterr().err == "error: --loop is required\n"
+
+    def test_ranked_play_prints_its_cost(self, tmp_path, capsys):
+        path = write_game(tmp_path, RANKED_SUP)
+        assert main(["eval", path, "--loop", "a"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_invalid_lasso(self, tmp_path):
         path = write_game(tmp_path, A2_COSTS)
         assert main(["eval", path, "--loop", "q"]) == 2  # q->q is not an edge
@@ -526,6 +583,25 @@ class TestVerifyCommand:
         out = str(tmp_path / "safety-strat.json")
         main(["solve", other, "--out", out])
         assert main(["verify", a2, "--strategy", out, "--bound", "3"]) == 2
+
+
+    @pytest.mark.parametrize("game,bound,message", [
+        (RANKED_SUP, None, "rank-cost verification needs --bound"),
+        (A2_COSTS, None, "response-cost verification needs --bound"),
+        (SAFETY_WIN, "1", "qualitative verification takes no --bound"),
+    ], ids=["ranked", "costrr", "qualitative"])
+    def test_bound_required_exactly_on_quantitative_games(self, tmp_path, capsys, game,
+                                                           bound, message):
+        # the strategy's alphabet fits SAFETY_WIN, whose arena RANKED_SUP shares
+        if game is A2_COSTS:
+            strategy = str(tmp_path / "opt.json")
+            assert main(["optimize", write_game(tmp_path, game), "--out", strategy]) == 0
+        else:
+            strategy = write_game(tmp_path, SAFETY_STRATEGY, "strategy.json")
+        argv = ["verify", write_game(tmp_path, game), "--strategy", strategy]
+        capsys.readouterr()
+        assert main(argv + (["--bound", bound] if bound else [])) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestResilienceCommand:

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import rankgames
 from rankgames.arena import Arena
 from rankgames.errors import InputError
 from rankgames.extnat import INF
@@ -16,6 +20,28 @@ class TestFaultArena:
         arena = Arena.of({"s": 0, "u": 1}, [("s", "s"), ("u", "u")], "s")
         with pytest.raises(InputError, match="Player 0"):
             FaultArena(arena, {("u", "s")}, {"s"})
+
+    def test_first_error_is_independent_of_the_hash_seed(self):
+        # faults are checked in sorted order, so every hash seed reports the
+        # least faulty pair
+        script = ("from rankgames.arena import Arena\n"
+                  "from rankgames.resilience import FaultArena\n"
+                  "arena = Arena.of({'s': 0, 'u': 1, 'x': 0},\n"
+                  "                 [('s', 'u'), ('u', 's'), ('x', 'x')], 's')\n"
+                  "try:\n"
+                  "    FaultArena(arena, {('u', 's'), ('s', 'zz'), ('x', 'q')}, {'s'})\n"
+                  "except Exception as exc:\n"
+                  "    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(rankgames.__file__))
+        messages = set()
+        for seed in range(6):
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, timeout=60,
+                                  env=dict(os.environ, PYTHONHASHSEED=str(seed),
+                                           PYTHONPATH=src))
+            assert proc.returncode == 0, proc.stderr
+            messages.add(proc.stdout)
+        assert messages == {"fault ('s', 'zz') mentions an unknown vertex\n"}
 
     def test_fault_target_need_not_be_edge(self, fs):
         assert ("s", "u") in fs.faults

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 import rr_reference
@@ -16,7 +17,8 @@ from rankgames.qualsolve import (solve_buchi, solve_cobuchi,
                                  solve_request_response, solve_safety)
 from rankgames.ranked import RankedCondition
 from rankgames.rrcost import cap_bound, optimize, solve_with_bound
-from rankgames.verify import (enumerate_regions, enumerate_solve,
+from rankgames.verify import (FaultSimVerdict, _loop_comps, _predecessors,
+                              enumerate_regions, enumerate_solve,
                               max_response_cost, simulate_faults,
                               verify_strategy)
 
@@ -230,6 +232,31 @@ class TestEnumerate:
                               trivial_memory(arena), guard=2)
 
 
+class TestLoopComponents:
+    def test_matches_networkx_on_random_digraphs(self):
+        # the cycle-carrying SCCs of the subgraph a region induces, against
+        # networkx on that subgraph; graphs have self-loops, nodes without
+        # successors and regions that cut components apart
+        rng = random.Random(15)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            p = rng.choice((0.08, 0.15, 0.3))
+            succ = {u: tuple(w for w in range(n) if rng.random() < p) for u in range(n)}
+            region = {u for u in range(n) if rng.random() < 0.75}
+            graph = nx.DiGraph()
+            graph.add_nodes_from(succ)
+            graph.add_edges_from((u, w) for u, ws in succ.items() for w in ws)
+            sub = graph.subgraph(region)
+            expected = {frozenset(c) for c in nx.strongly_connected_components(sub)
+                        if len(c) > 1 or any(sub.has_edge(u, u) for u in c)}
+            found = _loop_comps(succ, _predecessors(succ), region)
+            assert len(found) == len(expected)
+            assert {frozenset(c) for c in found} == expected
+            checked += len(expected)
+        assert checked > 300
+
+
 class TestMaxResponseCost:
     def test_a2_optimal_strategy(self, a2_game):
         res = optimize(a2_game)
@@ -263,6 +290,18 @@ class TestSimulateFaults:
         crash = simulate_faults(fs, strategy, 1, 10)
         assert not crash.safe
         assert crash.witness[-1] == "u"
+
+    def test_player1_moves_and_the_depth_bound(self):
+        # no faults: Player 1 leaves the safe set on his own move, two moves
+        # in, so a one-move search stays safe
+        arena = Arena.of({"s": 0, "x": 1, "u": 1},
+                         [("s", "x"), ("x", "s"), ("x", "u"), ("u", "u")], "s")
+        from rankgames.resilience import FaultArena
+
+        fa = FaultArena(arena, frozenset(), {"s", "x"})
+        strategy = positional_strategy(arena, 0, {"s": "x"})
+        assert simulate_faults(fa, strategy, 0, 5) == FaultSimVerdict(False, ("s", "x", "u"))
+        assert simulate_faults(fa, strategy, 0, 1) == FaultSimVerdict(True)
 
     def test_fe_from_recovered_vertex_survives_one_fault(self, fe):
         from rankgames.resilience import FaultArena, max_resilience
