@@ -279,21 +279,3 @@ class Lasso:
             if not arena.has_edge(u, v):
                 raise InputError(f"lasso uses missing edge ({u!r}, {v!r})")
         return self
-
-    def with_loop_repeated(self, k: int) -> "Lasso":
-        """Same play, loop written out ``k`` times."""
-        if k < 1:
-            raise InputError("loop repetition count must be >= 1")
-        return Lasso(self.prefix, self.loop * k)
-
-    def rotated(self, k: int) -> "Lasso":
-        """Same play, with ``k`` loop steps moved into the prefix."""
-        if k < 0:
-            raise InputError("rotation count must be >= 0")
-        n = len(self.loop)
-        shift = k % n
-        extra = tuple(self.loop[i % n] for i in range(k))
-        return Lasso(self.prefix + extra, self.loop[shift:] + self.loop[:shift])
-
-    def project(self, fn) -> "Lasso":
-        return Lasso(tuple(fn(v) for v in self.prefix), tuple(fn(v) for v in self.loop))

@@ -61,7 +61,8 @@ def cmd_solve(args, out) -> int:
     print(f"Player {winner} wins", file=out)
     if args.regions:
         _print_regions(res, out)
-    _write_out(args.out, res.strategy_0 if winner == 0 else res.strategy_1, out)
+    if args.out:
+        _write_out(args.out, res.strategy_of(winner), out)
     return winner
 
 

@@ -311,9 +311,11 @@ def strategy_from_doc(doc) -> FiniteStateStrategy:
     moves = {}
     for i, entry in enumerate(_need(doc, "moves", "strategy", list)):
         if not (type(entry) is dict and type(v := entry.get("vertex")) is str
-                and type(s := entry.get("state")) is str
+                and type(s := entry.get("state")) is str and s in known
                 and type(w := entry.get("target")) is str):
             v, s, w = _fields(entry, ("vertex", "state", "target"), f"moves[{i}]")
+            if s not in known:
+                raise InputError(f"moves[{i}]: unknown memory state {s!r}")
         if (v, s) in moves:
             raise InputError(f"moves[{i}]: duplicate move row")
         moves[(v, s)] = w

@@ -133,41 +133,16 @@ def _bfs_path(succ, start, targets: set, allowed: Optional[set] = None) -> Optio
     return None
 
 
-def _walk_within(succ, region: set, source, target) -> List:
-    """A nonempty path source -> target inside ``region``; with source equal
-    to target this is a cycle."""
-    parent = {source: None}
-    queue = deque([source])
-    while queue:
-        n = queue.popleft()
-        for w in succ.get(n, ()):
-            if w not in region:
-                continue
-            if w == target:
-                path = [w, n]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
-            if w not in parent:
-                parent[w] = n
-                queue.append(w)
-    raise InputError("internal error: strongly connected component is not connected")
-
-
-def _closed_walk(succ, comp: set, entry, anchors: Iterable = ()) -> List:
+def _closed_walk(succ, pred, comp: set, entry, anchors: Iterable = ()) -> List:
     """Closed walk entry -> entry inside the component, visiting every
-    anchor; returned without the final repetition of the entry."""
+    anchor; returned without the final repetition of the entry.  Each
+    segment is a shortest path, the last one into a predecessor of the
+    entry."""
     walk = [entry]
-    cur = entry
     for a in anchors:
-        if a == cur:
-            continue
-        seg = _walk_within(succ, comp, cur, a)
-        walk.extend(seg[1:])
-        cur = a
-    seg = _walk_within(succ, comp, cur, entry)
-    walk.extend(seg[1:])
-    return walk[:-1]
+        walk += _bfs_path(succ, walk[-1], {a}, comp)[1:]
+    into = {p for p in pred[entry] if p in comp}
+    return walk + _bfs_path(succ, walk[-1], into, comp)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +245,6 @@ def _reach_witness(arena: Arena, path_nodes: List) -> Lasso:
         walk.append(nxt)
 
 
-def _lasso_witness(path_nodes: List, loop_nodes: List) -> Lasso:
-    return Lasso(tuple(n[0] for n in path_nodes[:-1]),
-                 tuple(n[0] for n in loop_nodes))
-
-
 # ---------------------------------------------------------------------------
 # violation queries
 #
@@ -298,15 +268,15 @@ def _anchors(marked: Optional[set] = None, pending_of=None, d: int = 0):
     def pick(comp):
         anchors = []
         if marked is not None:
-            hits = sorted(marked & comp)
-            if not hits:
+            hit = min(marked & comp, default=None)
+            if hit is None:
                 return None
-            anchors.append(hits[0])
+            anchors.append(hit)
         for c in range(d):
-            closed = sorted(n for n in comp if c not in pending_of(n))
-            if not closed:
+            closed = min((n for n in comp if c not in pending_of(n)), default=None)
+            if closed is None:
                 return None
-            anchors.append(closed[0])
+            anchors.append(closed)
         return tuple(anchors)
     return pick
 
@@ -362,30 +332,36 @@ def _claim_failure_query(nodes, obj: Objective, mode: Optional[str], rank_of,
                                region if mode == "sup" else base)
 
 
-def _query_failures(succ, pred, query: _Query) -> set:
+def _cycles(succ, pred, query: _Query) -> List[List[Tuple[set, tuple]]]:
+    """Per loop family of the query, its cycle-carrying components that
+    have an anchor batch, each with that batch."""
+    return [[(comp, batch) for comp in _loop_comps(succ, pred, region)
+             if (batch := anchors_fn(comp)) is not None]
+            for region, anchors_fn in query.loops]
+
+
+def _query_failures(pred, query: _Query, cycles) -> set:
     """All start nodes from which the query finds a failing play."""
     cores = set(query.bad)
-    for region, anchors_fn in query.loops:
-        for comp in _loop_comps(succ, pred, region):
-            if anchors_fn(comp) is not None:
-                cores |= comp
+    for family in cycles:
+        for comp, _anchors in family:
+            cores |= comp
     return _backward_closure(pred, cores, query.allowed)
 
 
-def _query_witness(arena, succ, pred, root, query: _Query) -> Optional[Lasso]:
+def _query_witness(arena, succ, pred, root, query: _Query, cycles) -> Optional[Lasso]:
     path = _bfs_path(succ, root, query.bad, query.allowed)
     if path is not None:
         return _reach_witness(arena, path)
-    for region, anchors_fn in query.loops:
-        comps = [c for c in _loop_comps(succ, pred, region) if anchors_fn(c) is not None]
-        cores = set().union(*comps) if comps else set()
+    for family in cycles:
+        cores = {n for comp, _anchors in family for n in comp}
         path = _bfs_path(succ, root, cores, query.allowed)
         if path is None:
             continue
         entry = path[-1]
-        comp = next(c for c in comps if entry in c)
-        loop = _closed_walk(succ, comp, entry, anchors_fn(comp))
-        return _lasso_witness(path, loop)
+        comp, anchors = next((c, a) for c, a in family if entry in c)
+        loop = _closed_walk(succ, pred, comp, entry, anchors)
+        return Lasso(tuple(n[0] for n in path[:-1]), tuple(n[0] for n in loop))
     return None
 
 
@@ -443,7 +419,7 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     """
     obj, mode, bnd, rank_of = _normalize_condition(condition, bound)
     start = arena.initial if start is None else start
-    if start not in set(arena.vertices):
+    if start not in arena.owner:
         raise InputError(f"unknown start vertex {start!r}")
     state = strategy.memory.initial if start_state is None else start_state
     pairs = conjuncts(obj)[3]
@@ -459,9 +435,10 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     pred = _predecessors(succ)
     query = _claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of,
                                  strategy.owner)
-    if root not in _query_failures(succ, pred, query):
+    cycles = _cycles(succ, pred, query)
+    if root not in _query_failures(pred, query, cycles):
         return Verdict(True, message="certified")
-    witness = _query_witness(arena, succ, pred, root, query)
+    witness = _query_witness(arena, succ, pred, root, query, cycles)
     if witness is None:
         raise InputError("internal error: failure detected but no witness found")
     return Verdict(False, witness=witness, message="refuted")
@@ -532,7 +509,8 @@ def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, boun
         query = _claim_failure_query(product.vertices, obj, mode, rank_of, bnd,
                                      pending_of, owner)
         for succ in _candidate_graphs(product, owner, guard):
-            yield succ, _query_failures(succ, _predecessors(succ), query)
+            pred = _predecessors(succ)
+            yield succ, _query_failures(pred, query, _cycles(succ, pred, query))
 
     return starts, product, candidates
 
@@ -586,7 +564,7 @@ def enumerate_solve(arena: Arena, condition, template: MemoryStructure,
                 moves = {}
                 for pv, ws in succ.items():
                     if product.owner[pv] == owner:
-                        moves[(pv[0], pv[1])] = ws[0][0]
+                        moves[pv] = ws[0][0]
                 return FiniteStateStrategy(owner, template, moves)
         raise InputError(f"no uniform winning strategy for player {owner} "
                          "among positional candidates")
@@ -614,7 +592,7 @@ def max_response_cost(game: CostRRGame, strategy: FiniteStateStrategy,
         return INF
     pred = _predecessors(succ)
     query = _violation_query(set(succ), spec.rr_objective(), _counter_pending)
-    if any(_loop_comps(succ, pred, region) for region, _anchors in query.loops):
+    if any(_cycles(succ, pred, query)):
         return INF
     return worst
 

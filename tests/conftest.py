@@ -87,6 +87,24 @@ def play_positions(lasso: Lasso, n: int):
     return [lasso.vertex_at(i) for i in range(n)]
 
 
+def with_loop_repeated(lasso: Lasso, k: int) -> Lasso:
+    """The same play, its loop written out ``k`` >= 1 times."""
+    return Lasso(lasso.prefix, lasso.loop * k)
+
+
+def rotated(lasso: Lasso, k: int) -> Lasso:
+    """The same play, with ``k`` >= 0 loop steps moved into the prefix."""
+    n = len(lasso.loop)
+    shift = k % n
+    extra = tuple(lasso.loop[i % n] for i in range(k))
+    return Lasso(lasso.prefix + extra, lasso.loop[shift:] + lasso.loop[:shift])
+
+
+def project(lasso: Lasso, fn) -> Lasso:
+    """The play with ``fn`` applied to every position."""
+    return Lasso(tuple(map(fn, lasso.prefix)), tuple(map(fn, lasso.loop)))
+
+
 def swap_owners(arena: Arena) -> Arena:
     """The same graph with the two players' vertices exchanged."""
     return Arena(arena.vertices, {v: 1 - p for v, p in arena.owner.items()},

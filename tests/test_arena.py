@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from rankgames.arena import Arena, Lasso, attractor, is_subarena, restrict
 from rankgames.errors import InputError
 
-from conftest import swap_owners
+from conftest import rotated, swap_owners, with_loop_repeated
 
 
 @st.composite
@@ -174,6 +174,6 @@ class TestLasso:
 
     def test_rotation_and_unrolling_denote_same_play(self, a1):
         lasso = Lasso(("a",), ("b", "a", "b", "b")).check_in(a1)
-        for other in (lasso.rotated(3), lasso.with_loop_repeated(2)):
+        for other in (rotated(lasso, 3), with_loop_repeated(lasso, 2)):
             for i in range(20):
                 assert other.vertex_at(i) == lasso.vertex_at(i)

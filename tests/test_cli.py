@@ -179,6 +179,10 @@ FIRST_ERRORS = [
     ("move along a non-edge", SAFETY_WIN,
      _edit(SAFETY_STRATEGY, lambda d: d["moves"][0].update(target="zz")),
      "strategy move ('a' -> 'zz') is not an edge"),
+    ("move at an unlisted memory state", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["moves"].append(
+         {"vertex": "a", "state": "nosuch", "target": "a"})),
+     "moves[1]: unknown memory state 'nosuch'"),
     ("memory reading a non-edge", SAFETY_WIN,
      _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][2].update(to="a")),
      "strategy memory reads unknown edge ('b', 'a')"),
@@ -435,6 +439,17 @@ class TestSolveCommand:
     def test_bound_on_qualitative_rejected(self, tmp_path):
         path = write_game(tmp_path, SAFETY_WIN)
         assert main(["solve", path, "--bound", "1"]) == 2
+
+    def test_strategy_built_only_for_out(self, tmp_path, strategies_built):
+        # who wins where is decided without building a strategy; only a
+        # strategy file needs one
+        for doc, bound in ((SAFETY_WIN, []), (RANKED_SUP, ["--bound", "1"])):
+            path = write_game(tmp_path, doc)
+            assert main(["solve", path, "--regions"] + bound) == 0
+            assert strategies_built[0] == 0
+        out = str(tmp_path / "strategy.json")
+        assert main(["solve", path, "--out", out] + bound) == 0
+        assert strategies_built[0] > 0
 
     def test_costs_bounds(self, tmp_path):
         path = write_game(tmp_path, A2_COSTS)

@@ -9,7 +9,7 @@ from rankgames.memory import (MemoryStructure, compose_strategy, expand,
                               extend_lasso, positional_strategy,
                               product_memory, trivial_memory, update_plus)
 
-from conftest import play_positions
+from conftest import play_positions, project
 
 
 def toggle_memory(arena):
@@ -91,7 +91,7 @@ class TestExtendLasso:
     def test_one_state_memory(self, a1):
         lasso = Lasso(("a",), ("b", "a", "b", "b")).check_in(a1)
         ext = extend_lasso(trivial_memory(a1), lasso)
-        assert ext.project(lambda pv: pv[0]) == lasso
+        assert project(ext, lambda pv: pv[0]) == lasso
 
     def test_toggle_odd_loop_doubles(self, a1):
         lasso = Lasso(("a",), ("b", "a", "b", "b", "b"))
@@ -109,7 +109,7 @@ class TestExtendLasso:
         for _ in range(20):
             lasso = random_lasso(rng, a1)
             ext = extend_lasso(mem, lasso)
-            proj = ext.project(lambda pv: pv[0])
+            proj = project(ext, lambda pv: pv[0])
             assert play_positions(proj, 30) == play_positions(lasso, 30)
 
     def test_loop_length_divides_product(self, a1):

@@ -11,7 +11,7 @@ from rankgames.objectives import (Buchi, CoBuchi, CostRRSpec, RequestResponse,
                                   cost_rr_lasso, eval_qualitative,
                                   rank_cost_lasso)
 
-from conftest import play_positions
+from conftest import play_positions, rotated, with_loop_repeated
 
 
 @pytest.fixture
@@ -176,8 +176,8 @@ class TestRepresentationIndependence:
             lasso = random_lasso(rng, game.arena)
             rk = {v: rng.randint(0, 3) for v in game.arena.vertices}
             obj = game.spec.rr_objective()
-            forms = [lasso.with_loop_repeated(k) for k in (2, 3, 4)]
-            forms += [lasso.rotated(rng.randint(1, 6)) for _ in range(3)]
+            forms = [with_loop_repeated(lasso, k) for k in (2, 3, 4)]
+            forms += [rotated(lasso, rng.randint(1, 6)) for _ in range(3)]
             for other in forms:
                 assert eval_qualitative(obj, other) == eval_qualitative(obj, lasso)
                 assert cost_rr_lasso(game.spec, other) == cost_rr_lasso(game.spec, lasso)

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 import rr_reference
+import walk_reference
 from rankgames.arena import Arena, Lasso
 from rankgames.errors import CapacityError, InputError
 from rankgames.extnat import INF
@@ -17,8 +18,9 @@ from rankgames.qualsolve import (solve_buchi, solve_cobuchi,
                                  solve_request_response, solve_safety)
 from rankgames.ranked import RankedCondition
 from rankgames.rrcost import cap_bound, optimize, solve_with_bound
-from rankgames.verify import (FaultSimVerdict, _loop_comps, _predecessors,
-                              enumerate_regions, enumerate_solve,
+from rankgames import verify
+from rankgames.verify import (FaultSimVerdict, _closed_walk, _loop_comps,
+                              _predecessors, enumerate_regions, enumerate_solve,
                               max_response_cost, simulate_faults,
                               verify_strategy)
 
@@ -255,6 +257,59 @@ class TestLoopComponents:
             assert {frozenset(c) for c in found} == expected
             checked += len(expected)
         assert checked > 300
+
+
+class TestClosedWalk:
+    def test_matches_the_two_search_reference_on_random_digraphs(self):
+        # every cycle-carrying SCC of the subgraphs random regions induce in
+        # random digraphs, with random entries and anchor batches that repeat
+        # nodes and hit the entry; successor order is shuffled, since both
+        # walks follow it
+        rng = random.Random(16)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            p = rng.choice((0.1, 0.2, 0.4))
+            succ = {u: tuple(rng.sample(range(n), n)) for u in range(n)}
+            succ = {u: tuple(w for w in ws if rng.random() < p) for u, ws in succ.items()}
+            graph = nx.DiGraph()
+            graph.add_nodes_from(succ)
+            graph.add_edges_from((u, w) for u, ws in succ.items() for w in ws)
+            sub = graph.subgraph(u for u in range(n) if rng.random() < 0.75)
+            pred = _predecessors(succ)
+            for comp in nx.strongly_connected_components(sub):
+                if len(comp) == 1 and not sub.has_edge(*comp, *comp):
+                    continue
+                nodes = sorted(comp)
+                for _ in range(3):
+                    entry = rng.choice(nodes)
+                    anchors = tuple(rng.choice(nodes) for _ in range(rng.randint(0, 3)))
+                    walk = _closed_walk(succ, pred, comp, entry, anchors)
+                    assert walk == walk_reference.closed_walk(succ, comp, entry, anchors)
+                    assert walk[0] == entry and set(anchors) <= set(walk) <= comp
+                    assert all(w in succ[u] for u, w in zip(walk, walk[1:] + walk[:1]))
+                    checked += 1
+        assert checked > 500
+
+    def test_refuted_claim_analyses_each_loop_family_once(self, monkeypatch):
+        # two pending-pair families; the play q x x x ... leaves pair 1
+        # pending forever, so the witness comes from the second family
+        calls = []
+        loop_comps = verify._loop_comps
+
+        def counting(succ, pred, region):
+            calls.append(len(region))
+            return loop_comps(succ, pred, region)
+
+        monkeypatch.setattr(verify, "_loop_comps", counting)
+        arena = Arena.of({"q": 0, "x": 0, "p": 0},
+                         [("q", "x"), ("x", "x"), ("x", "p"), ("p", "q")], "q")
+        claim = RequestResponse(((frozenset({"p"}), frozenset({"q"})),
+                                 (frozenset({"q"}), frozenset({"p"}))))
+        lazy = positional_strategy(arena, 0, {"q": "x", "x": "x", "p": "q"})
+        verdict = verify_strategy(arena, claim, lazy)
+        assert verdict.witness == Lasso(("q",), ("x",))
+        assert len(calls) == 2
 
 
 class TestMaxResponseCost:
