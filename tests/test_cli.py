@@ -186,6 +186,31 @@ FIRST_ERRORS = [
     ("memory reading a non-edge", SAFETY_WIN,
      _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][2].update(to="a")),
      "strategy memory reads unknown edge ('b', 'a')"),
+    # a file with both a format error and a game error reports the format
+    # error; game errors come last, an update row's before a move's, and
+    # all of them before verify's --bound checks
+    ("non-edge update row, then a row without next", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: (d["memory"]["update"][0].update(to="zz"),
+                                       d["memory"]["update"][2].pop("next"))),
+     "memory.update[2]: missing required field 'next'"),
+    ("non-edge update row and an unlisted initial state", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: (d["memory"]["update"][2].update(to="a"),
+                                       d["memory"].update(initial="x"))),
+     "initial memory state 'x' is not a state"),
+    ("move at an unknown vertex, then its duplicate", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: (d["moves"][0].update(vertex="zz"),
+                                       d["moves"].append(dict(d["moves"][0])))),
+     "moves[1]: duplicate move row"),
+    ("move along a non-edge and a non-edge update row", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: (d["moves"][0].update(target="zz"),
+                                       d["memory"]["update"][2].update(to="a"))),
+     "strategy memory reads unknown edge ('b', 'a')"),
+    ("owner 2 and a move along a non-edge", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: (d.update(owner=2), d["moves"][0].update(target="zz"))),
+     "strategy owner must be 0 or 1"),
+    ("non-edge update row before the missing --bound", RANKED_SUP,
+     _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][2].update(to="a")),
+     "strategy memory reads unknown edge ('b', 'a')"),
 ]
 
 
