@@ -119,8 +119,7 @@ def cmd_eval(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     game = ff.parse_game(args.game)
-    strategy = ff.read_strategy(args.strategy)
-    ff.check_strategy_against(strategy, game.arena)
+    strategy = ff.read_strategy(args.strategy, game.arena)
     bound = args.bound
     if game.kind == "ranked" and bound is None:
         raise InputError("rank-cost verification needs --bound")

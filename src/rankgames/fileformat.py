@@ -11,9 +11,10 @@ The on-disk layout of a strategy file is part of the format: the text
 a final newline.  ``write_strategy`` emits that layout directly from the
 rows, and a test holds its bytes to the ``json`` reference.  Readers check
 each row inline and fall back to the field-by-field checks only to word
-the first error.  Each row is checked once, here: the arenas and memories
-the readers build go through the trusted constructors, which check
-nothing again.
+the first error.  Each row is checked once, here: the strategy reader
+takes the game's arena and checks every update and move row against it in
+the pass that reads the row, and the arenas and memories the readers
+build go through the trusted constructors, which check nothing again.
 """
 
 from __future__ import annotations
@@ -140,14 +141,13 @@ def parse_game_doc(doc) -> LoadedGame:
         raise InputError(f"game: sections {sections} are mutually exclusive")
     if not sections:
         return LoadedGame("qualitative", arena, objective)
-    known = set(arena.vertices)
     if sections[0] == "rank":
         rank = _need(doc, "rank", "game", dict)
         mode = _need(rank, "mode", "rank", str)
         values = _need(rank, "values", "rank", dict)
         rk = {}
         for v, r in values.items():
-            if v not in known:
+            if v not in arena.owner:
                 raise InputError(f"rank.values: unknown vertex id {v!r}")
             if not isinstance(r, int) or isinstance(r, bool) or r < 0:
                 raise InputError(f"rank.values.{v}: rank must be a natural number")
@@ -185,7 +185,7 @@ def parse_game_doc(doc) -> LoadedGame:
         u = _need(entry, "from", where, str)
         w = _need(entry, "to", where, str)
         for v in (u, w):
-            if v not in known:
+            if v not in arena.owner:
                 raise InputError(f"{where}: unknown vertex id {v!r}")
         if arena.owner[u] != 0:
             raise InputError(f"{where}: fault source must be owned by Player 0")
@@ -279,7 +279,12 @@ def _fields(entry, names, where):
     return [_need(entry, key, where, str) for key in names]
 
 
-def strategy_from_doc(doc) -> FiniteStateStrategy:
+def strategy_from_doc(doc, arena: Arena) -> FiniteStateStrategy:
+    """The strategy a document holds, each row checked against ``arena``
+    in the pass that reads it.  Format errors come first, in file order,
+    with the memory's state errors after its update rows; then the owner;
+    then the first row that does not fit the game, update rows before
+    moves."""
     # As in _parse_arena, only rows that fail the inline check go through
     # _need, which words their error.
     if not isinstance(doc, dict):
@@ -290,14 +295,17 @@ def strategy_from_doc(doc) -> FiniteStateStrategy:
     if not all(isinstance(s, str) for s in states) or len(set(states)) != len(states):
         raise InputError("memory.states: state names must be distinct strings")
     initial = _need(memdoc, "initial", "memory", str)
-    known = set(states)
-    update, unknown = {}, False
+    known, edges, vertex_owner = set(states), arena.edges, arena.owner
+    update, unknown, game_error = {}, False, None
     for i, entry in enumerate(_need(memdoc, "update", "memory", list)):
         if not (type(entry) is dict and type(s := entry.get("state")) is str
                 and type(u := entry.get("from")) is str and type(w := entry.get("to")) is str
-                and type(t := entry.get("next")) is str and s in known and t in known):
+                and type(t := entry.get("next")) is str and s in known and t in known
+                and (u, w) in edges):
             s, u, w, t = _fields(entry, ("state", "from", "to", "next"), f"memory.update[{i}]")
             unknown = unknown or s not in known or t not in known
+            if game_error is None and (u, w) not in edges:
+                game_error = f"strategy memory reads unknown edge {(u, w)!r}"
         key = (s, (u, w))
         if key in update:
             raise InputError(f"memory.update[{i}]: duplicate update row")
@@ -312,14 +320,25 @@ def strategy_from_doc(doc) -> FiniteStateStrategy:
     for i, entry in enumerate(_need(doc, "moves", "strategy", list)):
         if not (type(entry) is dict and type(v := entry.get("vertex")) is str
                 and type(s := entry.get("state")) is str and s in known
-                and type(w := entry.get("target")) is str):
+                and type(w := entry.get("target")) is str
+                and vertex_owner.get(v) == owner and (v, w) in edges):
             v, s, w = _fields(entry, ("vertex", "state", "target"), f"moves[{i}]")
             if s not in known:
                 raise InputError(f"moves[{i}]: unknown memory state {s!r}")
+            if game_error is None:
+                if v not in vertex_owner:
+                    game_error = f"strategy moves at unknown vertex {v!r}"
+                elif vertex_owner[v] != owner:
+                    game_error = f"strategy moves at vertex {v!r} not owned by player {owner}"
+                elif (v, w) not in edges:
+                    game_error = f"strategy move ({v!r} -> {w!r}) is not an edge"
         if (v, s) in moves:
             raise InputError(f"moves[{i}]: duplicate move row")
         moves[(v, s)] = w
-    return FiniteStateStrategy(owner, mem, moves)
+    strategy = FiniteStateStrategy(owner, mem, moves)
+    if game_error is not None:
+        raise InputError(game_error)
+    return strategy
 
 
 class _Encoded(dict):
@@ -367,21 +386,5 @@ def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
         fh.write(text)
 
 
-def read_strategy(path: str) -> FiniteStateStrategy:
-    return strategy_from_doc(_load_json(path))
-
-
-def check_strategy_against(strategy: FiniteStateStrategy, arena: Arena) -> None:
-    """Alphabet compatibility of a (possibly loaded) strategy with a game."""
-    for (_s, e) in strategy.memory.update:
-        if e not in arena.edges:
-            raise InputError(f"strategy memory reads unknown edge {e!r}")
-    vertices = set(arena.vertices)
-    for (v, _s), w in strategy.next_move.items():
-        if v not in vertices:
-            raise InputError(f"strategy moves at unknown vertex {v!r}")
-        if arena.owner[v] != strategy.owner:
-            raise InputError(f"strategy moves at vertex {v!r} not owned by player "
-                             f"{strategy.owner}")
-        if (v, w) not in arena.edges:
-            raise InputError(f"strategy move ({v!r} -> {w!r}) is not an edge")
+def read_strategy(path: str, arena: Arena) -> FiniteStateStrategy:
+    return strategy_from_doc(_load_json(path), arena)

@@ -173,12 +173,6 @@ def rr_open_update(pairs, open_set: tuple, entered: Vertex) -> tuple:
     return tuple(sorted(opened))
 
 
-def rr_seed_state(pairs, vertex: Vertex) -> tuple:
-    """Open-request memory state, (open tuple, pointer), that a
-    request-response play anchored at ``vertex`` starts in."""
-    return (rr_open_update(pairs, (), vertex), 0)
-
-
 def _open_tracker(pairs):
     """Open requests, as a sorted tuple of pair indices."""
     return (partial(rr_open_update, pairs, ()),

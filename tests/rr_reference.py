@@ -11,7 +11,13 @@ package's solver to it: same memory, regions and strategies.
 from rankgames.arena import Arena, anchor
 from rankgames.memory import FiniteStateStrategy, MemoryStructure, explore
 from rankgames.qualsolve import SolveResult, solve_buchi
-from rankgames.verify import rr_open_update, rr_seed_state
+from rankgames.verify import rr_open_update
+
+
+def rr_seed_state(pairs, vertex):
+    """Open-request memory state, (open tuple, pointer), that a
+    request-response play anchored at ``vertex`` starts in."""
+    return (rr_open_update(pairs, (), vertex), 0)
 
 
 def rr_memory(arena, pairs, within=None):

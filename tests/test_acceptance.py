@@ -37,7 +37,7 @@ from rankgames.rrcost import (CostRRGame, build_reduction, cap_bound,
                               optimize as optimize_cost,
                               solve_with_bound as solve_cost)
 from rankgames.verify import (_candidate_graphs, enumerate_regions,
-                              enumerate_solve, max_response_cost, rr_seed_state,
+                              enumerate_solve, max_response_cost,
                               simulate_faults, verify_strategy)
 
 
@@ -170,7 +170,7 @@ def test_c2_request_response_oracle_and_memory_bound():
         assert (res.region_0, res.region_1) == oracle, (arena, pairs)
         assert res.strategy_0.size() <= d * 2 ** d
         for v in sorted(res.region_0):
-            state = (rr_seed_state(pairs, v), 0)
+            state = (rr_reference.rr_seed_state(pairs, v), 0)
             assert verify_strategy(arena, RequestResponse(pairs), res.strategy_0,
                                    start=v, start_state=state).certified
         checked += 1

@@ -372,7 +372,7 @@ class TestParsing:
         doc = json.loads((tmp_path / "strat.json").read_text())
         doc["owner"] = False
         with pytest.raises(InputError, match=r"strategy\.owner"):
-            strategy_from_doc(doc)
+            strategy_from_doc(doc, parse_game(path).arena)
 
     @pytest.mark.parametrize("entry", ["vertex", "update", "vertex id", "state"])
     def test_malformed_entry_exits_2(self, tmp_path, capsys, entry):
@@ -450,8 +450,9 @@ class TestParsing:
         path = write_game(tmp_path, A2_COSTS)
         out = str(tmp_path / "strat.json")
         assert main(["optimize", path, "--out", out]) == 0
-        loaded = read_strategy(out)
-        again = strategy_from_doc(strategy_to_doc(loaded))
+        arena = parse_game(path).arena
+        loaded = read_strategy(out, arena)
+        again = strategy_from_doc(strategy_to_doc(loaded), arena)
         assert again == loaded
 
 

@@ -13,7 +13,7 @@ from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
 from rankgames.qualsolve import (rr_memory, solve_buchi, solve_cobuchi,
                                  solve_objective, solve_request_response,
                                  solve_safety, solve_safety_cobuchi)
-from rankgames.verify import enumerate_regions, rr_seed_state, verify_strategy
+from rankgames.verify import enumerate_regions, verify_strategy
 
 from conftest import restrict_objective, swap_owners
 
@@ -107,7 +107,7 @@ class TestSolveRequestResponse:
     def test_strategies_certified_with_seeds(self, a2):
         pairs = ((frozenset({"q"}), frozenset({"p"})),)
         res = solve_request_response(a2, pairs)
-        seeds = {v: rr_seed_state(pairs, v) for v in a2.vertices}
+        seeds = {v: rr_reference.rr_seed_state(pairs, v) for v in a2.vertices}
         certify_both(a2, RequestResponse(pairs), res, seeds=seeds)
 
     def test_memory_rows_are_exactly_the_product_edges(self):
@@ -132,7 +132,7 @@ class TestSolveRequestResponse:
                       for i in range(14))
         res = solve_request_response(arena, pairs)
         assert res.region_0 == frozenset(arena.vertices)
-        seeds = {v: rr_seed_state(pairs, v) for v in arena.vertices}
+        seeds = {v: rr_reference.rr_seed_state(pairs, v) for v in arena.vertices}
         certify_both(arena, RequestResponse(pairs), res, seeds=seeds)
         _assert_matches_tuple_reference(arena, pairs, None)
 

@@ -73,7 +73,7 @@ def test_read_strategies_equal_the_validated_memory():
         res = solve_objective(game.arena, game.objective)
         for player in (0, 1):
             doc = strategy_to_doc(res.strategy_of(player))
-            mem = strategy_from_doc(doc).memory
+            mem = strategy_from_doc(doc, game.arena).memory
             assert memory_fields(mem) == memory_fields(_memory_of_rows(doc)), name
 
 
