@@ -594,6 +594,9 @@ class TestEvalCommand:
         path = write_game(tmp_path, RANKED_SUP)
         assert main(["eval", path, "--loop", "a"]) == 0
         assert capsys.readouterr().out == "1\n"
+        # a play that leaves the safe set misses the objective and costs inf
+        assert main(["eval", path, "--prefix", "a", "--loop", "b"]) == 0
+        assert capsys.readouterr().out == "inf\n"
 
     def test_invalid_lasso(self, tmp_path):
         path = write_game(tmp_path, A2_COSTS)

@@ -132,6 +132,13 @@ class TestComposeReductions:
             if first.consistent and second.consistent:
                 assert both.consistent, both.detail
 
+    def test_invalid_correction_names_its_parameter(self, a2_game):
+        r = build_reduction(a2_game, 3)
+        with pytest.raises(InputError) as exc:
+            QuantReduction(r.memory, Cap(3), INF, r.source, r.target)
+        assert str(exc.value) == \
+            "function Cap(bound=3) is not a valid correction for parameter inf"
+
     def test_mismatched_chain_rejected(self, a2_game, a3_game):
         r1 = build_reduction(a2_game, 3)
         r3 = build_reduction(a3_game, 3)
