@@ -15,7 +15,7 @@ from typing import Optional
 from . import fileformat as ff
 from .arena import Lasso
 from .errors import CapacityError, InputError
-from .extnat import fmt, is_finite
+from .extnat import is_finite
 from .objectives import eval_qualitative
 from .qualsolve import solve_objective
 from .ranked import RankedCondition, optimize as optimize_ranked, solve_with_bound
@@ -108,9 +108,9 @@ def cmd_eval(args, out) -> int:
     game = ff.parse_game(args.game)
     lasso = _parse_lasso(args, game)
     if game.kind == "ranked":
-        print(fmt(game.ranked.lasso_cost(lasso)), file=out)
+        print(game.ranked.lasso_cost(lasso), file=out)
     elif game.kind == "costrr":
-        print(fmt(game.costrr.lasso_cost(lasso)), file=out)
+        print(game.costrr.lasso_cost(lasso), file=out)
     else:
         win = eval_qualitative(game.objective, lasso)
         print("Player 0 wins play" if win else "Player 1 wins play", file=out)
@@ -147,14 +147,14 @@ def cmd_resilience(args, out) -> int:
         raise InputError("resilience needs a game with a faults section")
     res = max_resilience(game.fault, "lim" if args.eventual else "sup")
     for v in sorted(game.arena.vertices):
-        print(f"val {v} = {fmt(res.val[v])}", file=out)
+        print(f"val {v} = {res.val[v]}", file=out)
     if res.player1_wins:
         print("Player 1 wins the safety game", file=out)
         print("resilience: 0", file=out)
         _write_out(args.out, res.strategy, out)
         return 1
-    print(f"optimal bound: {fmt(res.bound)}", file=out)
-    print(f"resilience: {fmt(res.resilience)}", file=out)
+    print(f"optimal bound: {res.bound}", file=out)
+    print(f"resilience: {res.resilience}", file=out)
     _write_out(args.out, res.strategy, out)
     return 0
 

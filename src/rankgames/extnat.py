@@ -1,65 +1,21 @@
 """Naturals extended with an absorbing infinity.
 
-Play costs range over the non-negative integers plus ``INF``.  ``INF`` is a
-dedicated singleton, not a sentinel integer: it compares strictly above every
-int, absorbs addition, and is a fixed point of max.
+Play costs range over the non-negative integers plus ``INF``.  ``INF`` is
+Python's float infinity, held as one module-level object: every producer
+returns this object, and :func:`check_extnat` maps any float infinity to
+it.  It compares strictly above every int, is a fixed point of max, and
+renders as ``inf``.  Finite costs are ints.
 """
 
 from __future__ import annotations
 
 from typing import Union
 
+from .errors import InputError
 
-class _Infinity:
-    __slots__ = ()
+INF = float("inf")
 
-    def __repr__(self) -> str:
-        return "inf"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Infinity)
-
-    def __ne__(self, other: object) -> bool:
-        return not isinstance(other, _Infinity)
-
-    def __hash__(self) -> int:
-        return hash("rankgames.extnat.INF")
-
-    def __lt__(self, other):
-        if isinstance(other, (_Infinity, int)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, _Infinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (_Infinity, int)):
-            return True
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (_Infinity, int)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-
-INF = _Infinity()
-
-ExtNat = Union[int, _Infinity]
+ExtNat = Union[int, float]
 
 
 def is_finite(value: ExtNat) -> bool:
@@ -68,13 +24,8 @@ def is_finite(value: ExtNat) -> bool:
 
 def check_extnat(value: ExtNat, what: str = "value") -> ExtNat:
     """Reject anything that is not a non-negative int or ``INF``."""
-    if value is INF or isinstance(value, _Infinity):
+    if isinstance(value, float) and value == INF:
         return INF
     if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
         return value
-    raise ValueError(f"{what} must be a non-negative integer or INF, got {value!r}")
-
-
-def fmt(value: ExtNat) -> str:
-    """Render a cost for reports: plain digits, or ``inf``."""
-    return "inf" if not is_finite(value) else str(value)
+    raise InputError(f"{what} must be a non-negative integer or INF, got {value!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError
-from .extnat import INF, ExtNat, check_extnat, fmt, is_finite
+from .extnat import INF, ExtNat, check_extnat, is_finite
 from .memory import (FiniteStateStrategy, MemoryStructure, expand, extend_lasso,
                      product_memory, pull_back, trivial_memory)
 
@@ -149,7 +149,7 @@ class QuantReduction:
         object.__setattr__(self, "b", check_extnat(self.b, "reduction parameter"))
         if not is_correction(self.f, self.b):
             raise InputError(
-                f"function {self.f!r} is not a valid correction for parameter {fmt(self.b)}")
+                f"function {self.f!r} is not a valid correction for parameter {self.b}")
 
     def validate_expansion(self) -> None:
         """Structural check that the target arena is the source's expansion."""
@@ -190,15 +190,15 @@ def check_reduction_on_lasso(r: QuantReduction, lasso) -> ReductionCheck:
         if tgt != want:
             return ReductionCheck(
                 False, src, tgt,
-                f"cost {fmt(src)} below parameter {fmt(r.b)} must map to "
-                f"{fmt(want)}, target play costs {fmt(tgt)}")
+                f"cost {src} below parameter {r.b} must map to "
+                f"{want}, target play costs {tgt}")
     else:
         floor = r.f.apply(r.b)
         if not tgt >= floor:
             return ReductionCheck(
                 False, src, tgt,
-                f"cost {fmt(src)} at or above parameter {fmt(r.b)} needs target "
-                f"cost >= {fmt(floor)}, got {fmt(tgt)}")
+                f"cost {src} at or above parameter {r.b} needs target "
+                f"cost >= {floor}, got {tgt}")
     return ReductionCheck(True, src, tgt)
 
 

@@ -828,8 +828,11 @@ print(json.dumps(runs))
 
 def test_six_pair_and_cost_rr_bytes_are_independent_of_the_hash_seed(tmp_path):
     # solve --out and verify on a six-pair request-response game and on a
-    # cost-RR game at its optimum and one below, run in a fresh process
-    # per hash seed: stdout and strategy files must agree byte for byte
+    # cost-RR game at its optimum and one below, and requests that print
+    # infinity: resilience on a fault arena whose val holds 0, 1 and inf,
+    # optimize --out on a cost-RR game whose optimum is INF and eval of a
+    # play there that costs inf; run in a fresh process per hash seed,
+    # stdout and strategy files must agree byte for byte
     rng = random.Random(66)
     arena = random_arena(rng, 20, p0_max_outdeg=3)
     pairs = tuple((random_subset(rng, arena, 0.3),
@@ -842,11 +845,21 @@ def test_six_pair_and_cost_rr_bytes_are_independent_of_the_hash_seed(tmp_path):
     write_game(tmp_path, game_to_doc(LoadedGame("costrr", cost_game.arena,
                                                 cost_game.spec.rr_objective(),
                                                 costrr=cost_game)), "costrr.json")
+    fa = random_fault_arena(random.Random(2), 8, 3)
+    write_game(tmp_path, game_to_doc(LoadedGame("fault", fa.arena, Safety(fa.safe), fault=fa)),
+               "fault.json")
+    lost_game = random_costrr_game(random.Random(0), 6, 2, 3, p0_max_outdeg=2)
+    write_game(tmp_path, game_to_doc(LoadedGame("costrr", lost_game.arena,
+                                                lost_game.spec.rr_objective(),
+                                                costrr=lost_game)), "lost.json")
     requests = [["solve", "rr6.json", "--regions", "--out", "rr6-s.json"],
                 ["verify", "rr6.json", "--strategy", "rr6-s.json"]]
     for b in (best, best - 1):
         requests += [["solve", "costrr.json", "--bound", str(b), "--out", f"c{b}-s.json"],
                      ["verify", "costrr.json", "--strategy", f"c{b}-s.json", "--bound", str(b)]]
+    requests += [["resilience", "fault.json"], ["resilience", "fault.json", "--eventual"],
+                 ["optimize", "lost.json", "--out", "lost-s.json"],
+                 ["eval", "lost.json", "--prefix", "v0,v3,v4,v0", "--loop", "v3,v1,v5,v0"]]
     src = os.path.dirname(os.path.dirname(rankgames.__file__))
     runs = []
     for seed in ("0", "1"):
@@ -855,12 +868,17 @@ def test_six_pair_and_cost_rr_bytes_are_independent_of_the_hash_seed(tmp_path):
                               env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         files = {argv[-1]: (tmp_path / argv[-1]).read_bytes()
-                 for argv in requests if argv[0] == "solve"}
+                 for argv in requests if "--out" in argv}
         runs.append((json.loads(proc.stdout), files))
     outputs = runs[0][0]
     # winners: the costrr optimum and one below split the players; every
     # verify certifies the strategy just written
-    assert [code for code, _out in outputs[2::2]] == [0, 1]
-    assert all(code == 0 for code, _out in outputs[1::2])
+    assert [code for code, _out in outputs[2:6:2]] == [0, 1]
+    assert all(code == 0 for code, _out in outputs[1:6:2])
     assert len(runs[0][1]["rr6-s.json"]) > 1000
+    # every infinity request still prints one
+    for _code, out in outputs[6:8]:
+        assert "val v0 = inf\n" in out and "= 0\n" in out and "= 1\n" in out
+    assert outputs[8] == [1, "Player 1 wins\nstrategy written to lost-s.json\n"]
+    assert outputs[9] == [0, "inf\n"]
     assert runs[0] == runs[1]
