@@ -57,7 +57,8 @@ def test_bad_cost_values_raise_input_error(a2_game):
     assert check_extnat(float("inf")) is INF
 
 
-_HASH_PROBE = "from rankgames.extnat import INF; print(hash(INF)); print(list({INF, 1, 2, 3, 5, 8}))"
+_HASH_PROBE = ("from rankgames.extnat import INF; "
+               "print(hash(INF)); print(list({INF, 1, 2, 3, 5, 8}))")
 
 
 def test_inf_hashes_alike_under_every_hash_seed():

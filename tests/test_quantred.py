@@ -59,6 +59,13 @@ class TestIsCorrection:
         assert is_correction(capped, 2)
         assert not is_correction(capped, 3)
 
+    def test_invalid_correction_names_its_parameter(self, a2_game):
+        r = build_reduction(a2_game, 3)
+        with pytest.raises(InputError) as exc:
+            QuantReduction(r.memory, Cap(3), INF, r.source, r.target)
+        assert str(exc.value) == \
+            "function Cap(bound=3) is not a valid correction for parameter inf"
+
 
 class TestComposeFunctions:
     def test_two_caps_clamp_at_minimum(self):
@@ -131,13 +138,6 @@ class TestComposeReductions:
             both = check_reduction_on_lasso(composed, lasso)
             if first.consistent and second.consistent:
                 assert both.consistent, both.detail
-
-    def test_invalid_correction_names_its_parameter(self, a2_game):
-        r = build_reduction(a2_game, 3)
-        with pytest.raises(InputError) as exc:
-            QuantReduction(r.memory, Cap(3), INF, r.source, r.target)
-        assert str(exc.value) == \
-            "function Cap(bound=3) is not a valid correction for parameter inf"
 
     def test_mismatched_chain_rejected(self, a2_game, a3_game):
         r1 = build_reduction(a2_game, 3)

@@ -4,9 +4,9 @@ A code line is a line that holds a token once comments, blank lines and
 the docstrings of modules, classes and functions are removed.  A string
 token that spans several lines counts on every line it spans.
 
-Usage: ``python3 tools/code_lines.py [package_dir]`` (default: the
-``src/rankgames`` beside this script).  Prints one ``<count> <module>``
-line per module, sorted by name, then ``<total> total``.
+Usage: ``python3 tools/code_lines.py``.  Counts the ``src/rankgames`` of
+the checkout this script sits in, and prints one ``<count> <module>`` line
+per module, sorted by name, then ``<total> total``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else \
-        Path(__file__).resolve().parent.parent / "src" / "rankgames"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "rankgames"
     total = 0
     for path in sorted(root.glob("*.py")):
         n = code_lines(path.read_text(encoding="utf-8"))
@@ -54,4 +53,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
