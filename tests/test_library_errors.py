@@ -1,0 +1,168 @@
+"""The library's own input checks: each call below is rejected with its
+first error, whatever the game kind.  The CLI's first errors are pinned in
+``tests/test_cli.py::FIRST_ERRORS``; these are the checks behind the
+library calls that the CLI never makes."""
+
+import pytest
+
+from rankgames.arena import Arena, Lasso, first_successor, relabel, restrict
+from rankgames.errors import CapabilityError, InputError
+from rankgames.extnat import INF
+from rankgames.memory import (FiniteStateStrategy, MemoryStructure, positional_strategy,
+                              trivial_memory)
+from rankgames.objectives import (CostRRSpec, Safety, conjuncts, map_sets,
+                                  validate_objective, validate_rank)
+from rankgames.qualsolve import SolveResult, rr_memory, solve_objective
+from rankgames.quantred import (QuantReduction, Table, _max_preimage, compose,
+                                identity_table, trivial_reduction)
+from rankgames.ranked import (RankedCondition, RankedGame, solve_lim_with_bound,
+                              solve_sup_with_bound)
+from rankgames.resilience import FaultArena, budget_oracle
+from rankgames.rrcost import CostRRGame, build_reduction
+from rankgames.verify import (FaultSimVerdict, enumerate_regions, simulate_faults,
+                              verify_strategy)
+
+# a: Player 0, moves to b only; b: Player 1, moves to a or stays
+A = Arena.of({"a": 0, "b": 1}, [("a", "b"), ("b", "a"), ("b", "b")], "a")
+SAFE_A = Safety(frozenset({"a"}))
+PAIRS = ((frozenset({"a"}), frozenset({"b"})),)
+SPEC = CostRRSpec(PAIRS, {(0, ("a", "b")): 1})
+RANKS = {"a": 0, "b": 1}
+SUP = RankedGame(A, SAFE_A, RANKS, "sup")
+LIM = RankedGame(A, SAFE_A, RANKS, "lim")
+TO_B = positional_strategy(A, 0, {"a": "b"})
+FAULTS = FaultArena(A, {("a", "b")}, {"a", "b"})
+
+
+def _same_arena_target():
+    # a trivial reduction whose target keeps the source arena, unexpanded
+    return QuantReduction(trivial_memory(A), identity_table(), INF, SUP, SUP)
+
+
+def _compose_onto_plain_target():
+    r1 = trivial_reduction(SUP, lambda product, mem: SUP.relabeled(lambda v: (v, 0)))
+    r2 = QuantReduction(trivial_memory(r1.target.arena), identity_table(), INF,
+                        r1.target, "no relabeling")
+    return compose(r1, r2)
+
+
+# (case, call, error type, first error message)
+LIBRARY_ERRORS = [
+    # arena
+    ("arena with no vertex", lambda: Arena((), {}, frozenset(), "a"),
+     InputError, "an arena needs at least one vertex"),
+    ("arena owner 2", lambda: Arena.of({"a": 2}, [("a", "a")], "a"),
+     InputError, "owner of 'a' must be 0 or 1, got 2"),
+    ("first successor outside the alive set",
+     lambda: first_successor(A, "a", frozenset({"a"})),
+     InputError, "vertex 'a' has no successor inside the alive set"),
+    ("restrict to an unknown vertex", lambda: restrict(A, {"a", "b", "z"}),
+     InputError, "keep contains unknown vertices: ['z']"),
+    ("relabel not injective", lambda: relabel(A, lambda v: 0),
+     InputError, "relabeling is not injective"),
+    ("lasso with an unknown vertex", lambda: Lasso(("a",), ("z",)).check_in(A),
+     InputError, "lasso mentions unknown vertices: ['z']"),
+    # memory
+    ("memory with an unknown initial state", lambda: MemoryStructure((0,), 1, {}),
+     InputError, "initial memory state 1 is not a state"),
+    ("memory row to an unknown state",
+     lambda: MemoryStructure((0,), 0, {(0, ("a", "b")): 1}),
+     InputError, "memory update mentions an unknown state"),
+    ("strategy with no move in a row",
+     lambda: FiniteStateStrategy(0, trivial_memory(A), {}).move("a", 0),
+     InputError, "strategy has no move at vertex 'a' in state 0"),
+    ("positional move at the opponent's vertex",
+     lambda: positional_strategy(A, 0, {"b": "a"}),
+     InputError, "move given for vertex 'b' not owned by player 0"),
+    ("positional move along a non-edge", lambda: positional_strategy(A, 0, {"a": "a"}),
+     InputError, "move ('a' -> 'a') is not an edge"),
+    # objectives
+    ("conjuncts of an unknown objective", lambda: conjuncts("parity"),
+     InputError, "unknown objective 'parity'"),
+    ("map_sets of an unknown objective", lambda: map_sets("parity", frozenset),
+     InputError, "unknown objective 'parity'"),
+    ("objective naming an unknown vertex",
+     lambda: validate_objective(Safety(frozenset({"z"})), A),
+     InputError, "safe set mentions unknown vertices: ['z']"),
+    ("negative rank", lambda: validate_rank({"a": 0, "b": -1}, A),
+     InputError, "rank of 'b' must be a non-negative integer, got -1"),
+    ("cost spec with no pair", lambda: CostRRSpec((), {}),
+     InputError, "cost spec needs at least one request-response pair"),
+    ("cost for an unknown pair", lambda: CostRRSpec(PAIRS, {(1, ("a", "b")): 1}),
+     InputError, "cost entry for unknown pair index 1"),
+    ("negative edge cost", lambda: CostRRSpec(PAIRS, {(0, ("a", "b")): -1}),
+     InputError, "edge cost must be a natural number, got -1"),
+    # qualsolve
+    ("overlapping regions",
+     lambda: SolveResult(frozenset({"a"}), frozenset({"a", "b"}), lambda player: None),
+     InputError, "winning regions overlap"),
+    ("request-response memory with no pair", lambda: rr_memory(A, ()),
+     InputError, "request-response needs at least one pair"),
+    ("solve an unknown objective", lambda: solve_objective(A, "parity"),
+     InputError, "no solver for objective 'parity'"),
+    # quantred
+    ("unknown table tail", lambda: Table((0,), tail="cubic"),
+     InputError, "unknown tail rule 'cubic'"),
+    ("constant tail with no value", lambda: Table((), tail="constant"),
+     InputError, "a constant tail needs at least one tabulated value"),
+    ("target that is not the expansion",
+     lambda: _same_arena_target().validate_expansion(),
+     InputError, "target arena is not the memory expansion of the source"),
+    ("compose onto a target without relabeled", _compose_onto_plain_target,
+     InputError, "target game does not support vertex relabeling"),
+    ("composition parameter empty", lambda: _max_preimage(Table((5, 6)), 1, 0),
+     InputError, "composition parameter is empty: no value maps below the limit"),
+    # ranked
+    ("sup solve of a lim game", lambda: solve_sup_with_bound(LIM, 0),
+     InputError, "solve_sup_with_bound needs a sup-mode game"),
+    ("lim solve of a sup game", lambda: solve_lim_with_bound(SUP, 0),
+     InputError, "solve_lim_with_bound needs a lim-mode game"),
+    # resilience
+    ("fault arena with an unknown safe vertex",
+     lambda: FaultArena(A, {("a", "b")}, {"a", "z"}),
+     InputError, "safe set mentions unknown vertices"),
+    ("fault to an unknown vertex", lambda: FaultArena(A, {("a", "z")}, {"a"}),
+     InputError, "fault ('a', 'z') mentions an unknown vertex"),
+    ("budget oracle at an unknown vertex", lambda: budget_oracle(FAULTS, "z", 1),
+     InputError, "unknown vertex 'z'"),
+    # rrcost
+    ("cost on a non-edge",
+     lambda: CostRRGame(A, CostRRSpec(PAIRS, {(0, ("a", "a")): 1})),
+     InputError, "cost assigned to missing edge ('a', 'a')"),
+    ("reduction at a negative bound", lambda: build_reduction(CostRRGame(A, SPEC), -1),
+     InputError, "reduction bound must be non-negative"),
+    # verify
+    ("qualitative claim with a bound", lambda: verify_strategy(A, SAFE_A, TO_B, bound=1),
+     InputError, "qualitative objectives take no bound"),
+    ("rank-cost claim without a bound",
+     lambda: verify_strategy(A, RankedCondition(SAFE_A, RANKS, "sup"), TO_B),
+     InputError, "rank-cost claims need a non-negative integer bound"),
+    ("response-cost claim at a negative bound",
+     lambda: verify_strategy(A, SPEC, TO_B, bound=-1),
+     InputError, "response-cost claims need a non-negative integer bound"),
+    ("claim of an unknown kind", lambda: verify_strategy(A, "parity", TO_B),
+     InputError, "cannot verify condition 'parity'"),
+    ("verify from an unknown start", lambda: verify_strategy(A, SAFE_A, TO_B, start="z"),
+     InputError, "unknown start vertex 'z'"),
+    ("enumeration seeds missing",
+     lambda: enumerate_regions(A, SAFE_A, trivial_memory(A), seeds={"a": 0}),
+     InputError, "seed states missing for vertices ['b']"),
+    ("enumeration of a response-cost claim",
+     lambda: enumerate_regions(A, SPEC, trivial_memory(A), bound=1),
+     CapabilityError, "response-cost values have a dedicated oracle"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [case[1:] for case in LIBRARY_ERRORS],
+                         ids=[case[0] for case in LIBRARY_ERRORS])
+def test_library_first_error(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_fault_simulation_from_an_unsafe_initial_vertex():
+    # the initial vertex itself is the breach, before any move
+    fa = FaultArena(A, {("a", "b")}, {"b"})
+    assert simulate_faults(fa, TO_B, 1, 5) == FaultSimVerdict(False, ("a",))
