@@ -43,20 +43,15 @@ def cmd_solve(args, out) -> int:
         if args.bound is not None:
             raise InputError("qualitative games take no --bound")
         res = solve_objective(game.arena, game.objective)
+    elif args.bound is None:
+        raise InputError("quantitative games need --bound")
     elif game.kind == "ranked":
-        if args.bound is None:
-            raise InputError("quantitative games need --bound")
         res = solve_with_bound(game.ranked, args.bound)
+    elif args.regions:
+        # the cost-RR search decides the initial vertex only
+        raise InputError("response-cost games take no --regions")
     else:
-        if args.bound is None:
-            raise InputError("quantitative games need --bound")
-        if args.regions:
-            # the cost-RR search probes the initial vertex only
-            raise InputError("response-cost games take no --regions")
-        winner, strategy = solve_costrr(game.costrr, args.bound)
-        print(f"Player {winner} wins", file=out)
-        _write_out(args.out, strategy, out)
-        return winner
+        res = solve_costrr(game.costrr, args.bound)
     winner = 0 if game.arena.initial in res.region_0 else 1
     print(f"Player {winner} wins", file=out)
     if args.regions:

@@ -19,6 +19,7 @@ from .memory import (FiniteStateStrategy, MemoryStructure, expand, extend_lasso,
 
 IDENTITY_TAIL = "identity"
 CONSTANT_TAIL = "constant"
+PROBE_MAX = 64  # tables are checked as corrections on 0..PROBE_MAX plus infinity
 
 
 @dataclass(frozen=True)
@@ -77,18 +78,18 @@ def identity_table() -> Table:
     return Table(())
 
 
-def is_correction(f: CorrectionFunction, b: ExtNat, probe_max: int = 64) -> bool:
+def is_correction(f: CorrectionFunction, b: ExtNat) -> bool:
     """Check the three correction-function requirements for parameter b.
 
     Strictly increasing below b, strictly below the value at b, and never
     below it from b on.  Caps are decided analytically (a cap is a valid
     correction exactly up to its own bound); tables are probed on
-    0..probe_max plus infinity.
+    0..PROBE_MAX plus infinity.
     """
     b = check_extnat(b, "correction parameter")
     if isinstance(f, Cap):
         return b <= f.bound
-    domain = list(range(probe_max + 1)) + [INF]
+    domain = list(range(PROBE_MAX + 1)) + [INF]
     below = [x for x in domain if x < b]
     for x, y in zip(below, below[1:]):
         if not f.apply(x) < f.apply(y):

@@ -5,12 +5,15 @@ A vertex-ranked game charges a play the highest rank it visits at all
 qualitative objective; otherwise the play costs infinity.  Player 0
 minimizes.  Solving with respect to a bound b reduces to qualitative
 solving after pruning what Player 1 can force above b; the optimum is
-found by binary search over the realized rank values.
+found by binary search over the realized rank values.  That search,
+:func:`least_winning_bound`, is the one every ``OptimizeResult`` comes
+from: it also bisects the bounds of request-response games with costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple
 
 from .arena import Arena, attractor
@@ -150,27 +153,27 @@ class OptimizeResult:
         return 0 if isinstance(self.cost, int) else 1
 
 
-def least_winning_bound(probe, candidates):
-    """Least of the ascending ``candidates`` at which Player 0 wins.
+def least_winning_bound(initial, probe, candidates) -> OptimizeResult:
+    """Least of the ascending ``candidates`` at which Player 0 wins from
+    ``initial``, with her strategy from that candidate's probe.
 
-    ``probe(c)`` returns ``(wins, result)``, and winning must be monotone
-    in c.  The top candidate is probed first, then binary-search
-    midpoints.  Returns the least winning candidate with its probe's
-    result, or ``None`` with the top candidate's result when even that
-    one loses.
+    ``probe(c)`` returns a result whose regions decide ``initial``, and
+    winning must be monotone in c.  The top candidate is probed first,
+    then binary-search midpoints.  When even the top candidate loses, the
+    cost is ``INF`` with Player 1's strategy from the top probe.
     """
-    wins, best = probe(candidates[-1])
-    if not wins:
-        return None, best
+    best = probe(candidates[-1])
+    if initial not in best.region_0:
+        return OptimizeResult(INF, best.strategy_1)
     lo, hi = 0, len(candidates) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        wins, res = probe(candidates[mid])
-        if wins:
+        res = probe(candidates[mid])
+        if initial in res.region_0:
             hi, best = mid, res
         else:
             lo = mid + 1
-    return candidates[hi], best
+    return OptimizeResult(candidates[hi], best.strategy_0)
 
 
 def optimize(game: RankedGame) -> OptimizeResult:
@@ -181,11 +184,5 @@ def optimize(game: RankedGame) -> OptimizeResult:
     outright when even the largest rank fails, which is exactly failing
     the qualitative game.
     """
-    def probe(bound: int):
-        res = solve_with_bound(game, bound)
-        return game.arena.initial in res.region_0, res
-
-    cost, res = least_winning_bound(probe, game.rank_values())
-    if cost is None:
-        return OptimizeResult(INF, res.strategy_1)
-    return OptimizeResult(cost, res.strategy_0)
+    return least_winning_bound(game.arena.initial, partial(solve_with_bound, game),
+                               game.rank_values())

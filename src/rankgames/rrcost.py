@@ -7,22 +7,25 @@ counter memory, saturating at b+1, turns the game into a vertex-ranked
 sup game over request-response pairs that is exact below b+1.  Bounded
 solving and optimization share one galloping search that builds one
 reduction per probed bound, and bounded solving stops at the asked bound,
-so no product is larger than the bound in question needs.
+so no product is larger than the bound in question needs.  Every probe is
+a ``SolveResult`` that decides the initial vertex and lifts a strategy
+through its reduction only on first read; optimization bisects with
+:func:`rankgames.ranked.least_winning_bound`, as vertex-ranked
+optimization does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Tuple
 
 from .arena import Arena, Edge, Vertex
 from .errors import InputError
-from .extnat import INF, ExtNat
-from .memory import FiniteStateStrategy, explore_product
+from .extnat import ExtNat
+from .memory import explore_product
 from .objectives import (CostRRSpec, RequestResponse, cost_rr_lasso, relabel_objective,
                          validate_objective)
-from .qualsolve import solve_request_response
+from .qualsolve import SolveResult, solve_request_response
 from .quantred import Cap, QuantReduction, lift_strategy
 from .ranked import (OptimizeResult, RankedGame, least_winning_bound,
                      solve_sup_with_bound)
@@ -132,12 +135,21 @@ def build_reduction(game: CostRRGame, b: int) -> QuantReduction:
     return QuantReduction(memory, Cap(b + 1), b + 1, game, target)
 
 
-def _probe(game: CostRRGame, b: int):
-    """Reduction built at bound b and its sup game solved at b: regions
-    only, so a strategy is built on first read of the result."""
+def _deciding(game: CostRRGame, wins: bool, build) -> SolveResult:
+    """Result that decides the initial vertex only: in Player 0's region
+    when she wins there, otherwise in Player 1's."""
+    initial = frozenset((game.arena.initial,))
+    none = frozenset()
+    return SolveResult(initial if wins else none, none if wins else initial, build)
+
+
+def _probe(game: CostRRGame, b: int) -> SolveResult:
+    """Reduction built at bound b and its sup game solved at b.  A strategy
+    is built and lifted through the reduction on first read."""
     r = build_reduction(game, b)
     res = solve_sup_with_bound(r.target, b)
-    return r.target.arena.initial in res.region_0, (r, res)
+    return _deciding(game, r.target.arena.initial in res.region_0,
+                     lambda player: lift_strategy(r, res.strategy_of(player)))
 
 
 def _gallop(game: CostRRGame, bound: int):
@@ -151,45 +163,41 @@ def _gallop(game: CostRRGame, bound: int):
     every bound.  Winning is monotone in the bound, every probe builds its
     own reduction at its bound, and no bound is probed twice.
 
-    Returns ``(lo, b, won, lost)``: the last losing probe below b (-1 if
-    none), the last probe, and either the winning probe's (reduction,
-    result) or Player 1's strategy: his request-response strategy at cost
-    ``INF``, otherwise lifted from the probe at b.
+    Returns ``(lo, b, result)``: the last losing probe below b (-1 if
+    none), the last probe, and the result that decides the initial vertex
+    at b.  At cost ``INF`` that result's strategies are the
+    request-response ones; otherwise they are lifted from the probe at b.
     """
     cap = cap_bound(game)
     stop = min(bound, cap)
     lo, b, rr = -1, 0, None
     while True:
-        wins, (r, res) = _probe(game, b)
-        if wins:
-            return lo, b, (r, res), None
-        if b == stop and b < cap:
-            return lo, b, None, lift_strategy(r, res.strategy_1)
+        res = _probe(game, b)
+        if game.arena.initial in res.region_0 or (b == stop and b < cap):
+            return lo, b, res
         if rr is None:
             rr = solve_request_response(game.arena, game.spec.pairs)
             if game.arena.initial not in rr.region_0:
-                return lo, b, None, rr.strategy_1
+                return lo, b, _deciding(game, False, rr.strategy_of)
         if b == cap:
             raise InputError("internal error: request-response game won but not within the cap")
         lo, b = b, min(2 * b + 1, stop)
 
 
-def solve_with_bound(game: CostRRGame, b: int) -> Tuple[int, FiniteStateStrategy]:
-    """Winner at bound b and a strategy witnessing the verdict.
+def solve_with_bound(game: CostRRGame, b: int) -> SolveResult:
+    """Whether Player 0 keeps the response cost at most b from the initial
+    vertex, with strategies built on first read.
 
-    Gallops up to ``min(b, cap)``, so no reduction is built at a bound
-    above the least winning probe: a win at b' <= b is a win at b, and
-    Player 0's strategy lifted from b' is certified at b.  Bounds beyond
-    the cap are clamped, which is sound because a finitely winnable game
-    is winnable within the cap.
+    The result decides the initial vertex only: its regions partition
+    ``{initial}``.  Gallops up to ``min(b, cap)``, so no reduction is built
+    at a bound above the least winning probe: a win at b' <= b is a win at
+    b, and Player 0's strategy lifted from b' is certified at b.  Bounds
+    beyond the cap are clamped, which is sound because a finitely winnable
+    game is winnable within the cap.
     """
     if b < 0:
         raise InputError("bound must be non-negative")
-    _lo, _b, won, lost = _gallop(game, b)
-    if won is None:
-        return 1, lost
-    r, res = won
-    return 0, lift_strategy(r, res.strategy_0)
+    return _gallop(game, b)[2]
 
 
 def optimize(game: CostRRGame) -> OptimizeResult:
@@ -197,12 +205,10 @@ def optimize(game: CostRRGame) -> OptimizeResult:
 
     Gallops up to the cap until Player 0 wins, which also decides cost
     ``INF`` (Player 1 then gets his request-response strategy), then
-    bisects the last gap.  Only the winning probe's strategy is built and
-    lifted.
+    bisects the last gap, reusing the gallop's result at its last probe.
+    Only the winning probe's strategy is built and lifted.
     """
-    lo, b, won, lost = _gallop(game, cap_bound(game))
-    if won is None:
-        return OptimizeResult(INF, lost)
-    cost, (r, res) = least_winning_bound(
-        lambda c: (True, won) if c == b else _probe(game, c), range(lo + 1, b + 1))
-    return OptimizeResult(cost, lift_strategy(r, res.strategy_0))
+    lo, b, top = _gallop(game, cap_bound(game))
+    return least_winning_bound(game.arena.initial,
+                               lambda c: top if c == b else _probe(game, c),
+                               range(lo + 1, b + 1))

@@ -458,7 +458,9 @@ def test_c9_large_instance_smoke():
                               response_density=0.5)
     assert len(game.arena) == 20 and game.spec.d == 2 and game.spec.max_cost == 4
     started = time.time()
-    winner, strategy = solve_cost(game, 50)
+    res = solve_cost(game, 50)
+    winner = 0 if game.arena.initial in res.region_0 else 1
+    strategy = res.strategy_of(winner)
     elapsed = time.time() - started
     assert winner in (0, 1)
     assert strategy.size() >= 1

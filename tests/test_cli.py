@@ -467,8 +467,8 @@ class TestSolveCommand:
         assert main(["solve", path, "--bound", "1"]) == 2
 
     def test_strategy_built_only_for_out(self, tmp_path, strategies_built):
-        # who wins where is decided without building a strategy; only a
-        # strategy file needs one
+        # who wins where is decided without building a strategy, on every
+        # game kind; only a strategy file needs one
         for doc, bound in ((SAFETY_WIN, []), (RANKED_SUP, ["--bound", "1"])):
             path = write_game(tmp_path, doc)
             assert main(["solve", path, "--regions"] + bound) == 0
@@ -476,6 +476,13 @@ class TestSolveCommand:
         out = str(tmp_path / "strategy.json")
         assert main(["solve", path, "--out", out] + bound) == 0
         assert strategies_built[0] > 0
+        path = write_game(tmp_path, A2_COSTS)
+        for bound, winner in (("2", 1), ("3", 0)):
+            strategies_built[0] = 0
+            assert main(["solve", path, "--bound", bound]) == winner
+            assert strategies_built[0] == 0
+            assert main(["solve", path, "--bound", bound, "--out", out]) == winner
+            assert strategies_built[0] > 0
 
     def test_costs_bounds(self, tmp_path):
         path = write_game(tmp_path, A2_COSTS)

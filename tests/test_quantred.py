@@ -220,6 +220,33 @@ def _trivial_cost_target(game, product):
     return CostRRGame(product, CostRRSpec(pairs, costs))
 
 
+class TestCostRRRelabeled:
+    """``CostRRGame.relabeled`` builds the target of a trivial reduction of
+    a cost-RR game, and ``compose`` calls it on a cost-RR second target."""
+
+    @staticmethod
+    def _trivial(game):
+        return trivial_reduction(game, lambda product, mem: game.relabeled(
+            lambda v: (v, 0)))
+
+    def test_equals_the_trivial_target_over_the_expansion(self, a2_game, a3_game):
+        from rankgames.memory import expand
+
+        for game in (a2_game, a3_game):
+            product = expand(game.arena, trivial_memory(game.arena))
+            assert game.relabeled(lambda v: (v, 0)) == _trivial_cost_target(game, product)
+
+    def test_composed_trivial_reductions_stay_consistent(self, a2_game, a3_game):
+        rng = random.Random(52)
+        for game in (a2_game, a3_game):
+            r1 = self._trivial(game)
+            composed = compose(r1, self._trivial(r1.target))
+            assert composed.target.arena.initial == (game.arena.initial, (0, 0))
+            for _ in range(50):
+                chk = check_reduction_on_lasso(composed, random_lasso(rng, game.arena))
+                assert chk.consistent, chk.detail
+
+
 class TestLiftStrategy:
     def test_trivial_reduction_keeps_moves(self, a3_game):
         r = trivial_reduction(a3_game, lambda product, mem: _trivial_cost_target(
@@ -227,7 +254,9 @@ class TestLiftStrategy:
         from rankgames.rrcost import solve_with_bound
 
         # borrow a solved strategy on the product via the real pipeline
-        winner, strat = solve_with_bound(a3_game, 5)
+        res = solve_with_bound(a3_game, 5)
+        winner = 0 if a3_game.arena.initial in res.region_0 else 1
+        strat = res.strategy_of(winner)
         assert winner == 0
         lifted_size = strat.size()
         assert lifted_size >= 1

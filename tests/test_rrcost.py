@@ -18,6 +18,13 @@ from rankgames.rrcost import (CostRRGame, build_reduction, cap_bound,
 from rankgames.verify import max_response_cost, verify_strategy
 
 
+def solve_winner(game, b):
+    """Winner at bound b and the winner's strategy, read from the result."""
+    res = solve_with_bound(game, b)
+    winner = 0 if game.arena.initial in res.region_0 else 1
+    return winner, res.strategy_of(winner)
+
+
 class TestCapBound:
     def test_a2_instantiation(self, a2_game):
         # 1 pair * 2^1 * 2 vertices * largest cost 3
@@ -113,19 +120,32 @@ class TestBuildReduction:
 
 class TestSolveWithBound:
     def test_a2_wins_at_three(self, a2_game):
-        winner, strategy = solve_with_bound(a2_game, 3)
+        winner, strategy = solve_winner(a2_game, 3)
         assert winner == 0
         assert verify_strategy(a2_game.arena, a2_game.spec, strategy,
                                bound=3).certified
 
     def test_a2_loses_at_two(self, a2_game):
-        winner, strategy = solve_with_bound(a2_game, 2)
+        winner, strategy = solve_winner(a2_game, 2)
         assert winner == 1
         assert verify_strategy(a2_game.arena, a2_game.spec, strategy,
                                bound=2).certified
 
+    def test_decides_the_initial_vertex_and_builds_on_first_read(self, a2_game,
+                                                                  strategies_built):
+        # the regions partition {initial}; no strategy is built or lifted
+        # until the winner's strategy is read
+        for b, winner in ((3, 0), (2, 1)):
+            strategies_built[0] = 0
+            res = solve_with_bound(a2_game, b)
+            regions = (frozenset({"q"}), frozenset())
+            assert (res.region_0, res.region_1) == (regions if winner == 0 else regions[::-1])
+            assert strategies_built[0] == 0
+            assert res.strategy_of(winner).owner == winner
+            assert strategies_built[0] > 0
+
     def test_bound_beyond_cap_clamps(self, a2_game):
-        winner, _ = solve_with_bound(a2_game, 10 ** 9)
+        winner, _ = solve_winner(a2_game, 10 ** 9)
         assert winner == 0
 
     def test_builds_reduction_at_clamped_bound(self, a2_game, a3_game):
@@ -136,7 +156,7 @@ class TestSolveWithBound:
             bound = min(b, cap_bound(game))
             r = build_reduction(game, bound)
             target = solve_sup_with_bound(r.target, bound)
-            winner, strategy = solve_with_bound(game, b)
+            winner, strategy = solve_winner(game, b)
             tau = target.strategy_of(winner)
             assert strategy.size() == len(r.memory) * len(tau.memory)
 
@@ -197,7 +217,7 @@ class TestOptimize:
             res = optimize(game)
             if res.cost is INF or res.cost == 0:
                 continue
-            winner, tau = solve_with_bound(game, res.cost - 1)
+            winner, tau = solve_winner(game, res.cost - 1)
             assert winner == 1
             assert verify_strategy(game.arena, game.spec, tau,
                                    bound=res.cost - 1).certified
@@ -235,7 +255,7 @@ def test_optimize_builds_no_more_strategies_than_one_solve(a3_game, strategies_b
     # strategy is ever built and lifted
     res = optimize(a3_game)
     by_optimize, strategies_built[0] = strategies_built[0], 0
-    winner, _strategy = solve_with_bound(a3_game, res.cost)
+    winner, _strategy = solve_winner(a3_game, res.cost)
     assert winner == 0
     assert by_optimize <= strategies_built[0]
 
@@ -279,7 +299,7 @@ def test_optimize_finishes_the_cap_blowup_instance(monkeypatch):
     res = optimize(game)
     assert res.cost == 3
     assert verify_strategy(game.arena, game.spec, res.strategy, bound=3).certified
-    winner, tau = solve_with_bound(game, 2)
+    winner, tau = solve_winner(game, 2)
     assert winner == 1
     assert verify_strategy(game.arena, game.spec, tau, bound=2).certified
 
@@ -300,7 +320,7 @@ def test_optimum_is_least_winning_bound_by_linear_scan():
             continue
         finite += 1
         top = min(cap_bound(game), res.cost + 2)
-        winners = [solve_with_bound(game, b)[0] for b in range(top + 1)]
+        winners = [solve_winner(game, b)[0] for b in range(top + 1)]
         assert winners == [1] * res.cost + [0] * (top + 1 - res.cost), game
     assert finite >= 50 and infinite >= 10
 
@@ -311,7 +331,7 @@ def test_solve_far_above_the_optimum_stops_at_the_first_winning_probe(reductions
     game = random_costrr_game(random.Random(3), 20, 3, 2, p0_max_outdeg=3)
     for b in (40, 200):
         reductions_built.clear()
-        winner, strategy = solve_with_bound(game, b)
+        winner, strategy = solve_winner(game, b)
         assert winner == 0
         assert reductions_built == [0, 1, 3]
         assert verify_strategy(game.arena, game.spec, strategy, bound=b).certified
@@ -334,7 +354,7 @@ def test_solve_around_the_optimum_agrees_with_optimize(reductions_built):
             bounds |= {b for b in (cost - 1, cost, cost + 1) if b >= 0}
         for b in sorted(bounds):
             reductions_built.clear()
-            winner, strategy = solve_with_bound(game, b)
+            winner, strategy = solve_winner(game, b)
             assert winner == (0 if cost is not INF and b >= cost else 1), (game, b)
             assert verify_strategy(game.arena, game.spec, strategy, bound=b).certified
             if b == 0:

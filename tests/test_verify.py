@@ -100,7 +100,9 @@ class TestVerifyStrategy:
     def test_cost_rr_player1_certified_and_refuted(self, a3_game):
         # the optimum is 5: below it the opponent's strategy is certified,
         # at it the refutation is a play consistent with it costing at most 5
-        winner, tau = solve_with_bound(a3_game, 4)
+        res = solve_with_bound(a3_game, 4)
+        winner = 0 if a3_game.arena.initial in res.region_0 else 1
+        tau = res.strategy_of(winner)
         assert winner == 1
         assert verify_strategy(a3_game.arena, a3_game.spec, tau, bound=4).certified
         verdict = verify_strategy(a3_game.arena, a3_game.spec, tau, bound=5)
