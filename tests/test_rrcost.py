@@ -135,12 +135,12 @@ class TestSolveWithBound:
                                                                   strategies_built):
         # the regions partition {initial}; no strategy is built or lifted
         # until the winner's strategy is read
-        for b, winner in ((3, 0), (2, 1)):
+        for b, region_0, region_1 in ((3, {"q"}, set()), (2, set(), {"q"})):
             strategies_built[0] = 0
             res = solve_with_bound(a2_game, b)
-            regions = (frozenset({"q"}), frozenset())
-            assert (res.region_0, res.region_1) == (regions if winner == 0 else regions[::-1])
+            assert (res.region_0, res.region_1) == (region_0, region_1)
             assert strategies_built[0] == 0
+            winner = 0 if region_0 else 1
             assert res.strategy_of(winner).owner == winner
             assert strategies_built[0] > 0
 

@@ -29,26 +29,16 @@ from pathlib import Path
 
 _REPO = Path(__file__).resolve().parent.parent
 _SRC = _REPO / "src"
-_DOC_OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from code_lines import _docstring_lines  # noqa: E402  (the rule code_lines.py uses)
 
 
-def _docstring_lines(tree: ast.AST) -> set:
-    lines = set()
-    for node in ast.walk(tree):
-        if isinstance(node, _DOC_OWNERS) and node.body:
-            first = node.body[0]
-            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                lines.update(range(first.lineno, first.end_lineno + 1))
-    return lines
-
-
-def _code_lines(code) -> set:
+def _compiled_lines(code) -> set:
     """Lines that ``code`` or any code object nested in it has code on."""
     lines = {line for _start, _end, line in code.co_lines() if line is not None}
     for const in code.co_consts:
         if hasattr(const, "co_lines"):
-            lines |= _code_lines(const)
+            lines |= _compiled_lines(const)
     return lines
 
 
@@ -56,7 +46,7 @@ def statement_lines(source: str, filename: str = "<module>") -> set:
     """First lines of the statements in ``source`` that can run."""
     tree = ast.parse(source)
     firsts = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.stmt)}
-    return (firsts - _docstring_lines(tree)) & _code_lines(compile(source, filename, "exec"))
+    return (firsts - _docstring_lines(tree)) & _compiled_lines(compile(source, filename, "exec"))
 
 
 def traced(run, root: str):
