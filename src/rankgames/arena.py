@@ -268,11 +268,11 @@ class Lasso:
         back = (self.loop[-1], self.loop[0])
         return [(sp[i], sp[i + 1]) for i in range(len(sp) - 1)] + [back]
 
-    def check_in(self, arena: Arena, anchored: bool = True) -> "Lasso":
+    def check_in(self, arena: Arena) -> "Lasso":
         unknown = self.vertices() - set(arena.vertices)
         if unknown:
             raise InputError(f"lasso mentions unknown vertices: {sorted(unknown)!r}")
-        if anchored and self.first() != arena.initial:
+        if self.first() != arena.initial:
             raise InputError(
                 f"lasso starts at {self.first()!r}, not the initial vertex {arena.initial!r}")
         for u, v in self.steps():

@@ -15,7 +15,6 @@ from typing import Optional
 from . import fileformat as ff
 from .arena import Lasso
 from .errors import CapacityError, InputError
-from .extnat import is_finite
 from .objectives import eval_qualitative
 from .qualsolve import solve_objective
 from .ranked import RankedCondition, optimize as optimize_ranked, solve_with_bound
@@ -78,17 +77,16 @@ def cmd_optimize(args, out) -> int:
         res = optimize_costrr(game.costrr)
     else:
         raise InputError("optimize needs a quantitative game (rank or costs section)")
-    if not is_finite(res.cost):
+    if res.winner == 1:
         print("Player 1 wins", file=out)
-        _write_out(args.out, res.strategy, out)
-        return 1
-    print(f"minimal cost: {res.cost}", file=out)
-    verdict = verify_strategy(game.arena, _condition(game), res.strategy, bound=res.cost)
-    if not verdict.certified:
-        raise InputError("internal error: optimal strategy failed certification")
-    print(f"certified cost: {res.cost}", file=out)
+    else:
+        print(f"minimal cost: {res.cost}", file=out)
+        verdict = verify_strategy(game.arena, _condition(game), res.strategy, bound=res.cost)
+        if not verdict.certified:
+            raise InputError("internal error: optimal strategy failed certification")
+        print(f"certified cost: {res.cost}", file=out)
     _write_out(args.out, res.strategy, out)
-    return 0
+    return res.winner
 
 
 def _parse_lasso(args, game) -> Lasso:
@@ -145,13 +143,11 @@ def cmd_resilience(args, out) -> int:
         print(f"val {v} = {res.val[v]}", file=out)
     if res.player1_wins:
         print("Player 1 wins the safety game", file=out)
-        print("resilience: 0", file=out)
-        _write_out(args.out, res.strategy, out)
-        return 1
-    print(f"optimal bound: {res.bound}", file=out)
+    else:
+        print(f"optimal bound: {res.bound}", file=out)
     print(f"resilience: {res.resilience}", file=out)
     _write_out(args.out, res.strategy, out)
-    return 0
+    return int(res.player1_wins)
 
 
 def build_parser() -> argparse.ArgumentParser:

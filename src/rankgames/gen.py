@@ -1,13 +1,11 @@
 """Seeded random instance generators for testing and regression checking.
 
-All generators take an explicit ``random.Random``; ``rng_from_env`` builds
-one from the ``RANKGAMES_SEED`` environment variable so randomized checks
-are reproducible across runs.
+All generators take an explicit ``random.Random``, so a check that seeds
+its own is reproducible across runs.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Optional
 
@@ -16,14 +14,6 @@ from .objectives import Buchi, CoBuchi, CostRRSpec, Safety
 from .ranked import RankedGame
 from .resilience import FaultArena
 from .rrcost import CostRRGame
-
-SEED_ENV = "RANKGAMES_SEED"
-
-
-def rng_from_env(default: int = 271828) -> random.Random:
-    raw = os.environ.get(SEED_ENV)
-    return random.Random(int(raw) if raw else default)
-
 
 def random_arena(rng: random.Random, n: int, max_outdeg: int = 3,
                  p0_max_outdeg: Optional[int] = None) -> Arena:

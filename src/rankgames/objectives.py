@@ -62,10 +62,6 @@ class RequestResponse:
             raise InputError("request-response needs at least one pair")
         object.__setattr__(self, "pairs", pairs)
 
-    @property
-    def d(self) -> int:
-        return len(self.pairs)
-
 
 @dataclass(frozen=True)
 class SafetyAndCoBuchi(_VertexSets):

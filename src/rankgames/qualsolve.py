@@ -232,11 +232,14 @@ def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
     """
     objective = RequestResponse(tuple(pairs))
     validate_objective(objective, arena)
+    alive = _alive(arena, within)
+    if not alive:
+        return _positional(arena, alive, alive, lambda player: {}, alive)
     mem, product = rr_memory(arena, objective.pairs, within)
     res = solve_buchi(product.arena, frozenset(
         i for i, (_v, (opened, ptr)) in enumerate(product.pairs) if ptr not in opened))
     region_0 = frozenset(product.pairs[i][0] for i in product.starts if i in res.region_0)
-    region_1 = _alive(arena, within) - region_0
+    region_1 = alive - region_0
 
     def build(player):
         moves = res.moves(player)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Tuple
 
-from .arena import Arena, attractor
+from .arena import Arena, attractor, relabel
 from .errors import CapabilityError, InputError
 from .extnat import INF, ExtNat
 from .memory import FiniteStateStrategy, filled_moves, positional_strategy
 from .objectives import (Buchi, CoBuchi, Objective, Safety, rank_cost_lasso,
-                         validate_objective, validate_rank)
+                         relabel_objective, validate_objective, validate_rank)
 from .qualsolve import SolveResult, solve_pruned, solve_safety_cobuchi
 
 MODES = ("sup", "lim")
@@ -52,18 +52,12 @@ class RankedGame:
         return rank_cost_lasso(self.rk, self.objective, self.mode, lasso)
 
     def relabeled(self, fn) -> "RankedGame":
-        from .arena import relabel
-        from .objectives import relabel_objective
-
         return RankedGame(relabel(self.arena, fn),
                           relabel_objective(self.objective, fn),
                           {fn(v): r for v, r in self.rk.items()}, self.mode)
 
     def rank_values(self) -> Tuple[int, ...]:
         return tuple(sorted({self.rk[v] for v in self.arena.vertices}))
-
-    def max_rank(self) -> int:
-        return self.rank_values()[-1]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .arena import Arena, Edge, Vertex
+from .arena import Arena, Edge, Vertex, relabel
 from .errors import InputError
 from .extnat import ExtNat
 from .memory import explore_product
@@ -50,8 +50,6 @@ class CostRRGame:
         return cost_rr_lasso(self.spec, lasso)
 
     def relabeled(self, fn) -> "CostRRGame":
-        from .arena import relabel
-
         pairs = relabel_objective(self.spec.rr_objective(), fn).pairs
         costs = {(c, (fn(e[0]), fn(e[1]))): w
                  for (c, e), w in self.spec.edge_costs.items()}

@@ -94,9 +94,9 @@ def _loop_comps(succ, pred, region) -> List[set]:
     return out
 
 
-def _backward_closure(pred, cores: set, allowed: Optional[set] = None) -> set:
-    """Nodes from which some path, staying in ``allowed`` if given, reaches
-    the cores.  Cores are assumed to lie inside ``allowed``."""
+def _backward_closure(pred, cores: set, allowed: Optional[set]) -> set:
+    """Nodes from which some path, staying in ``allowed`` unless it is
+    None, reaches the cores.  Cores are assumed to lie inside ``allowed``."""
     out = set(cores)
     queue = deque(out)
     while queue:
@@ -107,10 +107,10 @@ def _backward_closure(pred, cores: set, allowed: Optional[set] = None) -> set:
     return out
 
 
-def _bfs_path(succ, start, targets: set, allowed: Optional[set] = None) -> Optional[List]:
-    """Shortest node path from start into ``targets``, start included."""
-    if allowed is not None and start not in allowed and start not in targets:
-        return None
+def _bfs_path(succ, start, targets: set, allowed: Optional[set]) -> Optional[List]:
+    """Shortest node path from start into ``targets``, start included, with
+    every node before the last in ``allowed`` unless it is None.  A start
+    outside ``targets`` must lie in ``allowed``."""
     if start in targets:
         return [start]
     parent = {start: None}
@@ -133,7 +133,7 @@ def _bfs_path(succ, start, targets: set, allowed: Optional[set] = None) -> Optio
     return None
 
 
-def _closed_walk(succ, pred, comp: set, entry, anchors: Iterable = ()) -> List:
+def _closed_walk(succ, pred, comp: set, entry, anchors: Iterable) -> List:
     """Closed walk entry -> entry inside the component, visiting every
     anchor; returned without the final repetition of the entry.  Each
     segment is a shortest path, the last one into a predecessor of the

@@ -3,9 +3,8 @@ optimization, and the scale smoke check.
 
 Each test prints one PASS line with its headline numbers; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.  Randomized parts
-are seeded (override via the RANKGAMES_SEED environment variable where
-noted); instance generators keep Player 0 branching sparse enough for the
-strategy-enumeration oracles to stay within their candidate guards.
+are seeded; instance generators keep Player 0 branching sparse enough for
+the strategy-enumeration oracles to stay within their candidate guards.
 """
 
 import itertools

@@ -170,7 +170,6 @@ class TestLasso:
     def test_check_in_anchoring(self, a1):
         with pytest.raises(InputError, match="initial"):
             Lasso((), ("b",)).check_in(a1)
-        Lasso((), ("b",)).check_in(a1, anchored=False)
 
     def test_rotation_and_unrolling_denote_same_play(self, a1):
         lasso = Lasso(("a",), ("b", "a", "b", "b")).check_in(a1)

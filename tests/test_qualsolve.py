@@ -276,6 +276,14 @@ class TestSolvingInsideAnAliveSet:
             for player in (0, 1):
                 assert _inside(got.build(player), keep) == _inside(want.build(player), keep)
 
+    def test_every_objective_on_an_empty_alive_set_has_empty_regions(self, a1):
+        a, b = frozenset({"a"}), frozenset({"b"})
+        for obj in (Safety(a), Buchi(a), CoBuchi(b), SafetyAndCoBuchi(a, b),
+                    RequestResponse(((a, b),))):
+            res = solve_objective(a1, obj, within=set())
+            assert res.region_0 == res.region_1 == frozenset(), obj
+            assert res.strategy_0.next_move == res.strategy_1.next_move == {}, obj
+
 
 def _rr_pairs(rng, arena, d):
     return tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))

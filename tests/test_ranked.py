@@ -175,7 +175,7 @@ class TestOptimize:
                                        bound=res.cost).certified
             else:
                 assert verify_strategy(game.arena, cond, res.strategy,
-                                       bound=game.max_rank()).certified
+                                       bound=game.rank_values()[-1]).certified
 
 
 class TestAgainstEnumeration:

@@ -22,3 +22,14 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_no_module_reads_an_environment_variable():
+    # what the package computes depends on its arguments only; randomized
+    # checks seed their own random.Random
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    for path in modules:
+        text = path.read_text(encoding="utf-8")
+        for name in ("os.environ", "getenv"):
+            assert name not in text, f"{path.name} mentions {name}"

@@ -8,7 +8,7 @@ import walk_reference
 from rankgames.arena import Arena, Lasso
 from rankgames.errors import CapacityError, InputError
 from rankgames.extnat import INF
-from rankgames.gen import random_arena, random_subset, rng_from_env
+from rankgames.gen import random_arena, random_subset
 from rankgames.memory import (FiniteStateStrategy, MemoryStructure,
                               positional_strategy, trivial_memory)
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
@@ -37,6 +37,14 @@ class TestVerifyStrategy:
         verdict = verify_strategy(arena, Safety(frozenset({"a"})), bad)
         assert not verdict.certified
         assert not eval_qualitative(Safety(frozenset({"a"})), verdict.witness)
+
+    def test_verdict_is_true_exactly_when_certified(self):
+        arena = Arena.of({"a": 0, "z": 0}, [("a", "a"), ("a", "z"), ("z", "z")], "a")
+        safe = Safety(frozenset({"a"}))
+        stay = positional_strategy(arena, 0, {"a": "a", "z": "z"})
+        leave = positional_strategy(arena, 0, {"a": "z", "z": "z"})
+        assert bool(verify_strategy(arena, safe, stay)) is True
+        assert bool(verify_strategy(arena, safe, leave)) is False
 
     def test_buchi_strategies_both_sides(self, a1):
         res = solve_buchi(a1, {"b"})
@@ -118,9 +126,9 @@ class TestVerifyStrategy:
 
 class TestCertificationSoundness:
     def test_certified_strategies_satisfy_random_consistent_plays(self):
-        # reseedable through RANKGAMES_SEED; the property must hold for any
-        # draw: plays consistent with a certified strategy meet the objective
-        rng = rng_from_env(default=606)
+        # the property must hold for any draw: plays consistent with a
+        # certified strategy meet the objective
+        rng = random.Random(606)
         checked = 0
         while checked < 1000:
             arena = random_arena(rng, rng.randint(2, 5))
