@@ -156,6 +156,35 @@ class NumberedProduct:
     pairs: tuple
     starts: tuple
 
+    def pull_back(self, m1: MemoryStructure, owner: int, moves) -> Tuple[MemoryStructure, dict]:
+        """Read ``owner``'s positional moves on this product of ``m1``, a
+        map from product vertex to product vertex, back to the source.
+
+        One walk from the start vertices, in which ``owner``'s vertices
+        follow only their move, decodes each row as it takes it.  Returns
+        the memory, on the states ``(m1 state, 0)`` with the walk's rows,
+        and the moves at reached ``owner`` vertices: what
+        :func:`pull_back` gives for ``moves`` under a one-state memory,
+        without tabulating that memory."""
+        succ, own = self.arena.succ, self.arena.owner
+        vertex = [v for v, _s in self.pairs]
+        state = [(s, 0) for _v, s in self.pairs]
+        order, reached = list(self.starts), set(self.starts)
+        update, next_move = {}, {}
+        for i in order:
+            if own[i] == owner:
+                out = (moves[i],)
+                next_move[(vertex[i], state[i])] = vertex[moves[i]]
+            else:
+                out = succ[i]
+            for k in out:
+                update[(state[i], (vertex[i], vertex[k]))] = state[k]
+                if k not in reached:
+                    reached.add(k)
+                    order.append(k)
+        states = tuple((s, 0) for s in m1.states)
+        return MemoryStructure._checked(states, (m1.initial, 0), update), next_move
+
 
 def expand(arena: Arena, mem: MemoryStructure,
            seeds: Optional[Iterable[Tuple[Vertex, State]]] = None) -> Arena:
@@ -192,27 +221,25 @@ def extend_lasso(mem: MemoryStructure, lasso: Lasso) -> Lasso:
     return Lasso(tuple(prefix + tail[:start]), tuple(tail[start:]))
 
 
-def pull_back(m1: MemoryStructure, product, m2: MemoryStructure,
+def pull_back(m1: MemoryStructure, product: Arena, m2: MemoryStructure,
               owner: Optional[int] = None, move=None) -> Tuple[MemoryStructure, dict]:
-    """Read ``m2``, a memory over an ``m1`` product's edges, and the moves
+    """Read ``m2``, a memory over the edges of ``product``, an ``m1``
+    expansion with (vertex, ``m1`` state) pairs as vertices, and the moves
     ``move(product vertex, m2 state)`` of ``owner`` there back to the source.
 
-    ``product`` is a labelled expansion, with (vertex, ``m1`` state) pairs
-    as vertices, or a :class:`NumberedProduct`, whose ``pairs`` decode its
-    ids to such pairs.  One :func:`explore` walk runs from its start
-    vertices, and each vertex it reaches is decoded to its pair.  As the
-    product's successors of (u, s1) are exactly (w, ``m1.step(s1, (u,
-    w))``), this reaches what ``m1`` run alongside ``m2`` over the source
-    would.  Returns the memory, on all state pairs with the walk's rows,
-    and the moves at reached ``owner`` vertices."""
-    numbered = isinstance(product, NumberedProduct)
-    arena, starts = (product.arena, product.starts) if numbered else (product, (product.initial,))
-    rows = explore(arena, [(p, m2.initial) for p in starts], m2.step, owner, move)[1]
+    One :func:`explore` walk runs from the product's initial vertex, and
+    each vertex it reaches is read as its pair.  As the product's
+    successors of (u, s1) are exactly (w, ``m1.step(s1, (u, w))``), this
+    reaches what ``m1`` run alongside ``m2`` over the source would.
+    Returns the memory, on all state pairs with the walk's rows, and the
+    moves at reached ``owner`` vertices.  A numbered request-response
+    product reads its positional moves back with
+    :meth:`NumberedProduct.pull_back` instead."""
+    rows = explore(product, [(product.initial, m2.initial)], m2.step, owner, move)[1]
     update, next_move = {}, {}
-    for (s2, (p, q)), t2 in rows.items():
-        (v, s1), (w, t1) = (product.pairs[p], product.pairs[q]) if numbered else (p, q)
+    for (s2, ((v, s1), (w, t1))), t2 in rows.items():
         update[((s1, s2), (v, w))] = (t1, t2)
-        if arena.owner[p] == owner:  # the walk's one row there is the move
+        if product.owner[(v, s1)] == owner:  # the walk's one row there is the move
             next_move[(v, (s1, s2))] = w
     pair_states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
     return MemoryStructure._checked(pair_states, (m1.initial, m2.initial), update), next_move

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional, Tuple
 from .arena import Arena, Vertex, anchor, attractor, first_successor
 from .errors import InputError
 from .memory import (FiniteStateStrategy, MemoryStructure, NumberedProduct, explore,
-                     filled_moves, positional_strategy, pull_back, trivial_memory)
+                     filled_moves, positional_strategy)
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
                          SafetyAndCoBuchi, validate_objective)
 
@@ -159,63 +159,73 @@ def rr_memory(arena: Arena, pairs, within=None) -> Tuple[MemoryStructure, Number
     request-response condition iff its run passes through progress states
     infinitely often, which the product Buchi game below checks.
 
-    The walk runs on integers.  Open sets are bitmasks: entering ``w``
-    takes ``open`` to ``(open | requests[w]) & ~responses[w]``, and a state
-    is the code ``open_mask * d + pointer``.
+    The walk runs on integers.  Alive vertices are numbered by their
+    position in sorted order, open sets are bitmasks (entering ``w`` takes
+    ``open`` to ``(open | requests[w]) & ~responses[w]``), and a product
+    node is the one integer ``i * span + open_mask * d + pointer`` for
+    vertex number ``i``, with ``span = d * 2^d``.  The pointer is stepped
+    once per node the walk leaves, not once per edge.
 
-    Returns the memory and the product of one
-    :func:`rankgames.memory.explore` walk inside ``within`` from every
-    alive vertex paired with its seed state, the requests it opens itself:
-    of the d * 2^d states the memory holds only those plays from there
-    reach, one row per product edge.  Each reached code is decoded once to
-    its ``(open tuple, pointer)`` state; the memory lists the states in
-    sorted order, and the product is numbered in sorted ``(vertex, state)``
-    order (:class:`NumberedProduct`), as integers hash and compare cheaply
-    where nested labels do not.  The memory and the product start at the
-    alive set's anchor.
+    The walk runs inside ``within`` from every alive vertex paired with its
+    seed state, the requests it opens itself: of the d * 2^d states the
+    memory holds only those plays from there reach, one row per product
+    edge.  Each reached state code is decoded once to its ``(open tuple,
+    pointer)`` state; the memory lists the states in sorted order, and the
+    product is numbered in sorted ``(vertex, state)`` order
+    (:class:`NumberedProduct`), by sorting the nodes on vertex number and
+    decoded-state rank.  The memory and the product start at the alive
+    set's anchor.
     """
     d = len(pairs)
     if d == 0:
         raise InputError("request-response needs at least one pair")
-    # per vertex: the requests entering it opens, and the mask of the
-    # pairs it leaves open
-    add = dict.fromkeys(arena.vertices, 0)
-    keep = dict.fromkeys(arena.vertices, -1)
+    alive = arena.vertices if within is None else sorted(within)
+    index = {v: i for i, v in enumerate(alive)}
+    # per vertex number: the requests entering it opens, and the mask of
+    # the pairs it leaves open
+    add, keep = [0] * len(alive), [-1] * len(alive)
     for c, (q, p) in enumerate(pairs):
         for v in q:
-            add[v] |= 1 << c
+            if v in index:
+                add[index[v]] |= 1 << c
         for v in p:
-            keep[v] &= ~(1 << c)
-    enter = {v: (add[v], keep[v]) for v in arena.vertices}
-
-    def step(code, edge):
+            if v in index:
+                keep[index[v]] &= ~(1 << c)
+    span = d << d
+    succ = [[(index[w] * span, add[index[w]], keep[index[w]])
+             for w in arena.succ[v] if w in index] for v in alive]
+    seeds = [i * span + (add[i] & keep[i]) * d for i in range(len(alive))]
+    order, reached, rows = list(seeds), set(seeds), []
+    for node in order:
+        i, code = divmod(node, span)
         mask, ptr = divmod(code, d)
         if not mask >> ptr & 1:
             ptr = (ptr + 1) % d
-        plus, kept = enter[edge[1]]
-        return ((mask | plus) & kept) * d + ptr
-
-    alive = arena.vertices if within is None else sorted(within)
-    seeds = {v: (add[v] & keep[v]) * d for v in alive}
-    reached, update = explore(arena, seeds.items(), step, within=within)
+        for base, plus, kept in succ[i]:
+            nxt = base + ((mask | plus) & kept) * d + ptr
+            rows.append((node, nxt))
+            if nxt not in reached:
+                reached.add(nxt)
+                order.append(nxt)
     state = {}
-    for _v, code in reached:
+    for node in order:
+        code = node % span
         if code not in state:
             mask, ptr = divmod(code, d)
             state[code] = (tuple(c for c in range(d) if mask >> c & 1), ptr)
     codes = sorted(state, key=state.__getitem__)
     rank = {code: j for j, code in enumerate(codes)}
-    order = sorted(reached, key=lambda pv: (pv[0], rank[pv[1]]))
-    number = {pv: i for i, pv in enumerate(order)}
-    owner = {i: arena.owner[v] for i, (v, _s) in enumerate(order)}
-    edges = [(number[(u, s)], number[(w, t)]) for (s, (u, w)), t in update.items()]
-    start = anchor(arena, within)
-    product = NumberedProduct(Arena._checked(owner, edges, number[(start, seeds[start])]),
-                              tuple((v, state[s]) for v, s in order),
-                              tuple(number[pv] for pv in seeds.items()))
-    mem = MemoryStructure._checked(tuple(state[code] for code in codes), state[seeds[start]],
-                                   {(state[s], e): state[t] for (s, e), t in update.items()})
-    return mem, product
+    order.sort(key=lambda node: node - node % span + rank[node % span])
+    number = {node: j for j, node in enumerate(order)}
+    labels = tuple((alive[node // span], state[node % span]) for node in order)
+    owner = {j: arena.owner[v] for j, (v, _s) in enumerate(labels)}
+    edges = [(number[a], number[b]) for a, b in rows]
+    starts = tuple(number[node] for node in seeds)
+    start = starts[index[anchor(arena, within)]]
+    mem = MemoryStructure._checked(tuple(state[code] for code in codes), labels[start][1],
+                                   {(labels[a][1], (labels[a][0], labels[b][0])): labels[b][1]
+                                    for a, b in edges})
+    return mem, NumberedProduct(Arena._checked(owner, edges, start), labels, starts)
 
 
 def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
@@ -224,8 +234,8 @@ def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
     Player 0 wins from a vertex iff she wins the product Buchi game from
     that vertex paired with its fresh memory state.  The Buchi game runs on
     the integer-numbered product of :func:`rr_memory`, and each player's
-    strategy there is read back through that product by
-    :func:`rankgames.memory.pull_back`.  Her strategy is the product strategy
+    positional strategy there is read back through that product by
+    :meth:`rankgames.memory.NumberedProduct.pull_back`.  Her strategy is the product strategy
     folded back through the memory, of size at most (number of pairs) *
     2^(number of pairs); both strategies are tabulated on what plays from
     every seeded vertex can reach.
@@ -242,9 +252,7 @@ def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
     region_1 = alive - region_0
 
     def build(player):
-        moves = res.moves(player)
-        return FiniteStateStrategy(player, *pull_back(
-            mem, product, trivial_memory(product.arena), player, lambda i, _s: moves[i]))
+        return FiniteStateStrategy(player, *product.pull_back(mem, player, res.moves(player)))
     return SolveResult(region_0, region_1, build)
 
 

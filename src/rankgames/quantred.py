@@ -232,9 +232,9 @@ def compose(r1: QuantReduction, r2: QuantReduction) -> QuantReduction:
 
 
 def _max_preimage(f: CorrectionFunction, b1: ExtNat, limit: ExtNat) -> ExtNat:
-    """max of the b' in {0..b1, infinity} with f(b') <= limit."""
-    if f.apply(INF) <= limit:
-        return INF
+    """max of the b' in {0..b1} with f(b') <= limit.  :func:`compose`
+    calls it only when limit < f(b1), and a correction for b1 has f(b1) <=
+    f(infinity), so infinity never qualifies."""
     best = None
     x = 0
     while x <= b1:

@@ -10,11 +10,12 @@ the reference on owner, states, initial state, update rows and moves.
 import random
 
 import pullback_reference as ref
+from rankgames import memory, qualsolve
 from rankgames.arena import attractor
 from rankgames.extnat import INF
 from rankgames.gen import random_arena, random_costrr_game, random_subset
 from rankgames.memory import (FiniteStateStrategy, MemoryStructure, compose_strategy,
-                              expand, product_memory)
+                              expand, product_memory, trivial_memory)
 from rankgames.objectives import RequestResponse
 from rankgames.qualsolve import rr_memory, solve_buchi, solve_request_response
 from rankgames.quantred import QuantReduction, compose, identity_table, lift_strategy
@@ -125,3 +126,21 @@ class TestRequestResponseStrategies:
             keep = frozenset(arena.vertices) - region
             for within in (None, keep or None):
                 self._assert_builder_matches(arena, pairs, within)
+
+    def test_no_one_state_memory_is_tabulated(self, monkeypatch):
+        # the positional product moves are read back without a one-state
+        # memory holding a row per product edge
+        calls = []
+
+        def spy(arena):
+            calls.append(arena)
+            return trivial_memory(arena)
+        for module in (memory, qualsolve):
+            monkeypatch.setattr(module, "trivial_memory", spy, raising=False)
+        rng = random.Random(2021)
+        arena = random_arena(rng, 20, p0_max_outdeg=3)
+        pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
+                      for _ in range(6))
+        for player in (0, 1):
+            assert solve_request_response(arena, pairs).strategy_of(player).next_move
+        assert calls == []

@@ -348,6 +348,35 @@ class TestBitmaskOpenSetsAgainstTheTupleReference:
                 _assert_matches_tuple_reference(arena, pairs, within)
 
 
+class TestIntegerWalkOnOtherLabels:
+    """The walk numbers vertices by their position in the sorted vertex
+    list, so it must not lean on the ``v0..vN`` strings ``random_arena``
+    draws.  Relabelled to shuffled integers, and to tuples like the
+    ``(vertex, counters)`` labels of cost-RR counter products, whose
+    sorted order differs from the string labels' and from the order they
+    were drawn in, every game still equals the tuple reference."""
+
+    LABELS = (lambda k: k, lambda k: (k % 3, ("c", -k)))
+
+    def test_integer_and_tuple_labels_inside_and_outside_an_alive_set(self):
+        rng = random.Random(2121)
+        for i in range(24):
+            arena = random_arena(rng, rng.randint(2, 16), p0_max_outdeg=3)
+            pairs = _rr_pairs(rng, arena, 1 + i % 6)
+            region, _ = attractor(arena, rng.randint(0, 1), random_subset(rng, arena, 0.2))
+            keep = frozenset(arena.vertices) - region
+            shuffled = list(range(len(arena)))
+            rng.shuffle(shuffled)
+            for label in self.LABELS:
+                name = {v: label(shuffled[int(v[1:])]) for v in arena.vertices}
+                named = [(frozenset(map(name.get, q)), frozenset(map(name.get, p)))
+                         for q, p in pairs]
+                for within in (None, keep or None):
+                    _assert_matches_tuple_reference(
+                        relabel(arena, name.__getitem__), tuple(named),
+                        within and frozenset(map(name.get, within)))
+
+
 class TestRequestResponseAgainstEnumeration:
     """Regions equal the enumeration oracle's over the reference memory,
     and both strategies certify from their regions with seed states, on

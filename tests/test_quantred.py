@@ -8,7 +8,7 @@ from rankgames.errors import InputError
 from rankgames.extnat import INF
 from rankgames.gen import random_costrr_game, random_lasso
 from rankgames.memory import extend_lasso, trivial_memory
-from rankgames.objectives import RequestResponse
+from rankgames.objectives import RequestResponse, Safety
 from rankgames.quantred import (Cap, QuantReduction, Table,
                                 check_reduction_on_lasso, compose,
                                 compose_functions, identity_table,
@@ -53,6 +53,10 @@ class TestIsCorrection:
 
     def test_flat_table_violates_strictness(self):
         assert not is_correction(Table((0, 0)), 2)
+
+    def test_table_falling_back_below_its_parameter_value(self):
+        # increasing below 2 and above f(0), f(1), but f(3) = 2 < f(2) = 5
+        assert not is_correction(Table((0, 1, 5, 2)), 2)
 
     def test_cap_like_table(self):
         capped = Table((0, 1, 2, 2, 2), tail="constant")
@@ -175,6 +179,18 @@ class TestCheckReduction:
         bad = [v for v in verdicts if not v.consistent]
         assert bad
         assert "must map to" in bad[0].detail or "needs target" in bad[0].detail
+
+    def test_target_below_the_floor_reports_violation(self, a1):
+        safe = Safety(frozenset(a1.vertices))
+        twos = RankedGame(a1, safe, {v: 2 for v in a1.vertices}, "sup")
+        zeros = RankedGame(a1, safe, {v: 0 for v in a1.vertices}, "sup")
+        r = trivial_reduction(zeros, lift_ranked(zeros))
+        # every play of twos costs 2 >= b = 1, its extension costs 0 < f(1)
+        low = QuantReduction(r.memory, identity_table(), 1, twos, r.target)
+        chk = check_reduction_on_lasso(low, Lasso((), ("a", "b")))
+        assert not chk.consistent
+        assert (chk.source_cost, chk.target_cost) == (2, 0)
+        assert chk.detail == "cost 2 at or above parameter 1 needs target cost >= 1, got 0"
 
     def test_downward_closure(self, a2_game):
         r = build_reduction(a2_game, cap_bound(a2_game))
