@@ -1,5 +1,5 @@
 """Two-player infinite games on finite graphs: solvers, quantitative
-reductions, and verification oracles."""
+reductions, and strategy certification."""
 
 from .arena import Arena, Lasso, attractor, is_subarena, restrict
 from .errors import CapabilityError, CapacityError, InputError
@@ -19,12 +19,9 @@ from .quantred import (Cap, QuantReduction, Table, check_reduction_on_lasso,
 from .ranked import (OptimizeResult, RankedCondition, RankedGame,
                      solve_lim_with_bound, solve_sup_with_bound)
 from .ranked import optimize as optimize_ranked
-from .resilience import (FaultArena, budget_oracle, compute_val,
-                         max_resilience, resilience_rank)
+from .resilience import FaultArena, compute_val, max_resilience, resilience_rank
 from .rrcost import CostRRGame, build_reduction, cap_bound, solve_with_bound
 from .rrcost import optimize as optimize_cost_rr
-from .verify import (FaultSimVerdict, Verdict, enumerate_regions,
-                     enumerate_solve, max_response_cost, simulate_faults,
-                     verify_strategy)
+from .verify import Verdict, verify_strategy
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,15 +11,14 @@ phase) over the fault-free arena.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 from .arena import Arena, Vertex, attractor
 from .errors import InputError
 from .extnat import INF, ExtNat, is_finite
 from .memory import FiniteStateStrategy
 from .objectives import Safety
-from .qualsolve import solve_safety
 from .ranked import RankedGame, optimize as optimize_ranked
 
 
@@ -34,7 +33,6 @@ class FaultArena:
     arena: Arena
     faults: frozenset
     safe: frozenset
-    by_source: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "faults", frozenset(self.faults))
@@ -42,19 +40,11 @@ class FaultArena:
         vs = set(self.arena.vertices)
         if not self.safe <= vs:
             raise InputError("safe set mentions unknown vertices")
-        targets: Dict[Vertex, list] = {}
         for u, v in sorted(self.faults):  # the least faulty pair is reported
             if u not in vs or v not in vs:
                 raise InputError(f"fault ({u!r}, {v!r}) mentions an unknown vertex")
             if self.arena.owner[u] != 0:
                 raise InputError(f"fault source {u!r} must be owned by Player 0")
-            targets.setdefault(u, []).append(v)
-        object.__setattr__(self, "by_source", {u: tuple(sorted(ws)) for u, ws in targets.items()})
-
-    def fault_targets(self, v: Vertex) -> Tuple[Vertex, ...]:
-        """Targets of the faults rooted at ``v``, sorted; indexed by source
-        once, at construction."""
-        return self.by_source.get(v, ())
 
 
 def compute_val(fa: FaultArena) -> Dict[Vertex, ExtNat]:
@@ -62,9 +52,9 @@ def compute_val(fa: FaultArena) -> Dict[Vertex, ExtNat]:
 
     Level 0 is his plain attractor to the unsafe set; each further level
     adds the vertices whose fault pairs reach the previous level and
-    attracts again.  The fixpoint settles within |V| rounds.  Correctness
-    is pinned to the budget-game oracle below, which the test suite holds
-    this function to.
+    attracts again.  The fixpoint settles within |V| rounds.  The test
+    suite holds it to a budget-game oracle: a safety game on an explicit
+    expansion whose states carry the remaining fault budget.
     """
     arena = fa.arena
     unsafe = frozenset(arena.vertices) - fa.safe
@@ -123,41 +113,3 @@ def max_resilience(fa: FaultArena, mode: str = "sup") -> ResilienceResult:
         return ResilienceResult(val, 0, INF, res.strategy)
     return ResilienceResult(val, res.cost, len(fa.arena) - res.cost, res.strategy)
 
-
-def budget_expansion(fa: FaultArena, budget: int) -> Arena:
-    """Safety game in which faults are explicit moves.
-
-    States carry the remaining fault budget.  Before Player 0 moves, the
-    opponent may fire any fault pair from the current vertex, paying one
-    budget unit; a gate vertex owned by Player 1 models that choice.
-    """
-    arena = fa.arena
-    owner = {}
-    edges = []
-    for v in arena.vertices:
-        fts = fa.fault_targets(v)
-        for r in range(budget + 1):
-            gate = ("chk", v, r)
-            move = ("mov", v, r)
-            owner[gate] = 1
-            owner[move] = arena.owner[v]
-            edges.append((gate, move))
-            if r > 0:
-                for w in fts:
-                    edges.append((gate, ("chk", w, r - 1)))
-            for w in arena.succ[v]:
-                edges.append((move, ("chk", w, r)))
-    return Arena(tuple(owner.keys()), owner, frozenset(edges),
-                 ("chk", arena.initial, budget))
-
-
-def budget_oracle(fa: FaultArena, vertex: Vertex, budget: int) -> bool:
-    """Can the opponent force the play unsafe from ``vertex`` using at
-    most ``budget`` faults?  Solved on the explicit budget expansion,
-    independently of the fixpoint in :func:`compute_val`."""
-    if vertex not in set(fa.arena.vertices):
-        raise InputError(f"unknown vertex {vertex!r}")
-    exp = budget_expansion(fa, budget)
-    safe = frozenset(pv for pv in exp.vertices if pv[1] in fa.safe)
-    res = solve_safety(exp, safe)
-    return ("chk", vertex, budget) in res.region_1

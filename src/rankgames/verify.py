@@ -1,4 +1,4 @@
-"""Strategy certification, brute-force solving oracles, fault simulation.
+"""Strategy certification.
 
 Everything here decides universal path properties exactly, by cycle
 analysis over strongly connected components of strategy-restricted
@@ -10,23 +10,18 @@ to and including the violating visit.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .arena import Arena, Lasso, Vertex
-from .errors import CapabilityError, CapacityError, InputError
-from .extnat import INF, ExtNat
-from .memory import FiniteStateStrategy, MemoryStructure, expand
+from .errors import InputError
+from .memory import FiniteStateStrategy
 from .objectives import (Buchi, CoBuchi, CostRRSpec, Objective,
                          RequestResponse, Safety, SafetyAndCoBuchi, conjuncts)
-from .qualsolve import SolveResult
 from .ranked import RankedCondition
-from .resilience import FaultArena
-from .rrcost import (CostRRGame, counter_pending, counter_seed, counter_step,
-                     counter_value)
+from .rrcost import counter_pending, counter_seed, counter_step, counter_value
 
 
 @dataclass(frozen=True)
@@ -436,206 +431,3 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     if witness is None:
         raise InputError("internal error: failure detected but no witness found")
     return Verdict(False, witness=witness, message="refuted")
-
-
-# ---------------------------------------------------------------------------
-# brute-force solving oracle
-
-def _seed_nodes(arena: Arena, template: MemoryStructure, seeds):
-    if seeds is None:
-        return {v: (v, template.initial) for v in arena.vertices}
-    seed_map = dict(seeds)
-    missing = [v for v in arena.vertices if v not in seed_map]
-    if missing:
-        raise InputError(f"seed states missing for vertices {missing!r}")
-    return {v: (v, seed_map[v]) for v in arena.vertices}
-
-
-def _template_pending(pairs, template: MemoryStructure):
-    """Open requests of a node of the template expansion, read off its
-    template state.  Claims without request-response pairs have none; for
-    a claim with pairs, every template state must be an (open tuple,
-    pointer) pair over the claim's pair indices."""
-    if not pairs:
-        return lambda n: ()
-    indices = range(len(pairs))
-    for s in template.states:
-        if not (isinstance(s, tuple) and len(s) == 2 and isinstance(s[0], tuple)
-                and all(c in indices for c in s[0]) and s[1] in indices):
-            raise InputError(f"template state {s!r} is not an (open tuple, pointer) "
-                             f"pair over the claim's {len(pairs)} pairs")
-    return lambda n: n[1][0]
-
-
-def _candidate_graphs(product: Arena, owner: int, guard: int):
-    """Successor maps of every positional restriction of ``owner``'s moves,
-    in deterministic order.  Guarded by the candidate count."""
-    choice = [pv for pv in product.vertices if product.owner[pv] == owner]
-    total = 1
-    for pv in choice:
-        total *= len(product.succ[pv])
-        if total > guard:
-            raise CapacityError(
-                f"strategy enumeration needs more than {guard} candidates")
-    fixed = {pv: product.succ[pv] for pv in product.vertices
-             if product.owner[pv] != owner}
-    options = [product.succ[pv] for pv in choice]
-    for assignment in itertools.product(*options):
-        succ = dict(fixed)
-        for pv, w in zip(choice, assignment):
-            succ[pv] = (w,)
-        yield succ
-
-
-def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, bound,
-                 guard):
-    """Start node per vertex, and a generator of ``owner``'s positional
-    candidates over the template expansion, each with the nodes from which
-    its claim fails."""
-    obj, mode, bnd, rank_of = _normalize_condition(condition, bound)
-    if isinstance(condition, CostRRSpec):
-        raise CapabilityError("response-cost values have a dedicated oracle")
-    pending_of = _template_pending(conjuncts(obj)[3], template)
-    starts = _seed_nodes(arena, template, seeds)
-    product = expand(arena, template, seeds=starts.values())
-    def candidates(owner: int):
-        # every candidate has the product's vertices, so one query serves all
-        query = _claim_failure_query(product.vertices, obj, mode, rank_of, bnd,
-                                     pending_of, owner)
-        for succ in _candidate_graphs(product, owner, guard):
-            pred = _predecessors(succ)
-            yield succ, _query_failures(pred, query, _cycles(succ, pred, query))
-
-    return starts, product, candidates
-
-
-def _enumerated_regions(arena: Arena, starts, candidates) -> Tuple[frozenset, frozenset]:
-    undecided = set(arena.vertices)
-    region_0 = set()
-    for _succ, failures in candidates(0):
-        for v in list(undecided):
-            if starts[v] not in failures:
-                region_0.add(v)
-                undecided.discard(v)
-        if not undecided:
-            break
-    return frozenset(region_0), frozenset(arena.vertices) - frozenset(region_0)
-
-
-def enumerate_regions(arena: Arena, condition, template: MemoryStructure,
-                      seeds=None, bound: Optional[int] = None,
-                      guard: int = 10 ** 6) -> Tuple[frozenset, frozenset]:
-    """Winning regions by exhaustive strategy enumeration.
-
-    Every positional Player 0 strategy over the template expansion is
-    certified per start vertex; a vertex is in region 0 iff some candidate
-    is certified from it.  Region 1 is the complement, all shipped
-    conditions being determined.  The template must be known sufficient
-    for the condition (trivial memory for safety, Buchi, coBuchi and
-    rank-cost claims over those; the open-request memory for
-    request-response).  Pending requests are read off the template states,
-    so a claim with request-response pairs over a template whose states
-    are not (open tuple, pointer) pairs raises ``InputError``.
-    """
-    starts, _product, candidates = _enumeration(arena, condition, template, seeds,
-                                                bound, guard)
-    return _enumerated_regions(arena, starts, candidates)
-
-
-def enumerate_solve(arena: Arena, condition, template: MemoryStructure,
-                    seeds=None, bound: Optional[int] = None,
-                    guard: int = 10 ** 6) -> SolveResult:
-    """Brute-force solver: regions by enumeration plus uniform witness
-    strategies for both players, found by further enumeration passes."""
-    starts, product, candidates = _enumeration(arena, condition, template, seeds,
-                                               bound, guard)
-    region_0, region_1 = _enumerated_regions(arena, starts, candidates)
-
-    def uniform(owner: int, region: frozenset) -> FiniteStateStrategy:
-        want = {starts[v] for v in region}
-        for succ, failures in candidates(owner):
-            if not (want & failures):
-                moves = {}
-                for pv, ws in succ.items():
-                    if product.owner[pv] == owner:
-                        moves[pv] = ws[0][0]
-                return FiniteStateStrategy(owner, template, moves)
-        raise InputError(f"no uniform winning strategy for player {owner} "
-                         "among positional candidates")
-
-    strat_0 = uniform(0, region_0) if region_0 else FiniteStateStrategy(0, template, {})
-    strat_1 = uniform(1, region_1) if region_1 else FiniteStateStrategy(1, template, {})
-    return SolveResult(region_0, region_1, (strat_0, strat_1).__getitem__)
-
-
-def max_response_cost(game: CostRRGame, strategy: FiniteStateStrategy,
-                      cap: int) -> ExtNat:
-    """Worst response cost the strategy concedes, exact up to ``cap``.
-
-    Infinity stands for an unanswered request or any cost beyond the cap;
-    otherwise the value is the largest rank in the strategy-restricted
-    counter product.  That is the largest answered accumulation, since
-    every pending counter there is answered later at no less.
-    """
-    spec = game.spec
-    _root, succ = _product_graph(game.arena, strategy, game.arena.initial,
-                                 strategy.memory.initial, _counter_tracker(spec, cap + 1),
-                                 lambda n: _counter_rank(n) > cap)
-    worst = max(map(_counter_rank, succ))
-    if worst > cap:
-        return INF
-    pred = _predecessors(succ)
-    query = _violation_query(set(succ), spec.rr_objective(), _counter_pending)
-    if any(_cycles(succ, pred, query)):
-        return INF
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# fault-injection simulation
-
-@dataclass(frozen=True)
-class FaultSimVerdict:
-    safe: bool
-    witness: Optional[tuple] = None  # vertex path ending at the breach
-
-
-def simulate_faults(fa: FaultArena, strategy: FiniteStateStrategy, budget: int,
-                    depth: int) -> FaultSimVerdict:
-    """Exhaustively play the strategy against up to ``budget`` faults.
-
-    The opponent controls his vertices and may additionally divert
-    Player 0 along any fault pair, spending one budget unit per fault.
-    Explores every play of at most ``depth`` moves breadth first and
-    reports the first unsafe visit.  Fault steps are usually not arena
-    edges; a strategy memory that has no entry for such a step keeps its
-    state across it (positional strategies are unaffected).
-    """
-    arena = fa.arena
-    if arena.initial not in fa.safe:
-        return FaultSimVerdict(False, (arena.initial,))
-    start = (arena.initial, strategy.memory.initial, budget)
-    seen = {start}
-    queue = deque([(start, 0, (arena.initial,))])
-    while queue:
-        (v, s, rem), d, path = queue.popleft()
-        if d >= depth:
-            continue
-        moves = []
-        if arena.owner[v] == 0:
-            moves.append((strategy.move(v, s), rem))
-            if rem > 0:
-                for w in fa.fault_targets(v):
-                    moves.append((w, rem - 1))
-        else:
-            moves.extend((w, rem) for w in arena.succ[v])
-        for w, rem2 in moves:
-            s2 = strategy.memory.update.get((s, (v, w)), s)
-            child = (w, s2, rem2)
-            if child in seen:
-                continue
-            seen.add(child)
-            if w not in fa.safe:
-                return FaultSimVerdict(False, path + (w,))
-            queue.append((child, d + 1, path + (w,)))
-    return FaultSimVerdict(True)

@@ -15,6 +15,8 @@ from functools import lru_cache
 import pytest
 
 import rr_reference
+from oracles import (_candidate_graphs, budget_oracle, enumerate_regions,
+                     enumerate_solve, max_response_cost, simulate_faults)
 from rankgames.arena import Arena
 from rankgames.extnat import INF, is_finite
 from rankgames.gen import (random_arena, random_costrr_game,
@@ -31,13 +33,11 @@ from rankgames.quantred import (QuantReduction, Table,
                                 lift_strategy, trivial_reduction)
 from rankgames.ranked import (RankedCondition, RankedGame, optimize,
                               solve_sup_with_bound, solve_with_bound)
-from rankgames.resilience import budget_oracle, compute_val, max_resilience
+from rankgames.resilience import compute_val, max_resilience
 from rankgames.rrcost import (CostRRGame, build_reduction, cap_bound,
                               optimize as optimize_cost,
                               solve_with_bound as solve_cost)
-from rankgames.verify import (_candidate_graphs, enumerate_regions,
-                              enumerate_solve, max_response_cost,
-                              simulate_faults, verify_strategy)
+from rankgames.verify import verify_strategy
 
 
 # ---------------------------------------------------------------------------

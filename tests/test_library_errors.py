@@ -5,6 +5,8 @@ library calls that the CLI never makes."""
 
 import pytest
 
+from oracles import (FaultSimVerdict, budget_oracle, enumerate_regions,
+                     simulate_faults)
 from rankgames.arena import Arena, Lasso, first_successor, relabel, restrict
 from rankgames.errors import CapabilityError, InputError
 from rankgames.extnat import INF
@@ -17,10 +19,9 @@ from rankgames.quantred import (QuantReduction, Table, _max_preimage, compose,
                                 identity_table, trivial_reduction)
 from rankgames.ranked import (RankedCondition, RankedGame, solve_lim_with_bound,
                               solve_sup_with_bound)
-from rankgames.resilience import FaultArena, budget_oracle
+from rankgames.resilience import FaultArena
 from rankgames.rrcost import CostRRGame, build_reduction
-from rankgames.verify import (FaultSimVerdict, enumerate_regions, simulate_faults,
-                              verify_strategy)
+from rankgames.verify import verify_strategy
 
 # a: Player 0, moves to b only; b: Player 1, moves to a or stays
 A = Arena.of({"a": 0, "b": 1}, [("a", "b"), ("b", "a"), ("b", "b")], "a")

@@ -4,6 +4,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import rr_reference
+from oracles import enumerate_regions
 from rankgames.arena import Arena, attractor, relabel, restrict
 from rankgames.errors import CapacityError
 from rankgames.gen import random_arena, random_subset
@@ -13,7 +14,7 @@ from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
 from rankgames.qualsolve import (rr_memory, solve_buchi, solve_cobuchi,
                                  solve_objective, solve_request_response,
                                  solve_safety, solve_safety_cobuchi)
-from rankgames.verify import enumerate_regions, verify_strategy
+from rankgames.verify import verify_strategy
 
 from conftest import restrict_objective, swap_owners
 
@@ -199,14 +200,17 @@ class TestDeterminacyAndOracle:
         for _ in range(12):
             arena = random_arena(rng, rng.randint(1, 4))
             target = random_subset(rng, arena)
+            avoid = random_subset(rng, arena)
             template = trivial_memory(arena)
-            for objective, solver in (
-                    (Safety(target), solve_safety),
-                    (Buchi(target), solve_buchi),
-                    (CoBuchi(target), solve_cobuchi)):
-                res = solver(arena, target)
+            for objective, res in (
+                    (Safety(target), solve_safety(arena, target)),
+                    (Buchi(target), solve_buchi(arena, target)),
+                    (CoBuchi(target), solve_cobuchi(arena, target)),
+                    (SafetyAndCoBuchi(target, avoid),
+                     solve_safety_cobuchi(arena, target, avoid))):
                 oracle = enumerate_regions(arena, objective, template)
                 assert res.region_0 == oracle[0], (arena, objective)
+                certify_both(arena, objective, res)
 
 
 # arenas_with_traps draws each game from an opaque seed, which shrinking

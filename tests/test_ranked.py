@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import enumerate_regions
 from rankgames.arena import Arena
 from rankgames.errors import CapabilityError
 from rankgames.extnat import INF
@@ -12,7 +13,7 @@ from rankgames.qualsolve import solve_objective
 from rankgames.ranked import (RankedCondition, RankedGame, optimize,
                               solve_lim_with_bound, solve_sup_with_bound,
                               solve_with_bound)
-from rankgames.verify import enumerate_regions, verify_strategy
+from rankgames.verify import verify_strategy
 
 
 def ranked(arena, objective, rk, mode):

@@ -6,13 +6,13 @@ import sys
 import pytest
 
 import rankgames
+from oracles import budget_oracle, simulate_faults
 from rankgames.arena import Arena
 from rankgames.errors import InputError
 from rankgames.extnat import INF
 from rankgames.gen import random_fault_arena
-from rankgames.resilience import (FaultArena, budget_oracle, compute_val,
-                                  max_resilience, resilience_rank)
-from rankgames.verify import simulate_faults
+from rankgames.resilience import (FaultArena, compute_val, max_resilience,
+                                  resilience_rank)
 
 
 class TestFaultArena:
@@ -46,16 +46,6 @@ class TestFaultArena:
     def test_fault_target_need_not_be_edge(self, fs):
         assert ("s", "u") in fs.faults
         assert ("s", "u") not in fs.arena.edges
-
-    def test_fault_targets_equal_a_scan_of_every_fault(self):
-        # the targets are indexed by source once; a scan over all fault
-        # pairs per call is the reference
-        rng = random.Random(31)
-        for _ in range(40):
-            fa = random_fault_arena(rng, rng.randint(1, 12), 15)
-            for v in fa.arena.vertices:
-                scan = tuple(sorted(w for (u, w) in fa.faults if u == v))
-                assert fa.fault_targets(v) == scan
 
 
 class TestComputeVal:

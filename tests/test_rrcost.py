@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import max_response_cost
 from rankgames import rrcost
 from rankgames.arena import Arena, Lasso
 from rankgames.errors import InputError
@@ -15,7 +16,7 @@ from rankgames.ranked import solve_sup_with_bound
 from rankgames.rrcost import (CostRRGame, build_reduction, cap_bound,
                               counter_seed, counter_step, optimize,
                               solve_with_bound)
-from rankgames.verify import max_response_cost, verify_strategy
+from rankgames.verify import verify_strategy
 
 
 def solve_winner(game, b):

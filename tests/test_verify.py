@@ -5,6 +5,8 @@ import pytest
 
 import rr_reference
 import walk_reference
+from oracles import (FaultSimVerdict, enumerate_regions, enumerate_solve,
+                     max_response_cost, simulate_faults)
 from rankgames.arena import Arena, Lasso
 from rankgames.errors import CapacityError, InputError
 from rankgames.extnat import INF
@@ -19,9 +21,7 @@ from rankgames.qualsolve import (solve_buchi, solve_cobuchi,
 from rankgames.ranked import RankedCondition
 from rankgames.rrcost import cap_bound, optimize, solve_with_bound
 from rankgames import verify
-from rankgames.verify import (FaultSimVerdict, _closed_walk, _loop_comps,
-                              _predecessors, enumerate_regions, enumerate_solve,
-                              max_response_cost, simulate_faults,
+from rankgames.verify import (_closed_walk, _loop_comps, _predecessors,
                               verify_strategy)
 
 
