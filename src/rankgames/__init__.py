@@ -14,8 +14,8 @@ from .objectives import (Buchi, CoBuchi, CostRRSpec, Objective, RankFunction,
 from .qualsolve import (SolveResult, solve_buchi, solve_cobuchi,
                         solve_objective, solve_request_response, solve_safety,
                         solve_safety_cobuchi)
-from .quantred import (Cap, QuantReduction, Table, check_reduction_on_lasso,
-                       compose, is_correction, lift_strategy)
+from .quantred import (Cap, QuantReduction, check_reduction_on_lasso, compose,
+                       is_correction, lift_strategy)
 from .ranked import (OptimizeResult, RankedCondition, RankedGame,
                      solve_lim_with_bound, solve_sup_with_bound)
 from .ranked import optimize as optimize_ranked

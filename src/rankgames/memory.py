@@ -126,13 +126,12 @@ def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
     return reached, update
 
 
-def explore_product(arena: Arena, initial: State, step,
-                    seeds: Iterable[Tuple[Vertex, State]] = ()) -> Tuple[MemoryStructure, Arena]:
+def explore_product(arena: Arena, initial: State, step) -> Tuple[MemoryStructure, Arena]:
     """Memory and product arena of one :func:`explore` walk from the
-    initial vertex paired with ``initial`` and from ``seeds``; both hold
-    exactly what the walk reached."""
+    initial vertex paired with ``initial``; both hold exactly what the
+    walk reached."""
     start = (arena.initial, initial)
-    reached, update = explore(arena, [start, *seeds], step)
+    reached, update = explore(arena, [start], step)
     memory = MemoryStructure._checked(tuple(sorted({s for _v, s in reached})), initial, update)
     owner = {pv: arena.owner[pv[0]] for pv in reached}
     edges = [((u, s), (w, t)) for (s, (u, w)), t in update.items()]
@@ -186,17 +185,15 @@ class NumberedProduct:
         return MemoryStructure._checked(states, (m1.initial, 0), update), next_move
 
 
-def expand(arena: Arena, mem: MemoryStructure,
-           seeds: Optional[Iterable[Tuple[Vertex, State]]] = None) -> Arena:
+def expand(arena: Arena, mem: MemoryStructure) -> Arena:
     """Product of an arena with a memory structure, reachable part only.
 
     Product vertices are (vertex, state) pairs, so the correspondence to
     the factors is the pair structure itself.  Ownership is inherited
     from the vertex component; the initial product vertex pairs the
-    arena's initial vertex with the memory's initial state.  Extra seed
-    pairs widen the forward closure (used for per-vertex region solving).
+    arena's initial vertex with the memory's initial state.
     """
-    return explore_product(arena, mem.initial, mem.step, seeds or ())[1]
+    return explore_product(arena, mem.initial, mem.step)[1]
 
 
 def extend_lasso(mem: MemoryStructure, lasso: Lasso) -> Lasso:

@@ -41,8 +41,11 @@ class SolveResult:
     never build one.  Builders call the ``build`` of the results they
     extend, so only the outermost result keeps a strategy.  Strategies
     are total (moves outside a player's own region are filler) but only
-    claimed winning on that player's region.  A result of
-    :func:`solve_pruned` keeps the inner result it extends as ``kept``.
+    claimed winning on that player's region, except that a
+    :func:`solve_pruned` result over a request-response objective claims
+    its strategies winning only from the alive set's anchor (see there).
+    A result of :func:`solve_pruned` keeps the inner result it extends as
+    ``kept``.
     A positional result also gives ``moves(player)``, the move table its
     strategy wraps, so results that extend it need not build the one-state
     memory with a row for every edge that ``build`` adds.
@@ -263,7 +266,16 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
     plays consistent with them reach from every alive vertex with the
     initial memory state: the memory stays put where it has no row, and
     vertices they leave open take Player 1's attractor moves or their
-    first successor."""
+    first successor.
+
+    Positional inner strategies have one memory state, so this holds
+    them winning on their whole region.  A request-response strategy's
+    initial state is the seed state of the rest's anchor, while its region
+    is solved with every vertex in its own seed state.  So from another
+    vertex of its region, the walk can reach pairs the inner strategy has
+    no move for, take the filler move there and leave a request open
+    forever.  The result's strategies are then claimed winning only from
+    the alive set's anchor."""
     attr_1, toward_bad = attractor(arena, 1, bad, within)
     keep = _alive(arena, within) - attr_1
     if keep:

@@ -75,7 +75,10 @@ def solve_sup_with_bound(game: RankedGame, bound: int) -> SolveResult:
     Player 1 wins wherever he can drag the play into a vertex ranked
     above b; elsewhere the qualitative solver on the pruned sub-arena
     decides.  Player 0's strategy never enters the pruned part, so its
-    cost is bounded by b wherever it wins.
+    cost is bounded by b wherever it wins.  Over a request-response
+    objective the strategies are claimed winning only from the initial
+    vertex (see :func:`rankgames.qualsolve.solve_pruned`), which is where
+    the CLI and :func:`rankgames.quantred.lift_strategy` read them.
     """
     if game.mode != "sup":
         raise InputError("solve_sup_with_bound needs a sup-mode game")

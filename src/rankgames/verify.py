@@ -338,7 +338,7 @@ def _query_failures(pred, query: _Query, cycles) -> set:
     return _backward_closure(pred, cores, query.allowed)
 
 
-def _query_witness(arena, succ, pred, root, query: _Query, cycles) -> Optional[Lasso]:
+def _query_witness(arena, succ, pred, root, query: _Query, cycles) -> Lasso:
     path = _bfs_path(succ, root, query.bad, query.allowed)
     if path is not None:
         return _reach_witness(arena, path)
@@ -351,7 +351,7 @@ def _query_witness(arena, succ, pred, root, query: _Query, cycles) -> Optional[L
         comp, anchors = next((c, a) for c, a in family if entry in c)
         loop = _closed_walk(succ, pred, comp, entry, anchors)
         return Lasso(tuple(n[0] for n in path[:-1]), tuple(n[0] for n in loop))
-    return None
+    raise InputError("internal error: failure detected but no witness found")
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +427,5 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     cycles = _cycles(succ, pred, query)
     if root not in _query_failures(pred, query, cycles):
         return Verdict(True, message="certified")
-    witness = _query_witness(arena, succ, pred, root, query, cycles)
-    if witness is None:
-        raise InputError("internal error: failure detected but no witness found")
-    return Verdict(False, witness=witness, message="refuted")
+    return Verdict(False, witness=_query_witness(arena, succ, pred, root, query, cycles),
+                   message="refuted")

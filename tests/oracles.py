@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 from rankgames.arena import Arena, Vertex
 from rankgames.errors import CapabilityError, CapacityError, InputError
 from rankgames.extnat import INF, ExtNat
-from rankgames.memory import FiniteStateStrategy, MemoryStructure, expand
+from rankgames.memory import FiniteStateStrategy, MemoryStructure, explore
 from rankgames.objectives import CostRRSpec, conjuncts
 from rankgames.qualsolve import SolveResult, solve_safety
 from rankgames.resilience import FaultArena
@@ -95,7 +95,10 @@ def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, boun
         raise CapabilityError("response-cost values have a dedicated oracle")
     pending_of = _template_pending(conjuncts(obj)[3], template)
     starts = _seed_nodes(arena, template, seeds)
-    product = expand(arena, template, seeds=starts.values())
+    start = (arena.initial, template.initial)
+    reached, update = explore(arena, [start, *starts.values()], template.step)
+    product = Arena._checked({pv: arena.owner[pv[0]] for pv in reached},
+                             [((u, s), (w, t)) for (s, (u, w)), t in update.items()], start)
     def candidates(owner: int):
         # every candidate has the product's vertices, so one query serves all
         query = _claim_failure_query(product.vertices, obj, mode, rank_of, bnd,

@@ -28,9 +28,8 @@ from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
                                   relabel_objective)
 from rankgames.qualsolve import (solve_buchi, solve_cobuchi,
                                  solve_request_response, solve_safety)
-from rankgames.quantred import (QuantReduction, Table,
-                                check_reduction_on_lasso, compose,
-                                lift_strategy, trivial_reduction)
+from rankgames.quantred import (Cap, QuantReduction, check_reduction_on_lasso,
+                                compose, lift_strategy, trivial_reduction)
 from rankgames.ranked import (RankedCondition, RankedGame, optimize,
                               solve_sup_with_bound, solve_with_bound)
 from rankgames.resilience import compute_val, max_resilience
@@ -324,8 +323,7 @@ def _clamp_reduction(source: RankedGame, clamp: int) -> QuantReduction:
     lifted = relabel_objective(source.objective, lambda v: (v, 0))
     rk = {pv: min(source.rk[pv[0]], clamp) for pv in product.vertices}
     target = RankedGame(product, lifted, rk, source.mode)
-    table = Table(tuple(min(clamp, x) for x in range(clamp + 2)), tail="constant")
-    return QuantReduction(mem, table, clamp, source, target)
+    return QuantReduction(mem, Cap(clamp), clamp, source, target)
 
 
 def test_c6_reduction_composition():

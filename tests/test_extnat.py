@@ -9,7 +9,7 @@ import pytest
 import rankgames
 from rankgames.errors import InputError
 from rankgames.extnat import INF, check_extnat, is_finite
-from rankgames.quantred import Cap, QuantReduction, Table
+from rankgames.quantred import Cap, QuantReduction
 from rankgames.rrcost import build_reduction
 
 
@@ -50,7 +50,7 @@ def test_bad_cost_values_raise_input_error(a2_game):
     with pytest.raises(InputError):
         Cap(-1)
     with pytest.raises(InputError):
-        Table((0, 1.5))
+        Cap(1.5)
     r = build_reduction(a2_game, 3)
     with pytest.raises(InputError):
         QuantReduction(r.memory, r.f, True, r.source, r.target)

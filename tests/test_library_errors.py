@@ -15,8 +15,7 @@ from rankgames.memory import (FiniteStateStrategy, MemoryStructure, positional_s
 from rankgames.objectives import (CostRRSpec, Safety, conjuncts, map_sets,
                                   validate_objective, validate_rank)
 from rankgames.qualsolve import SolveResult, rr_memory, solve_objective
-from rankgames.quantred import (QuantReduction, Table, _max_preimage, compose,
-                                identity_table, trivial_reduction)
+from rankgames.quantred import Cap, QuantReduction, compose, trivial_reduction
 from rankgames.ranked import (RankedCondition, RankedGame, solve_lim_with_bound,
                               solve_sup_with_bound)
 from rankgames.resilience import FaultArena
@@ -37,12 +36,12 @@ FAULTS = FaultArena(A, {("a", "b")}, {"a", "b"})
 
 def _same_arena_target():
     # a trivial reduction whose target keeps the source arena, unexpanded
-    return QuantReduction(trivial_memory(A), identity_table(), INF, SUP, SUP)
+    return QuantReduction(trivial_memory(A), Cap(INF), INF, SUP, SUP)
 
 
 def _compose_onto_plain_target():
     r1 = trivial_reduction(SUP, lambda product, mem: SUP.relabeled(lambda v: (v, 0)))
-    r2 = QuantReduction(trivial_memory(r1.target.arena), identity_table(), INF,
+    r2 = QuantReduction(trivial_memory(r1.target.arena), Cap(INF), INF,
                         r1.target, "no relabeling")
     return compose(r1, r2)
 
@@ -102,17 +101,11 @@ LIBRARY_ERRORS = [
     ("solve an unknown objective", lambda: solve_objective(A, "parity"),
      InputError, "no solver for objective 'parity'"),
     # quantred
-    ("unknown table tail", lambda: Table((0,), tail="cubic"),
-     InputError, "unknown tail rule 'cubic'"),
-    ("constant tail with no value", lambda: Table((), tail="constant"),
-     InputError, "a constant tail needs at least one tabulated value"),
     ("target that is not the expansion",
      lambda: _same_arena_target().validate_expansion(),
      InputError, "target arena is not the memory expansion of the source"),
     ("compose onto a target without relabeled", _compose_onto_plain_target,
      InputError, "target game does not support vertex relabeling"),
-    ("composition parameter empty", lambda: _max_preimage(Table((5, 6)), 1, 0),
-     InputError, "composition parameter is empty: no value maps below the limit"),
     # ranked
     ("sup solve of a lim game", lambda: solve_sup_with_bound(LIM, 0),
      InputError, "solve_sup_with_bound needs a sup-mode game"),

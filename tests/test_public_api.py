@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "FiniteStateStrategy", "INF", "InputError", "Lasso", "MemoryStructure",
     "Objective", "OptimizeResult", "QuantReduction", "RankFunction",
     "RankedCondition", "RankedGame", "RequestResponse", "Safety",
-    "SafetyAndCoBuchi", "SolveResult", "Table", "Verdict", "arena", "attractor",
+    "SafetyAndCoBuchi", "SolveResult", "Verdict", "arena", "attractor",
     "build_reduction", "cap_bound", "check_reduction_on_lasso",
     "compose", "compose_strategy", "compute_val", "cost_of_response",
     "cost_rr_lasso", "errors",
@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 72
+    assert len(PUBLIC_NAMES) == 71
     assert sorted(rankgames.__all__) == sorted(PUBLIC_NAMES)
 
 

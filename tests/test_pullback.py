@@ -18,7 +18,7 @@ from rankgames.memory import (FiniteStateStrategy, MemoryStructure, compose_stra
                               expand, product_memory, trivial_memory)
 from rankgames.objectives import RequestResponse
 from rankgames.qualsolve import rr_memory, solve_buchi, solve_request_response
-from rankgames.quantred import QuantReduction, compose, identity_table, lift_strategy
+from rankgames.quantred import Cap, QuantReduction, compose, lift_strategy
 from rankgames.ranked import RankedGame, solve_sup_with_bound
 from rankgames.rrcost import build_reduction, cap_bound, optimize
 
@@ -61,7 +61,7 @@ def _toggled(game: RankedGame) -> QuantReduction:
                   for q, p in game.objective.pairs)
     rk = {pv: game.rk[pv[0]] for pv in product.vertices}
     target = RankedGame(product, RequestResponse(pairs), rk, game.mode)
-    return QuantReduction(mem, identity_table(), INF, game, target)
+    return QuantReduction(mem, Cap(INF), INF, game, target)
 
 
 class TestMemoryProductsAndComposedStrategies:

@@ -9,10 +9,9 @@ from rankgames.extnat import INF
 from rankgames.gen import random_costrr_game, random_lasso
 from rankgames.memory import extend_lasso, trivial_memory
 from rankgames.objectives import RequestResponse, Safety
-from rankgames.quantred import (Cap, QuantReduction, Table,
-                                check_reduction_on_lasso, compose,
-                                compose_functions, identity_table,
-                                is_correction, lift_strategy, trivial_reduction)
+from rankgames.quantred import (Cap, QuantReduction, check_reduction_on_lasso,
+                                compose, compose_functions, is_correction,
+                                lift_strategy, trivial_reduction)
 from rankgames.ranked import RankedGame
 from rankgames.rrcost import build_reduction, cap_bound
 
@@ -48,21 +47,6 @@ class TestIsCorrection:
         assert not is_correction(Cap(5), 6)
         assert not is_correction(Cap(5), INF)
 
-    def test_identity_table_for_infinity(self):
-        assert is_correction(identity_table(), INF)
-
-    def test_flat_table_violates_strictness(self):
-        assert not is_correction(Table((0, 0)), 2)
-
-    def test_table_falling_back_below_its_parameter_value(self):
-        # increasing below 2 and above f(0), f(1), but f(3) = 2 < f(2) = 5
-        assert not is_correction(Table((0, 1, 5, 2)), 2)
-
-    def test_cap_like_table(self):
-        capped = Table((0, 1, 2, 2, 2), tail="constant")
-        assert is_correction(capped, 2)
-        assert not is_correction(capped, 3)
-
     def test_invalid_correction_names_its_parameter(self, a2_game):
         r = build_reduction(a2_game, 3)
         with pytest.raises(InputError) as exc:
@@ -77,14 +61,8 @@ class TestComposeFunctions:
         assert isinstance(f, Cap) and f.bound == 5
         assert f.apply(3) == 3 and f.apply(9) == 5 and f.apply(INF) is INF
 
-    def test_table_then_cap(self):
-        f = compose_functions(Table((0, 1, 2, 2, 2), tail="constant"), Cap(4))
-        for x in range(10):
-            assert f.apply(x) == min(2, x)
-        assert f.apply(INF) is INF
-
     def test_identity_is_neutral(self):
-        f = compose_functions(identity_table(), Cap(3))
+        f = compose_functions(Cap(INF), Cap(3))
         for x in (0, 1, 2, 3, 4, 10, INF):
             assert f.apply(x) == Cap(3).apply(x)
 
@@ -92,8 +70,7 @@ class TestComposeFunctions:
 class TestComposeReductions:
     def _capped_rank_target(self, source: RankedGame, clamp: int):
         """Reduce a ranked game to itself with ranks clamped at ``clamp``;
-        play costs map through min(clamp, cost), a clamp-parameter
-        correction in table form."""
+        play costs map through min(clamp, cost), the cap at ``clamp``."""
         mem = trivial_memory(source.arena)
         from rankgames.memory import expand
 
@@ -101,9 +78,7 @@ class TestComposeReductions:
         lifted = _objective_over(source.objective, product)
         rk = {pv: min(source.rk[pv[0]], clamp) for pv in product.vertices}
         target = RankedGame(product, lifted, rk, source.mode)
-        table = Table(tuple(min(clamp, x) for x in range(clamp + 2)),
-                      tail="constant")
-        return QuantReduction(mem, table, clamp, source, target)
+        return QuantReduction(mem, Cap(clamp), clamp, source, target)
 
     def test_parameter_case_split(self, a2_game):
         # the first reduction carries parameter b1 + 1 with the matching cap
@@ -142,6 +117,21 @@ class TestComposeReductions:
             both = check_reduction_on_lasso(composed, lasso)
             if first.consistent and second.consistent:
                 assert both.consistent, both.detail
+
+    def test_composed_functions_are_caps(self, a2_game):
+        rng = random.Random(43)
+        for b in (0, 2, 5):
+            r1 = build_reduction(a2_game, b)
+            composed = compose(r1, trivial_reduction(r1.target, lift_ranked(r1.target)))
+            assert composed.f == Cap(b + 1) and composed.b == b + 1
+            for _ in range(40):
+                lasso = random_lasso(rng, a2_game.arena)
+                assert check_reduction_on_lasso(composed, lasso).consistent
+        r1 = trivial_reduction(a2_game, lambda product, mem: a2_game.relabeled(
+            lambda v: (v, 0)))
+        composed = compose(r1, trivial_reduction(r1.target, lambda product, mem:
+                                                 r1.target.relabeled(lambda v: (v, 0))))
+        assert composed.f == Cap(INF) and composed.b is INF
 
     def test_mismatched_chain_rejected(self, a2_game, a3_game):
         r1 = build_reduction(a2_game, 3)
@@ -186,7 +176,7 @@ class TestCheckReduction:
         zeros = RankedGame(a1, safe, {v: 0 for v in a1.vertices}, "sup")
         r = trivial_reduction(zeros, lift_ranked(zeros))
         # every play of twos costs 2 >= b = 1, its extension costs 0 < f(1)
-        low = QuantReduction(r.memory, identity_table(), 1, twos, r.target)
+        low = QuantReduction(r.memory, Cap(INF), 1, twos, r.target)
         chk = check_reduction_on_lasso(low, Lasso((), ("a", "b")))
         assert not chk.consistent
         assert (chk.source_cost, chk.target_cost) == (2, 0)

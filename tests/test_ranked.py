@@ -6,7 +6,7 @@ from oracles import enumerate_regions
 from rankgames.arena import Arena
 from rankgames.errors import CapabilityError
 from rankgames.extnat import INF
-from rankgames.gen import random_ranked_game
+from rankgames.gen import random_arena, random_ranked_game, random_subset
 from rankgames.memory import trivial_memory
 from rankgames.objectives import Buchi, CoBuchi, RequestResponse, Safety
 from rankgames.qualsolve import solve_objective
@@ -77,6 +77,24 @@ class TestSolveSupWithBound:
             for v in sorted(res.region_1):
                 assert verify_strategy(game.arena, cond, res.strategy_1,
                                        bound=b, start=v).certified
+
+    def test_request_response_winner_certified_from_the_initial_vertex(self):
+        # a pruned request-response strategy walks every vertex from the
+        # anchor's memory state, so it is claimed winning from the initial
+        # vertex only, which is where the CLI and lift_strategy read it
+        rng = random.Random(7311)
+        for _ in range(200):
+            arena = random_arena(rng, rng.randint(3, 8))
+            pairs = tuple((random_subset(rng, arena, 0.4), random_subset(rng, arena))
+                          for _ in range(rng.randint(1, 3)))
+            rk = {v: rng.randint(0, 3) for v in arena.vertices}
+            game = ranked(arena, RequestResponse(pairs), rk, "sup")
+            cond = RankedCondition(game.objective, rk, "sup")
+            for b in game.rank_values():
+                res = solve_sup_with_bound(game, b)
+                winner = 0 if arena.initial in res.region_0 else 1
+                assert verify_strategy(arena, cond, res.strategy_of(winner),
+                                       bound=b).certified, (b, winner)
 
 
 class TestSolveLimWithBound:

@@ -106,8 +106,7 @@ def test_explore_product_and_the_pruned_builder():
         arena = random_arena(rng, rng.randint(2, 9))
         states = tuple(range(rng.randint(1, 3)))
         table = {(s, e): rng.choice(states) for s in states for e in sorted(arena.edges)}
-        seeds = [(v, rng.choice(states)) for v in random_subset(rng, arena, 0.3)]
-        mem, product = explore_product(arena, states[0], lambda s, e: table[(s, e)], seeds)
+        mem, product = explore_product(arena, states[0], lambda s, e: table[(s, e)])
         assert_memory_as_validated(mem)
         assert_arena_as_validated(product, product.owner, product.edges, product.initial)
         assert product.vertices == tuple(sorted(product.vertices))
