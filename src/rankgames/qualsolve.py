@@ -48,7 +48,10 @@ class SolveResult:
     ``kept``.
     A positional result also gives ``moves(player)``, the move table its
     strategy wraps, so results that extend it need not build the one-state
-    memory with a row for every edge that ``build`` adds.
+    memory with a row for every edge that ``build`` adds.  A
+    :func:`solve_pruned` result over a positional inner result is
+    positional too and gives ``moves``; over a request-response one it
+    does not.
     """
 
     region_0: frozenset
@@ -269,44 +272,64 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
     first successor.
 
     Positional inner strategies have one memory state, so this holds
-    them winning on their whole region.  A request-response strategy's
-    initial state is the seed state of the rest's anchor, while its region
-    is solved with every vertex in its own seed state.  So from another
-    vertex of its region, the walk can reach pairs the inner strategy has
-    no move for, take the filler move there and leave a request open
-    forever.  The result's strategies are then claimed winning only from
-    the alive set's anchor."""
+    them winning on their whole region, and every alive vertex is a start
+    the walk visits once.  The result is then positional too and gives
+    ``moves``: each owner vertex of the alive set with its inner move,
+    attractor move or first successor.  Its one-state strategy is
+    tabulated in one pass over the sorted alive set, one row per owner
+    vertex for its move and one per successor inside the alive set
+    elsewhere.  Only a memoryful inner result, request-response, is
+    walked with its memory.
+
+    A request-response strategy's initial state is the seed state of the
+    rest's anchor, while its region is solved with every vertex in its own
+    seed state.  So from another vertex of its region, the walk can reach
+    pairs the inner strategy has no move for, take the filler move there
+    and leave a request open forever.  The result's strategies are then
+    claimed winning only from the alive set's anchor."""
+    alive = _alive(arena, within)
     attr_1, toward_bad = attractor(arena, 1, bad, within)
-    keep = _alive(arena, within) - attr_1
+    keep = alive - attr_1
     if keep:
         res = solve_objective(arena, objective, keep)
     else:
         res = _positional(arena, keep, keep, lambda player: {}, keep)
 
+    def fill(v):
+        return toward_bad[v] if v in toward_bad else first_successor(arena, v, within)
+
+    def moves(player):
+        inner = res.moves(player)
+        return {v: inner[v] if v in inner else fill(v)
+                for v in alive if arena.owner[v] == player}
+
     def build(player):
-        if res.moves is None:
-            base = res.build(player)
-            mem, moves = base.memory, base.next_move
-        else:
-            # one state, whose rows the walk below would only read as stay-put
-            mem = MemoryStructure._checked((0,), 0, {})
-            moves = {(v, 0): w for v, w in res.moves(player).items()}
+        starts = arena.vertices if within is None else sorted(within)
+        if res.moves is not None:
+            # one state: a walk would visit each alive vertex once, in order
+            table, update = moves(player), {}
+            for v in starts:
+                for w in (table[v],) if v in table else arena.succ[v]:
+                    if within is None or w in within:
+                        update[(0, (v, w))] = 0
+            return FiniteStateStrategy(player, MemoryStructure._checked((0,), 0, update),
+                                       {(v, 0): w for v, w in table.items()})
+        base = res.build(player)
+        mem, inner = base.memory, base.next_move
 
         def step(s, e):
             return mem.update.get((s, e), s)
 
         def move(v, s):
-            if (v, s) in moves:
-                return moves[(v, s)]
-            return toward_bad[v] if v in toward_bad else first_successor(arena, v, within)
+            return inner[(v, s)] if (v, s) in inner else fill(v)
 
-        alive = arena.vertices if within is None else sorted(within)
-        reached, update = explore(arena, [(v, mem.initial) for v in alive], step,
+        reached, update = explore(arena, [(v, mem.initial) for v in starts], step,
                                   player, move, within)
         next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == player}
         return FiniteStateStrategy(
             player, MemoryStructure._checked(mem.states, mem.initial, update), next_move)
-    return SolveResult(res.region_0, attr_1 | res.region_1, build, kept=res)
+    return SolveResult(res.region_0, attr_1 | res.region_1, build, kept=res,
+                       moves=None if res.moves is None else moves)
 
 
 def solve_safety_cobuchi(arena: Arena, safe, avoid, within=None) -> SolveResult:

@@ -128,7 +128,9 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
                         moves[v] = core_moves[v]
                 moves.update(toward_core)
         elif last is not None:
-            moves = {v: w for (v, _s), w in last.build(1).next_move.items()}
+            # the last round's pruned result is positional: its move table,
+            # with no one-state strategy tabulated around it
+            moves = last.moves(1)
         return positional_strategy(arena, player, filled_moves(arena, player, moves))
     return SolveResult(frozenset(arena.vertices) - cur, cur, build)
 
