@@ -38,26 +38,23 @@ class SolveResult:
     ``build(player)`` constructs that player's strategy.  Strategies are
     built on first read of ``strategy_0``, ``strategy_1`` or
     ``strategy_of`` and cached, so callers that need only the regions
-    never build one.  Builders call the ``build`` of the results they
-    extend, so only the outermost result keeps a strategy.  Strategies
-    are total (moves outside a player's own region are filler) but only
-    claimed winning on that player's region, except that a
+    never build one.  Results that extend another read its ``moves`` or
+    call its ``build``, so only the outermost result keeps a strategy.
+    Strategies are total (moves outside a player's own region are filler)
+    but only claimed winning on that player's region, except that a
     :func:`solve_pruned` result over a request-response objective claims
     its strategies winning only from the alive set's anchor (see there).
-    A result of :func:`solve_pruned` keeps the inner result it extends as
-    ``kept``.
-    A positional result also gives ``moves(player)``, the move table its
-    strategy wraps, so results that extend it need not build the one-state
-    memory with a row for every edge that ``build`` adds.  A
-    :func:`solve_pruned` result over a positional inner result is
-    positional too and gives ``moves``; over a request-response one it
-    does not.
+
+    Every result whose strategies are positional gives ``moves(player)``,
+    the move table its one-state strategy wraps, so results that extend it
+    need not build the one-state memory with a row for every edge that
+    ``build`` adds.  Results whose strategies carry memory, request-response
+    results and pruned results over them, leave ``moves`` as ``None``.
     """
 
     region_0: frozenset
     region_1: frozenset
     build: Callable[[int], FiniteStateStrategy] = field(repr=False, compare=False)
-    kept: Optional[SolveResult] = field(default=None, repr=False, compare=False)
     moves: Optional[Callable[[int], Dict[Vertex, Vertex]]] = field(
         default=None, repr=False, compare=False)
 
@@ -83,7 +80,7 @@ def _alive(arena: Arena, within) -> frozenset:
 
 def _positional(arena: Arena, region_0, region_1, moves_of, within) -> SolveResult:
     """Result whose strategies are positional: ``moves_of(player)``, filled
-    inside the alive set."""
+    inside the alive set.  Every positional result is built here."""
     def moves(player):
         return filled_moves(arena, player, moves_of(player), within)
     return SolveResult(region_0, region_1,
@@ -264,12 +261,13 @@ def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
 
 def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveResult:
     """Hand Player 1 his attractor to ``bad`` and solve ``objective`` on
-    the rest, ``kept`` in the result; Player 0's strategy never enters the
-    attractor.  The rest's strategies extend to the alive set only on what
-    plays consistent with them reach from every alive vertex with the
-    initial memory state: the memory stays put where it has no row, and
-    vertices they leave open take Player 1's attractor moves or their
-    first successor.
+    the rest, also when the rest is empty: every solver gives empty regions
+    and move tables on an empty alive set.  Player 0's strategy never
+    enters the attractor.  The rest's strategies extend to the alive set
+    only on what plays consistent with them reach from every alive vertex
+    with the initial memory state: the memory stays put where it has no
+    row, and vertices they leave open take Player 1's attractor moves or
+    their first successor.
 
     Positional inner strategies have one memory state, so this holds
     them winning on their whole region, and every alive vertex is a start
@@ -289,11 +287,7 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
     claimed winning only from the alive set's anchor."""
     alive = _alive(arena, within)
     attr_1, toward_bad = attractor(arena, 1, bad, within)
-    keep = alive - attr_1
-    if keep:
-        res = solve_objective(arena, objective, keep)
-    else:
-        res = _positional(arena, keep, keep, lambda player: {}, keep)
+    res = solve_objective(arena, objective, alive - attr_1)
 
     def fill(v):
         return toward_bad[v] if v in toward_bad else first_successor(arena, v, within)
@@ -328,7 +322,7 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
         next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == player}
         return FiniteStateStrategy(
             player, MemoryStructure._checked(mem.states, mem.initial, update), next_move)
-    return SolveResult(res.region_0, attr_1 | res.region_1, build, kept=res,
+    return SolveResult(res.region_0, attr_1 | res.region_1, build,
                        moves=None if res.moves is None else moves)
 
 

@@ -19,10 +19,10 @@ from typing import Tuple
 from .arena import Arena, attractor, relabel
 from .errors import CapabilityError, InputError
 from .extnat import INF, ExtNat
-from .memory import FiniteStateStrategy, filled_moves, positional_strategy
+from .memory import FiniteStateStrategy
 from .objectives import (Buchi, CoBuchi, Objective, Safety, rank_cost_lasso,
                          relabel_objective, validate_objective, validate_rank)
-from .qualsolve import SolveResult, solve_pruned, solve_safety_cobuchi
+from .qualsolve import SolveResult, _positional, solve_pruned, solve_safety_cobuchi
 
 MODES = ("sup", "lim")
 
@@ -94,8 +94,11 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
     Safety objectives reduce to the safety/coBuchi conjunction (ranks above
     b may appear only finitely often).  Prefix-independent objectives are
     peeled iteratively: take the sup-winning region inside the alive set,
-    hand Player 0 its 0-attractor, shrink the alive set, repeat; her
-    strategy stitches the attractor moves with the sup-game strategies.
+    hand Player 0 its 0-attractor, shrink the alive set, repeat.  Both
+    strategies are positional and the result gives ``moves`` like every
+    positional result: hers stitches each round's attractor moves with
+    that round's pruned moves on its core, and his is the last round's
+    pruned moves.
     """
     if game.mode != "lim":
         raise InputError("solve_lim_with_bound needs a lim-mode game")
@@ -114,16 +117,16 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
             last = sres
             break
         chunk, toward_core = attractor(arena, 0, sres.region_0, cur)
-        rounds.append((sres.kept, toward_core))
+        rounds.append((sres, toward_core))
         cur = cur - chunk
 
-    def build(player):
+    def moves_of(player):
         moves = {}
         if player == 0:
-            # on the core, the pruned strategy is the inner positional one
-            for kept, toward_core in rounds:
-                core_moves = kept.moves(0)
-                for v in sorted(kept.region_0):
+            # a round's pruned moves win on its core, its attractor moves lead there
+            for pruned, toward_core in rounds:
+                core_moves = pruned.moves(0)
+                for v in sorted(pruned.region_0):
                     if arena.owner[v] == 0:
                         moves[v] = core_moves[v]
                 moves.update(toward_core)
@@ -131,8 +134,8 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
             # the last round's pruned result is positional: its move table,
             # with no one-state strategy tabulated around it
             moves = last.moves(1)
-        return positional_strategy(arena, player, filled_moves(arena, player, moves))
-    return SolveResult(frozenset(arena.vertices) - cur, cur, build)
+        return moves
+    return _positional(arena, frozenset(arena.vertices) - cur, cur, moves_of, None)
 
 
 def solve_with_bound(game: RankedGame, bound: int) -> SolveResult:

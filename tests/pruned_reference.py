@@ -49,7 +49,7 @@ def solve_pruned(arena, bad, objective, within=None):
         next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == player}
         return FiniteStateStrategy(
             player, MemoryStructure._checked(mem.states, mem.initial, update), next_move)
-    return SolveResult(res.region_0, attr_1 | res.region_1, build, kept=res)
+    return SolveResult(res.region_0, attr_1 | res.region_1, build)
 
 
 def solve_safety_cobuchi(arena, safe, avoid, within=None):

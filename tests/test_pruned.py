@@ -6,7 +6,9 @@ walking it.  On seeded games of every positional inner objective, inside
 and outside an alive trap, at every realized rank of ranked sup and lim
 probes, and with nested pruning, each player's strategy must agree with
 the reference on memory states, initial state, update rows in order and
-moves.  Request-response inner results keep the walk.
+moves.  Request-response inner results keep the walk.  Lim results give
+the move tables their strategies wrap, and an empty rest, whatever the
+inner objective, goes to its solver like any other alive set.
 """
 
 import random
@@ -88,8 +90,15 @@ def test_safety_cobuchi_inside_and_outside_an_alive_set():
                             ref.solve_safety_cobuchi(arena, safe, avoid, within))
 
 
-def test_sup_probes_at_every_realized_rank_nested_pruning_included():
+def test_sup_probes_at_every_realized_rank_nested_pruning_included(monkeypatch):
     nested = 0
+    solve = qualsolve.solve_pruned
+
+    def spy(*args):  # solve_safety_cobuchi's call, one level inside a probe
+        nonlocal nested
+        nested += 1
+        return solve(*args)
+    monkeypatch.setattr(qualsolve, "solve_pruned", spy)
     for seed in range(40):
         rng = random.Random(f"pruned-sup:{seed}")
         for kind in KINDS:
@@ -98,7 +107,6 @@ def test_sup_probes_at_every_realized_rank_nested_pruning_included():
                 res = solve_sup_with_bound(game, b)
                 _assert_matches(res, ref.solve_pruned(game.arena, _high(game, b),
                                                       game.objective))
-                nested += kind == "safety-cobuchi" and res.kept.kept is not None
     assert nested > 100
 
 
@@ -134,6 +142,32 @@ def test_lim_probes_at_every_realized_rank():
     assert player_1_rounds > 50
 
 
+def test_lim_results_give_the_move_tables_their_strategies_wrap():
+    for seed in range(40):
+        rng = random.Random(f"pruned-lim:{seed}")
+        for kind in ("safety", "buchi", "cobuchi"):
+            game = _ranked(rng, kind, "lim")
+            for b in game.rank_values():
+                res = solve_lim_with_bound(game, b)
+                for player in (0, 1):
+                    assert res.moves(player) == {
+                        v: w for (v, _s), w in res.build(player).next_move.items()}
+
+
+def test_an_empty_rest_for_every_inner_kind_inside_and_outside_an_alive_set():
+    for seed in range(30):
+        rng = random.Random(f"pruned-empty:{seed}")
+        arena = random_arena(rng, rng.randint(1, 10))
+        rr = RequestResponse(tuple((random_subset(rng, arena, 0.4), random_subset(rng, arena))
+                                   for _ in range(rng.randint(1, 3))))
+        for objective in [_objective(rng, arena, kind) for kind in KINDS] + [rr]:
+            for within in (None, _trap(rng, arena)):
+                alive = frozenset(arena.vertices) if within is None else within
+                res = solve_pruned(arena, alive, objective, within)
+                assert (res.region_0, res.region_1) == (frozenset(), alive)
+                _assert_matches(res, ref.solve_pruned(arena, alive, objective, within))
+
+
 def test_request_response_inner_results_keep_the_walk():
     for seed in range(40):
         rng = random.Random(f"pruned-rr:{seed}")
@@ -145,7 +179,7 @@ def test_request_response_inner_results_keep_the_walk():
             alive = frozenset(arena.vertices) if within is None else within
             bad = random_subset(rng, arena, 0.2) & alive
             res = solve_pruned(arena, bad, objective, within)
-            assert res.moves is None or not res.kept.region_0 | res.kept.region_1
+            assert res.moves is None or (not res.region_0 and res.region_1 == alive)
             _assert_matches(res, ref.solve_pruned(arena, bad, objective, within))
 
 
