@@ -9,7 +9,8 @@ are not strings are renamed to stable generated identifiers on write.
 The on-disk layout of a strategy file is part of the format: the text
 ``json.dump(strategy_to_doc(s), indent=2, sort_keys=True)`` writes, plus
 a final newline.  ``write_strategy`` emits that layout directly from the
-rows, and a test holds its bytes to the ``json`` reference.  Readers check
+rows, and a test holds its bytes to the ``json`` reference; it rewrites an
+existing file in place and cuts it to length.  Readers check
 each row inline and fall back to the field-by-field checks only to word
 the first error.  Each row is checked once, here: the strategy reader
 takes the game's arena and checks every update and move row against it in
@@ -20,6 +21,8 @@ build go through the trusted constructors, which check nothing again.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -367,7 +370,15 @@ def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
     """Write ``strategy_to_doc(strategy)`` in the layout of ``json.dump`` with
     ``indent=2, sort_keys=True`` and a final newline, built directly from
     the rows: the two row shapes are fixed, so the pure-Python encoder's
-    generality is not needed."""
+    generality is not needed.
+
+    An existing file is rewritten in place and then cut to the new length,
+    not truncated to zero first: on ext4, truncating a file and writing it
+    again costs the kernel several times the in-place write.  New files get
+    the mode ``open(path, "w")`` gives them.  A path that is not a regular
+    file (a FIFO, ``/dev/null``) rejects the cut and is written without it.
+    The write is not atomic: a process killed between the write and the
+    cut can leave the old tail after the new text."""
     states, initial, update, moves = _strategy_rows(strategy)
     at8, at6 = _Encoded(" " * 8), _Encoded(" " * 6)
     update_rows = [f'      {{\n        "from": {at8[u]},\n        "next": {at8[t]},\n'
@@ -382,8 +393,11 @@ def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
         ',\n    "update": ', _json_list(update_rows, "    "),
         '\n  },\n  "moves": ', _json_list(move_rows, "  "),
         ',\n  "owner": ', json.dumps(strategy.owner), "\n}\n"))
-    with open(path, "w", encoding="utf-8") as fh:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
         fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def read_strategy(path: str, arena: Arena) -> FiniteStateStrategy:

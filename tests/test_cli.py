@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import os
 import random
@@ -709,17 +711,104 @@ def _hand_built_strategies():
     yield FiniteStateStrategy(1, pairs, {((0, "x"), "s"): (1, "y")})
 
 
+def _strategy_text(strategy):
+    return json.dumps(strategy_to_doc(strategy), indent=2, sort_keys=True) + "\n"
+
+
 def test_strategy_bytes_equal_the_json_encoder(tmp_path):
     # the writer builds its text directly; json.dump is the reference
     path = tmp_path / "strategy.json"
     lifted = 0
     for strategy in (*_solver_strategies(), *_hand_built_strategies()):
+        expected = _strategy_text(strategy)
+        path.unlink(missing_ok=True)
         write_strategy(str(path), strategy)
         text = path.read_text(encoding="ascii")
-        expected = json.dumps(strategy_to_doc(strategy), indent=2, sort_keys=True) + "\n"
         assert text == expected
+        # and over a longer stale file, which the writer cuts to length
+        path.write_text("x" * (2 * len(expected) + 1))
+        write_strategy(str(path), strategy)
+        assert path.read_text(encoding="ascii") == expected
         lifted += '"m1"' in text
     assert lifted  # generated state names occur
+
+
+class TestStrategyWriter:
+    # write_strategy rewrites an existing file in place and then cuts it to
+    # the written length; each test pins a behaviour of open(path, "w") that
+    # this keeps.  small has one memory state, large four.
+    small, large = list(_hand_built_strategies())[1:3]
+
+    def test_a_longer_file_is_cut_and_a_shorter_one_grows(self, tmp_path):
+        path = tmp_path / "strategy.json"
+        short, long_ = _strategy_text(self.small), _strategy_text(self.large)
+        assert len(short) < len(long_)
+        write_strategy(str(path), self.large)
+        write_strategy(str(path), self.small)
+        assert path.read_text(encoding="ascii") == short
+        write_strategy(str(path), self.large)
+        assert path.read_text(encoding="ascii") == long_
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_a_new_file_gets_the_mode_open_w_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference.json", "w", encoding="utf-8"):
+                pass
+            write_strategy(str(tmp_path / "strategy.json"), self.small)
+        finally:
+            os.umask(old)
+        expected = os.stat(tmp_path / "reference.json").st_mode
+        assert os.stat(tmp_path / "strategy.json").st_mode == expected
+        assert expected & 0o777 == 0o666 & ~umask
+
+    def test_a_symlink_is_written_through_to_its_target(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("stale\n" * 1000)
+        link.symlink_to(target)
+        write_strategy(str(link), self.small)
+        assert link.is_symlink()
+        assert target.read_text(encoding="ascii") == _strategy_text(self.small)
+
+    def test_out_dev_null_is_written_without_a_cut(self, tmp_path, capsys):
+        path = write_game(tmp_path, SAFETY_WIN)
+        assert main(["solve", path, "--out", os.devnull]) == 0
+        assert capsys.readouterr() == (f"Player 0 wins\nstrategy written to {os.devnull}\n", "")
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_paths_report_what_open_w_reports(self, tmp_path, capsys, where):
+        path = write_game(tmp_path, SAFETY_WIN)
+        out = str(tmp_path if where == "directory" else tmp_path / "missing" / "s.json")
+        with pytest.raises(OSError) as exc:
+            open(out, "w", encoding="utf-8")
+        assert main(["solve", path, "--out", out]) == 2
+        assert capsys.readouterr() == ("Player 0 wins\n", f"error: {exc.value}\n")
+
+    def test_the_path_is_never_opened_truncating(self, tmp_path, monkeypatch):
+        # truncating an existing file to zero and writing it again costs
+        # the kernel far more than rewriting it in place
+        path = str(tmp_path / "strategy.json")
+        write_strategy(path, self.large)
+        opened = []
+        real_os_open, real_open = os.open, open
+
+        def spy_os_open(file, flags, *args, **kwargs):
+            opened.append((file, "O_TRUNC" if flags & os.O_TRUNC else "in place"))
+            return real_os_open(file, flags, *args, **kwargs)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int):
+                opened.append((file, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(io, "open", spy_open)
+        write_strategy(path, self.small)
+        monkeypatch.undo()
+        assert opened == [(path, "in place")]
+        assert (tmp_path / "strategy.json").read_text(encoding="ascii") == \
+            _strategy_text(self.small)
 
 
 def _reference_runs(tmp_path, sequences):

@@ -14,7 +14,9 @@ Re-record only for a change that is meant to alter output:
 
 The same requests on game files with their vertex and edge rows reversed
 and one edge row repeated must give the same bytes: the parser's arena
-does not depend on the order of the rows.
+does not depend on the order of the rows.  So must one seed's requests
+with a longer stale file left at the strategy path before each one: the
+writer rewrites the file in place and must cut it to the new text.
 """
 
 import contextlib
@@ -152,14 +154,16 @@ def reversed_rows(doc):
     return doc
 
 
-def digests(workdir, rows=lambda doc: doc):
+def digests(workdir, rows=lambda doc: doc, seeds=SEEDS, stale=None):
     """{request key: [exit code, stdout SHA-256, strategy file SHA-256]},
-    with each game file's document passed through ``rows``."""
+    with each game file's document passed through ``rows``.  With ``stale``
+    bytes, each request finds them at the strategy path instead of no file;
+    a request that leaves them as they are wrote no strategy."""
     out = {}
     old = os.getcwd()
     os.chdir(workdir)
     try:
-        for seed in SEEDS:
+        for seed in seeds:
             games = list(_games(seed))
             for name, game in games:
                 Path(name + ".json").write_text(json.dumps(rows(game_to_doc(game))))
@@ -168,10 +172,16 @@ def digests(workdir, rows=lambda doc: doc):
                 gen = _requests(name, game, qualitative)
                 argv = next(gen)
                 while True:
-                    if os.path.exists("s.json"):
+                    if stale is not None:
+                        Path("s.json").write_bytes(stale)
+                    elif os.path.exists("s.json"):
                         os.remove("s.json")
                     code, text = _run(argv)
                     written = Path("s.json").read_bytes() if os.path.exists("s.json") else b""
+                    if written == stale:
+                        written = b""
+                    elif stale is not None:
+                        assert len(written) < len(stale)
                     # the request's own game file is named after the @
                     rest = ' '.join(a for a in argv if a != name + ".json")
                     key = f"{seed}:{rest} @ {name}"
@@ -211,6 +221,16 @@ def test_reversed_rows_with_a_repeated_edge_give_the_same_bytes(measured, tmp_pa
     reordered = digests(tmp_path, reversed_rows)
     assert sorted(reordered) == sorted(measured)
     differ = [key for key in measured if reordered[key] != measured[key]]
+    assert differ == []
+
+
+def test_strategy_files_written_over_longer_stale_files_match(tmp_path):
+    # every strategy path holds a longer file from before the request: the
+    # writer must cut it to the new text, so the digests stay the recorded
+    recorded = json.loads(DIGESTS.read_text())
+    over_stale = digests(tmp_path, seeds=(1,), stale=b"stale\n" * (1 << 16))
+    assert sorted(over_stale) == sorted(k for k in recorded if k.startswith("1:"))
+    differ = [key for key in over_stale if over_stale[key] != recorded[key]]
     assert differ == []
 
 
