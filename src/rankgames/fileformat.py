@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import stat
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -375,8 +374,9 @@ def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
     An existing file is rewritten in place and then cut to the new length,
     not truncated to zero first: on ext4, truncating a file and writing it
     again costs the kernel several times the in-place write.  New files get
-    the mode ``open(path, "w")`` gives them.  A path that is not a regular
-    file (a FIFO, ``/dev/null``) rejects the cut and is written without it.
+    the mode ``open(path, "w")`` gives them.  The cut is made only when the
+    old file was longer than the text, which is ASCII, so a new or shorter
+    file and a path that reports size 0 (a FIFO, ``/dev/null``) are not cut.
     The write is not atomic: a process killed between the write and the
     cut can leave the old tail after the new text."""
     states, initial, update, moves = _strategy_rows(strategy)
@@ -395,8 +395,9 @@ def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
         ',\n  "owner": ', json.dumps(strategy.owner), "\n}\n"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8") as fh:
+        old = os.fstat(fd).st_size
         fh.write(text)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        if old > len(text):
             fh.truncate()
 
 
