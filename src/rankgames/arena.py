@@ -111,11 +111,7 @@ class Arena:
     def pred(self) -> dict:
         """Predecessors of each vertex, in the order of the sorted edge list
         (sorted vertices, each with its sorted successors)."""
-        pred = {v: [] for v in self.vertices}
-        for v, out in self.succ.items():
-            for w in out:
-                pred[w].append(v)
-        return {v: tuple(p) for v, p in pred.items()}
+        return _predecessors(self.succ)
 
     @classmethod
     def of(cls, owner: Mapping[Vertex, int], edges: Iterable[Edge], initial: Vertex) -> "Arena":
@@ -135,6 +131,16 @@ class Arena:
         if v == self.initial:
             return self
         return Arena(self.vertices, self.owner, self.edges, v)
+
+
+def _predecessors(succ: Mapping) -> dict:
+    """Predecessor lists of a successor map whose successors are all keys,
+    keyed in the map's order, each in the order the map lists its edges."""
+    pred: dict = {n: [] for n in succ}
+    for n, ws in succ.items():
+        for w in ws:
+            pred[w].append(n)
+    return pred
 
 
 def anchor(arena: Arena, within=None) -> Vertex:

@@ -6,6 +6,12 @@ product graphs.  Certification answers "does every play consistent with
 this strategy meet the claim"; refutations come with a concrete
 ultimately periodic counterexample play, consistent with the strategy up
 to and including the violating visit.
+
+A claim is decided on the product nodes reachable from its start, so it
+fails exactly when its failure query has a core there: a node whose
+visit sinks it, or a cycle-carrying component that does.  Such a node
+refutes the claim on its own; cycles are analysed only when there is
+none.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .arena import Arena, Lasso, Vertex
+from .arena import Arena, Lasso, Vertex, _predecessors
 from .errors import InputError
 from .memory import FiniteStateStrategy
 from .objectives import (Buchi, CoBuchi, CostRRSpec, Objective,
@@ -36,16 +42,8 @@ class Verdict:
 
 # ---------------------------------------------------------------------------
 # graph analyses; nodes are opaque, succ maps every node to a tuple of
-# nodes, and pred, built once per graph, is its reverse
-
-def _predecessors(succ) -> Dict:
-    """Predecessor lists of a successor map whose successors are all keys."""
-    pred: Dict = {n: [] for n in succ}
-    for n, ws in succ.items():
-        for w in ws:
-            pred[w].append(n)
-    return pred
-
+# nodes, and pred, built once per graph by arena._predecessors, is its
+# reverse
 
 def _loop_comps(succ, pred, region) -> List[set]:
     """SCCs of the subgraph ``region`` induces that carry at least one edge.
@@ -86,19 +84,6 @@ def _loop_comps(succ, pred, region) -> List[set]:
                     stack.append(p)
         if len(comp) > 1 or root in succ[root]:
             out.append(comp)
-    return out
-
-
-def _backward_closure(pred, cores: set, allowed: Optional[set]) -> set:
-    """Nodes from which some path, staying in ``allowed`` unless it is
-    None, reaches the cores.  Cores are assumed to lie inside ``allowed``."""
-    out = set(cores)
-    queue = deque(out)
-    while queue:
-        for p in pred[queue.popleft()]:
-            if p not in out and (allowed is None or p in allowed):
-                out.add(p)
-                queue.append(p)
     return out
 
 
@@ -189,6 +174,14 @@ def _counter_pending(node) -> frozenset:
 
 def _product_graph(arena: Arena, strategy: FiniteStateStrategy, start: Vertex,
                    start_state, tracker, halt: Callable) -> Tuple[tuple, Dict]:
+    """The root and successor map of the product from ``start``.
+
+    The map holds exactly the nodes reachable from the root, and decided
+    nodes (where ``halt`` holds) get no successors, so every node is
+    reachable from the root through undecided nodes.  Those are exactly
+    the ``allowed`` nodes of the claim's failure query: all nodes for
+    Player 0; for Player 1 the safe nodes, in sup mode those within the
+    bound.  So the root fails exactly when the query has a core."""
     seed, step_t = tracker
     root = (start, start_state, seed(start))
     succ: Dict = {}
@@ -329,28 +322,22 @@ def _cycles(succ, pred, query: _Query) -> List[List[Tuple[set, tuple]]]:
             for region, anchors_fn in query.loops]
 
 
-def _query_failures(pred, query: _Query, cycles) -> set:
-    """All start nodes from which the query finds a failing play."""
-    cores = set(query.bad)
-    for family in cycles:
-        for comp, _anchors in family:
-            cores |= comp
-    return _backward_closure(pred, cores, query.allowed)
-
-
 def _query_witness(arena, succ, pred, root, query: _Query, cycles) -> Lasso:
-    path = _bfs_path(succ, root, query.bad, query.allowed)
+    """Counterexample play from the root: into its nearest bad node when
+    the query has one, else around a component of the first family whose
+    components it reaches.  Every core is reachable from the root (see
+    :func:`_product_graph`), so the raise marks a broken invariant."""
+    path = _bfs_path(succ, root, query.bad, query.allowed) if query.bad else None
     if path is not None:
         return _reach_witness(arena, path)
     for family in cycles:
         cores = {n for comp, _anchors in family for n in comp}
         path = _bfs_path(succ, root, cores, query.allowed)
-        if path is None:
-            continue
-        entry = path[-1]
-        comp, anchors = next((c, a) for c, a in family if entry in c)
-        loop = _closed_walk(succ, pred, comp, entry, anchors)
-        return Lasso(tuple(n[0] for n in path[:-1]), tuple(n[0] for n in loop))
+        if path is not None:
+            entry = path[-1]
+            comp, anchors = next((c, a) for c, a in family if entry in c)
+            loop = _closed_walk(succ, pred, comp, entry, anchors)
+            return Lasso(tuple(n[0] for n in path[:-1]), tuple(n[0] for n in loop))
     raise InputError("internal error: failure detected but no witness found")
 
 
@@ -424,8 +411,8 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     pred = _predecessors(succ)
     query = _claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of,
                                  strategy.owner)
-    cycles = _cycles(succ, pred, query)
-    if root not in _query_failures(pred, query, cycles):
+    cycles = [] if query.bad else _cycles(succ, pred, query)
+    if not (query.bad or any(cycles)):
         return Verdict(True, message="certified")
     return Verdict(False, witness=_query_witness(arena, succ, pred, root, query, cycles),
                    message="refuted")

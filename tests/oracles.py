@@ -13,7 +13,11 @@ These check the package's answers and are not part of what it solves:
   explicit budget expansion, independently of ``resilience.compute_val``.
 
 The first two reuse ``verify``'s cycle analysis, which certification
-shares.
+shares.  The enumeration oracle also owns the backward closure that turns
+a candidate's failure cores into every start node that fails.  A
+candidate graph has a start per vertex and no halted nodes, so it needs
+that answer for all starts, where ``verify`` decides one root, which
+fails exactly when a core exists.
 """
 
 import itertools
@@ -21,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from rankgames.arena import Arena, Vertex
+from rankgames.arena import Arena, Vertex, _predecessors
 from rankgames.errors import CapabilityError, CapacityError, InputError
 from rankgames.extnat import INF, ExtNat
 from rankgames.memory import FiniteStateStrategy, MemoryStructure, explore
@@ -31,8 +35,7 @@ from rankgames.resilience import FaultArena
 from rankgames.rrcost import CostRRGame
 from rankgames.verify import (_claim_failure_query, _counter_pending,
                               _counter_rank, _counter_tracker, _cycles,
-                              _normalize_condition, _predecessors,
-                              _product_graph, _query_failures,
+                              _normalize_condition, _product_graph, _Query,
                               _violation_query)
 
 
@@ -83,6 +86,28 @@ def _candidate_graphs(product: Arena, owner: int, guard: int):
         for pv, w in zip(choice, assignment):
             succ[pv] = (w,)
         yield succ
+
+
+def _backward_closure(pred, cores: set, allowed: Optional[set]) -> set:
+    """Nodes from which some path, staying in ``allowed`` unless it is
+    None, reaches the cores.  Cores are assumed to lie inside ``allowed``."""
+    out = set(cores)
+    queue = deque(out)
+    while queue:
+        for p in pred[queue.popleft()]:
+            if p not in out and (allowed is None or p in allowed):
+                out.add(p)
+                queue.append(p)
+    return out
+
+
+def _query_failures(pred, query: _Query, cycles) -> set:
+    """All start nodes from which the query finds a failing play."""
+    cores = set(query.bad)
+    for family in cycles:
+        for comp, _anchors in family:
+            cores |= comp
+    return _backward_closure(pred, cores, query.allowed)
 
 
 def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, bound,

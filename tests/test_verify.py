@@ -3,17 +3,19 @@ import random
 import networkx as nx
 import pytest
 
+import oracles
 import rr_reference
 import walk_reference
 from oracles import (FaultSimVerdict, enumerate_regions, enumerate_solve,
                      max_response_cost, simulate_faults)
-from rankgames.arena import Arena, Lasso
+from rankgames.arena import Arena, Lasso, _predecessors
 from rankgames.errors import CapacityError, InputError
 from rankgames.extnat import INF
-from rankgames.gen import random_arena, random_subset
+from rankgames.gen import random_arena, random_costrr_game, random_subset
 from rankgames.memory import (FiniteStateStrategy, MemoryStructure,
                               positional_strategy, trivial_memory)
-from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
+from rankgames.objectives import (Buchi, CoBuchi, CostRRSpec, RequestResponse,
+                                  Safety, SafetyAndCoBuchi, conjuncts,
                                   eval_qualitative, cost_rr_lasso,
                                   rank_cost_lasso)
 from rankgames.qualsolve import (solve_buchi, solve_cobuchi,
@@ -21,8 +23,7 @@ from rankgames.qualsolve import (solve_buchi, solve_cobuchi,
 from rankgames.ranked import RankedCondition
 from rankgames.rrcost import cap_bound, optimize, solve_with_bound
 from rankgames import verify
-from rankgames.verify import (_closed_walk, _loop_comps, _predecessors,
-                              verify_strategy)
+from rankgames.verify import _closed_walk, _loop_comps, verify_strategy
 
 
 class TestVerifyStrategy:
@@ -320,6 +321,103 @@ class TestClosedWalk:
         verdict = verify_strategy(arena, claim, lazy)
         assert verdict.witness == Lasso(("q",), ("x",))
         assert len(calls) == 2
+
+
+def _root_fails_for_all_starts_oracle(arena, condition, strategy, bound, start, state):
+    """Whether the enumeration oracle's all-starts closure puts the root in
+    its failing set, on the product ``verify_strategy`` builds."""
+    obj, mode, bnd, rank_of = verify._normalize_condition(condition, bound)
+    pairs = conjuncts(obj)[3]
+    if isinstance(condition, CostRRSpec):
+        tracker = verify._counter_tracker(condition, bnd + 1)
+        pending_of = verify._counter_pending
+    elif pairs:
+        tracker, pending_of = verify._open_tracker(pairs), (lambda n: n[2])
+    else:
+        tracker, pending_of = verify._NO_TRACKER, (lambda n: ())
+    state = strategy.memory.initial if state is None else state
+    root, succ = verify._product_graph(arena, strategy, start, state, tracker,
+                                       verify._decided(obj, mode, bnd, rank_of))
+    pred = _predecessors(succ)
+    query = verify._claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of,
+                                        strategy.owner)
+    return root in oracles._query_failures(pred, query, verify._cycles(succ, pred, query))
+
+
+def _random_positional(rng, arena, owner):
+    return positional_strategy(arena, owner, {v: rng.choice(arena.succ[v])
+                                              for v in arena.owned_by(owner)})
+
+
+def _differential_cases(rng, rounds):
+    """(arena, claim, bound, strategy, start states) for seeded claims of
+    every kind, with random positional strategies of both players, plus
+    the solver's strategies for request-response claims, whose memory
+    starts at each vertex from that vertex's seed state."""
+    for _ in range(rounds):
+        arena = random_arena(rng, rng.randint(2, 5))
+        strategies = [_random_positional(rng, arena, owner) for owner in (0, 1)]
+        pairs = tuple((random_subset(rng, arena, 0.4), random_subset(rng, arena, 0.5))
+                      for _ in range(rng.randint(1, 2)))
+        qualitative = [Safety(random_subset(rng, arena, 0.75)),
+                       Buchi(random_subset(rng, arena, 0.45)),
+                       CoBuchi(random_subset(rng, arena, 0.35)),
+                       SafetyAndCoBuchi(random_subset(rng, arena, 0.75),
+                                        random_subset(rng, arena, 0.35)),
+                       RequestResponse(pairs)]
+        for claim in qualitative:
+            for strategy in strategies:
+                yield arena, claim, None, strategy, {}
+        res = solve_request_response(arena, pairs)
+        seeds = {v: (rr_reference.rr_seed_state(pairs, v), 0) for v in arena.vertices}
+        for strategy in (res.strategy_0, res.strategy_1):
+            yield arena, RequestResponse(pairs), None, strategy, seeds
+        rk = {v: rng.randint(0, 3) for v in arena.vertices}
+        for mode in ("sup", "lim"):
+            claim = RankedCondition(rng.choice(qualitative), rk, mode)
+            for strategy in strategies:
+                yield arena, claim, rng.randint(0, 3), strategy, {}
+        game = random_costrr_game(rng, rng.randint(2, 4), rng.randint(1, 2), 2)
+        for owner in (0, 1):
+            yield (game.arena, game.spec, rng.randint(0, 4),
+                   _random_positional(rng, game.arena, owner), {})
+
+
+class TestFailureCores:
+    def test_verdicts_match_the_all_starts_closure(self):
+        # verify decides a claim by whether its failure query has a core;
+        # on the product it builds, that is whether the all-starts backward
+        # closure of the enumeration oracle contains the root
+        rng = random.Random(28)
+        verdicts = {True: 0, False: 0}
+        for arena, claim, bound, strategy, states in _differential_cases(rng, 40):
+            for v in arena.vertices:
+                certified = verify_strategy(arena, claim, strategy, bound=bound, start=v,
+                                            start_state=states.get(v)).certified
+                assert certified == (not _root_fails_for_all_starts_oracle(
+                    arena, claim, strategy, bound, v, states.get(v))), (claim, strategy, v)
+                verdicts[certified] += 1
+        assert min(verdicts.values()) >= 500, verdicts
+
+    def test_bad_node_refutes_before_any_cycle_analysis(self, monkeypatch):
+        # a Player 0 sup claim over a Buchi objective: the play a b c
+        # reaches c, ranked above the bound, which refutes the claim before
+        # any loop family is analysed; the witness runs into c
+        calls = []
+        loop_comps = verify._loop_comps
+
+        def counting(succ, pred, region):
+            calls.append(len(region))
+            return loop_comps(succ, pred, region)
+
+        monkeypatch.setattr(verify, "_loop_comps", counting)
+        arena = Arena.of({"a": 0, "b": 1, "c": 0},
+                         [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a"), ("c", "c")], "a")
+        claim = RankedCondition(Buchi(frozenset({"a"})), {"a": 0, "b": 1, "c": 3}, "sup")
+        strategy = positional_strategy(arena, 0, {"a": "b", "c": "c"})
+        verdict = verify_strategy(arena, claim, strategy, bound=1)
+        assert verdict.witness == Lasso(("a", "b", "c"), ("a", "b"))
+        assert calls == []
 
 
 class TestMaxResponseCost:
