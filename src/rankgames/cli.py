@@ -34,8 +34,7 @@ def _write_out(path: Optional[str], strategy, out) -> None:
         print(f"strategy written to {path}", file=out)
 
 
-def cmd_solve(args, out) -> int:
-    game = ff.parse_game(args.game)
+def cmd_solve(game, args, out) -> int:
     if game.kind == "fault":
         raise InputError("games with faults are solved by the resilience command")
     if game.kind == "qualitative":
@@ -69,8 +68,7 @@ def _condition(game):
     return game.objective
 
 
-def cmd_optimize(args, out) -> int:
-    game = ff.parse_game(args.game)
+def cmd_optimize(game, args, out) -> int:
     if game.kind == "ranked":
         res = optimize_ranked(game.ranked)
     elif game.kind == "costrr":
@@ -97,8 +95,7 @@ def _parse_lasso(args, game) -> Lasso:
     return Lasso(prefix, loop).check_in(game.arena)
 
 
-def cmd_eval(args, out) -> int:
-    game = ff.parse_game(args.game)
+def cmd_eval(game, args, out) -> int:
     lasso = _parse_lasso(args, game)
     if game.kind == "ranked":
         print(game.ranked.lasso_cost(lasso), file=out)
@@ -110,8 +107,7 @@ def cmd_eval(args, out) -> int:
     return 0
 
 
-def cmd_verify(args, out) -> int:
-    game = ff.parse_game(args.game)
+def cmd_verify(game, args, out) -> int:
     strategy = ff.read_strategy(args.strategy, game.arena)
     bound = args.bound
     if game.kind == "ranked" and bound is None:
@@ -134,8 +130,7 @@ def cmd_verify(args, out) -> int:
     return 1
 
 
-def cmd_resilience(args, out) -> int:
-    game = ff.parse_game(args.game)
+def cmd_resilience(game, args, out) -> int:
     if game.kind != "fault":
         raise InputError("resilience needs a game with a faults section")
     res = max_resilience(game.fault, "lim" if args.eventual else "sup")
@@ -200,7 +195,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args, sys.stdout)
+        return args.fn(ff.parse_game(args.game), args, sys.stdout)
     except (InputError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

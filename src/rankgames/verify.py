@@ -7,11 +7,13 @@ this strategy meet the claim"; refutations come with a concrete
 ultimately periodic counterexample play, consistent with the strategy up
 to and including the violating visit.
 
-A claim is decided on the product nodes reachable from its start, so it
-fails exactly when its failure query has a core there: a node whose
-visit sinks it, or a cycle-carrying component that does.  Such a node
-refutes the claim on its own; cycles are analysed only when there is
-none.
+A claim is decided on the product nodes reachable from its start.  The
+product stops at decided nodes, so every path in it runs through
+undecided nodes only and needs no further constraint.  The claim fails
+exactly when its failure query has a core there: a decided node, whose
+visit sinks a Player 0 claim, or a cycle-carrying component that sinks
+the claim.  A decided node refutes on its own; the predecessor map and
+the cycle analysis are built only when there is none.
 """
 
 from __future__ import annotations
@@ -87,10 +89,11 @@ def _loop_comps(succ, pred, region) -> List[set]:
     return out
 
 
-def _bfs_path(succ, start, targets: set, allowed: Optional[set]) -> Optional[List]:
+def _bfs_path(succ, start, targets: set, allowed) -> List:
     """Shortest node path from start into ``targets``, start included, with
-    every node before the last in ``allowed`` unless it is None.  A start
-    outside ``targets`` must lie in ``allowed``."""
+    every node before the last in ``allowed``.  A start outside ``targets``
+    must lie in ``allowed``.  Every search here is for targets known to be
+    reachable, so the raise marks a broken invariant."""
     if start in targets:
         return [start]
     parent = {start: None}
@@ -106,11 +109,11 @@ def _bfs_path(succ, start, targets: set, allowed: Optional[set]) -> Optional[Lis
                 while parent[path[-1]] is not None:
                     path.append(parent[path[-1]])
                 return list(reversed(path))
-            if allowed is not None and w not in allowed:
+            if w not in allowed:
                 continue
             parent[w] = n
             queue.append(w)
-    return None
+    raise InputError("internal error: failure detected but no witness found")
 
 
 def _closed_walk(succ, pred, comp: set, entry, anchors: Iterable) -> List:
@@ -177,11 +180,11 @@ def _product_graph(arena: Arena, strategy: FiniteStateStrategy, start: Vertex,
     """The root and successor map of the product from ``start``.
 
     The map holds exactly the nodes reachable from the root, and decided
-    nodes (where ``halt`` holds) get no successors, so every node is
-    reachable from the root through undecided nodes.  Those are exactly
-    the ``allowed`` nodes of the claim's failure query: all nodes for
-    Player 0; for Player 1 the safe nodes, in sup mode those within the
-    bound.  So the root fails exactly when the query has a core."""
+    nodes (where ``halt`` holds) get no successors, so every path in it,
+    and every path a search over it finds, runs through undecided nodes
+    before its last node.  A failing play of the claim's failure query
+    may only take such paths, so the root fails exactly when the query
+    has a core, and a search for that core needs no path constraint."""
     seed, step_t = tracker
     root = (start, start_state, seed(start))
     succ: Dict = {}
@@ -233,14 +236,12 @@ def _reach_witness(arena: Arena, path_nodes: List) -> Lasso:
 # A query describes how a claim can fail on a restricted product:
 #   - bad:    nodes whose mere visit sinks the claim (reach-style),
 #   - loops:  families of (region, anchors_fn) whose internal cycles,
-#             visiting one anchor batch, sink the claim (cycle-style),
-#   - allowed: path constraint for reaching either, None when free.
+#             visiting one anchor batch, sink the claim (cycle-style).
 
 @dataclass
 class _Query:
     bad: set
     loops: List[Tuple[set, Callable]]
-    allowed: Optional[set]
 
 
 def _anchors(marked: Optional[set] = None, pending_of=None, d: int = 0):
@@ -263,55 +264,34 @@ def _anchors(marked: Optional[set] = None, pending_of=None, d: int = 0):
     return pick
 
 
-def _satisfaction_query(obj: Objective, pending_of, region: set,
-                        path_allowed: Optional[set]) -> _Query:
-    """Where does a play exist that satisfies ``obj`` with its recurring
-    part inside ``region`` and its prefix inside ``path_allowed``?  Its
-    cycle avoids ``avoid`` and visits ``accept`` and an answer per pair."""
+def _claim_failure_query(nodes, obj: Objective, mode: Optional[str], bnd, rank_of,
+                         pending_of, player: int) -> _Query:
+    """How the claim "every consistent play is good for ``player``" fails.
+
+    The claim is on ``obj`` at rank cost at most ``bnd`` in ``mode`` ("sup"
+    or "lim"); a qualitative claim has mode None.  Player 0's claim fails
+    at a decided node (see :func:`_decided`), or on a cycle through
+    ``avoid``, missing ``accept``, on which some pair stays pending, or in
+    lim mode through a node above the bound.  Player 1 claims cost above
+    the bound, so a failing play satisfies ``obj`` with low ranks: its
+    cycle lies on undecided nodes, in lim mode none above the bound,
+    avoids ``avoid`` and visits ``accept`` and an answer per pair."""
+    decided = _decided(obj, mode, bnd, rank_of)
+    nodes = set(nodes)
+    high = {n for n in nodes if rank_of(n) > bnd} if mode == "lim" else set()
     _safe, avoid, accept, pairs = conjuncts(obj)
-    sub = {n for n in region if n[0] not in avoid} if avoid else region
-    marked = None if accept is None else {n for n in sub if n[0] in accept}
-    return _Query(set(), [(sub, _anchors(marked, pending_of, len(pairs)))], path_allowed)
-
-
-def _violation_query(nodes: set, obj: Objective, pending_of) -> _Query:
-    """Where does a play exist that violates ``obj``?  (Player 0 claims.)
-    Visiting an unsafe node does; so does a cycle through ``avoid``, a
-    cycle missing ``accept``, or a cycle on which some pair stays pending."""
-    safe, avoid, accept, pairs = conjuncts(obj)
-    bad = set() if safe is None else {n for n in nodes if n[0] not in safe}
-    loops = []
-    if avoid:
-        loops.append((nodes, _anchors({n for n in nodes if n[0] in avoid})))
+    if player == 1:
+        sub = {n for n in nodes - high if not decided(n) and n[0] not in avoid}
+        marked = None if accept is None else {n for n in sub if n[0] in accept}
+        return _Query(set(), [(sub, _anchors(marked, pending_of, len(pairs)))])
+    loops = [(nodes, _anchors({n for n in nodes if n[0] in avoid}))] if avoid else []
     if accept is not None:
         loops.append(({n for n in nodes if n[0] not in accept}, _anchors()))
     for c in range(len(pairs)):
         loops.append(({n for n in nodes if c in pending_of(n)}, _anchors()))
-    return _Query(bad, loops, None)
-
-
-def _claim_failure_query(nodes, obj: Objective, mode: Optional[str], rank_of,
-                         bnd, pending_of, player: int) -> _Query:
-    """How the claim "every consistent play is good for ``player``" fails.
-
-    The claim is on ``obj`` at rank cost at most ``bnd`` in ``mode`` ("sup"
-    or "lim"); a qualitative claim has mode None and no node above the
-    bound."""
-    nodes = set(nodes)
-    high = {n for n in nodes if rank_of(n) > bnd} if mode else set()
-    if player == 0:
-        q = _violation_query(nodes, obj, pending_of)
-        if mode == "lim":
-            return _Query(q.bad, q.loops + [(nodes, _anchors(high))], q.allowed)
-        return _Query(q.bad | high, q.loops, q.allowed)
-    # Player 1 claims cost above the bound; failing plays satisfy the
-    # objective with low ranks: everywhere (sup) or eventually (lim), and
-    # stay safe throughout.
-    safe = conjuncts(obj)[0]
-    base = None if safe is None else {n for n in nodes if n[0] in safe}
-    region = (nodes if base is None else base) - high
-    return _satisfaction_query(obj, pending_of, region,
-                               region if mode == "sup" else base)
+    if mode == "lim":
+        loops.append((nodes, _anchors(high)))
+    return _Query(set(filter(decided, nodes)), loops)
 
 
 def _cycles(succ, pred, query: _Query) -> List[List[Tuple[set, tuple]]]:
@@ -322,46 +302,45 @@ def _cycles(succ, pred, query: _Query) -> List[List[Tuple[set, tuple]]]:
             for region, anchors_fn in query.loops]
 
 
-def _query_witness(arena, succ, pred, root, query: _Query, cycles) -> Lasso:
-    """Counterexample play from the root: into its nearest bad node when
-    the query has one, else around a component of the first family whose
-    components it reaches.  Every core is reachable from the root (see
-    :func:`_product_graph`), so the raise marks a broken invariant."""
-    path = _bfs_path(succ, root, query.bad, query.allowed) if query.bad else None
-    if path is not None:
-        return _reach_witness(arena, path)
-    for family in cycles:
-        cores = {n for comp, _anchors in family for n in comp}
-        path = _bfs_path(succ, root, cores, query.allowed)
-        if path is not None:
-            entry = path[-1]
-            comp, anchors = next((c, a) for c, a in family if entry in c)
-            loop = _closed_walk(succ, pred, comp, entry, anchors)
-            return Lasso(tuple(n[0] for n in path[:-1]), tuple(n[0] for n in loop))
-    raise InputError("internal error: failure detected but no witness found")
+def _loop_witness(succ, pred, root, family) -> Lasso:
+    """Counterexample play from the root around the component of
+    ``family`` that a shortest path from the root enters first."""
+    path = _bfs_path(succ, root, {n for comp, _anchors in family for n in comp}, succ)
+    comp, anchors = next((c, a) for c, a in family if path[-1] in c)
+    loop = _closed_walk(succ, pred, comp, path[-1], anchors)
+    return Lasso(tuple(n[0] for n in path[:-1]), tuple(n[0] for n in loop))
 
 
 # ---------------------------------------------------------------------------
 # claim normalization and the public checker
 
 def _normalize_condition(condition, bound):
-    """The claim as (objective, mode, bound, rank_of).  A qualitative claim
-    has mode None; a response-cost claim is a sup rank claim over its
-    request-response pairs, ranked by the largest cost counter."""
+    """The claim as (objective, mode, bound, rank_of, tracker, pending_of).
+    A qualitative claim has mode None; a response-cost claim is a sup rank
+    claim over its request-response pairs, ranked by the largest cost
+    counter.  The tracker keeps what the claim's pending sets are read
+    from: the cost counters, else the open requests when there are pairs,
+    else nothing."""
     if isinstance(condition, (Safety, Buchi, CoBuchi, RequestResponse, SafetyAndCoBuchi)):
         if bound is not None:
             raise InputError("qualitative objectives take no bound")
-        return condition, None, None, None
-    if isinstance(condition, RankedCondition):
+        obj, mode, rank_of = condition, None, None
+    elif isinstance(condition, RankedCondition):
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
             raise InputError("rank-cost claims need a non-negative integer bound")
         rk = condition.rk
-        return condition.objective, condition.mode, bound, lambda n: rk[n[0]]
-    if isinstance(condition, CostRRSpec):
+        obj, mode, rank_of = condition.objective, condition.mode, lambda n: rk[n[0]]
+    elif isinstance(condition, CostRRSpec):
         if not isinstance(bound, int) or isinstance(bound, bool) or bound < 0:
             raise InputError("response-cost claims need a non-negative integer bound")
-        return condition.rr_objective(), "sup", bound, _counter_rank
-    raise InputError(f"cannot verify condition {condition!r}")
+        return (condition.rr_objective(), "sup", bound, _counter_rank,
+                _counter_tracker(condition, bound + 1), _counter_pending)
+    else:
+        raise InputError(f"cannot verify condition {condition!r}")
+    pairs = conjuncts(obj)[3]
+    if pairs:
+        return obj, mode, bound, rank_of, _open_tracker(pairs), lambda n: n[2]
+    return obj, mode, bound, rank_of, _NO_TRACKER, lambda n: ()
 
 
 def _decided(obj: Objective, mode: Optional[str], bnd: Optional[int], rank_of):
@@ -393,26 +372,20 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     a node ranked by its largest counter.  A strategy move that is not an
     arena edge raises ``InputError``.
     """
-    obj, mode, bnd, rank_of = _normalize_condition(condition, bound)
+    obj, mode, bnd, rank_of, tracker, pending_of = _normalize_condition(condition, bound)
     start = arena.initial if start is None else start
     if start not in arena.owner:
         raise InputError(f"unknown start vertex {start!r}")
     state = strategy.memory.initial if start_state is None else start_state
-    pairs = conjuncts(obj)[3]
-    if isinstance(condition, CostRRSpec):
-        tracker, pending_of = _counter_tracker(condition, bnd + 1), _counter_pending
-    elif pairs:
-        tracker, pending_of = _open_tracker(pairs), (lambda n: n[2])
+    root, succ = _product_graph(arena, strategy, start, state, tracker,
+                                _decided(obj, mode, bnd, rank_of))
+    query = _claim_failure_query(succ, obj, mode, bnd, rank_of, pending_of, strategy.owner)
+    if query.bad:
+        witness = _reach_witness(arena, _bfs_path(succ, root, query.bad, succ))
     else:
-        tracker, pending_of = _NO_TRACKER, (lambda n: ())
-
-    halt = _decided(obj, mode, bnd, rank_of)
-    root, succ = _product_graph(arena, strategy, start, state, tracker, halt)
-    pred = _predecessors(succ)
-    query = _claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of,
-                                 strategy.owner)
-    cycles = [] if query.bad else _cycles(succ, pred, query)
-    if not (query.bad or any(cycles)):
-        return Verdict(True, message="certified")
-    return Verdict(False, witness=_query_witness(arena, succ, pred, root, query, cycles),
-                   message="refuted")
+        pred = _predecessors(succ)
+        family = next(filter(None, _cycles(succ, pred, query)), None)
+        if family is None:
+            return Verdict(True, message="certified")
+        witness = _loop_witness(succ, pred, root, family)
+    return Verdict(False, witness=witness, message="refuted")

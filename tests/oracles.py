@@ -15,9 +15,11 @@ These check the package's answers and are not part of what it solves:
 The first two reuse ``verify``'s cycle analysis, which certification
 shares.  The enumeration oracle also owns the backward closure that turns
 a candidate's failure cores into every start node that fails.  A
-candidate graph has a start per vertex and no halted nodes, so it needs
-that answer for all starts, where ``verify`` decides one root, which
-fails exactly when a core exists.
+candidate graph has a start per vertex and does not stop at decided
+nodes, so it needs that answer for all starts, along paths through
+undecided nodes only; it works that allowed set out itself, from
+``verify._decided``.  ``verify`` decides one root on a product that stops
+at decided nodes, so the root fails exactly when a core exists.
 """
 
 import itertools
@@ -33,10 +35,9 @@ from rankgames.objectives import CostRRSpec, conjuncts
 from rankgames.qualsolve import SolveResult, solve_safety
 from rankgames.resilience import FaultArena
 from rankgames.rrcost import CostRRGame
-from rankgames.verify import (_claim_failure_query, _counter_pending,
-                              _counter_rank, _counter_tracker, _cycles,
-                              _normalize_condition, _product_graph, _Query,
-                              _violation_query)
+from rankgames.verify import (_claim_failure_query, _counter_rank, _cycles,
+                              _decided, _normalize_condition, _product_graph,
+                              _Query)
 
 
 # ---------------------------------------------------------------------------
@@ -88,26 +89,27 @@ def _candidate_graphs(product: Arena, owner: int, guard: int):
         yield succ
 
 
-def _backward_closure(pred, cores: set, allowed: Optional[set]) -> set:
-    """Nodes from which some path, staying in ``allowed`` unless it is
-    None, reaches the cores.  Cores are assumed to lie inside ``allowed``."""
+def _backward_closure(pred, cores: set, allowed: set) -> set:
+    """The cores, and the nodes in ``allowed`` from which some path through
+    ``allowed`` reaches them."""
     out = set(cores)
     queue = deque(out)
     while queue:
         for p in pred[queue.popleft()]:
-            if p not in out and (allowed is None or p in allowed):
+            if p not in out and p in allowed:
                 out.add(p)
                 queue.append(p)
     return out
 
 
-def _query_failures(pred, query: _Query, cycles) -> set:
-    """All start nodes from which the query finds a failing play."""
+def _query_failures(pred, query: _Query, cycles, allowed: set) -> set:
+    """All start nodes from which the query finds a failing play whose
+    path to its core runs through ``allowed``, the undecided nodes."""
     cores = set(query.bad)
     for family in cycles:
         for comp, _anchors in family:
             cores |= comp
-    return _backward_closure(pred, cores, query.allowed)
+    return _backward_closure(pred, cores, allowed)
 
 
 def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, bound,
@@ -115,7 +117,7 @@ def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, boun
     """Start node per vertex, and a generator of ``owner``'s positional
     candidates over the template expansion, each with the nodes from which
     its claim fails."""
-    obj, mode, bnd, rank_of = _normalize_condition(condition, bound)
+    obj, mode, bnd, rank_of, _tracker, _pending = _normalize_condition(condition, bound)
     if isinstance(condition, CostRRSpec):
         raise CapabilityError("response-cost values have a dedicated oracle")
     pending_of = _template_pending(conjuncts(obj)[3], template)
@@ -125,12 +127,15 @@ def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, boun
     product = Arena._checked({pv: arena.owner[pv[0]] for pv in reached},
                              [((u, s), (w, t)) for (s, (u, w)), t in update.items()], start)
     def candidates(owner: int):
-        # every candidate has the product's vertices, so one query serves all
-        query = _claim_failure_query(product.vertices, obj, mode, rank_of, bnd,
+        # every candidate has the product's vertices, so one query and one
+        # allowed set serve all
+        query = _claim_failure_query(product.vertices, obj, mode, bnd, rank_of,
                                      pending_of, owner)
+        decided = _decided(obj, mode, bnd, rank_of)
+        allowed = {pv for pv in product.vertices if not decided(pv)}
         for succ in _candidate_graphs(product, owner, guard):
             pred = _predecessors(succ)
-            yield succ, _query_failures(pred, query, _cycles(succ, pred, query))
+            yield succ, _query_failures(pred, query, _cycles(succ, pred, query), allowed)
 
     return starts, product, candidates
 
@@ -203,18 +208,14 @@ def max_response_cost(game: CostRRGame, strategy: FiniteStateStrategy,
     counter product.  That is the largest answered accumulation, since
     every pending counter there is answered later at no less.
     """
-    spec = game.spec
+    obj, mode, bnd, rank_of, tracker, pending_of = _normalize_condition(game.spec, cap)
     _root, succ = _product_graph(game.arena, strategy, game.arena.initial,
-                                 strategy.memory.initial, _counter_tracker(spec, cap + 1),
-                                 lambda n: _counter_rank(n) > cap)
-    worst = max(map(_counter_rank, succ))
-    if worst > cap:
+                                 strategy.memory.initial, tracker,
+                                 _decided(obj, mode, bnd, rank_of))
+    query = _claim_failure_query(succ, obj, mode, bnd, rank_of, pending_of, 0)
+    if query.bad or any(_cycles(succ, _predecessors(succ), query)):
         return INF
-    pred = _predecessors(succ)
-    query = _violation_query(set(succ), spec.rr_objective(), _counter_pending)
-    if any(_cycles(succ, pred, query)):
-        return INF
-    return worst
+    return max(map(_counter_rank, succ))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from rankgames.extnat import INF
 from rankgames.gen import random_arena, random_costrr_game, random_subset
 from rankgames.memory import (FiniteStateStrategy, MemoryStructure,
                               positional_strategy, trivial_memory)
-from rankgames.objectives import (Buchi, CoBuchi, CostRRSpec, RequestResponse,
-                                  Safety, SafetyAndCoBuchi, conjuncts,
-                                  eval_qualitative, cost_rr_lasso,
+from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
+                                  SafetyAndCoBuchi, eval_qualitative, cost_rr_lasso,
                                   rank_cost_lasso)
 from rankgames.qualsolve import (solve_buchi, solve_cobuchi,
                                  solve_request_response, solve_safety)
@@ -304,15 +303,23 @@ class TestClosedWalk:
 
     def test_refuted_claim_analyses_each_loop_family_once(self, monkeypatch):
         # two pending-pair families; the play q x x x ... leaves pair 1
-        # pending forever, so the witness comes from the second family
+        # pending forever, so the witness comes from the second family, and
+        # no search looks for a component of the first, which has none
         calls = []
+        searched = []
         loop_comps = verify._loop_comps
+        bfs_path = verify._bfs_path
 
         def counting(succ, pred, region):
             calls.append(len(region))
             return loop_comps(succ, pred, region)
 
+        def recording(succ, start, targets, allowed):
+            searched.append(len(targets))
+            return bfs_path(succ, start, targets, allowed)
+
         monkeypatch.setattr(verify, "_loop_comps", counting)
+        monkeypatch.setattr(verify, "_bfs_path", recording)
         arena = Arena.of({"q": 0, "x": 0, "p": 0},
                          [("q", "x"), ("x", "x"), ("x", "p"), ("p", "q")], "q")
         claim = RequestResponse(((frozenset({"p"}), frozenset({"q"})),
@@ -321,27 +328,23 @@ class TestClosedWalk:
         verdict = verify_strategy(arena, claim, lazy)
         assert verdict.witness == Lasso(("q",), ("x",))
         assert len(calls) == 2
+        assert searched and 0 not in searched
 
 
 def _root_fails_for_all_starts_oracle(arena, condition, strategy, bound, start, state):
     """Whether the enumeration oracle's all-starts closure puts the root in
     its failing set, on the product ``verify_strategy`` builds."""
-    obj, mode, bnd, rank_of = verify._normalize_condition(condition, bound)
-    pairs = conjuncts(obj)[3]
-    if isinstance(condition, CostRRSpec):
-        tracker = verify._counter_tracker(condition, bnd + 1)
-        pending_of = verify._counter_pending
-    elif pairs:
-        tracker, pending_of = verify._open_tracker(pairs), (lambda n: n[2])
-    else:
-        tracker, pending_of = verify._NO_TRACKER, (lambda n: ())
+    obj, mode, bnd, rank_of, tracker, pending_of = verify._normalize_condition(
+        condition, bound)
     state = strategy.memory.initial if state is None else state
-    root, succ = verify._product_graph(arena, strategy, start, state, tracker,
-                                       verify._decided(obj, mode, bnd, rank_of))
+    decided = verify._decided(obj, mode, bnd, rank_of)
+    root, succ = verify._product_graph(arena, strategy, start, state, tracker, decided)
     pred = _predecessors(succ)
-    query = verify._claim_failure_query(succ, obj, mode, rank_of, bnd, pending_of,
+    query = verify._claim_failure_query(succ, obj, mode, bnd, rank_of, pending_of,
                                         strategy.owner)
-    return root in oracles._query_failures(pred, query, verify._cycles(succ, pred, query))
+    allowed = {n for n in succ if not decided(n)}
+    return root in oracles._query_failures(pred, query, verify._cycles(succ, pred, query),
+                                           allowed)
 
 
 def _random_positional(rng, arena, owner):
@@ -402,15 +405,23 @@ class TestFailureCores:
     def test_bad_node_refutes_before_any_cycle_analysis(self, monkeypatch):
         # a Player 0 sup claim over a Buchi objective: the play a b c
         # reaches c, ranked above the bound, which refutes the claim before
-        # any loop family is analysed; the witness runs into c
+        # any loop family is analysed or the predecessor map is built; the
+        # witness runs into c
         calls = []
+        maps = []
         loop_comps = verify._loop_comps
+        predecessors = verify._predecessors
 
         def counting(succ, pred, region):
             calls.append(len(region))
             return loop_comps(succ, pred, region)
 
+        def counting_maps(succ):
+            maps.append(len(succ))
+            return predecessors(succ)
+
         monkeypatch.setattr(verify, "_loop_comps", counting)
+        monkeypatch.setattr(verify, "_predecessors", counting_maps)
         arena = Arena.of({"a": 0, "b": 1, "c": 0},
                          [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a"), ("c", "c")], "a")
         claim = RankedCondition(Buchi(frozenset({"a"})), {"a": 0, "b": 1, "c": 3}, "sup")
@@ -418,6 +429,7 @@ class TestFailureCores:
         verdict = verify_strategy(arena, claim, strategy, bound=1)
         assert verdict.witness == Lasso(("a", "b", "c"), ("a", "b"))
         assert calls == []
+        assert maps == []
 
 
 class TestMaxResponseCost:
