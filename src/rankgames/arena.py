@@ -13,12 +13,14 @@ induces a sub-arena.  Functions taking ``within`` act as on that
 sub-arena, with the same iteration order, without building it; ``None``
 means the whole arena.
 
-The arena invariants are checked once per input.  ``Arena(...)`` and
-:meth:`Arena.of` check them for callers of the library; the game-file
-parser and the product walks, which produce rows that hold them by
-construction, build arenas through the private ``Arena._checked`` without
-checking again.  Predecessor lists are built on first read of ``pred``,
-so requests that never run an attractor never build them.
+An arena's vertices are its owner map's keys.  The arena invariants are
+checked once per input.  ``Arena(owner, edges, initial)`` checks them for
+callers of the library; the game-file parser and the product walks, which
+produce rows that hold them by construction, build arenas from the same
+three arguments through the private ``Arena._checked`` without checking
+again.  Both set their fields through one builder.  Predecessor lists are
+built on first read of ``pred``, so requests that never run an attractor
+never build them.
 """
 
 from __future__ import annotations
@@ -38,68 +40,59 @@ Edge = Tuple[Vertex, Vertex]
 class Arena:
     """Finite game graph with an ownership partition and initial vertex.
 
-    Invariants checked by the constructor: the owner map is total with
-    values in {0, 1}, every edge endpoint is a known vertex, the initial
-    vertex is known, and every vertex has at least one outgoing edge.
-    ``vertices`` is sorted, ``owner`` follows that order, and ``succ[v]``
-    holds ``v``'s successors sorted.  ``pred[v]``, its predecessors in the
-    order of the sorted edge list, is built on first read.
+    ``vertices`` is derived: the owner map's keys, sorted.  Invariants
+    checked by the constructor: there is a vertex, every owner is 0 or 1,
+    the initial vertex is known, every edge endpoint is a known vertex,
+    and every vertex has at least one outgoing edge.  ``owner`` follows
+    the order of ``vertices``, and ``succ[v]`` holds ``v``'s successors
+    sorted.  ``pred[v]``, its predecessors in the order of the sorted edge
+    list, is built on first read.
     """
 
-    vertices: tuple
+    vertices: tuple = field(init=False)
     owner: dict
     edges: frozenset
     initial: Vertex
     succ: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verts = tuple(sorted(set(self.vertices)))
-        if not verts:
+        owner = self.owner
+        if not owner:
             raise InputError("an arena needs at least one vertex")
-        vset = set(verts)
-        for v in verts:
-            if v not in self.owner:
-                raise InputError(f"vertex {v!r} has no owner")
-            pl = self.owner[v]
-            if pl not in (0, 1):
-                raise InputError(f"owner of {v!r} must be 0 or 1, got {pl!r}")
-        if self.initial not in vset:
+        bad = [v for v, pl in owner.items() if pl not in (0, 1)]
+        if bad:
+            v = min(bad)
+            raise InputError(f"owner of {v!r} must be 0 or 1, got {owner[v]!r}")
+        if self.initial not in owner:
             raise InputError(f"initial vertex {self.initial!r} is not a vertex")
         edges = frozenset(self.edges)
-        succ = {v: [] for v in verts}
-        unknown = []
-        for u, w in edges:
-            out = succ.get(u)
-            if out is None or w not in vset:
-                unknown.append((u, w))
-            else:
-                out.append(w)
+        unknown = [(u, w) for u, w in edges if u not in owner or w not in owner]
         if unknown:
             u, w = min(unknown)
             raise InputError(f"edge ({u!r}, {w!r}) mentions an unknown vertex")
-        for v in verts:
-            if not succ[v]:
+        self._set(owner, edges)
+        for v, out in self.succ.items():
+            if not out:
                 raise InputError(f"vertex {v!r} has no outgoing edge")
-        self._set(verts, self.owner, edges, succ)
 
     @classmethod
     def _checked(cls, owner: Mapping[Vertex, int], edges: Iterable[Edge],
                  initial: Vertex) -> "Arena":
-        """The arena ``Arena.of(owner, edges, initial)`` builds, from rows
-        that already hold its invariants, without checking them again."""
+        """The arena ``Arena(owner, edges, initial)`` builds, from rows that
+        already hold its invariants, without checking them again."""
+        arena = object.__new__(cls)
+        object.__setattr__(arena, "initial", initial)
+        arena._set(owner, edges)
+        return arena
+
+    def _set(self, owner: Mapping[Vertex, int], edges: Iterable[Edge]):
+        """Set the fields from rows whose edges join owned vertices:
+        ``vertices`` the sorted owner keys, ``owner`` in their order,
+        ``edges`` a frozenset and ``succ[v]`` ``v``'s successors sorted."""
         verts, edges = tuple(sorted(owner)), frozenset(edges)
         succ = {v: [] for v in verts}
         for u, w in edges:
             succ[u].append(w)
-        arena = object.__new__(cls)
-        object.__setattr__(arena, "initial", initial)
-        arena._set(verts, owner, edges, succ)
-        return arena
-
-    def _set(self, verts: tuple, owner: Mapping[Vertex, int], edges: frozenset,
-             succ: Dict[Vertex, list]):
-        """Set the fields: ``owner`` in the order of the sorted ``verts``,
-        and ``succ``'s lists sorted into tuples."""
         for out in succ.values():
             out.sort()
         object.__setattr__(self, "vertices", verts)
@@ -113,11 +106,6 @@ class Arena:
         (sorted vertices, each with its sorted successors)."""
         return _predecessors(self.succ)
 
-    @classmethod
-    def of(cls, owner: Mapping[Vertex, int], edges: Iterable[Edge], initial: Vertex) -> "Arena":
-        """Build an arena from an owner map; vertices are the map's keys."""
-        return cls(tuple(owner.keys()), dict(owner), frozenset(edges), initial)
-
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -130,7 +118,7 @@ class Arena:
     def with_initial(self, v: Vertex) -> "Arena":
         if v == self.initial:
             return self
-        return Arena(self.vertices, self.owner, self.edges, v)
+        return Arena(self.owner, self.edges, v)
 
 
 def _predecessors(succ: Mapping) -> dict:
@@ -217,8 +205,7 @@ def restrict(arena: Arena, keep: Iterable[Vertex]) -> Arena:
     for v in sorted(kset):
         if v not in with_out:
             raise InputError(f"not a valid sub-arena: vertex {v!r} would become terminal")
-    return Arena(tuple(sorted(kset)), {v: arena.owner[v] for v in kset},
-                 frozenset(edges), arena.initial)
+    return Arena({v: arena.owner[v] for v in kset}, edges, arena.initial)
 
 
 def relabel(arena: Arena, fn) -> Arena:
@@ -227,7 +214,7 @@ def relabel(arena: Arena, fn) -> Arena:
     if len(owner) != len(arena.vertices):
         raise InputError("relabeling is not injective")
     edges = frozenset((fn(u), fn(w)) for u, w in arena.edges)
-    return Arena(tuple(owner.keys()), owner, edges, fn(arena.initial))
+    return Arena(owner, edges, fn(arena.initial))
 
 
 def is_subarena(candidate: Arena, whole: Arena) -> bool:

@@ -30,7 +30,7 @@ def random_arena(rng: random.Random, n: int, max_outdeg: int = 3,
         k = rng.randint(1, max(1, min(cap, n)))
         for w in rng.sample(names, k):
             edges.add((v, w))
-    return Arena.of(owner, edges, "v0")
+    return Arena(owner, edges, "v0")
 
 
 def random_subset(rng: random.Random, arena: Arena, p: float = 0.5) -> frozenset:

@@ -69,6 +69,14 @@ class RankedCondition:
     mode: str
 
 
+def _check_bound(bound, what: str = "bound") -> None:
+    """Reject a bound that is not a non-negative int (a bool is not one)."""
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise InputError(f"{what} must be an integer, got {bound!r}")
+    if bound < 0:
+        raise InputError(f"{what} must be non-negative")
+
+
 def solve_sup_with_bound(game: RankedGame, bound: int) -> SolveResult:
     """Decide, per vertex, whether Player 0 keeps the sup-cost at most b.
 
@@ -82,8 +90,7 @@ def solve_sup_with_bound(game: RankedGame, bound: int) -> SolveResult:
     """
     if game.mode != "sup":
         raise InputError("solve_sup_with_bound needs a sup-mode game")
-    if bound < 0:
-        raise InputError("bound must be non-negative")
+    _check_bound(bound)
     high = frozenset(v for v in game.arena.vertices if game.rk[v] > bound)
     return solve_pruned(game.arena, high, game.objective)
 
@@ -102,8 +109,7 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
     """
     if game.mode != "lim":
         raise InputError("solve_lim_with_bound needs a lim-mode game")
-    if bound < 0:
-        raise InputError("bound must be non-negative")
+    _check_bound(bound)
     arena = game.arena
     high = frozenset(v for v in arena.vertices if game.rk[v] > bound)
     if isinstance(game.objective, Safety):

@@ -27,7 +27,7 @@ from .objectives import (CostRRSpec, RequestResponse, cost_rr_lasso, relabel_obj
                          validate_objective)
 from .qualsolve import SolveResult, solve_request_response
 from .quantred import Cap, QuantReduction, lift_strategy
-from .ranked import (OptimizeResult, RankedGame, least_winning_bound,
+from .ranked import (OptimizeResult, RankedGame, _check_bound, least_winning_bound,
                      solve_sup_with_bound)
 
 IDLE = ("idle",)
@@ -66,14 +66,10 @@ def cap_bound(game: CostRRGame) -> int:
 
 
 def counter_seed(spec: CostRRSpec, vertex: Vertex) -> tuple:
-    """Counter vector after the play's first visit, to ``vertex``."""
-    out = []
-    for q, p in spec.pairs:
-        if vertex in q:
-            out.append(("ans", 0) if vertex in p else ("act", 0))
-        else:
-            out.append(IDLE)
-    return tuple(out)
+    """Counter vector after the play's first visit, to ``vertex``: the idle
+    vector's step into ``vertex``.  An idle counter is charged nothing, so
+    that step reads neither an edge cost nor the cap."""
+    return counter_step(spec, 0, (IDLE,) * spec.d, (vertex, vertex))
 
 
 def counter_step(spec: CostRRSpec, cap: int, state: tuple, edge: Edge) -> tuple:
@@ -119,8 +115,7 @@ def build_reduction(game: CostRRGame, b: int) -> QuantReduction:
     target's sup rank; plays costing more are pushed to at least b+1.
     Memory and product are built together over the reachable part.
     """
-    if b < 0:
-        raise InputError("reduction bound must be non-negative")
+    _check_bound(b, "reduction bound")
     spec, arena = game.spec, game.arena
     memory, product = explore_product(arena, counter_seed(spec, arena.initial),
                                       partial(counter_step, spec, b + 1))
@@ -193,8 +188,7 @@ def solve_with_bound(game: CostRRGame, b: int) -> SolveResult:
     beyond the cap are clamped, which is sound because a finitely winnable
     game is winnable within the cap.
     """
-    if b < 0:
-        raise InputError("bound must be non-negative")
+    _check_bound(b)
     return _gallop(game, b)[2]
 
 

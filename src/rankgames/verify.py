@@ -36,7 +36,6 @@ from .rrcost import counter_pending, counter_seed, counter_step, counter_value
 class Verdict:
     certified: bool
     witness: Optional[Lasso] = None
-    message: str = ""
 
     def __bool__(self) -> bool:
         return self.certified
@@ -386,6 +385,6 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
         pred = _predecessors(succ)
         family = next(filter(None, _cycles(succ, pred, query)), None)
         if family is None:
-            return Verdict(True, message="certified")
+            return Verdict(True)
         witness = _loop_witness(succ, pred, root, family)
-    return Verdict(False, witness=witness, message="refuted")
+    return Verdict(False, witness)

@@ -10,12 +10,12 @@ from rankgames.rrcost import CostRRGame
 @pytest.fixture
 def a1():
     # two vertices, Player 0 forced through b, b may loop
-    return Arena.of({"a": 0, "b": 1}, [("a", "b"), ("b", "a"), ("b", "b")], "a")
+    return Arena({"a": 0, "b": 1}, [("a", "b"), ("b", "a"), ("b", "b")], "a")
 
 
 @pytest.fixture
 def a2():
-    return Arena.of({"q": 0, "p": 0}, [("q", "p"), ("p", "q")], "q")
+    return Arena({"q": 0, "p": 0}, [("q", "p"), ("p", "q")], "q")
 
 
 @pytest.fixture
@@ -26,8 +26,8 @@ def a2_game(a2):
 
 @pytest.fixture
 def a3_game():
-    arena = Arena.of({"q": 0, "s": 1, "p": 0, "r": 0},
-                     [("q", "s"), ("s", "p"), ("s", "r"), ("p", "q"), ("r", "q")], "q")
+    arena = Arena({"q": 0, "s": 1, "p": 0, "r": 0},
+                  [("q", "s"), ("s", "p"), ("s", "r"), ("p", "q"), ("r", "q")], "q")
     spec = CostRRSpec(((frozenset({"q"}), frozenset({"p", "r"})),),
                       {(0, ("q", "s")): 1, (0, ("s", "p")): 4, (0, ("s", "r")): 2})
     return CostRRGame(arena, spec)
@@ -35,13 +35,13 @@ def a3_game():
 
 @pytest.fixture
 def fs():
-    arena = Arena.of({"s": 0, "u": 0}, [("s", "s"), ("u", "u")], "s")
+    arena = Arena({"s": 0, "u": 0}, [("s", "s"), ("u", "u")], "s")
     return FaultArena(arena, {("s", "u")}, {"s"})
 
 
 @pytest.fixture
 def fe():
-    arena = Arena.of({"s": 0, "u": 0, "x": 1}, [("s", "s"), ("u", "s"), ("x", "x")], "u")
+    arena = Arena({"s": 0, "u": 0, "x": 1}, [("s", "s"), ("u", "s"), ("x", "x")], "u")
     return FaultArena(arena, {("s", "u"), ("u", "x")}, {"s", "u"})
 
 
@@ -107,8 +107,7 @@ def project(lasso: Lasso, fn) -> Lasso:
 
 def swap_owners(arena: Arena) -> Arena:
     """The same graph with the two players' vertices exchanged."""
-    return Arena(arena.vertices, {v: 1 - p for v, p in arena.owner.items()},
-                 arena.edges, arena.initial)
+    return Arena({v: 1 - p for v, p in arena.owner.items()}, arena.edges, arena.initial)
 
 
 def restrict_objective(obj, keep):

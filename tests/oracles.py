@@ -301,8 +301,7 @@ def budget_expansion(fa: FaultArena, budget: int) -> Arena:
                     edges.append((gate, ("chk", w, r - 1)))
             for w in arena.succ[v]:
                 edges.append((move, ("chk", w, r)))
-    return Arena(tuple(owner.keys()), owner, frozenset(edges),
-                 ("chk", arena.initial, budget))
+    return Arena(owner, edges, ("chk", arena.initial, budget))
 
 
 def budget_oracle(fa: FaultArena, vertex: Vertex, budget: int) -> bool:

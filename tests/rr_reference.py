@@ -36,7 +36,7 @@ def rr_memory(arena, pairs, within=None):
     mem = MemoryStructure(tuple(sorted({s for _v, s in reached})), start[1], update)
     owner = {pv: arena.owner[pv[0]] for pv in reached}
     edges = frozenset(((u, s), (w, t)) for (s, (u, w)), t in update.items())
-    return mem, seeds, Arena(tuple(sorted(reached)), owner, edges, start)
+    return mem, seeds, Arena(owner, edges, start)
 
 
 def _compose(mem, strat, arena, seeds, within):

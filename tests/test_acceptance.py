@@ -43,7 +43,7 @@ from rankgames.verify import verify_strategy
 # shared instances
 
 def a2_game():
-    arena = Arena.of({"q": 0, "p": 0}, [("q", "p"), ("p", "q")], "q")
+    arena = Arena({"q": 0, "p": 0}, [("q", "p"), ("p", "q")], "q")
     from rankgames.objectives import CostRRSpec
 
     spec = CostRRSpec(((frozenset({"q"}), frozenset({"p"})),), {(0, ("q", "p")): 3})
@@ -51,8 +51,8 @@ def a2_game():
 
 
 def a3_game():
-    arena = Arena.of({"q": 0, "s": 1, "p": 0, "r": 0},
-                     [("q", "s"), ("s", "p"), ("s", "r"), ("p", "q"), ("r", "q")], "q")
+    arena = Arena({"q": 0, "s": 1, "p": 0, "r": 0},
+                  [("q", "s"), ("s", "p"), ("s", "r"), ("p", "q"), ("r", "q")], "q")
     from rankgames.objectives import CostRRSpec
 
     spec = CostRRSpec(((frozenset({"q"}), frozenset({"p", "r"})),),
@@ -63,7 +63,7 @@ def a3_game():
 def fs_arena():
     from rankgames.resilience import FaultArena
 
-    return FaultArena(Arena.of({"s": 0, "u": 0}, [("s", "s"), ("u", "u")], "s"),
+    return FaultArena(Arena({"s": 0, "u": 0}, [("s", "s"), ("u", "u")], "s"),
                       {("s", "u")}, {"s"})
 
 
@@ -71,7 +71,7 @@ def fe_arena():
     from rankgames.resilience import FaultArena
 
     return FaultArena(
-        Arena.of({"s": 0, "u": 0, "x": 1}, [("s", "s"), ("u", "s"), ("x", "x")], "u"),
+        Arena({"s": 0, "u": 0, "x": 1}, [("s", "s"), ("u", "s"), ("x", "x")], "u"),
         {("s", "u"), ("u", "x")}, {"s", "u"})
 
 
@@ -94,7 +94,7 @@ def _exhaustive_small_arenas(cap=5000):
             owner = {names[i]: (owner_bits >> i) & 1 for i in range(n)}
             for choice in itertools.product(subsets, repeat=n):
                 edges = [(names[i], w) for i in range(n) for w in choice[i]]
-                arenas.append(Arena.of(owner, edges, "v0"))
+                arenas.append(Arena(owner, edges, "v0"))
     names = [f"v{i}" for i in range(4)]
     subsets = _successor_choices(names)
     rng = random.Random(48112)
@@ -108,7 +108,7 @@ def _exhaustive_small_arenas(cap=5000):
         seen.add(key)
         owner = {names[i]: (owner_bits >> i) & 1 for i in range(4)}
         edges = [(names[i], w) for i in range(4) for w in subsets[choice[i]]]
-        arenas.append(Arena.of(owner, edges, "v0"))
+        arenas.append(Arena(owner, edges, "v0"))
     return arenas
 
 

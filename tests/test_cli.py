@@ -342,8 +342,8 @@ class TestParsing:
     ], ids=["safety", "buchi", "cobuchi", "safety_cobuchi", "request_response"])
     def test_written_game_text(self, objective, text):
         # the key order of a written objective is part of every game file
-        arena = Arena.of({"c": 1, "a": 0, "b": 0},
-                         [("c", "a"), ("a", "c"), ("a", "b"), ("b", "b")], "a")
+        arena = Arena({"c": 1, "a": 0, "b": 0},
+                      [("c", "a"), ("a", "c"), ("a", "b"), ("b", "b")], "a")
         doc = game_to_doc(LoadedGame("qualitative", arena, objective))
         assert json.dumps(doc) == (
             '{"arena": {"vertices": [{"id": "a", "owner": 0}, {"id": "b", "owner": 0}, '

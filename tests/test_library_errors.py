@@ -19,11 +19,11 @@ from rankgames.quantred import Cap, QuantReduction, compose, trivial_reduction
 from rankgames.ranked import (RankedCondition, RankedGame, solve_lim_with_bound,
                               solve_sup_with_bound)
 from rankgames.resilience import FaultArena
-from rankgames.rrcost import CostRRGame, build_reduction
+from rankgames.rrcost import CostRRGame, build_reduction, solve_with_bound
 from rankgames.verify import verify_strategy
 
 # a: Player 0, moves to b only; b: Player 1, moves to a or stays
-A = Arena.of({"a": 0, "b": 1}, [("a", "b"), ("b", "a"), ("b", "b")], "a")
+A = Arena({"a": 0, "b": 1}, [("a", "b"), ("b", "a"), ("b", "b")], "a")
 SAFE_A = Safety(frozenset({"a"}))
 PAIRS = ((frozenset({"a"}), frozenset({"b"})),)
 SPEC = CostRRSpec(PAIRS, {(0, ("a", "b")): 1})
@@ -49,9 +49,9 @@ def _compose_onto_plain_target():
 # (case, call, error type, first error message)
 LIBRARY_ERRORS = [
     # arena
-    ("arena with no vertex", lambda: Arena((), {}, frozenset(), "a"),
+    ("arena with no vertex", lambda: Arena({}, frozenset(), "a"),
      InputError, "an arena needs at least one vertex"),
-    ("arena owner 2", lambda: Arena.of({"a": 2}, [("a", "a")], "a"),
+    ("arena owner 2", lambda: Arena({"a": 2}, [("a", "a")], "a"),
      InputError, "owner of 'a' must be 0 or 1, got 2"),
     ("first successor outside the alive set",
      lambda: first_successor(A, "a", frozenset({"a"})),
@@ -111,6 +111,14 @@ LIBRARY_ERRORS = [
      InputError, "solve_sup_with_bound needs a sup-mode game"),
     ("lim solve of a sup game", lambda: solve_lim_with_bound(SUP, 0),
      InputError, "solve_lim_with_bound needs a lim-mode game"),
+    ("sup solve at a float bound", lambda: solve_sup_with_bound(SUP, 1.5),
+     InputError, "bound must be an integer, got 1.5"),
+    ("sup solve at a bool bound", lambda: solve_sup_with_bound(SUP, True),
+     InputError, "bound must be an integer, got True"),
+    ("lim solve at a float bound", lambda: solve_lim_with_bound(LIM, 1.5),
+     InputError, "bound must be an integer, got 1.5"),
+    ("lim solve at a bool bound", lambda: solve_lim_with_bound(LIM, True),
+     InputError, "bound must be an integer, got True"),
     # resilience
     ("fault arena with an unknown safe vertex",
      lambda: FaultArena(A, {("a", "b")}, {"a", "z"}),
@@ -125,6 +133,14 @@ LIBRARY_ERRORS = [
      InputError, "cost assigned to missing edge ('a', 'a')"),
     ("reduction at a negative bound", lambda: build_reduction(CostRRGame(A, SPEC), -1),
      InputError, "reduction bound must be non-negative"),
+    ("reduction at a float bound", lambda: build_reduction(CostRRGame(A, SPEC), 2.0),
+     InputError, "reduction bound must be an integer, got 2.0"),
+    ("reduction at a bool bound", lambda: build_reduction(CostRRGame(A, SPEC), False),
+     InputError, "reduction bound must be an integer, got False"),
+    ("cost solve at a float bound", lambda: solve_with_bound(CostRRGame(A, SPEC), 1.5),
+     InputError, "bound must be an integer, got 1.5"),
+    ("cost solve at a bool bound", lambda: solve_with_bound(CostRRGame(A, SPEC), True),
+     InputError, "bound must be an integer, got True"),
     # verify
     ("qualitative claim with a bound", lambda: verify_strategy(A, SAFE_A, TO_B, bound=1),
      InputError, "qualitative objectives take no bound"),

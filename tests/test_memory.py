@@ -70,7 +70,7 @@ class TestExpand:
         assert len(prod.vertices) <= len(a1) * 2
 
     def test_reachable_part_only(self):
-        arena = Arena.of({"a": 0, "b": 0}, [("a", "a"), ("b", "a"), ("a", "b")], "a")
+        arena = Arena({"a": 0, "b": 0}, [("a", "a"), ("b", "a"), ("a", "b")], "a")
         mem = MemoryStructure((0, 1), 0,
                               {(s, e): (1 if e == ("a", "b") else s)
                                for s in (0, 1) for e in arena.edges})

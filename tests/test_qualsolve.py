@@ -126,8 +126,8 @@ class TestSolveRequestResponse:
     def test_many_pairs_on_a_cycle(self):
         # d * 2^d memory states for d = 14, of which only a handful can be
         # reached on this cycle
-        arena = Arena.of({i: i % 2 for i in range(4)},
-                         [(i, (i + 1) % 4) for i in range(4)], 0)
+        arena = Arena({i: i % 2 for i in range(4)},
+                      [(i, (i + 1) % 4) for i in range(4)], 0)
         pairs = tuple((frozenset({i % 4}), frozenset({(i + 1) % 4}))
                       for i in range(14))
         res = solve_request_response(arena, pairs)
@@ -139,7 +139,7 @@ class TestSolveRequestResponse:
     def test_interleaved_pairs_stay_answered(self):
         # pair 0 pending exactly at odd steps, pair 1 at even steps; every
         # request is answered one step later, so Player 0 wins everywhere
-        arena = Arena.of({"a": 0, "b": 1}, [("a", "b"), ("b", "a")], "a")
+        arena = Arena({"a": 0, "b": 1}, [("a", "b"), ("b", "a")], "a")
         pairs = ((frozenset({"a"}), frozenset({"b"})),
                  (frozenset({"b"}), frozenset({"a"})))
         res = solve_request_response(arena, pairs)
@@ -147,8 +147,8 @@ class TestSolveRequestResponse:
 
     def test_interleaved_pairs_with_escape(self):
         # Player 1 may abandon the alternation, leaving his last request open
-        arena = Arena.of({"a": 0, "b": 1, "z": 1},
-                         [("a", "b"), ("b", "a"), ("b", "z"), ("z", "z")], "a")
+        arena = Arena({"a": 0, "b": 1, "z": 1},
+                      [("a", "b"), ("b", "a"), ("b", "z"), ("z", "z")], "a")
         pairs = ((frozenset({"a"}), frozenset({"b"})),
                  (frozenset({"b"}), frozenset({"a"})))
         res = solve_request_response(arena, pairs)
@@ -156,8 +156,8 @@ class TestSolveRequestResponse:
 
     def test_unanswerable_request_loses(self):
         # Player 1 can trap the play away from the response set
-        arena = Arena.of({"q": 0, "t": 1, "p": 0},
-                         [("q", "t"), ("t", "t"), ("t", "p"), ("p", "q")], "q")
+        arena = Arena({"q": 0, "t": 1, "p": 0},
+                      [("q", "t"), ("t", "t"), ("t", "p"), ("p", "q")], "q")
         res = solve_request_response(arena, [(frozenset({"q"}), frozenset({"p"}))])
         assert "q" in res.region_1
 
@@ -173,9 +173,9 @@ class TestSolveSafetyCoBuchi:
 
     def test_three_vertex_chain(self):
         # sink is unsafe; c must be left eventually; Player 0 can park at a
-        arena = Arena.of({"a": 0, "c": 0, "z": 1},
-                         [("a", "a"), ("a", "c"), ("c", "a"), ("c", "z"), ("z", "z")],
-                         "a")
+        arena = Arena({"a": 0, "c": 0, "z": 1},
+                      [("a", "a"), ("a", "c"), ("c", "a"), ("c", "z"), ("z", "z")],
+                      "a")
         res = solve_safety_cobuchi(arena, {"a", "c"}, {"c"})
         assert "a" in res.region_0
         assert "z" in res.region_1

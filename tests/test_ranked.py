@@ -106,7 +106,7 @@ class TestSolveLimWithBound:
             assert res.region_0 == solve_objective(a1, objective).region_0
 
     def test_high_rank_visited_finitely(self):
-        arena = Arena.of({"a": 0, "b": 0}, [("a", "a"), ("a", "b"), ("b", "a")], "a")
+        arena = Arena({"a": 0, "b": 0}, [("a", "a"), ("a", "b"), ("b", "a")], "a")
         game = ranked(arena, Buchi(frozenset({"a"})), {"a": 0, "b": 2}, "lim")
         res = solve_lim_with_bound(game, 0)
         assert res.region_0 == frozenset({"a", "b"})

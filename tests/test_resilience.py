@@ -17,7 +17,7 @@ from rankgames.resilience import (FaultArena, compute_val, max_resilience,
 
 class TestFaultArena:
     def test_fault_source_must_be_player0(self):
-        arena = Arena.of({"s": 0, "u": 1}, [("s", "s"), ("u", "u")], "s")
+        arena = Arena({"s": 0, "u": 1}, [("s", "s"), ("u", "u")], "s")
         with pytest.raises(InputError, match="Player 0"):
             FaultArena(arena, {("u", "s")}, {"s"})
 
@@ -26,7 +26,7 @@ class TestFaultArena:
         # least faulty pair
         script = ("from rankgames.arena import Arena\n"
                   "from rankgames.resilience import FaultArena\n"
-                  "arena = Arena.of({'s': 0, 'u': 1, 'x': 0},\n"
+                  "arena = Arena({'s': 0, 'u': 1, 'x': 0},\n"
                   "                 [('s', 'u'), ('u', 's'), ('x', 'x')], 's')\n"
                   "try:\n"
                   "    FaultArena(arena, {('u', 's'), ('s', 'zz'), ('x', 'q')}, {'s'})\n"
@@ -71,7 +71,7 @@ class TestComputeVal:
 
 class TestResilienceRank:
     def test_all_infinite_gives_zero_ranks(self):
-        arena = Arena.of({"s": 0}, [("s", "s")], "s")
+        arena = Arena({"s": 0}, [("s", "s")], "s")
         fa = FaultArena(arena, set(), {"s"})
         assert resilience_rank(fa) == {"s": 0}
 
@@ -114,13 +114,13 @@ class TestBudgetOracle:
 
 class TestMaxResilience:
     def test_no_faults_and_safe_is_unbounded(self):
-        arena = Arena.of({"s": 0, "u": 0}, [("s", "s"), ("u", "s")], "s")
+        arena = Arena({"s": 0, "u": 0}, [("s", "s"), ("u", "s")], "s")
         fa = FaultArena(arena, set(), {"s", "u"})
         res = max_resilience(fa, "sup")
         assert res.resilience is INF
 
     def test_losing_safety_game(self):
-        arena = Arena.of({"s": 0, "u": 0}, [("s", "u"), ("u", "u")], "s")
+        arena = Arena({"s": 0, "u": 0}, [("s", "u"), ("u", "u")], "s")
         fa = FaultArena(arena, set(), {"s"})
         res = max_resilience(fa, "sup")
         assert res.player1_wins

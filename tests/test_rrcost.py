@@ -36,8 +36,8 @@ class TestCapBound:
         assert cap_bound(CostRRGame(a2, spec)) == 0
 
     def test_two_pairs(self):
-        arena = Arena.of({"a": 0, "b": 0, "c": 1},
-                         [("a", "b"), ("b", "c"), ("c", "a")], "a")
+        arena = Arena({"a": 0, "b": 0, "c": 1},
+                      [("a", "b"), ("b", "c"), ("c", "a")], "a")
         spec = CostRRSpec(((frozenset({"a"}), frozenset({"b"})),
                            (frozenset({"b"}), frozenset({"c"}))),
                           {(0, ("a", "b")): 1})
@@ -179,8 +179,8 @@ class TestOptimize:
         assert res.cost == 0
 
     def test_unanswerable_request_gives_player1(self):
-        arena = Arena.of({"q": 0, "t": 1, "p": 0},
-                         [("q", "t"), ("t", "t"), ("t", "p"), ("p", "q")], "q")
+        arena = Arena({"q": 0, "t": 1, "p": 0},
+                      [("q", "t"), ("t", "t"), ("t", "p"), ("p", "q")], "q")
         spec = CostRRSpec(((frozenset({"q"}), frozenset({"p"})),),
                           {(0, ("q", "t")): 1})
         res = optimize(CostRRGame(arena, spec))

@@ -5,8 +5,9 @@ The game-file parser, the strategy-file reader and the product walks
 ``solve_pruned``'s builder) check their rows themselves and build arenas
 and memories through ``Arena._checked`` and ``MemoryStructure._checked``,
 which check nothing again.  Each result here must equal, field by field and
-in iteration order, what ``Arena.of`` and ``MemoryStructure(...)`` build
-from the same rows, and those must accept the rows.
+in iteration order, what ``Arena(owner, edges, initial)`` and
+``MemoryStructure(...)`` build from the same rows, and those must accept
+the rows.
 """
 
 import json
@@ -34,7 +35,7 @@ def memory_fields(mem):
 
 
 def assert_arena_as_validated(arena, owner, edges, initial):
-    assert arena_fields(arena) == arena_fields(Arena.of(owner, edges, initial))
+    assert arena_fields(arena) == arena_fields(Arena(owner, edges, initial))
 
 
 def assert_memory_as_validated(mem):

@@ -32,14 +32,14 @@ class TestVerifyStrategy:
                                res.strategy_0).certified
 
     def test_bad_move_into_unsafe_refuted_with_witness(self):
-        arena = Arena.of({"a": 0, "z": 0}, [("a", "a"), ("a", "z"), ("z", "z")], "a")
+        arena = Arena({"a": 0, "z": 0}, [("a", "a"), ("a", "z"), ("z", "z")], "a")
         bad = positional_strategy(arena, 0, {"a": "z", "z": "z"})
         verdict = verify_strategy(arena, Safety(frozenset({"a"})), bad)
         assert not verdict.certified
         assert not eval_qualitative(Safety(frozenset({"a"})), verdict.witness)
 
     def test_verdict_is_true_exactly_when_certified(self):
-        arena = Arena.of({"a": 0, "z": 0}, [("a", "a"), ("a", "z"), ("z", "z")], "a")
+        arena = Arena({"a": 0, "z": 0}, [("a", "a"), ("a", "z"), ("z", "z")], "a")
         safe = Safety(frozenset({"a"}))
         stay = positional_strategy(arena, 0, {"a": "a", "z": "z"})
         leave = positional_strategy(arena, 0, {"a": "z", "z": "z"})
@@ -98,7 +98,7 @@ class TestVerifyStrategy:
 
     def test_move_that_is_not_an_edge_rejected(self):
         # a -> a is not an edge, although the memory has a row for it
-        arena = Arena.of({"a": 0, "b": 1}, [("a", "b"), ("b", "b")], "a")
+        arena = Arena({"a": 0, "b": 1}, [("a", "b"), ("b", "b")], "a")
         memory = MemoryStructure((0,), 0, {(0, ("a", "a")): 0, (0, ("a", "b")): 0,
                                            (0, ("b", "b")): 0})
         stay = FiniteStateStrategy(0, memory, {("a", 0): "a"})
@@ -195,7 +195,7 @@ class TestEnumerate:
         # the oracle reads pending requests off (open tuple, pointer) states;
         # over the trivial memory it would never see a request pending and
         # give Player 0 both vertices, where the solver gives her none
-        arena = Arena.of({"q": 0, "x": 1}, [("q", "x"), ("x", "x")], "q")
+        arena = Arena({"q": 0, "x": 1}, [("q", "x"), ("x", "x")], "q")
         pairs = ((frozenset({"x"}), frozenset({"q"})),)
         assert solve_request_response(arena, pairs).region_0 == frozenset()
         template = trivial_memory(arena)
@@ -320,8 +320,8 @@ class TestClosedWalk:
 
         monkeypatch.setattr(verify, "_loop_comps", counting)
         monkeypatch.setattr(verify, "_bfs_path", recording)
-        arena = Arena.of({"q": 0, "x": 0, "p": 0},
-                         [("q", "x"), ("x", "x"), ("x", "p"), ("p", "q")], "q")
+        arena = Arena({"q": 0, "x": 0, "p": 0},
+                      [("q", "x"), ("x", "x"), ("x", "p"), ("p", "q")], "q")
         claim = RequestResponse(((frozenset({"p"}), frozenset({"q"})),
                                  (frozenset({"q"}), frozenset({"p"}))))
         lazy = positional_strategy(arena, 0, {"q": "x", "x": "x", "p": "q"})
@@ -422,8 +422,8 @@ class TestFailureCores:
 
         monkeypatch.setattr(verify, "_loop_comps", counting)
         monkeypatch.setattr(verify, "_predecessors", counting_maps)
-        arena = Arena.of({"a": 0, "b": 1, "c": 0},
-                         [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a"), ("c", "c")], "a")
+        arena = Arena({"a": 0, "b": 1, "c": 0},
+                      [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a"), ("c", "c")], "a")
         claim = RankedCondition(Buchi(frozenset({"a"})), {"a": 0, "b": 1, "c": 3}, "sup")
         strategy = positional_strategy(arena, 0, {"a": "b", "c": "c"})
         verdict = verify_strategy(arena, claim, strategy, bound=1)
@@ -438,8 +438,8 @@ class TestMaxResponseCost:
         assert max_response_cost(a2_game, res.strategy, cap_bound(a2_game)) == 3
 
     def test_unanswered_request_infinite(self):
-        arena = Arena.of({"q": 0, "x": 0, "p": 0},
-                         [("q", "x"), ("x", "x"), ("x", "p"), ("p", "q")], "q")
+        arena = Arena({"q": 0, "x": 0, "p": 0},
+                      [("q", "x"), ("x", "x"), ("x", "p"), ("p", "q")], "q")
         from rankgames.objectives import CostRRSpec
         from rankgames.rrcost import CostRRGame
 
@@ -469,8 +469,8 @@ class TestSimulateFaults:
     def test_player1_moves_and_the_depth_bound(self):
         # no faults: Player 1 leaves the safe set on his own move, two moves
         # in, so a one-move search stays safe
-        arena = Arena.of({"s": 0, "x": 1, "u": 1},
-                         [("s", "x"), ("x", "s"), ("x", "u"), ("u", "u")], "s")
+        arena = Arena({"s": 0, "x": 1, "u": 1},
+                      [("s", "x"), ("x", "s"), ("x", "u"), ("u", "u")], "s")
         from rankgames.resilience import FaultArena
 
         fa = FaultArena(arena, frozenset(), {"s", "x"})
