@@ -1,12 +1,10 @@
 """Two-player infinite games on finite graphs: solvers, quantitative
 reductions, and strategy certification."""
 
-from .arena import Arena, Lasso, attractor, is_subarena, restrict
+from .arena import Arena, Lasso, attractor
 from .errors import CapabilityError, CapacityError, InputError
 from .extnat import INF, ExtNat
-from .memory import (FiniteStateStrategy, MemoryStructure, compose_strategy,
-                     expand, extend_lasso, product_memory, trivial_memory,
-                     update_plus)
+from .memory import FiniteStateStrategy, MemoryStructure, trivial_memory
 from .objectives import (Buchi, CoBuchi, CostRRSpec, Objective, RankFunction,
                          RequestResponse, Safety, SafetyAndCoBuchi,
                          cost_of_response, cost_rr_lasso, eval_qualitative,
@@ -14,8 +12,7 @@ from .objectives import (Buchi, CoBuchi, CostRRSpec, Objective, RankFunction,
 from .qualsolve import (SolveResult, solve_buchi, solve_cobuchi,
                         solve_objective, solve_request_response, solve_safety,
                         solve_safety_cobuchi)
-from .quantred import (Cap, QuantReduction, check_reduction_on_lasso, compose,
-                       is_correction, lift_strategy)
+from .quantred import Cap, QuantReduction, lift_strategy
 from .ranked import (OptimizeResult, RankedCondition, RankedGame,
                      solve_lim_with_bound, solve_sup_with_bound)
 from .ranked import optimize as optimize_ranked

@@ -191,41 +191,6 @@ def attractor(arena: Arena, player: int, target: Iterable[Vertex], within=None):
     return frozenset(inside), strategy
 
 
-def restrict(arena: Arena, keep: Iterable[Vertex]) -> Arena:
-    """Sub-arena induced by ``keep``; errors if the initial vertex is dropped
-    or a kept vertex loses all its successors."""
-    kset = frozenset(keep)
-    unknown = kset - set(arena.vertices)
-    if unknown:
-        raise InputError(f"keep contains unknown vertices: {sorted(unknown)!r}")
-    if arena.initial not in kset:
-        raise InputError(f"initial vertex {arena.initial!r} not in the kept set")
-    edges = [(u, v) for (u, v) in arena.edges if u in kset and v in kset]
-    with_out = {u for u, _ in edges}
-    for v in sorted(kset):
-        if v not in with_out:
-            raise InputError(f"not a valid sub-arena: vertex {v!r} would become terminal")
-    return Arena({v: arena.owner[v] for v in kset}, edges, arena.initial)
-
-
-def relabel(arena: Arena, fn) -> Arena:
-    """Rename every vertex through an injective function."""
-    owner = {fn(v): p for v, p in arena.owner.items()}
-    if len(owner) != len(arena.vertices):
-        raise InputError("relabeling is not injective")
-    edges = frozenset((fn(u), fn(w)) for u, w in arena.edges)
-    return Arena(owner, edges, fn(arena.initial))
-
-
-def is_subarena(candidate: Arena, whole: Arena) -> bool:
-    """Componentwise containment of vertices, ownership, and edges."""
-    wset = set(whole.vertices)
-    for v in candidate.vertices:
-        if v not in wset or candidate.owner[v] != whole.owner[v]:
-            return False
-    return candidate.edges <= whole.edges
-
-
 @dataclass(frozen=True)
 class Lasso:
     """Ultimately periodic play: ``prefix``, then ``loop`` forever."""

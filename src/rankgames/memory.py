@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional, Tuple
 
-from .arena import Arena, Edge, Lasso, Vertex, first_successor
+from .arena import Arena, Edge, Vertex, first_successor
 from .errors import InputError
 
 State = Any
@@ -72,21 +72,6 @@ def trivial_memory(arena: Arena) -> MemoryStructure:
     order."""
     return MemoryStructure._checked(
         (0,), 0, {(0, (v, w)): 0 for v, out in arena.succ.items() for w in out})
-
-
-def update_plus(mem: MemoryStructure, prefix: Iterable[Vertex]) -> State:
-    """Fold the update function along a nonempty play prefix.
-
-    A single-vertex prefix yields the initial state.  Steps that are not
-    covered by the memory (in particular non-edges) raise ``InputError``.
-    """
-    seq = tuple(prefix)
-    if not seq:
-        raise InputError("update_plus needs a nonempty prefix")
-    state = mem.initial
-    for i in range(len(seq) - 1):
-        state = mem.step(state, (seq[i], seq[i + 1]))
-    return state
 
 
 def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
@@ -185,39 +170,6 @@ class NumberedProduct:
         return MemoryStructure._checked(states, (m1.initial, 0), update), next_move
 
 
-def expand(arena: Arena, mem: MemoryStructure) -> Arena:
-    """Product of an arena with a memory structure, reachable part only.
-
-    Product vertices are (vertex, state) pairs, so the correspondence to
-    the factors is the pair structure itself.  Ownership is inherited
-    from the vertex component; the initial product vertex pairs the
-    arena's initial vertex with the memory's initial state.
-    """
-    return explore_product(arena, mem.initial, mem.step)[1]
-
-
-def extend_lasso(mem: MemoryStructure, lasso: Lasso) -> Lasso:
-    """The unique extended play of a lasso, again as a lasso.
-
-    States are threaded along the prefix, then the loop is unrolled until
-    a (loop offset, state) pair repeats; the extended loop length always
-    divides loop length times memory size.
-    """
-    state, prefix, loop = mem.initial, [], lasso.loop
-    for v, w in zip(lasso.prefix, lasso.spine()[1:]):
-        prefix.append((v, state))
-        state = mem.step(state, (v, w))
-    seen, tail, offset = {}, [], 0  # tail: (vertex, state) pairs of the unrolled loop
-    while (offset, state) not in seen:
-        seen[(offset, state)] = len(tail)
-        tail.append((loop[offset], state))
-        nxt = (offset + 1) % len(loop)
-        state = mem.step(state, (loop[offset], loop[nxt]))
-        offset = nxt
-    start = seen[(offset, state)]
-    return Lasso(tuple(prefix + tail[:start]), tuple(tail[start:]))
-
-
 def pull_back(m1: MemoryStructure, product: Arena, m2: MemoryStructure,
               owner: Optional[int] = None, move=None) -> Tuple[MemoryStructure, dict]:
     """Read ``m2``, a memory over the edges of ``product``, an ``m1``
@@ -240,19 +192,6 @@ def pull_back(m1: MemoryStructure, product: Arena, m2: MemoryStructure,
             next_move[(v, (s1, s2))] = w
     pair_states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
     return MemoryStructure._checked(pair_states, (m1.initial, m2.initial), update), next_move
-
-
-def product_memory(m1: MemoryStructure, m2: MemoryStructure, arena: Arena) -> MemoryStructure:
-    """Memory over ``arena`` running ``m1`` alongside a memory ``m2`` over
-    the ``m1``-expanded arena's edges, pulled back from ``expand(arena,
-    m1)``: all state pairs, with rows on exactly the (state, edge) pairs
-    that plays from the initial vertex reach.  ``m1`` and ``m2`` need rows
-    wherever those plays go; a missing one raises ``InputError``."""
-    for (_s, e) in m2.update:
-        if not all(isinstance(pv, tuple) and len(pv) == 2 for pv in e):
-            raise InputError("second memory must read edges of the expanded arena")
-        break
-    return pull_back(m1, expand(arena, m1), m2)[0]
 
 
 @dataclass(frozen=True)
@@ -308,20 +247,3 @@ def positional_strategy(arena: Arena, owner: int,
             raise InputError(f"move ({v!r} -> {w!r}) is not an edge")
         next_move[(v, 0)] = w
     return FiniteStateStrategy(owner, mem, next_move)
-
-
-def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy,
-                     arena: Arena) -> FiniteStateStrategy:
-    """Pull a strategy on the ``m1``-expanded arena back to ``arena``.
-
-    The result runs ``m1`` alongside ``strat``'s memory and moves to the
-    vertex component of what ``strat`` would play, so plays consistent
-    with it extend, through ``m1``, to plays consistent with ``strat``.
-    Its states are all pairs of the two memories' states, so its size is
-    exactly ``len(m1) * len(strat.memory)``.  It is pulled back from
-    ``expand(arena, m1)``, so ``m1`` needs rows wherever a play from the
-    initial vertex can go; its own rows cover only what plays consistent
-    with it reach from there, and ``strat`` must be defined on those.
-    """
-    return FiniteStateStrategy(strat.owner, *pull_back(m1, expand(arena, m1), strat.memory,
-                                                       strat.owner, strat.move))

@@ -5,8 +5,8 @@ stay inside a safe set, visit an avoid set only finitely often, visit an
 accepting set infinitely often, and answer every request of each
 request-response pair.  Each of the five objective classes is such a
 conjunction, and ``conjuncts`` states which demands each one makes;
-validation, renaming and evaluation read that statement instead of
-listing the classes.
+validation and evaluation read that statement instead of listing the
+classes.
 
 Qualitative objectives decide win/lose; the quantitative evaluators assign
 an extended natural.  All evaluators work on lassos and are independent of
@@ -106,20 +106,6 @@ def validate_objective(obj: Objective, arena: Arena) -> None:
         extra = vs and vs.difference(arena.owner)
         if extra:
             raise InputError(f"{what} mentions unknown vertices: {sorted(extra)!r}")
-
-
-def map_sets(obj: Objective, fn) -> Objective:
-    """The same kind of condition with ``fn`` applied to each vertex set."""
-    if isinstance(obj, RequestResponse):
-        return RequestResponse(tuple((fn(q), fn(p)) for q, p in obj.pairs))
-    if not isinstance(obj, _VertexSets):
-        raise InputError(f"unknown objective {obj!r}")
-    return type(obj)(*(fn(getattr(obj, f.name)) for f in fields(obj)))
-
-
-def relabel_objective(obj: Objective, fn) -> Objective:
-    """The same condition with every vertex renamed through ``fn``."""
-    return map_sets(obj, lambda vs: frozenset(map(fn, vs)))
 
 
 def validate_rank(rk: Mapping[Vertex, int], arena: Arena) -> None:

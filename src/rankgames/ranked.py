@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Tuple
 
-from .arena import Arena, attractor, relabel
+from .arena import Arena, attractor
 from .errors import CapabilityError, InputError
 from .extnat import INF, ExtNat
 from .memory import FiniteStateStrategy
 from .objectives import (Buchi, CoBuchi, Objective, Safety, rank_cost_lasso,
-                         relabel_objective, validate_objective, validate_rank)
+                         validate_objective, validate_rank)
 from .qualsolve import SolveResult, _positional, solve_pruned, solve_safety_cobuchi
 
 MODES = ("sup", "lim")
@@ -50,11 +50,6 @@ class RankedGame:
 
     def lasso_cost(self, lasso) -> ExtNat:
         return rank_cost_lasso(self.rk, self.objective, self.mode, lasso)
-
-    def relabeled(self, fn) -> "RankedGame":
-        return RankedGame(relabel(self.arena, fn),
-                          relabel_objective(self.objective, fn),
-                          {fn(v): r for v, r in self.rk.items()}, self.mode)
 
     def rank_values(self) -> Tuple[int, ...]:
         return tuple(sorted({self.rk[v] for v in self.arena.vertices}))

@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .arena import Arena, Edge, Vertex, relabel
+from .arena import Arena, Edge, Vertex
 from .errors import InputError
 from .extnat import ExtNat
 from .memory import explore_product
-from .objectives import (CostRRSpec, RequestResponse, cost_rr_lasso, relabel_objective,
-                         validate_objective)
+from .objectives import CostRRSpec, RequestResponse, cost_rr_lasso, validate_objective
 from .qualsolve import SolveResult, solve_request_response
 from .quantred import Cap, QuantReduction, lift_strategy
 from .ranked import (OptimizeResult, RankedGame, _check_bound, least_winning_bound,
@@ -48,12 +47,6 @@ class CostRRGame:
 
     def lasso_cost(self, lasso) -> ExtNat:
         return cost_rr_lasso(self.spec, lasso)
-
-    def relabeled(self, fn) -> "CostRRGame":
-        pairs = relabel_objective(self.spec.rr_objective(), fn).pairs
-        costs = {(c, (fn(e[0]), fn(e[1]))): w
-                 for (c, e), w in self.spec.edge_costs.items()}
-        return CostRRGame(relabel(self.arena, fn), CostRRSpec(pairs, costs))
 
 
 def cap_bound(game: CostRRGame) -> int:

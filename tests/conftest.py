@@ -2,9 +2,10 @@ import pytest
 
 from rankgames.arena import Arena, Lasso
 from rankgames.memory import FiniteStateStrategy
-from rankgames.objectives import CostRRSpec, map_sets
+from rankgames.objectives import CostRRSpec
 from rankgames.resilience import FaultArena
 from rankgames.rrcost import CostRRGame
+from theory import map_sets
 
 
 @pytest.fixture

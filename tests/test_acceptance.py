@@ -22,14 +22,11 @@ from rankgames.extnat import INF, is_finite
 from rankgames.gen import (random_arena, random_costrr_game,
                            random_fault_arena, random_lasso,
                            random_ranked_game, random_subset)
-from rankgames.memory import (FiniteStateStrategy, expand, extend_lasso,
-                              product_memory, trivial_memory)
-from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
-                                  relabel_objective)
+from rankgames.memory import FiniteStateStrategy, trivial_memory
+from rankgames.objectives import Buchi, CoBuchi, RequestResponse, Safety
 from rankgames.qualsolve import (solve_buchi, solve_cobuchi,
                                  solve_request_response, solve_safety)
-from rankgames.quantred import (Cap, QuantReduction, check_reduction_on_lasso,
-                                compose, lift_strategy, trivial_reduction)
+from rankgames.quantred import Cap, QuantReduction, lift_strategy
 from rankgames.ranked import (RankedCondition, RankedGame, optimize,
                               solve_sup_with_bound, solve_with_bound)
 from rankgames.resilience import compute_val, max_resilience
@@ -37,6 +34,8 @@ from rankgames.rrcost import (CostRRGame, build_reduction, cap_bound,
                               optimize as optimize_cost,
                               solve_with_bound as solve_cost)
 from rankgames.verify import verify_strategy
+from theory import (check_reduction_on_lasso, compose, expand, extend_lasso,
+                    product_memory, relabel_game, relabel_objective, trivial_reduction)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +338,7 @@ def test_c6_reduction_composition():
             assert composed.b == (inner if b2 >= inner else b2), (b1, b2)
     # composed checks pass whenever both components pass
     for make_second in (lambda tgt: trivial_reduction(
-            tgt, lambda product, mem: tgt.relabeled(lambda v: (v, 0))),
+            tgt, lambda product, mem: relabel_game(tgt, lambda v: (v, 0))),
             lambda tgt: _clamp_reduction(tgt, 5)):
         r1 = build_reduction(game, cap_bound(game))
         r2 = make_second(r1.target)
@@ -408,7 +407,7 @@ def test_c8_strategy_lifting_cost_and_size():
         if not is_finite(source_best.cost):
             continue
         r = trivial_reduction(game, lambda product, mem:
-                              game.relabeled(lambda v: (v, 0)))
+                              relabel_game(game, lambda v: (v, 0)))
         target_best = optimize(r.target)
         assert target_best.cost == source_best.cost
         lifted = lift_strategy(r, target_best.strategy)

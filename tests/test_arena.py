@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankgames.arena import Arena, Lasso, attractor, is_subarena, restrict
+from rankgames.arena import Arena, Lasso, attractor
 from rankgames.errors import InputError
 
-from conftest import rotated, swap_owners, with_loop_repeated
+from conftest import rotated, with_loop_repeated
+from theory import restrict
 
 
 @st.composite
@@ -113,8 +114,7 @@ class TestAttractor:
         region, _ = attractor(arena, player, target)
         rest = frozenset(arena.vertices) - region
         if rest:
-            sub = restrict(arena.with_initial(min(rest)), rest)  # must not raise
-            assert is_subarena(sub, arena)
+            restrict(arena.with_initial(min(rest)), rest)  # must not raise
 
 
 class TestRestrict:
@@ -134,24 +134,6 @@ class TestRestrict:
         arena = Arena({"a": 0, "b": 1}, [("a", "b"), ("b", "a")], "a")
         with pytest.raises(InputError, match="sub-arena"):
             restrict(arena, {"a"})
-
-
-class TestIsSubarena:
-    def test_reflexive(self, a1):
-        assert is_subarena(a1, a1)
-
-    def test_restriction_is_subarena(self, a1):
-        assert is_subarena(restrict(a1.with_initial("b"), {"b"}), a1)
-
-    def test_extra_edge_not_contained(self, a1):
-        bigger = Arena({"a": 0, "b": 1},
-                       [("a", "b"), ("b", "a"), ("b", "b"), ("a", "a")], "a")
-        assert not is_subarena(bigger, a1)
-        assert is_subarena(a1, bigger)
-
-    def test_ownership_mismatch(self, a1):
-        flipped = swap_owners(a1)
-        assert not is_subarena(flipped, a1)
 
 
 class TestLasso:

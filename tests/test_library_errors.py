@@ -7,20 +7,22 @@ import pytest
 
 from oracles import (FaultSimVerdict, budget_oracle, enumerate_regions,
                      simulate_faults)
-from rankgames.arena import Arena, Lasso, first_successor, relabel, restrict
+from rankgames.arena import Arena, Lasso, first_successor
 from rankgames.errors import CapabilityError, InputError
 from rankgames.extnat import INF
 from rankgames.memory import (FiniteStateStrategy, MemoryStructure, positional_strategy,
                               trivial_memory)
-from rankgames.objectives import (CostRRSpec, Safety, conjuncts, map_sets,
-                                  validate_objective, validate_rank)
+from rankgames.objectives import (CostRRSpec, Safety, conjuncts, validate_objective,
+                                  validate_rank)
 from rankgames.qualsolve import SolveResult, rr_memory, solve_objective
-from rankgames.quantred import Cap, QuantReduction, compose, trivial_reduction
+from rankgames.quantred import Cap, QuantReduction
 from rankgames.ranked import (RankedCondition, RankedGame, solve_lim_with_bound,
                               solve_sup_with_bound)
 from rankgames.resilience import FaultArena
 from rankgames.rrcost import CostRRGame, build_reduction, solve_with_bound
 from rankgames.verify import verify_strategy
+from theory import (compose, map_sets, relabel, relabel_game, restrict, trivial_reduction,
+                    validate_expansion)
 
 # a: Player 0, moves to b only; b: Player 1, moves to a or stays
 A = Arena({"a": 0, "b": 1}, [("a", "b"), ("b", "a"), ("b", "b")], "a")
@@ -40,7 +42,7 @@ def _same_arena_target():
 
 
 def _compose_onto_plain_target():
-    r1 = trivial_reduction(SUP, lambda product, mem: SUP.relabeled(lambda v: (v, 0)))
+    r1 = trivial_reduction(SUP, lambda product, mem: relabel_game(SUP, lambda v: (v, 0)))
     r2 = QuantReduction(trivial_memory(r1.target.arena), Cap(INF), INF,
                         r1.target, "no relabeling")
     return compose(r1, r2)
@@ -102,7 +104,7 @@ LIBRARY_ERRORS = [
      InputError, "no solver for objective 'parity'"),
     # quantred
     ("target that is not the expansion",
-     lambda: _same_arena_target().validate_expansion(),
+     lambda: validate_expansion(_same_arena_target()),
      InputError, "target arena is not the memory expansion of the source"),
     ("compose onto a target without relabeled", _compose_onto_plain_target,
      InputError, "target game does not support vertex relabeling"),

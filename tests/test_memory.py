@@ -5,11 +5,10 @@ import pytest
 from rankgames.arena import Arena, Lasso
 from rankgames.errors import InputError
 from rankgames.gen import random_lasso
-from rankgames.memory import (MemoryStructure, compose_strategy, expand,
-                              extend_lasso, positional_strategy,
-                              product_memory, trivial_memory, update_plus)
+from rankgames.memory import MemoryStructure, positional_strategy, trivial_memory
 
 from conftest import play_positions, project
+from theory import compose_strategy, expand, extend_lasso, product_memory, update_plus
 
 
 def toggle_memory(arena):

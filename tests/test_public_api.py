@@ -9,23 +9,21 @@ PUBLIC_NAMES = [
     "Objective", "OptimizeResult", "QuantReduction", "RankFunction",
     "RankedCondition", "RankedGame", "RequestResponse", "Safety",
     "SafetyAndCoBuchi", "SolveResult", "Verdict", "arena", "attractor",
-    "build_reduction", "cap_bound", "check_reduction_on_lasso",
-    "compose", "compose_strategy", "compute_val", "cost_of_response",
-    "cost_rr_lasso", "errors",
-    "eval_qualitative", "expand", "extend_lasso", "extnat", "is_correction",
-    "is_subarena", "lift_strategy", "max_resilience",
+    "build_reduction", "cap_bound", "compute_val", "cost_of_response",
+    "cost_rr_lasso", "errors", "eval_qualitative", "extnat",
+    "lift_strategy", "max_resilience",
     "memory", "objectives", "optimize_cost_rr", "optimize_ranked",
-    "product_memory", "qualsolve", "quantred", "rank_cost_lasso", "ranked",
-    "resilience", "resilience_rank", "restrict", "rrcost",
+    "qualsolve", "quantred", "rank_cost_lasso", "ranked",
+    "resilience", "resilience_rank", "rrcost",
     "solve_buchi", "solve_cobuchi", "solve_lim_with_bound", "solve_objective",
     "solve_request_response", "solve_safety", "solve_safety_cobuchi",
-    "solve_sup_with_bound", "solve_with_bound", "trivial_memory", "update_plus",
+    "solve_sup_with_bound", "solve_with_bound", "trivial_memory",
     "verify", "verify_strategy",
 ]
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 71
+    assert len(PUBLIC_NAMES) == 61
     assert sorted(rankgames.__all__) == sorted(PUBLIC_NAMES)
 
 

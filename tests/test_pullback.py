@@ -14,13 +14,13 @@ from rankgames import memory, qualsolve
 from rankgames.arena import attractor
 from rankgames.extnat import INF
 from rankgames.gen import random_arena, random_costrr_game, random_subset
-from rankgames.memory import (FiniteStateStrategy, MemoryStructure, compose_strategy,
-                              expand, product_memory, trivial_memory)
+from rankgames.memory import FiniteStateStrategy, MemoryStructure, trivial_memory
 from rankgames.objectives import RequestResponse
 from rankgames.qualsolve import rr_memory, solve_buchi, solve_request_response
-from rankgames.quantred import Cap, QuantReduction, compose, lift_strategy
+from rankgames.quantred import Cap, QuantReduction, lift_strategy
 from rankgames.ranked import RankedGame, solve_sup_with_bound
 from rankgames.rrcost import build_reduction, cap_bound, optimize
+from theory import compose, compose_strategy, expand, product_memory
 
 
 def _rows(strategy):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import rr_reference
 from oracles import enumerate_regions
-from rankgames.arena import Arena, attractor, relabel, restrict
+from rankgames.arena import Arena, attractor
 from rankgames.errors import CapacityError
 from rankgames.gen import random_arena, random_subset
 from rankgames.memory import trivial_memory
@@ -17,6 +17,7 @@ from rankgames.qualsolve import (rr_memory, solve_buchi, solve_cobuchi,
 from rankgames.verify import verify_strategy
 
 from conftest import restrict_objective, swap_owners
+from theory import relabel, restrict
 
 
 def certify_both(arena, objective, res, seeds=None):

@@ -7,13 +7,14 @@ from rankgames.arena import Lasso
 from rankgames.errors import InputError
 from rankgames.extnat import INF
 from rankgames.gen import random_costrr_game, random_lasso
-from rankgames.memory import extend_lasso, trivial_memory
+from rankgames.memory import trivial_memory
 from rankgames.objectives import RequestResponse, Safety
-from rankgames.quantred import (Cap, QuantReduction, check_reduction_on_lasso,
-                                compose, compose_functions, is_correction,
-                                lift_strategy, trivial_reduction)
+from rankgames.quantred import Cap, QuantReduction, lift_strategy
 from rankgames.ranked import RankedGame
 from rankgames.rrcost import build_reduction, cap_bound
+from theory import (check_reduction_on_lasso, compose, compose_functions, expand,
+                    extend_lasso, is_correction, relabel_game, trivial_reduction,
+                    validate_expansion)
 
 
 def lift_ranked(game: RankedGame):
@@ -72,8 +73,6 @@ class TestComposeReductions:
         """Reduce a ranked game to itself with ranks clamped at ``clamp``;
         play costs map through min(clamp, cost), the cap at ``clamp``."""
         mem = trivial_memory(source.arena)
-        from rankgames.memory import expand
-
         product = expand(source.arena, mem)
         lifted = _objective_over(source.objective, product)
         rk = {pv: min(source.rk[pv[0]], clamp) for pv in product.vertices}
@@ -127,10 +126,10 @@ class TestComposeReductions:
             for _ in range(40):
                 lasso = random_lasso(rng, a2_game.arena)
                 assert check_reduction_on_lasso(composed, lasso).consistent
-        r1 = trivial_reduction(a2_game, lambda product, mem: a2_game.relabeled(
-            lambda v: (v, 0)))
+        r1 = trivial_reduction(a2_game, lambda product, mem: relabel_game(
+            a2_game, lambda v: (v, 0)))
         composed = compose(r1, trivial_reduction(r1.target, lambda product, mem:
-                                                 r1.target.relabeled(lambda v: (v, 0))))
+                                                 relabel_game(r1.target, lambda v: (v, 0))))
         assert composed.f == Cap(INF) and composed.b is INF
 
     def test_mismatched_chain_rejected(self, a2_game, a3_game):
@@ -144,7 +143,7 @@ class TestCheckReduction:
     def test_trivial_reduction_always_consistent(self, a3_game):
         r = trivial_reduction(a3_game, lambda product, mem: _trivial_cost_target(
             a3_game, product))
-        r.validate_expansion()
+        validate_expansion(r)
         rng = random.Random(17)
         for _ in range(50):
             assert check_reduction_on_lasso(r, random_lasso(rng, a3_game.arena)).consistent
@@ -227,20 +226,18 @@ def _trivial_cost_target(game, product):
 
 
 class TestCostRRRelabeled:
-    """``CostRRGame.relabeled`` builds the target of a trivial reduction of
-    a cost-RR game, and ``compose`` calls it on a cost-RR second target."""
+    """``relabel_game`` on a cost-RR game builds the target of a trivial
+    reduction of it, and ``compose`` calls it on a cost-RR second target."""
 
     @staticmethod
     def _trivial(game):
-        return trivial_reduction(game, lambda product, mem: game.relabeled(
-            lambda v: (v, 0)))
+        return trivial_reduction(game, lambda product, mem: relabel_game(
+            game, lambda v: (v, 0)))
 
     def test_equals_the_trivial_target_over_the_expansion(self, a2_game, a3_game):
-        from rankgames.memory import expand
-
         for game in (a2_game, a3_game):
             product = expand(game.arena, trivial_memory(game.arena))
-            assert game.relabeled(lambda v: (v, 0)) == _trivial_cost_target(game, product)
+            assert relabel_game(game, lambda v: (v, 0)) == _trivial_cost_target(game, product)
 
     def test_composed_trivial_reductions_stay_consistent(self, a2_game, a3_game):
         rng = random.Random(52)

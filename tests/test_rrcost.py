@@ -8,15 +8,14 @@ from rankgames.arena import Arena, Lasso
 from rankgames.errors import InputError
 from rankgames.extnat import INF
 from rankgames.gen import random_costrr_game, random_lasso
-from rankgames.memory import extend_lasso
 from rankgames.objectives import CostRRSpec, RequestResponse
 from rankgames.qualsolve import solve_request_response
-from rankgames.quantred import check_reduction_on_lasso
 from rankgames.ranked import solve_sup_with_bound
 from rankgames.rrcost import (CostRRGame, build_reduction, cap_bound,
                               counter_seed, counter_step, optimize,
                               solve_with_bound)
 from rankgames.verify import verify_strategy
+from theory import check_reduction_on_lasso, extend_lasso, validate_expansion
 
 
 def solve_winner(game, b):
@@ -104,7 +103,7 @@ class TestBuildReduction:
 
     def test_expansion_matches_target(self, a2_game):
         r = build_reduction(a2_game, cap_bound(a2_game))
-        r.validate_expansion()
+        validate_expansion(r)
 
     def test_reduction_checks_on_random_lassos(self):
         # regression guard

@@ -33,3 +33,23 @@ def test_no_module_reads_an_environment_variable():
         text = path.read_text(encoding="utf-8")
         for name in ("os.environ", "getenv"):
             assert name not in text, f"{path.name} mentions {name}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a name imported and never read is debris of code that moved away;
+    # ``__init__`` imports names to export them, so it is not checked
+    modules = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        unused = sorted(imported - read)
+        assert not unused, f"{path.name} imports {unused} and never reads them"
