@@ -21,6 +21,12 @@ three arguments through the private ``Arena._checked`` without checking
 again.  Both set their fields through one builder.  Predecessor lists are
 built on first read of ``pred``, so requests that never run an attractor
 never build them.
+
+The solvers and the attractor read four fields of the graph they are
+given: ``vertices``, ``owner`` (in the order of ``vertices``), ``succ``
+(each vertex's successors sorted) and ``pred``.  An :class:`Arena` gives
+them, and so does :class:`rankgames.memory.NumberedProduct`, the
+request-response product, which is solved without building an arena.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Optional, Tuple
 
-from .arena import Arena, Edge, Vertex, first_successor
+from .arena import Arena, Edge, Vertex, _predecessors, first_successor
 from .errors import InputError
 
 State = Any
@@ -125,32 +126,50 @@ def explore_product(arena: Arena, initial: State, step) -> Tuple[MemoryStructure
 
 @dataclass(frozen=True)
 class NumberedProduct:
-    """Product arena on the integers 0..N-1, numbering the (vertex, state)
+    """Product graph on the integers 0..N-1, numbering the (vertex, state)
     pairs one walk reached in sorted order; built by
-    :func:`rankgames.qualsolve.rr_memory`.
+    :func:`rankgames.qualsolve.rr_product`.
 
-    ``pairs[i]`` decodes product vertex i to its (vertex, memory state)
-    pair; vertex i keeps the owner of its vertex, and edges are the walk's.
+    It gives what the solvers read of a graph, as an :class:`Arena` does
+    (see :mod:`rankgames.arena`): ``vertices`` is ``range(N)``, ``owner``
+    maps each id, in id order, to the owner of its vertex, ``succ[i]``
+    lists the walk's successor ids of i in increasing order, and ``pred``
+    is built on first read.  ``initial`` is the anchor's start id.
+
+    ``pairs[i]`` decodes id i to its (vertex, memory state) pair.
     ``starts`` holds one id per alive vertex, in vertex order: the vertex
-    paired with its seed state.  The arena's initial vertex is the
-    anchor's.
+    paired with its seed state.  ``states`` lists the memory states the
+    walk reached, sorted; the memory's initial state is the anchor's seed
+    state, ``pairs[initial][1]``.
     """
 
-    arena: Arena
+    owner: dict
+    succ: dict
+    initial: int
     pairs: tuple
     starts: tuple
+    states: tuple
 
-    def pull_back(self, m1: MemoryStructure, owner: int, moves) -> Tuple[MemoryStructure, dict]:
-        """Read ``owner``'s positional moves on this product of ``m1``, a
-        map from product vertex to product vertex, back to the source.
+    @property
+    def vertices(self) -> range:
+        return range(len(self.pairs))
 
-        One walk from the start vertices, in which ``owner``'s vertices
-        follow only their move, decodes each row as it takes it.  Returns
-        the memory, on the states ``(m1 state, 0)`` with the walk's rows,
-        and the moves at reached ``owner`` vertices: what
-        :func:`pull_back` gives for ``moves`` under a one-state memory,
-        without tabulating that memory."""
-        succ, own = self.arena.succ, self.arena.owner
+    @cached_property
+    def pred(self) -> dict:
+        """Predecessor ids of each id, in increasing order."""
+        return _predecessors(self.succ)
+
+    def pull_back(self, owner: int, moves) -> Tuple[MemoryStructure, dict]:
+        """Read ``owner``'s positional moves on this product, a map from id
+        to id, back to the source.
+
+        One walk from the start ids, in which ``owner``'s ids follow only
+        their move, decodes each row as it takes it.  Returns the memory,
+        on the states ``(memory state, 0)`` with the walk's rows, and the
+        moves at reached ``owner`` vertices: what :func:`pull_back` gives
+        for ``moves`` under a one-state memory, without tabulating that
+        memory."""
+        succ, own = self.succ, self.owner
         vertex = [v for v, _s in self.pairs]
         state = [(s, 0) for _v, s in self.pairs]
         order, reached = list(self.starts), set(self.starts)
@@ -166,8 +185,8 @@ class NumberedProduct:
                 if k not in reached:
                     reached.add(k)
                     order.append(k)
-        states = tuple((s, 0) for s in m1.states)
-        return MemoryStructure._checked(states, (m1.initial, 0), update), next_move
+        states = tuple((s, 0) for s in self.states)
+        return MemoryStructure._checked(states, state[self.initial], update), next_move
 
 
 def pull_back(m1: MemoryStructure, product: Arena, m2: MemoryStructure,
@@ -229,8 +248,8 @@ def filled_moves(arena: Arena, owner: int, moves: Mapping[Vertex, Vertex],
     they are claimed to win on.  With an alive set ``within``, only its
     owner vertices are filled, each with its first successor inside it."""
     table = dict(moves)
-    for v in arena.owned_by(owner):
-        if v not in table and (within is None or v in within):
+    for v, player in arena.owner.items():
+        if player == owner and v not in table and (within is None or v in within):
             table[v] = first_successor(arena, v, within)
     return table
 

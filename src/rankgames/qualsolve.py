@@ -7,8 +7,10 @@ coBuchi and the safety/coBuchi conjunction admit positional strategies;
 request-response strategies carry the open-request memory.  Open request
 sets are stated here once, as bitmasks coded with the round-robin pointer
 as ``open_mask * d + pointer`` and ordered by their decoded states
-(:func:`rr_memory`); the oracle in :mod:`rankgames.verify` states them
-once on its own, as sorted tuples.
+(:func:`rr_product`); the oracle in :mod:`rankgames.verify` states them
+once on its own, as sorted tuples.  The request-response product is not
+an :class:`~rankgames.arena.Arena`: the Buchi solver reads the numbered
+product's ``vertices``, ``owner``, ``succ`` and ``pred`` directly.
 
 Every solver takes an optional alive set ``within`` (see
 :mod:`rankgames.arena`) and then solves the sub-arena it induces, on the
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from .arena import Arena, Vertex, anchor, attractor, first_successor
 from .errors import InputError
@@ -153,14 +155,16 @@ def solve_cobuchi(arena: Arena, avoid, within=None) -> SolveResult:
     return _buchi(arena, avoid, within, 1)
 
 
-def rr_memory(arena: Arena, pairs, within=None) -> Tuple[MemoryStructure, NumberedProduct]:
-    """Open-request memory with a round-robin pointer.
+def rr_product(arena: Arena, pairs, within=None) -> NumberedProduct:
+    """Product of the arena with the open-request memory and its
+    round-robin pointer, numbered.
 
-    States are (open requests, pointer).  The pointer advances, cyclically,
-    exactly when leaving a state whose pointed-at pair is currently not
-    pending; those states are the progress states.  A play satisfies the
-    request-response condition iff its run passes through progress states
-    infinitely often, which the product Buchi game below checks.
+    Memory states are (open requests, pointer).  The pointer advances,
+    cyclically, exactly when leaving a state whose pointed-at pair is
+    currently not pending; those states are the progress states.  A play
+    satisfies the request-response condition iff its run passes through
+    progress states infinitely often, which the product Buchi game of
+    :func:`solve_request_response` checks.
 
     The walk runs on integers.  Alive vertices are numbered by their
     position in sorted order, open sets are bitmasks (entering ``w`` takes
@@ -170,14 +174,15 @@ def rr_memory(arena: Arena, pairs, within=None) -> Tuple[MemoryStructure, Number
     once per node the walk leaves, not once per edge.
 
     The walk runs inside ``within`` from every alive vertex paired with its
-    seed state, the requests it opens itself: of the d * 2^d states the
-    memory holds only those plays from there reach, one row per product
-    edge.  Each reached state code is decoded once to its ``(open tuple,
-    pointer)`` state; the memory lists the states in sorted order, and the
-    product is numbered in sorted ``(vertex, state)`` order
-    (:class:`NumberedProduct`), by sorting the nodes on vertex number and
-    decoded-state rank.  The memory and the product start at the alive
-    set's anchor.
+    seed state, the requests it opens itself: of the d * 2^d states it
+    reaches only those plays from there reach.  Each reached state code is
+    decoded once to its ``(open tuple, pointer)`` state, and the product is
+    numbered in sorted ``(vertex, state)`` order (:class:`NumberedProduct`),
+    by sorting the nodes on vertex number and decoded-state rank.  A node's
+    successors have distinct vertices, listed in sorted order, so their
+    ids come out increasing.  The product starts at the alive set's anchor.
+    No memory update table and no :class:`~rankgames.arena.Arena` is built:
+    the solvers read the product as it is.
     """
     d = len(pairs)
     if d == 0:
@@ -198,64 +203,60 @@ def rr_memory(arena: Arena, pairs, within=None) -> Tuple[MemoryStructure, Number
     succ = [[(index[w] * span, add[index[w]], keep[index[w]])
              for w in arena.succ[v] if w in index] for v in alive]
     seeds = [i * span + (add[i] & keep[i]) * d for i in range(len(alive))]
-    order, reached, rows = list(seeds), set(seeds), []
+    order, reached, outs = list(seeds), set(seeds), {}
     for node in order:
         i, code = divmod(node, span)
         mask, ptr = divmod(code, d)
         if not mask >> ptr & 1:
             ptr = (ptr + 1) % d
-        for base, plus, kept in succ[i]:
-            nxt = base + ((mask | plus) & kept) * d + ptr
-            rows.append((node, nxt))
+        out = outs[node] = [base + ((mask | plus) & kept) * d + ptr
+                            for base, plus, kept in succ[i]]
+        for nxt in out:
             if nxt not in reached:
                 reached.add(nxt)
                 order.append(nxt)
     state = {}
-    for node in order:
-        code = node % span
-        if code not in state:
-            mask, ptr = divmod(code, d)
-            state[code] = (tuple(c for c in range(d) if mask >> c & 1), ptr)
+    for code in {node % span for node in order}:
+        mask, ptr = divmod(code, d)
+        state[code] = (tuple([c for c in range(d) if mask >> c & 1]), ptr)
     codes = sorted(state, key=state.__getitem__)
     rank = {code: j for j, code in enumerate(codes)}
     order.sort(key=lambda node: node - node % span + rank[node % span])
-    number = {node: j for j, node in enumerate(order)}
+    number = {node: j for j, node in enumerate(order)}.__getitem__
     labels = tuple((alive[node // span], state[node % span]) for node in order)
-    owner = {j: arena.owner[v] for j, (v, _s) in enumerate(labels)}
-    edges = [(number[a], number[b]) for a, b in rows]
-    starts = tuple(number[node] for node in seeds)
-    start = starts[index[anchor(arena, within)]]
-    mem = MemoryStructure._checked(tuple(state[code] for code in codes), labels[start][1],
-                                   {(labels[a][1], (labels[a][0], labels[b][0])): labels[b][1]
-                                    for a, b in edges})
-    return mem, NumberedProduct(Arena._checked(owner, edges, start), labels, starts)
+    starts = tuple(map(number, seeds))
+    return NumberedProduct(
+        {j: arena.owner[v] for j, (v, _s) in enumerate(labels)},
+        {j: list(map(number, outs[node])) for j, node in enumerate(order)},
+        starts[index[anchor(arena, within)]], labels, starts,
+        tuple(state[code] for code in codes))
 
 
 def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
     """Reduce to a Buchi game over the open-request memory product.
 
     Player 0 wins from a vertex iff she wins the product Buchi game from
-    that vertex paired with its fresh memory state.  The Buchi game runs on
-    the integer-numbered product of :func:`rr_memory`, and each player's
-    positional strategy there is read back through that product by
-    :meth:`rankgames.memory.NumberedProduct.pull_back`.  Her strategy is the product strategy
-    folded back through the memory, of size at most (number of pairs) *
-    2^(number of pairs); both strategies are tabulated on what plays from
-    every seeded vertex can reach.
+    that vertex paired with its fresh memory state.  :func:`solve_buchi`
+    runs on the integer-numbered product of :func:`rr_product` itself, and
+    each player's positional strategy there is read back through that
+    product by :meth:`rankgames.memory.NumberedProduct.pull_back`.  Her
+    strategy is the product strategy folded back through the memory, of
+    size at most (number of pairs) * 2^(number of pairs); both strategies
+    are tabulated on what plays from every seeded vertex can reach.
     """
     objective = RequestResponse(tuple(pairs))
     validate_objective(objective, arena)
     alive = _alive(arena, within)
     if not alive:
         return _positional(arena, alive, alive, lambda player: {}, alive)
-    mem, product = rr_memory(arena, objective.pairs, within)
-    res = solve_buchi(product.arena, frozenset(
+    product = rr_product(arena, objective.pairs, within)
+    res = solve_buchi(product, frozenset(
         i for i, (_v, (opened, ptr)) in enumerate(product.pairs) if ptr not in opened))
     region_0 = frozenset(product.pairs[i][0] for i in product.starts if i in res.region_0)
     region_1 = alive - region_0
 
     def build(player):
-        return FiniteStateStrategy(player, *product.pull_back(mem, player, res.moves(player)))
+        return FiniteStateStrategy(player, *product.pull_back(player, res.moves(player)))
     return SolveResult(region_0, region_1, build)
 
 

@@ -143,8 +143,8 @@ def rr_open_update(pairs, open_set: tuple, entered: Vertex) -> tuple:
     answers its own request.
 
     This is the oracle's own statement, on sorted tuples of pair indices;
-    the solver states the same step once, on bitmasks
-    (:func:`rankgames.qualsolve.rr_memory`)."""
+    the solver states the same step once, on bitmasks, in the walk of
+    :func:`rankgames.qualsolve.rr_product`."""
     opened = set(open_set)
     for c, (q, _p) in enumerate(pairs):
         if entered in q:

@@ -3,8 +3,9 @@
 These are the three walks that read product strategies back to the source
 arena before one walk of the product replaced them.  ``compose_strategy``
 and ``product_memory`` run the first memory over the source arena
-alongside the second; ``compose_numbered`` walks a numbered
-request-response product and reads every vertex back through its pairs.
+alongside the second; ``compose_numbered`` walks the labelled
+request-response product of ``tests/rr_reference.py`` under a numbered
+product's moves, read on their labels.
 The tests hold the package's pull-back to them: same owner, states,
 initial state, update rows and moves.
 """
@@ -44,16 +45,16 @@ def compose_strategy(m1, strat, arena):
     return FiniteStateStrategy(strat.owner, memory, next_move)
 
 
-def compose_numbered(m1, product, moves, owner):
-    """The positional strategy ``moves`` on a numbered product of ``m1``,
-    pulled back from the product's start pairs."""
-    reached, rows = explore(product.arena, [(i, 0) for i in product.starts],
-                            lambda _s, _e: 0, owner, lambda i, _s: moves[i])
+def compose_numbered(m1, product, starts, moves, owner):
+    """The positional strategy ``moves`` of a numbered request-response
+    product, given on its (vertex, state) labels, pulled back from the
+    start pairs ``starts`` through ``product``, the labelled product of
+    ``m1``."""
+    reached, rows = explore(product, [(pv, 0) for pv in starts], lambda _s, _e: 0, owner,
+                            lambda pv, _s: moves[pv])
     states = tuple((s, 0) for s in m1.states)
-    vertex = [v for v, _s in product.pairs]
-    state = [(s, 0) for _v, s in product.pairs]
-    update = {(state[i], (vertex[i], vertex[k])): state[k] for _s, (i, k) in rows}
-    next_move = {(vertex[i], state[i]): vertex[moves[i]]
-                 for i, _s in reached if product.arena.owner[i] == owner}
+    update = {((s, 0), (u, w)): (t, 0) for _s, ((u, s), (w, t)) in rows}
+    next_move = {(v, (s, 0)): moves[(v, s)][0]
+                 for (v, s), _s in reached if product.owner[(v, s)] == owner}
     return FiniteStateStrategy(owner, MemoryStructure(states, (m1.initial, 0), update),
                                next_move)

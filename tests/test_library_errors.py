@@ -9,20 +9,16 @@ from oracles import (FaultSimVerdict, budget_oracle, enumerate_regions,
                      simulate_faults)
 from rankgames.arena import Arena, Lasso, first_successor
 from rankgames.errors import CapabilityError, InputError
-from rankgames.extnat import INF
 from rankgames.memory import (FiniteStateStrategy, MemoryStructure, positional_strategy,
                               trivial_memory)
 from rankgames.objectives import (CostRRSpec, Safety, conjuncts, validate_objective,
                                   validate_rank)
-from rankgames.qualsolve import SolveResult, rr_memory, solve_objective
-from rankgames.quantred import Cap, QuantReduction
+from rankgames.qualsolve import SolveResult, rr_product, solve_objective
 from rankgames.ranked import (RankedCondition, RankedGame, solve_lim_with_bound,
                               solve_sup_with_bound)
 from rankgames.resilience import FaultArena
 from rankgames.rrcost import CostRRGame, build_reduction, solve_with_bound
 from rankgames.verify import verify_strategy
-from theory import (compose, map_sets, relabel, relabel_game, restrict, trivial_reduction,
-                    validate_expansion)
 
 # a: Player 0, moves to b only; b: Player 1, moves to a or stays
 A = Arena({"a": 0, "b": 1}, [("a", "b"), ("b", "a"), ("b", "b")], "a")
@@ -36,18 +32,6 @@ TO_B = positional_strategy(A, 0, {"a": "b"})
 FAULTS = FaultArena(A, {("a", "b")}, {"a", "b"})
 
 
-def _same_arena_target():
-    # a trivial reduction whose target keeps the source arena, unexpanded
-    return QuantReduction(trivial_memory(A), Cap(INF), INF, SUP, SUP)
-
-
-def _compose_onto_plain_target():
-    r1 = trivial_reduction(SUP, lambda product, mem: relabel_game(SUP, lambda v: (v, 0)))
-    r2 = QuantReduction(trivial_memory(r1.target.arena), Cap(INF), INF,
-                        r1.target, "no relabeling")
-    return compose(r1, r2)
-
-
 # (case, call, error type, first error message)
 LIBRARY_ERRORS = [
     # arena
@@ -58,10 +42,6 @@ LIBRARY_ERRORS = [
     ("first successor outside the alive set",
      lambda: first_successor(A, "a", frozenset({"a"})),
      InputError, "vertex 'a' has no successor inside the alive set"),
-    ("restrict to an unknown vertex", lambda: restrict(A, {"a", "b", "z"}),
-     InputError, "keep contains unknown vertices: ['z']"),
-    ("relabel not injective", lambda: relabel(A, lambda v: 0),
-     InputError, "relabeling is not injective"),
     ("lasso with an unknown vertex", lambda: Lasso(("a",), ("z",)).check_in(A),
      InputError, "lasso mentions unknown vertices: ['z']"),
     # memory
@@ -81,8 +61,6 @@ LIBRARY_ERRORS = [
     # objectives
     ("conjuncts of an unknown objective", lambda: conjuncts("parity"),
      InputError, "unknown objective 'parity'"),
-    ("map_sets of an unknown objective", lambda: map_sets("parity", frozenset),
-     InputError, "unknown objective 'parity'"),
     ("objective naming an unknown vertex",
      lambda: validate_objective(Safety(frozenset({"z"})), A),
      InputError, "safe set mentions unknown vertices: ['z']"),
@@ -98,16 +76,10 @@ LIBRARY_ERRORS = [
     ("overlapping regions",
      lambda: SolveResult(frozenset({"a"}), frozenset({"a", "b"}), lambda player: None),
      InputError, "winning regions overlap"),
-    ("request-response memory with no pair", lambda: rr_memory(A, ()),
+    ("request-response memory with no pair", lambda: rr_product(A, ()),
      InputError, "request-response needs at least one pair"),
     ("solve an unknown objective", lambda: solve_objective(A, "parity"),
      InputError, "no solver for objective 'parity'"),
-    # quantred
-    ("target that is not the expansion",
-     lambda: validate_expansion(_same_arena_target()),
-     InputError, "target arena is not the memory expansion of the source"),
-    ("compose onto a target without relabeled", _compose_onto_plain_target,
-     InputError, "target game does not support vertex relabeling"),
     # ranked
     ("sup solve of a lim game", lambda: solve_sup_with_bound(LIM, 0),
      InputError, "solve_sup_with_bound needs a sup-mode game"),

@@ -10,13 +10,14 @@ the reference on owner, states, initial state, update rows and moves.
 import random
 
 import pullback_reference as ref
+import rr_reference
 from rankgames import memory, qualsolve
-from rankgames.arena import attractor
+from rankgames.arena import Arena, attractor
 from rankgames.extnat import INF
 from rankgames.gen import random_arena, random_costrr_game, random_subset
 from rankgames.memory import FiniteStateStrategy, MemoryStructure, trivial_memory
 from rankgames.objectives import RequestResponse
-from rankgames.qualsolve import rr_memory, solve_buchi, solve_request_response
+from rankgames.qualsolve import rr_product, solve_buchi, solve_request_response
 from rankgames.quantred import Cap, QuantReduction, lift_strategy
 from rankgames.ranked import RankedGame, solve_sup_with_bound
 from rankgames.rrcost import build_reduction, cap_bound, optimize
@@ -106,14 +107,26 @@ class TestLiftedReductionStrategies:
                                     game.arena)
 
 
+def _six_pair_game():
+    """A 20-vertex request-response game with 6 pairs."""
+    rng = random.Random(2021)
+    arena = random_arena(rng, 20, p0_max_outdeg=3)
+    return arena, tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
+                        for _ in range(6))
+
+
 class TestRequestResponseStrategies:
     def _assert_builder_matches(self, arena, pairs, within):
-        mem, product = rr_memory(arena, pairs, within)
-        res = solve_buchi(product.arena, frozenset(
+        product = rr_product(arena, pairs, within)
+        res = solve_buchi(product, frozenset(
             i for i, (_v, (opened, ptr)) in enumerate(product.pairs) if ptr not in opened))
+        ref_mem, _seeds, ref_product = rr_reference.rr_memory(arena, pairs, within)
+        name = product.pairs
+        starts = [name[i] for i in product.starts]
         got = solve_request_response(arena, pairs, within)
         for player in (0, 1):
-            want = ref.compose_numbered(mem, product, res.moves(player), player)
+            moves = {name[i]: name[k] for i, k in res.moves(player).items()}
+            want = ref.compose_numbered(ref_mem, ref_product, starts, moves, player)
             assert _rows(got.build(player)) == _rows(want)
 
     def test_inside_and_outside_an_alive_set(self):
@@ -137,10 +150,23 @@ class TestRequestResponseStrategies:
             return trivial_memory(arena)
         for module in (memory, qualsolve):
             monkeypatch.setattr(module, "trivial_memory", spy, raising=False)
-        rng = random.Random(2021)
-        arena = random_arena(rng, 20, p0_max_outdeg=3)
-        pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
-                      for _ in range(6))
+        arena, pairs = _six_pair_game()
         for player in (0, 1):
             assert solve_request_response(arena, pairs).strategy_of(player).next_move
+        assert calls == []
+
+    def test_the_buchi_game_is_solved_on_the_numbered_product(self, monkeypatch):
+        # no arena is built for the product: the Buchi solver reads the
+        # numbered product itself
+        arena, pairs = _six_pair_game()
+        calls = []
+        build = Arena._set
+
+        def spy(self, owner, edges):
+            calls.append(len(owner))
+            return build(self, owner, edges)
+        monkeypatch.setattr(Arena, "_set", spy)
+        res = solve_request_response(arena, pairs)
+        for player in (0, 1):
+            assert res.strategy_of(player).next_move
         assert calls == []

@@ -11,7 +11,7 @@ from rankgames.gen import random_arena, random_subset
 from rankgames.memory import trivial_memory
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
                                   SafetyAndCoBuchi)
-from rankgames.qualsolve import (rr_memory, solve_buchi, solve_cobuchi,
+from rankgames.qualsolve import (rr_product, solve_buchi, solve_cobuchi,
                                  solve_objective, solve_request_response,
                                  solve_safety, solve_safety_cobuchi)
 from rankgames.verify import verify_strategy
@@ -113,16 +113,18 @@ class TestSolveRequestResponse:
         certify_both(a2, RequestResponse(pairs), res, seeds=seeds)
 
     def test_memory_rows_are_exactly_the_product_edges(self):
-        # the memory is tabulated only on (state, edge) pairs the product
-        # reaches from the seeds, one row per product edge
+        # the reference memory is tabulated only on (state, edge) pairs the
+        # product reaches from the seeds, one row per product edge
         rng = random.Random(12)
         for _ in range(20):
             d = rng.randint(1, 3)
             arena = random_arena(rng, rng.randint(2, 6))
             pairs = tuple((random_subset(rng, arena), random_subset(rng, arena))
                           for _ in range(d))
-            mem, numbered = rr_memory(arena, pairs)
-            assert len(mem.update) == len(numbered.arena.edges)
+            product = rr_product(arena, pairs)
+            ref_mem = rr_reference.rr_memory(arena, pairs)[0]
+            assert sum(map(len, product.succ.values())) == len(ref_mem.update)
+            assert _memory_rows(product) == ref_mem.update
 
     def test_many_pairs_on_a_cycle(self):
         # d * 2^d memory states for d = 14, of which only a handful can be
@@ -299,18 +301,37 @@ def _strategy_rows(strategy):
     return strategy.owner, mem.states, mem.initial, mem.update, strategy.next_move
 
 
+def _memory_rows(product):
+    """A numbered product's edges read as open-request memory rows,
+    ``{(state, edge): state}``, one per edge."""
+    name = product.pairs
+    return {(name[i][1], (name[i][0], name[k][0])): name[k][1]
+            for i, out in product.succ.items() for k in out}
+
+
+def _graph_fields(arena, name=lambda v: v):
+    """Initial vertex, owners, successor and predecessor lists, in the
+    graph's own order, with every vertex renamed by ``name``."""
+    def lists(table):
+        return [(name(v), [name(w) for w in out]) for v, out in table.items()]
+    return (name(arena.initial), [(name(v), p) for v, p in arena.owner.items()],
+            lists(arena.succ), lists(arena.pred))
+
+
 def _assert_matches_tuple_reference(arena, pairs, within):
-    """rr_memory and solve_request_response on bitmasks equal the tuple
-    reference: memory, seeds, product up to its numbering, regions and
-    both strategies."""
-    mem, product = rr_memory(arena, pairs, within)
+    """rr_product and solve_request_response on bitmasks equal the tuple
+    reference: memory states, seeds, product up to its numbering (its
+    edges are the reference memory's rows), regions and both
+    strategies."""
+    product = rr_product(arena, pairs, within)
     ref_mem, ref_seeds, ref_product = rr_reference.rr_memory(arena, pairs, within)
-    assert (mem.states, mem.initial, mem.update) == (ref_mem.states, ref_mem.initial,
-                                                     ref_mem.update)
+    assert (product.states, product.pairs[product.initial][1]) == (ref_mem.states,
+                                                                   ref_mem.initial)
+    assert _memory_rows(product) == ref_mem.update
     # one start per alive vertex, in vertex order, paired with its seed state
     assert [product.pairs[i] for i in product.starts] == list(ref_seeds.items())
     assert list(product.pairs) == list(ref_product.vertices)
-    assert relabel(product.arena, product.pairs.__getitem__) == ref_product
+    assert _graph_fields(product, product.pairs.__getitem__) == _graph_fields(ref_product)
     got = solve_request_response(arena, pairs, within)
     want = rr_reference.solve_request_response(arena, pairs, within)
     assert (got.region_0, got.region_1) == (want.region_0, want.region_1)

@@ -1,24 +1,26 @@
 """The trusted constructors build what the validating ones build.
 
 The game-file parser, the strategy-file reader and the product walks
-(``explore_product``, ``rr_memory``, ``pull_back``, ``trivial_memory`` and
+(``explore_product``, ``pull_back``, ``trivial_memory`` and
 ``solve_pruned``'s builder) check their rows themselves and build arenas
 and memories through ``Arena._checked`` and ``MemoryStructure._checked``,
 which check nothing again.  Each result here must equal, field by field and
 in iteration order, what ``Arena(owner, edges, initial)`` and
 ``MemoryStructure(...)`` build from the same rows, and those must accept
-the rows.
+the rows.  ``rr_product`` builds no arena: the graph fields of its
+numbered product must equal those of the arena built from its rows.
 """
 
 import json
 import random
 
+import rr_reference
 from rankgames.arena import Arena, attractor
 from rankgames.fileformat import (game_to_doc, parse_game_doc, strategy_from_doc,
                                   strategy_to_doc)
 from rankgames.gen import random_arena, random_subset
 from rankgames.memory import MemoryStructure, explore_product, trivial_memory
-from rankgames.qualsolve import (rr_memory, solve_objective, solve_request_response,
+from rankgames.qualsolve import (rr_product, solve_objective, solve_request_response,
                                  solve_safety_cobuchi)
 from rankgames.verify import verify_strategy
 
@@ -28,6 +30,13 @@ from test_cli_bytes import _games, reversed_rows
 def arena_fields(arena):
     return (arena.vertices, list(arena.owner.items()), arena.edges, arena.initial,
             list(arena.succ.items()), list(arena.pred.items()))
+
+
+def graph_fields(graph):
+    """What the solvers read of an arena or a numbered product, in its own
+    order."""
+    return (tuple(graph.vertices), list(graph.owner.items()), graph.initial,
+            [(v, tuple(out)) for v, out in graph.succ.items()], list(graph.pred.items()))
 
 
 def memory_fields(mem):
@@ -90,12 +99,12 @@ def test_rr_memory_products_inside_and_outside_an_alive_set():
         pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
                       for _ in range(rng.randint(1, 3)))
         for within in (None, _trap(rng, arena)):
-            mem, product = rr_memory(arena, pairs, within)
-            numbered = product.arena
-            assert_arena_as_validated(numbered, numbered.owner, numbered.edges,
-                                      numbered.initial)
-            assert numbered.vertices == tuple(range(len(product.pairs)))
-            assert_memory_as_validated(mem)
+            product = rr_product(arena, pairs, within)
+            edges = [(i, k) for i, out in product.succ.items() for k in out]
+            assert graph_fields(product) == graph_fields(
+                Arena(product.owner, edges, product.initial))
+            assert product.vertices == range(len(product.pairs))
+            assert product.states == rr_reference.rr_memory(arena, pairs, within)[0].states
             res = solve_request_response(arena, pairs, within)
             for player in (0, 1):  # pulled back through the numbered product
                 assert_memory_as_validated(res.strategy_of(player).memory)

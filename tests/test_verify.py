@@ -223,7 +223,7 @@ class TestEnumerate:
 
         def disabled(*_args, **_kwargs):
             raise AssertionError("the solver's open-set code ran")
-        monkeypatch.setattr(qualsolve, "rr_memory", disabled)
+        monkeypatch.setattr(qualsolve, "rr_product", disabled)
         verdicts = [verify_strategy(arena, RequestResponse(pairs), strategy).certified
                     for arena, pairs, strategy, _wins in cases]
         assert verdicts == [wins for *_rest, wins in cases]
