@@ -3,95 +3,65 @@ workload.
 
 Usage, from any directory:
 
-    python3 tools/same_answers.py [--src DIR] [--workload NAME] [--limit N] [--seed S]
+    python3 tools/same_answers.py [--src DIR] [--workload NAME] [--limit N]
 
-For each workload of ``bench/workloads.py`` (imported, never written), the
-instances of the seed are generated into a temporary directory.  Then
-every request of every instance's plan runs in this process through
-``rankgames.cli.main``, the package imported from ``DIR`` (default: the
-``src`` of the checkout this script sits in).  With ``--limit N`` only
-the first N instances of each workload run.
+For each workload of ``bench/workloads.py``, the instances of the bench's
+default seed (the one ``bench/golden`` records) are generated into a
+temporary directory.  Then every request of every instance's plan runs
+in this process as the bench worker runs it (``bench/worker.py``'s
+``import_rankgames`` and ``run_instance``; nothing under ``bench/`` is
+written), with the package imported from ``DIR`` (default: the ``src``
+of the checkout this script sits in).  With ``--limit N`` only the first
+N instances of each workload run.
 
 One line is printed per workload: its name, the instances and requests
 run, and a sha256 over, request by request, the argv (game and strategy
 paths relative to the temporary directory), the exit code, stdout,
-stderr and the bytes of the strategy file written by ``--out``.
-``bench/golden`` records stdout only, not strategy files.  Two trees, or
-two runs under different ``PYTHONHASHSEED`` values, give the same answers
-when they print the same lines.
+stderr (its last 500 characters, as the worker keeps it) and the bytes
+of the strategy file written by ``--out``.  ``bench/golden`` records
+stdout only, not strategy files.  Two trees, or two runs under different
+``PYTHONHASHSEED`` values, give the same answers when they print the
+same lines.
 
-Exits 1 when a plan finds an answer wrong (the check's message goes to
-stderr; the digest still covers every request that ran).
+Exits 1 when a request fails or a plan finds an answer wrong (the reason
+goes to stderr; the digest still covers every request that ran).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import importlib
-import io
 import json
 import os
 import sys
 import tempfile
-import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads as wl  # noqa: E402
-
-MODULES = ("cli", "gen", "fileformat", "objectives", "ranked", "resilience", "rrcost")
-
-
-def load(src: str):
-    """The package's modules, imported from ``src``."""
-    src = os.path.realpath(src)
-    sys.path.insert(0, src)
-    pkg = importlib.import_module("rankgames")
-    if not os.path.realpath(pkg.__file__).startswith(src + os.sep):
-        raise SystemExit(f"rankgames imported from {pkg.__file__}, not from {src}")
-    return types.SimpleNamespace(**{m: importlib.import_module(f"rankgames.{m}")
-                                    for m in MODULES})
+import worker  # noqa: E402
+from run import DEFAULT_SEED, LIMIT_S  # noqa: E402
 
 
-def run_plan(rk, inst, digest) -> tuple:
-    """Run one instance's requests, feeding each into ``digest``; returns
-    the number run and the failed check's message, or ``None``."""
-    plan, reply, count = wl.plan(inst), None, 0
-    while True:
-        try:
-            req = plan.send(reply) if count else next(plan)
-        except StopIteration:
-            return count, None
-        except wl.CheckFailed as exc:
-            return count, str(exc)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = rk.cli.main(list(req.argv))
-        count += 1
-        row = [list(req.argv), code, out.getvalue(), err.getvalue()]
-        digest.update(json.dumps(row).encode() + b"\n")
-        if "--out" in req.argv:
-            data = Path(req.argv[req.argv.index("--out") + 1]).read_bytes()
-            digest.update(b"%d\n" % len(data) + data)
-        if code not in req.codes:
-            return count, f"exit code {code}, expected one of {list(req.codes)}"
-        reply = (code, out.getvalue())
-
-
-def answers(rk, workload: str, seed: int, limit) -> tuple:
-    """Instances run, requests run, digest and failed checks of one
+def answers(rk, guard, workload: str, limit) -> tuple:
+    """Instances run, requests run, digest and failed requests of one
     workload, built and run in the current directory."""
-    instances = wl.build(workload, rk, seed, workload)[:limit]
+    instances = wl.build(workload, rk, DEFAULT_SEED, workload)[:limit]
     digest, requests, failed = hashlib.sha256(), 0, []
     for inst in instances:
-        count, failure = run_plan(rk, inst, digest)
-        requests += count
-        if failure is not None:
-            failed.append(f"{inst.game}: {failure}")
+        for rec in worker.run_instance(rk, guard, inst):
+            requests += 1
+            row = [rec["argv"], rec["code"], rec["stdout"], rec["stderr"]]
+            digest.update(json.dumps(row).encode() + b"\n")
+            argv = rec["argv"]
+            if "--out" in argv:
+                out = Path(argv[argv.index("--out") + 1])
+                data = out.read_bytes() if out.exists() else b""
+                digest.update(b"%d\n" % len(data) + data)
+            if rec["error"] is not None:
+                failed.append(f"{inst.game}: {rec['error']}")
     return len(instances), requests, digest.hexdigest(), failed
 
 
@@ -103,22 +73,22 @@ def main(argv=None) -> int:
                     help="workload to run (repeatable; default: all)")
     ap.add_argument("--limit", type=int, default=None,
                     help="run only the first N instances of each workload")
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    rk = load(args.src)
+    rk = worker.import_rankgames(os.path.abspath(args.src))
+    guard = worker.Guard(LIMIT_S)
     failed = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="same-answers-") as work:
         os.chdir(work)
         try:
             for workload in args.workload or wl.WORKLOADS:
-                n, requests, digest, bad = answers(rk, workload, args.seed, args.limit)
+                n, requests, digest, bad = answers(rk, guard, workload, args.limit)
                 print(f"{workload} {n} instances {requests} requests {digest}", flush=True)
                 failed += bad
         finally:
             os.chdir(home)
     for line in failed:
-        print(f"check failed: {line}", file=sys.stderr)
+        print(f"failed: {line}", file=sys.stderr)
     return 1 if failed else 0
 
 
