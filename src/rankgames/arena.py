@@ -94,10 +94,15 @@ class Arena:
     def _set(self, owner: Mapping[Vertex, int], edges: Iterable[Edge]):
         """Set the fields from rows whose edges join owned vertices:
         ``vertices`` the sorted owner keys, ``owner`` in their order,
-        ``edges`` a frozenset and ``succ[v]`` ``v``'s successors sorted."""
-        verts, edges = tuple(sorted(owner)), frozenset(edges)
+        ``edges`` a frozenset and ``succ[v]`` ``v``'s successors sorted.
+        Rows given as a list with no repeats fill each successor list in
+        their order; game files list edges sorted, so the sorts then only
+        confirm the order."""
+        verts, rows, edges = tuple(sorted(owner)), edges, frozenset(edges)
+        if type(rows) is not list or len(rows) != len(edges):
+            rows = edges
         succ = {v: [] for v in verts}
-        for u, w in edges:
+        for u, w in rows:
             succ[u].append(w)
         for out in succ.values():
             out.sort()

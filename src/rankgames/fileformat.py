@@ -10,12 +10,20 @@ The on-disk layout of a strategy file is part of the format: the text
 ``json.dump(strategy_to_doc(s), indent=2, sort_keys=True)`` writes, plus
 a final newline.  ``write_strategy`` emits that layout directly from the
 rows, and a test holds its bytes to the ``json`` reference; it rewrites an
-existing file in place and cuts it to length.  Readers check
-each row inline and fall back to the field-by-field checks only to word
-the first error.  Each row is checked once, here: the strategy reader
-takes the game's arena and checks every update and move row against it in
-the pass that reads the row, and the arenas and memories the readers
-build go through the trusted constructors, which check nothing again.
+existing file in place and cuts it to length.
+
+Readers take each table of a file (vertex, edge, cost, fault, update and
+move rows, objective sets, rank values) whole: one comprehension reads it
+and one check over the whole table accepts it, by its row count against
+the size of the dict it built (duplicates), the types of its values and
+their containment in the known vertices, edges and memory states.  Only a
+table the check rejects is walked row by row, through the field-by-field
+checks of ``_need``, which word its first error in file order.  The
+strategy reader takes the game's arena and checks the update and move
+tables against it.  The arenas and memories the readers build go through
+the trusted constructors, which check nothing again; the ranked and fault
+games go through their public constructors, whose checks are table checks
+too.
 """
 
 from __future__ import annotations
@@ -23,17 +31,21 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional
 
 from .arena import Arena
 from .errors import InputError
 from .memory import FiniteStateStrategy, MemoryStructure
 from .objectives import (Buchi, CoBuchi, CostRRSpec, Objective,
-                         RequestResponse, Safety, SafetyAndCoBuchi)
+                         RequestResponse, Safety, SafetyAndCoBuchi, _naturals)
 from .ranked import RankedGame
 from .resilience import FaultArena
 from .rrcost import CostRRGame
+
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -59,24 +71,34 @@ def _need(doc, key, where, kind):
 
 
 def _vertex_list(ids, known, where):
-    out = []
+    try:
+        out = frozenset(ids)
+        if known.keys() >= out:
+            return out
+    except TypeError:
+        pass
+    # a list the check rejects has a row that fails here
     for i, v in enumerate(ids):
         if not isinstance(v, str) or v not in known:
             raise InputError(f"{where}[{i}]: unknown vertex id {v!r}")
-        out.append(v)
-    return frozenset(out)
 
 
 def _parse_arena(doc) -> Arena:
-    # Rows that are certainly valid pass one inline check; any other row
-    # goes through the field-by-field checks, which word its error.
+    # Each table is read by one comprehension, which raises TypeError or
+    # KeyError on a row that is not an object or lacks a field, and accepted
+    # by one check; a table it rejects is walked with _need, which words the
+    # first error.
     arena = _need(doc, "arena", "game", dict)
     vertices = _need(arena, "vertices", "arena", list)
-    owner = {}
-    for i, entry in enumerate(vertices):
-        if not (type(entry) is dict and type(vid := entry.get("id")) is str
-                and vid not in owner and type(pl := entry.get("owner")) is int
-                and pl in (0, 1)):
+    try:
+        owner = {entry["id"]: entry["owner"] for entry in vertices}
+        ok = (len(owner) == len(vertices) and {str} >= set(map(type, owner))
+              and {int} >= set(map(type, owner.values())) and {0, 1}.issuperset(owner.values()))
+    except (TypeError, KeyError):
+        ok = False
+    if not ok:
+        owner = {}
+        for i, entry in enumerate(vertices):
             where = f"arena.vertices[{i}]"
             vid = _need(entry, "id", where, str)
             if vid in owner:
@@ -84,27 +106,32 @@ def _parse_arena(doc) -> Arena:
             pl = _need(entry, "owner", where, int)
             if pl not in (0, 1):
                 raise InputError(f"{where}.owner: must be 0 or 1")
-        owner[vid] = pl
-    edges = []
-    for i, entry in enumerate(_need(arena, "edges", "arena", list)):
-        if not (type(entry) is dict and type(u := entry.get("from")) is str
-                and type(w := entry.get("to")) is str and u in owner and w in owner):
+            owner[vid] = pl
+    rows = _need(arena, "edges", "arena", list)
+    try:
+        edges = [(entry["from"], entry["to"]) for entry in rows]
+        # the ids are strings, so containment checks the endpoints' type too
+        ok = owner.keys() >= set(chain.from_iterable(edges))
+    except (TypeError, KeyError):
+        ok = False
+    if not ok:
+        edges = []
+        for i, entry in enumerate(rows):
             where = f"arena.edges[{i}]"
             u = _need(entry, "from", where, str)
             w = _need(entry, "to", where, str)
             for v in (u, w):
                 if v not in owner:
                     raise InputError(f"{where}: unknown vertex id {v!r}")
-        edges.append((u, w))
+            edges.append((u, w))
     initial = _need(arena, "initial", "arena", str)
     if initial not in owner:
         raise InputError(f"arena.initial: unknown vertex id {initial!r}")
-    with_out = {u for u, _ in edges}
-    if len(with_out) != len(owner):
-        for v in sorted(owner):
-            if v not in with_out:
-                raise InputError(f"arena: vertex {v!r} has no outgoing edge")
-    return Arena._checked(owner, edges, initial)
+    checked = Arena._checked(owner, edges, initial)
+    if not all(checked.succ.values()):
+        v = next(v for v in checked.vertices if not checked.succ[v])
+        raise InputError(f"arena: vertex {v!r} has no outgoing edge")
+    return checked
 
 
 # objective type names in files; the flat kinds' field names are their keys
@@ -147,52 +174,74 @@ def parse_game_doc(doc) -> LoadedGame:
         rank = _need(doc, "rank", "game", dict)
         mode = _need(rank, "mode", "rank", str)
         values = _need(rank, "values", "rank", dict)
-        rk = {}
-        for v, r in values.items():
-            if v not in arena.owner:
-                raise InputError(f"rank.values: unknown vertex id {v!r}")
-            if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-                raise InputError(f"rank.values.{v}: rank must be a natural number")
-            rk[v] = r
-        for v in arena.vertices:
-            rk.setdefault(v, 0)
+        if not (arena.owner.keys() >= values.keys() and _naturals(values.values())):
+            for v, r in values.items():
+                if v not in arena.owner:
+                    raise InputError(f"rank.values: unknown vertex id {v!r}")
+                if not isinstance(r, int) or isinstance(r, bool) or r < 0:
+                    raise InputError(f"rank.values.{v}: rank must be a natural number")
+        rk = dict(values)
+        if len(rk) < len(arena.owner):
+            for v in arena.vertices:
+                rk.setdefault(v, 0)
         game = RankedGame(arena, objective, rk, mode)
         return LoadedGame("ranked", arena, objective, ranked=game)
     if sections[0] == "costs":
         if not isinstance(objective, RequestResponse):
             raise InputError("costs: edge costs need a request_response objective")
-        costs = {}
-        for i, entry in enumerate(_need(doc, "costs", "game", list)):
-            where = f"costs[{i}]"
-            c = _need(entry, "pair", where, int)
-            if not (0 <= c < len(objective.pairs)):
-                raise InputError(f"{where}.pair: no pair with index {c}")
-            u = _need(entry, "from", where, str)
-            w = _need(entry, "to", where, str)
-            if (u, w) not in arena.edges:
-                raise InputError(f"{where}: ({u!r}, {w!r}) is not an edge")
-            cost = _need(entry, "cost", where, int)
-            if cost < 0:
-                raise InputError(f"{where}.cost: must be a natural number")
-            if (c, (u, w)) in costs:
-                raise InputError(f"{where}: duplicate cost row")
-            costs[(c, (u, w))] = cost
+        rows = _need(doc, "costs", "game", list)
+        try:
+            costs = {(entry["pair"], (entry["from"], entry["to"])): entry["cost"]
+                     for entry in rows}
+            pairs = list(map(_first, costs))
+            ok = (len(costs) == len(rows) and _naturals(pairs)
+                  and max(pairs, default=0) < len(objective.pairs)
+                  and arena.edges.issuperset(map(_second, costs)) and _naturals(costs.values()))
+        except (TypeError, KeyError):
+            ok = False
+        if not ok:
+            costs = {}
+            for i, entry in enumerate(rows):
+                where = f"costs[{i}]"
+                c = _need(entry, "pair", where, int)
+                if not (0 <= c < len(objective.pairs)):
+                    raise InputError(f"{where}.pair: no pair with index {c}")
+                u = _need(entry, "from", where, str)
+                w = _need(entry, "to", where, str)
+                if (u, w) not in arena.edges:
+                    raise InputError(f"{where}: ({u!r}, {w!r}) is not an edge")
+                cost = _need(entry, "cost", where, int)
+                if cost < 0:
+                    raise InputError(f"{where}.cost: must be a natural number")
+                if (c, (u, w)) in costs:
+                    raise InputError(f"{where}: duplicate cost row")
+                costs[(c, (u, w))] = cost
         spec = CostRRSpec(objective.pairs, costs)
         return LoadedGame("costrr", arena, objective, costrr=CostRRGame(arena, spec))
     if not isinstance(objective, Safety):
         raise InputError("faults: fault pairs need a safety objective")
-    faults = set()
-    for i, entry in enumerate(_need(doc, "faults", "game", list)):
-        where = f"faults[{i}]"
-        u = _need(entry, "from", where, str)
-        w = _need(entry, "to", where, str)
-        for v in (u, w):
-            if v not in arena.owner:
-                raise InputError(f"{where}: unknown vertex id {v!r}")
-        if arena.owner[u] != 0:
-            raise InputError(f"{where}: fault source must be owned by Player 0")
-        faults.add((u, w))
-    fa = FaultArena(arena, frozenset(faults), objective.safe)
+    rows = _need(doc, "faults", "game", list)
+    owner = arena.owner
+    try:
+        sources = [entry["from"] for entry in rows]
+        targets = [entry["to"] for entry in rows]
+        ok = owner.keys() >= set(targets) and {0} >= set(map(owner.get, sources))
+    except (TypeError, KeyError):
+        ok = False
+    if not ok:
+        sources, targets = [], []
+        for i, entry in enumerate(rows):
+            where = f"faults[{i}]"
+            u = _need(entry, "from", where, str)
+            w = _need(entry, "to", where, str)
+            for v in (u, w):
+                if v not in owner:
+                    raise InputError(f"{where}: unknown vertex id {v!r}")
+            if owner[u] != 0:
+                raise InputError(f"{where}: fault source must be owned by Player 0")
+            sources.append(u)
+            targets.append(w)
+    fa = FaultArena(arena, frozenset(zip(sources, targets)), objective.safe)
     return LoadedGame("fault", arena, objective, fault=fa)
 
 
@@ -282,13 +331,12 @@ def _fields(entry, names, where):
 
 
 def strategy_from_doc(doc, arena: Arena) -> FiniteStateStrategy:
-    """The strategy a document holds, each row checked against ``arena``
-    in the pass that reads it.  Format errors come first, in file order,
-    with the memory's state errors after its update rows; then the owner;
-    then the first row that does not fit the game, update rows before
-    moves."""
-    # As in _parse_arena, only rows that fail the inline check go through
-    # _need, which words their error.
+    """The strategy a document holds, each row checked against ``arena``.
+    Format errors come first, in file order, with the memory's state errors
+    after its update rows; then the owner; then the first row that does not
+    fit the game, update rows before moves."""
+    # As in _parse_arena, a table that fails its check is walked row by row
+    # with _need, which words the first error.
     if not isinstance(doc, dict):
         raise InputError("strategy file must hold a JSON object")
     owner = _need(doc, "owner", "strategy", int)
@@ -298,32 +346,43 @@ def strategy_from_doc(doc, arena: Arena) -> FiniteStateStrategy:
         raise InputError("memory.states: state names must be distinct strings")
     initial = _need(memdoc, "initial", "memory", str)
     known, edges, vertex_owner = set(states), arena.edges, arena.owner
-    update, unknown, game_error = {}, False, None
-    for i, entry in enumerate(_need(memdoc, "update", "memory", list)):
-        if not (type(entry) is dict and type(s := entry.get("state")) is str
-                and type(u := entry.get("from")) is str and type(w := entry.get("to")) is str
-                and type(t := entry.get("next")) is str and s in known and t in known
-                and (u, w) in edges):
+    rows = _need(memdoc, "update", "memory", list)
+    unknown, game_error = False, None
+    try:
+        update = {(entry["state"], (entry["from"], entry["to"])): entry["next"]
+                  for entry in rows}
+        ok = (len(update) == len(rows) and known.issuperset(map(_first, update))
+              and known.issuperset(update.values()) and edges.issuperset(map(_second, update)))
+    except (TypeError, KeyError):
+        ok = False
+    if not ok:
+        update = {}
+        for i, entry in enumerate(rows):
             s, u, w, t = _fields(entry, ("state", "from", "to", "next"), f"memory.update[{i}]")
             unknown = unknown or s not in known or t not in known
             if game_error is None and (u, w) not in edges:
                 game_error = f"strategy memory reads unknown edge {(u, w)!r}"
-        key = (s, (u, w))
-        if key in update:
-            raise InputError(f"memory.update[{i}]: duplicate update row")
-        update[key] = t
+            key = (s, (u, w))
+            if key in update:
+                raise InputError(f"memory.update[{i}]: duplicate update row")
+            update[key] = t
     # state errors come after every row error, the initial state's first
     if initial not in known:
         raise InputError(f"initial memory state {initial!r} is not a state")
     if unknown:
         raise InputError("memory update mentions an unknown state")
     mem = MemoryStructure._checked(states, initial, update)
-    moves = {}
-    for i, entry in enumerate(_need(doc, "moves", "strategy", list)):
-        if not (type(entry) is dict and type(v := entry.get("vertex")) is str
-                and type(s := entry.get("state")) is str and s in known
-                and type(w := entry.get("target")) is str
-                and vertex_owner.get(v) == owner and (v, w) in edges):
+    rows = _need(doc, "moves", "strategy", list)
+    try:
+        moves = {(entry["vertex"], entry["state"]): entry["target"] for entry in rows}
+        ok = (len(moves) == len(rows) and known.issuperset(map(_second, moves))
+              and edges.issuperset(zip(map(_first, moves), moves.values()))
+              and {owner} >= set(map(vertex_owner.get, map(_first, moves))))
+    except (TypeError, KeyError):
+        ok = False
+    if not ok:
+        moves = {}
+        for i, entry in enumerate(rows):
             v, s, w = _fields(entry, ("vertex", "state", "target"), f"moves[{i}]")
             if s not in known:
                 raise InputError(f"moves[{i}]: unknown memory state {s!r}")
@@ -334,9 +393,9 @@ def strategy_from_doc(doc, arena: Arena) -> FiniteStateStrategy:
                     game_error = f"strategy moves at vertex {v!r} not owned by player {owner}"
                 elif (v, w) not in edges:
                     game_error = f"strategy move ({v!r} -> {w!r}) is not an edge"
-        if (v, s) in moves:
-            raise InputError(f"moves[{i}]: duplicate move row")
-        moves[(v, s)] = w
+            if (v, s) in moves:
+                raise InputError(f"moves[{i}]: duplicate move row")
+            moves[(v, s)] = w
     strategy = FiniteStateStrategy(owner, mem, moves)
     if game_error is not None:
         raise InputError(game_error)

@@ -37,14 +37,16 @@ class FaultArena:
     def __post_init__(self):
         object.__setattr__(self, "faults", frozenset(self.faults))
         object.__setattr__(self, "safe", frozenset(self.safe))
-        vs = set(self.arena.vertices)
-        if not self.safe <= vs:
+        owner = self.arena.owner
+        if not owner.keys() >= self.safe:
             raise InputError("safe set mentions unknown vertices")
-        for u, v in sorted(self.faults):  # the least faulty pair is reported
-            if u not in vs or v not in vs:
-                raise InputError(f"fault ({u!r}, {v!r}) mentions an unknown vertex")
-            if self.arena.owner[u] != 0:
-                raise InputError(f"fault source {u!r} must be owned by Player 0")
+        if not (owner.keys() >= {v for _, v in self.faults}
+                and {0} >= {owner.get(u) for u, _ in self.faults}):
+            for u, v in sorted(self.faults):  # the least faulty pair is reported
+                if u not in owner or v not in owner:
+                    raise InputError(f"fault ({u!r}, {v!r}) mentions an unknown vertex")
+                if owner[u] != 0:
+                    raise InputError(f"fault source {u!r} must be owned by Player 0")
 
 
 def compute_val(fa: FaultArena) -> Dict[Vertex, ExtNat]:

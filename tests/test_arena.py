@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankgames.arena import Arena, Lasso, attractor
 from rankgames.errors import InputError
+from rankgames.gen import random_arena
+from rankgames.memory import explore, explore_product
 
 from conftest import rotated, with_loop_repeated
 from theory import restrict
@@ -46,6 +50,44 @@ class TestArenaConstruction:
         arena = Arena({"z": 0, "a": 1, "m": 0},
                       [("z", "a"), ("a", "m"), ("m", "z")], "z")
         assert arena.vertices == ("a", "m", "z")
+
+    @staticmethod
+    def _fields(arena):
+        return (arena.vertices, list(arena.owner.items()), arena.edges,
+                list(arena.succ.items()), list(arena.pred.items()))
+
+    def _assert_rows_in_any_order_build_one_arena(self, rng, owner, rows, initial):
+        # a list without repeats fills the successor lists in row order; a
+        # list with a repeat and a frozenset take the unordered path
+        shuffled = rng.sample(rows, len(rows))
+        repeated = [*rows, rng.choice(rows)]
+        expected = self._fields(Arena(owner, rows, initial))
+        for edges in (rows, shuffled, repeated, frozenset(rows)):
+            assert self._fields(Arena._checked(owner, edges, initial)) == expected
+            assert self._fields(Arena(owner, edges, initial)) == expected
+
+    def test_row_order_does_not_change_the_arena(self):
+        for seed in range(20):
+            rng = random.Random(f"arena-rows:{seed}")
+            arena = random_arena(rng, rng.randint(1, 12))
+            rows = sorted(arena.edges)  # file order
+            self._assert_rows_in_any_order_build_one_arena(
+                rng, dict(arena.owner), rows, arena.initial)
+
+    def test_product_walk_rows_in_breadth_first_order(self):
+        def step(s, e):
+            return (s + len(e[1])) % 3
+
+        for seed in range(20):
+            rng = random.Random(f"arena-product-rows:{seed}")
+            arena = random_arena(rng, rng.randint(1, 12))
+            start = (arena.initial, 0)
+            _reached, update = explore(arena, [start], step)
+            rows = [((u, s), (w, t)) for (s, (u, w)), t in update.items()]  # walk order
+            _memory, product = explore_product(arena, 0, step)
+            assert self._fields(product) == self._fields(Arena(product.owner, rows, start))
+            self._assert_rows_in_any_order_build_one_arena(
+                rng, dict(product.owner), rows, start)
 
 
 class TestAttractor:
