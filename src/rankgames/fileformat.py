@@ -12,18 +12,19 @@ a final newline.  ``write_strategy`` emits that layout directly from the
 rows, and a test holds its bytes to the ``json`` reference; it rewrites an
 existing file in place and cuts it to length.
 
-Readers take each table of a file (vertex, edge, cost, fault, update and
-move rows, objective sets, rank values) whole: one comprehension reads it
-and one check over the whole table accepts it, by its row count against
-the size of the dict it built (duplicates), the types of its values and
-their containment in the known vertices, edges and memory states.  Only a
-table the check rejects is walked row by row, through the field-by-field
-checks of ``_need``, which word its first error in file order.  The
-strategy reader takes the game's arena and checks the update and move
-tables against it.  The arenas and memories the readers build go through
-the trusted constructors, which check nothing again; the ranked and fault
-games go through their public constructors, whose checks are table checks
-too.
+Readers take the vertex, edge, update and move tables of a file, and the
+objective's vertex lists, whole: one comprehension reads a table and one
+check over the whole table accepts it, by its row count against the size
+of the dict it built (duplicates), the types of its values and their
+containment in the known vertices, edges and memory states.  The rank
+values and fault rows are checked once, by ``RankedGame`` and
+``FaultArena``, whose checks are such table checks too.  Only a table a
+check rejects is walked row by row, through the field-by-field checks of
+``_need``, which word its first error in file order.  Cost tables, a few
+rows long, are only walked.  The strategy reader takes the game's arena
+and checks the update and move tables against it.  The arenas and
+memories the readers build go through the trusted constructors, which
+check nothing again.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .arena import Arena
 from .errors import InputError
 from .memory import FiniteStateStrategy, MemoryStructure
 from .objectives import (Buchi, CoBuchi, CostRRSpec, Objective,
-                         RequestResponse, Safety, SafetyAndCoBuchi, _naturals)
+                         RequestResponse, Safety, SafetyAndCoBuchi)
 from .ranked import RankedGame
 from .resilience import FaultArena
 from .rrcost import CostRRGame
@@ -174,74 +175,65 @@ def parse_game_doc(doc) -> LoadedGame:
         rank = _need(doc, "rank", "game", dict)
         mode = _need(rank, "mode", "rank", str)
         values = _need(rank, "values", "rank", dict)
-        if not (arena.owner.keys() >= values.keys() and _naturals(values.values())):
+        rk = dict(values)
+        for v in arena.vertices:
+            rk.setdefault(v, 0)
+        # RankedGame checks the ranks but lets a rank of a non-vertex pass,
+        # which makes rk longer than the arena; only then are the rows
+        # walked, to word the first error
+        try:
+            if len(rk) > len(arena.owner):
+                raise InputError("rank.values: unknown vertex")
+            game = RankedGame(arena, objective, rk, mode)
+        except InputError:
             for v, r in values.items():
                 if v not in arena.owner:
                     raise InputError(f"rank.values: unknown vertex id {v!r}")
                 if not isinstance(r, int) or isinstance(r, bool) or r < 0:
                     raise InputError(f"rank.values.{v}: rank must be a natural number")
-        rk = dict(values)
-        if len(rk) < len(arena.owner):
-            for v in arena.vertices:
-                rk.setdefault(v, 0)
-        game = RankedGame(arena, objective, rk, mode)
+            raise
         return LoadedGame("ranked", arena, objective, ranked=game)
     if sections[0] == "costs":
         if not isinstance(objective, RequestResponse):
             raise InputError("costs: edge costs need a request_response objective")
-        rows = _need(doc, "costs", "game", list)
-        try:
-            costs = {(entry["pair"], (entry["from"], entry["to"])): entry["cost"]
-                     for entry in rows}
-            pairs = list(map(_first, costs))
-            ok = (len(costs) == len(rows) and _naturals(pairs)
-                  and max(pairs, default=0) < len(objective.pairs)
-                  and arena.edges.issuperset(map(_second, costs)) and _naturals(costs.values()))
-        except (TypeError, KeyError):
-            ok = False
-        if not ok:
-            costs = {}
-            for i, entry in enumerate(rows):
-                where = f"costs[{i}]"
-                c = _need(entry, "pair", where, int)
-                if not (0 <= c < len(objective.pairs)):
-                    raise InputError(f"{where}.pair: no pair with index {c}")
-                u = _need(entry, "from", where, str)
-                w = _need(entry, "to", where, str)
-                if (u, w) not in arena.edges:
-                    raise InputError(f"{where}: ({u!r}, {w!r}) is not an edge")
-                cost = _need(entry, "cost", where, int)
-                if cost < 0:
-                    raise InputError(f"{where}.cost: must be a natural number")
-                if (c, (u, w)) in costs:
-                    raise InputError(f"{where}: duplicate cost row")
-                costs[(c, (u, w))] = cost
+        costs = {}
+        for i, entry in enumerate(_need(doc, "costs", "game", list)):
+            where = f"costs[{i}]"
+            c = _need(entry, "pair", where, int)
+            if not (0 <= c < len(objective.pairs)):
+                raise InputError(f"{where}.pair: no pair with index {c}")
+            u = _need(entry, "from", where, str)
+            w = _need(entry, "to", where, str)
+            if (u, w) not in arena.edges:
+                raise InputError(f"{where}: ({u!r}, {w!r}) is not an edge")
+            cost = _need(entry, "cost", where, int)
+            if cost < 0:
+                raise InputError(f"{where}.cost: must be a natural number")
+            if (c, (u, w)) in costs:
+                raise InputError(f"{where}: duplicate cost row")
+            costs[(c, (u, w))] = cost
         spec = CostRRSpec(objective.pairs, costs)
         return LoadedGame("costrr", arena, objective, costrr=CostRRGame(arena, spec))
     if not isinstance(objective, Safety):
         raise InputError("faults: fault pairs need a safety objective")
     rows = _need(doc, "faults", "game", list)
-    owner = arena.owner
+    # FaultArena checks the pairs; the rows are walked only to word the
+    # first error, and a row that is not an object or lacks a field (a
+    # TypeError or KeyError here) always has one
     try:
-        sources = [entry["from"] for entry in rows]
-        targets = [entry["to"] for entry in rows]
-        ok = owner.keys() >= set(targets) and {0} >= set(map(owner.get, sources))
-    except (TypeError, KeyError):
-        ok = False
-    if not ok:
-        sources, targets = [], []
+        fa = FaultArena(arena, frozenset((entry["from"], entry["to"]) for entry in rows),
+                        objective.safe)
+    except (TypeError, KeyError, InputError):
         for i, entry in enumerate(rows):
             where = f"faults[{i}]"
             u = _need(entry, "from", where, str)
             w = _need(entry, "to", where, str)
             for v in (u, w):
-                if v not in owner:
+                if v not in arena.owner:
                     raise InputError(f"{where}: unknown vertex id {v!r}")
-            if owner[u] != 0:
+            if arena.owner[u] != 0:
                 raise InputError(f"{where}: fault source must be owned by Player 0")
-            sources.append(u)
-            targets.append(w)
-    fa = FaultArena(arena, frozenset(zip(sources, targets)), objective.safe)
+        raise
     return LoadedGame("fault", arena, objective, fault=fa)
 
 

@@ -108,16 +108,12 @@ def validate_objective(obj: Objective, arena: Arena) -> None:
             raise InputError(f"{what} mentions unknown vertices: {sorted(extra)!r}")
 
 
-def _naturals(values) -> bool:
-    """Whether every value of a re-iterable collection is a natural number:
-    an ``int``, not a ``bool``, and not negative."""
-    return {int} >= set(map(type, values)) and min(values, default=0) >= 0
-
-
 def validate_rank(rk: Mapping[Vertex, int], arena: Arena) -> None:
     """Every vertex must have a natural-number rank; the first vertex in
     order that has none is reported."""
-    if rk.keys() == arena.owner.keys() and _naturals(rk.values()):
+    # a bool is an int equal to 0 or 1, so the types are checked exactly
+    if (rk.keys() == arena.owner.keys() and {int} >= set(map(type, rk.values()))
+            and min(rk.values(), default=0) >= 0):
         return
     for v in arena.vertices:
         r = rk.get(v)

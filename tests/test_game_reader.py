@@ -16,6 +16,8 @@ import copy
 import json
 import random
 
+import pytest
+
 import game_reader_reference as ref
 from rankgames.errors import InputError
 from rankgames.fileformat import LoadedGame, game_to_doc, parse_game_doc
@@ -96,3 +98,16 @@ def test_table_reader_matches_row_reader():
                     kinds.add(expected[1][0])
     assert min(seen.values()) >= 1000, seen
     assert kinds == {"qualitative", "ranked", "costrr", "fault"}
+
+
+def test_fault_arena_error_no_row_explains_passes_through(monkeypatch):
+    """The fault rows are walked only to word FaultArena's error; when every
+    row is well formed, the constructor's own error is raised unchanged."""
+    def refuse(fa):
+        raise InputError("refused")
+
+    fa = random_fault_arena(random.Random("game-reader:pass"), 4, 4)
+    doc = game_to_doc(LoadedGame("fault", fa.arena, Safety(fa.safe), fault=fa))
+    monkeypatch.setattr("rankgames.fileformat.FaultArena.__post_init__", refuse)
+    with pytest.raises(InputError, match="^refused$"):
+        parse_game_doc(doc)
