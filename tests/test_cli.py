@@ -1,4 +1,5 @@
 import builtins
+import gc
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import rankgames
+from rankgames import cli
 from rankgames.cli import main
 from rankgames.fileformat import (LoadedGame, game_to_doc, parse_game,
                                   parse_game_doc, read_strategy,
@@ -675,6 +677,77 @@ class TestResilienceCommand:
     def test_non_fault_game_rejected(self, tmp_path):
         path = write_game(tmp_path, SAFETY_WIN)
         assert main(["resilience", path]) == 2
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector while the command runs and
+    restores the caller's setting however the command ends."""
+
+    @pytest.fixture(autouse=True)
+    def collector_on(self):
+        was = gc.isenabled()
+        gc.enable()
+        yield
+        if not was:
+            gc.disable()
+
+    @pytest.fixture
+    def solve_as(self, monkeypatch):
+        """Replace ``cmd_solve`` with ``fn``; the parser is built afresh so
+        that its ``solve`` subcommand calls the replacement."""
+        def install(fn):
+            monkeypatch.setattr(cli, "cmd_solve", fn)
+            monkeypatch.setattr(cli, "_parser", None)
+        return install
+
+    def test_paused_while_the_command_runs(self, tmp_path, solve_as):
+        seen = []
+        real = cli.cmd_solve
+
+        def spy(game, args, out):
+            seen.append(gc.isenabled())
+            return real(game, args, out)
+
+        solve_as(spy)
+        assert main(["solve", write_game(tmp_path, SAFETY_WIN)]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("doc, extra, code", [
+        (SAFETY_WIN, [], 0),
+        (A2_COSTS, ["--bound", "2"], 1),
+        (SAFETY_WIN, ["--bound", "1"], 2),  # InputError
+        (None, [], 2),  # OSError: no such file
+    ], ids=["exit 0", "exit 1", "input error", "missing file"])
+    def test_on_again_after_every_exit(self, tmp_path, capsys, doc, extra, code):
+        path = write_game(tmp_path, doc) if doc else str(tmp_path / "missing.json")
+        assert main(["solve", path, *extra]) == code
+        assert gc.isenabled()
+        if doc is None:
+            assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+    def test_on_again_after_an_exception_escapes(self, tmp_path, solve_as):
+        def crash(game, args, out):
+            raise RuntimeError("crash")
+
+        solve_as(crash)
+        with pytest.raises(RuntimeError, match="crash"):
+            main(["solve", write_game(tmp_path, SAFETY_WIN)])
+        assert gc.isenabled()
+
+    def test_a_caller_that_paused_it_keeps_it_paused(self, tmp_path):
+        gc.disable()
+        assert main(["solve", write_game(tmp_path, SAFETY_WIN)]) == 0
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_usage_error_leaves_it_as_it_was(self, capsys, enabled):
+        # argparse exits 2 before the command, and before the pause
+        if not enabled:
+            gc.disable()
+        assert main(["solve"]) == 2
+        assert gc.isenabled() is enabled
+        assert "usage:" in capsys.readouterr().err
 
 
 def _solver_strategies():

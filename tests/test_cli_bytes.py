@@ -17,9 +17,15 @@ and one edge row repeated must give the same bytes: the parser's arena
 does not depend on the order of the rows.  So must one seed's requests
 with a longer stale file left at the strategy path before each one: the
 writer rewrites the file in place and must cut it to the new text.
+
+``cli.main`` pauses the cyclic garbage collector while a command runs,
+which wastes nothing only while no command leaves a reference cycle: every
+request of the matrix, an input error and a missing file must leave no
+garbage that only the collector would free.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -154,11 +160,12 @@ def reversed_rows(doc):
     return doc
 
 
-def digests(workdir, rows=lambda doc: doc, seeds=SEEDS, stale=None):
+def digests(workdir, rows=lambda doc: doc, seeds=SEEDS, stale=None, run=_run):
     """{request key: [exit code, stdout SHA-256, strategy file SHA-256]},
     with each game file's document passed through ``rows``.  With ``stale``
     bytes, each request finds them at the strategy path instead of no file;
-    a request that leaves them as they are wrote no strategy."""
+    a request that leaves them as they are wrote no strategy.  ``run`` issues
+    one request and returns its exit code and stdout."""
     out = {}
     old = os.getcwd()
     os.chdir(workdir)
@@ -176,7 +183,7 @@ def digests(workdir, rows=lambda doc: doc, seeds=SEEDS, stale=None):
                         Path("s.json").write_bytes(stale)
                     elif os.path.exists("s.json"):
                         os.remove("s.json")
-                    code, text = _run(argv)
+                    code, text = run(argv)
                     written = Path("s.json").read_bytes() if os.path.exists("s.json") else b""
                     if written == stale:
                         written = b""
@@ -232,6 +239,42 @@ def test_strategy_files_written_over_longer_stale_files_match(tmp_path):
     assert sorted(over_stale) == sorted(k for k in recorded if k.startswith("1:"))
     differ = [key for key in over_stale if over_stale[key] != recorded[key]]
     assert differ == []
+
+
+def test_no_request_leaves_a_reference_cycle(tmp_path):
+    # cli.main pauses the cyclic collector while a command runs; that is
+    # safe only while reference counting frees all a command builds.  So,
+    # with the collector off, a full collection after each request of the
+    # matrix, and after an input error and a missing file, finds nothing.
+    # The first call is a warm-up: building the argument parser leaves
+    # argparse's formatter cycles once per process.
+    cyclic = {}
+
+    def run(argv):
+        gc.collect()
+        result = _run(argv)
+        found = gc.collect()
+        if found:
+            cyclic[" ".join(argv)] = found
+        return result
+
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"arena": {}}')
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.freeze()  # full collections then scan only what the test allocates
+    try:
+        main(["solve", str(tmp_path / "missing.json")])
+        digests(tmp_path, run=run)
+        assert run(("solve", str(bad)))[0] == 2
+        game = str(tmp_path / "qual-safety.json")
+        assert run(("verify", game, "--strategy", str(bad)))[0] == 2
+        assert run(("solve", str(tmp_path / "missing.json")))[0] == 2
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+    assert cyclic == {}
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """``tools/same_answers.py``: its digests do not depend on the hash seed,
-and they cover the strategy files the requests write, not only stdout."""
+and they cover the strategy files the requests write, not only stdout.
+Given two trees, it compares their answers request by request."""
 
 import os
 import shutil
@@ -7,16 +8,36 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "same_answers.py"
 
 
+def _run(*args, hash_seed="0"):
+    return subprocess.run(
+        [sys.executable, str(TOOL), "--limit", "2", *args],
+        env=dict(os.environ, PYTHONHASHSEED=hash_seed), capture_output=True, text=True)
+
+
 def _digests(*args, hash_seed="0"):
-    done = subprocess.run(
-        [sys.executable, str(TOOL), "--workload", "rr-many-pairs", "--limit", "2", *args],
-        env=dict(os.environ, PYTHONHASHSEED=hash_seed), capture_output=True, text=True,
-        check=True)
+    done = _run("--workload", "rr-many-pairs", *args, hash_seed=hash_seed)
+    assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+@pytest.fixture
+def spaced_tree(tmp_path):
+    """A copy of the package that writes the same stdout and one more
+    space in every strategy file."""
+    shutil.copytree(ROOT / "src" / "rankgames", tmp_path / "rankgames",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "rankgames" / "fileformat.py"
+    text = module.read_text(encoding="utf-8")
+    old = """'{\\n  "memory": {\\n    "initial": '"""
+    assert text.count(old) == 1
+    module.write_text(text.replace(old, old[:-1] + " '"), encoding="utf-8")
+    return str(tmp_path)
 
 
 def test_digests_agree_across_hash_seeds():
@@ -25,13 +46,29 @@ def test_digests_agree_across_hash_seeds():
     assert out == _digests(hash_seed="1")
 
 
-def test_a_tree_writing_other_strategy_bytes_gets_another_digest(tmp_path):
-    # the same stdout, one more space in every strategy file
-    shutil.copytree(ROOT / "src" / "rankgames", tmp_path / "rankgames",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    module = tmp_path / "rankgames" / "fileformat.py"
-    text = module.read_text(encoding="utf-8")
-    old = """'{\\n  "memory": {\\n    "initial": '"""
-    assert text.count(old) == 1
-    module.write_text(text.replace(old, old[:-1] + " '"), encoding="utf-8")
-    assert _digests("--src", str(tmp_path)) != _digests()
+def test_a_tree_writing_other_strategy_bytes_gets_another_digest(spaced_tree):
+    assert _digests("--src", spaced_tree) != _digests()
+
+
+def test_a_tree_against_itself_gives_the_same_answers():
+    src = str(ROOT / "src")
+    done = _run("--src", src, "--src", src)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    # A's digest line per workload, as one tree prints it, then per command
+    # the requests timed and their B/A ratios
+    assert [line for line in lines if not line.startswith("  ")] == _run().stdout.splitlines()
+    timed = [line.split() for line in lines if line.startswith("  ")]
+    assert {row[0] for row in timed} == {"optimize", "solve", "verify"}
+    assert sum(int(row[1]) for row in timed) == sum(
+        int(line.split()[3]) for line in lines if not line.startswith("  "))
+
+
+def test_a_tree_writing_other_strategy_bytes_is_named_with_its_request(spaced_tree):
+    done = _run("--workload", "rr-many-pairs", "--src", str(ROOT / "src"),
+                "--src", spaced_tree)
+    assert done.returncode == 1
+    assert done.stderr == ("differs: rr-many-pairs instance 1 request 1 (solve "
+                           "rr-many-pairs/r000.json --out rr-many-pairs/r000.win.json): "
+                           "strategy\n")

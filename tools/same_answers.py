@@ -1,9 +1,10 @@
 """Hash the answers the CLI gives on the bench workloads, one digest per
-workload.
+workload; or run two trees side by side and compare their answers
+request by request.
 
 Usage, from any directory:
 
-    python3 tools/same_answers.py [--src DIR] [--workload NAME] [--limit N]
+    python3 tools/same_answers.py [--src DIR [--src DIR]] [--workload NAME] [--limit N]
 
 For each workload of ``bench/workloads.py``, the instances of the bench's
 default seed (the one ``bench/golden`` records) are generated into a
@@ -23,8 +24,20 @@ stdout only, not strategy files.  Two trees, or two runs under different
 ``PYTHONHASHSEED`` values, give the same answers when they print the
 same lines.
 
-Exits 1 when a request fails or a plan finds an answer wrong (the reason
-goes to stderr; the digest still covers every request that ran).
+With ``--src`` given twice, trees A and B are both imported into this
+process, each keeping its own modules, and each instance's plan runs
+once per tree, A first on the first instance and the order swapped on
+each next one.  The line printed per workload is A's.  After it, one
+line per command gives the requests run, the median and quartiles of
+the per-request wall-time ratio B/A, and how often B was faster; these
+timings are not checked.
+The records (exit code, stdout, stderr, failure) and strategy bytes of
+the two trees are compared request by request, and the first request
+that differs is named on stderr.
+
+Exits 1 when a request fails, a plan finds an answer wrong, or two trees
+differ (the reason goes to stderr; the digest still covers every request
+that ran).
 """
 
 from __future__ import annotations
@@ -33,8 +46,11 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import sys
 import tempfile
+import types
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,52 +60,129 @@ import workloads as wl  # noqa: E402
 import worker  # noqa: E402
 from run import DEFAULT_SEED, LIMIT_S  # noqa: E402
 
+COMPARED = ("argv", "code", "stdout", "stderr", "error", "strategy")
 
-def answers(rk, guard, workload: str, limit) -> tuple:
-    """Instances run, requests run, digest and failed requests of one
+
+class Tree:
+    """The package imported from one src directory, usable as the
+    worker's ``rk``.  Its modules are kept, and put back into
+    ``sys.modules`` before each of its requests, so two trees run side
+    by side in one process."""
+
+    def __init__(self, src: str):
+        self.rk = worker.import_rankgames(src)
+        self.modules = {name: mod for name, mod in sys.modules.items()
+                        if name == "rankgames" or name.startswith("rankgames.")}
+        self.cli = types.SimpleNamespace(main=self.main)
+
+    def main(self, argv) -> int:
+        sys.modules.update(self.modules)
+        return self.rk.cli.main(argv)
+
+
+def run_tree(tree: Tree, guard, inst) -> list:
+    """``run_instance``'s records for one instance; each also holds the
+    bytes of the strategy file its ``--out`` wrote (empty if none).  The
+    files are removed once read, so another tree's run finds none."""
+    records = worker.run_instance(tree, guard, inst)
+    outs = {rec["argv"][rec["argv"].index("--out") + 1]
+            for rec in records if "--out" in rec["argv"]}
+    written = {out: Path(out).read_bytes() for out in outs if os.path.exists(out)}
+    for out in outs:
+        Path(out).unlink(missing_ok=True)
+    for rec in records:
+        argv = rec["argv"]
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        rec["strategy"] = written.get(out, b"")
+    return records
+
+
+def _difference(a, b):
+    """The fields in which two records of one request differ."""
+    if a is None or b is None:
+        return ["missing in " + ("A" if a is None else "B")]
+    return [key for key in COMPARED if a[key] != b[key]]
+
+
+def _quartiles(ratios):
+    if len(ratios) == 1:
+        return ratios[0], ratios[0], ratios[0]
+    return tuple(statistics.quantiles(ratios, n=4, method="inclusive"))
+
+
+def answers(trees, guard, workload: str, limit) -> tuple:
+    """Instances run, requests run, digest (of the first tree's answers),
+    failed requests, the first request two trees answer differently (or
+    None) and ``{command: [wall-time ratio B/A per request]}`` of one
     workload, built and run in the current directory."""
-    instances = wl.build(workload, rk, DEFAULT_SEED, workload)[:limit]
-    digest, requests, failed = hashlib.sha256(), 0, []
-    for inst in instances:
-        for rec in worker.run_instance(rk, guard, inst):
+    instances = wl.build(workload, trees[0].rk, DEFAULT_SEED, workload)[:limit]
+    digest, requests, failed, differ, ratios = hashlib.sha256(), 0, [], None, {}
+    for i, inst in enumerate(instances):
+        runs = [None] * len(trees)
+        for k in range(len(trees))[::1 if i % 2 == 0 else -1]:
+            runs[k] = run_tree(trees[k], guard, inst)
+        for rec in runs[0]:
             requests += 1
             row = [rec["argv"], rec["code"], rec["stdout"], rec["stderr"]]
             digest.update(json.dumps(row).encode() + b"\n")
-            argv = rec["argv"]
-            if "--out" in argv:
-                out = Path(argv[argv.index("--out") + 1])
-                data = out.read_bytes() if out.exists() else b""
-                digest.update(b"%d\n" % len(data) + data)
-            if rec["error"] is not None:
-                failed.append(f"{inst.game}: {rec['error']}")
-    return len(instances), requests, digest.hexdigest(), failed
+            if "--out" in rec["argv"]:
+                digest.update(b"%d\n" % len(rec["strategy"]) + rec["strategy"])
+        for label, recs in zip("AB", runs):
+            tag = f"{label}: " if len(trees) > 1 else ""
+            failed += [f"{tag}{inst.game}: {r['error']}" for r in recs if r["error"] is not None]
+        if len(trees) == 1:
+            continue
+        for j, (a, b) in enumerate(zip_longest(*runs)):
+            fields = _difference(a, b)
+            if fields and differ is None:
+                argv = " ".join((a or b)["argv"])
+                differ = (f"{workload} instance {i + 1} request {j + 1} ({argv}): "
+                          + ", ".join(fields))
+            if not fields:
+                ratios.setdefault(a["argv"][0], []).append(b["wall"] / a["wall"])
+    return len(instances), requests, digest.hexdigest(), failed, differ, ratios
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=str(ROOT / "src"),
-                    help="directory holding the rankgames package to run")
+    ap.add_argument("--src", action="append",
+                    help="directory holding the rankgames package to run; give it "
+                    "twice to compare two trees (default: this checkout's src)")
     ap.add_argument("--workload", choices=wl.WORKLOADS, action="append",
                     help="workload to run (repeatable; default: all)")
     ap.add_argument("--limit", type=int, default=None,
                     help="run only the first N instances of each workload")
     args = ap.parse_args(argv)
-    rk = worker.import_rankgames(os.path.abspath(args.src))
+    srcs = args.src or [str(ROOT / "src")]
+    if len(srcs) > 2:
+        ap.error("--src is given at most twice")
+    trees = [Tree(os.path.abspath(src)) for src in srcs]
     guard = worker.Guard(LIMIT_S)
-    failed = []
+    failed, differ = [], None
     home = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="same-answers-") as work:
         os.chdir(work)
         try:
             for workload in args.workload or wl.WORKLOADS:
-                n, requests, digest, bad = answers(rk, guard, workload, args.limit)
+                n, requests, digest, bad, first, ratios = answers(
+                    trees, guard, workload, args.limit)
                 print(f"{workload} {n} instances {requests} requests {digest}", flush=True)
+                for command in sorted(ratios):
+                    r = ratios[command]
+                    q1, med, q3 = _quartiles(r)
+                    faster = sum(x < 1 for x in r)
+                    print(f"  {command} {len(r)} requests B/A {med:.3f} "
+                          f"[{q1:.3f}, {q3:.3f}] B faster in {faster} of {len(r)}",
+                          flush=True)
                 failed += bad
+                differ = differ or first
         finally:
             os.chdir(home)
     for line in failed:
         print(f"failed: {line}", file=sys.stderr)
-    return 1 if failed else 0
+    if differ is not None:
+        print(f"differs: {differ}", file=sys.stderr)
+    return 1 if failed or differ is not None else 0
 
 
 if __name__ == "__main__":
