@@ -18,23 +18,30 @@ checked once per input.  ``Arena(owner, edges, initial)`` checks them for
 callers of the library; the game-file parser and the product walks, which
 produce rows that hold them by construction, build arenas from the same
 three arguments through the private ``Arena._checked`` without checking
-again.  Both set their fields through one builder.  Predecessor lists are
-built on first read of ``pred``, so requests that never run an attractor
-never build them.
+again.  Both set their fields through one builder, which also numbers the
+vertices: vertex id i is the i-th label in sorted order, so a loop over
+ids follows the arena's order.
 
-The solvers and the attractor read four fields of the graph they are
-given: ``vertices``, ``owner`` (in the order of ``vertices``), ``succ``
-(each vertex's successors sorted) and ``pred``.  An :class:`Arena` gives
-them, and so does :class:`rankgames.memory.NumberedProduct`, the
-request-response product, which is solved without building an arena.
+The solvers run on those ids.  They read three rows of the graph they are
+given: ``owners`` (the owner of each id), ``out`` (each id's successor
+ids, increasing) and ``pred`` (each id's predecessor ids, increasing,
+built on first read).  Alive sets, targets and regions are masks: one
+byte per id, 1 for a member, as ``bytes`` or ``bytearray``; whole masks
+are intersected and subtracted as integers (:func:`_and`,
+:func:`_minus`).  An :class:`Arena` gives the rows, and so does
+:class:`rankgames.memory.NumberedProduct`, the request-response product,
+so :func:`_attract` is the one attractor loop for both.  Labels are
+mapped to ids where a library call enters (``index``) and back where its
+result leaves (``vertices``).  The label-keyed successor map ``succ`` is
+built on first read, for the walks that step through labels.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, Iterable, Mapping, Tuple
+from itertools import compress
+from typing import Any, Iterable, Mapping, Tuple
 
 from .errors import InputError
 
@@ -50,16 +57,20 @@ class Arena:
     checked by the constructor: there is a vertex, every owner is 0 or 1,
     the initial vertex is known, every edge endpoint is a known vertex,
     and every vertex has at least one outgoing edge.  ``owner`` follows
-    the order of ``vertices``, and ``succ[v]`` holds ``v``'s successors
-    sorted.  ``pred[v]``, its predecessors in the order of the sorted edge
-    list, is built on first read.
+    the order of ``vertices``.  ``index`` maps each vertex to its id, its
+    position in ``vertices``; ``owners[i]`` is the owner of id i and
+    ``out[i]`` lists its successor ids, increasing.  ``pred[i]``, the
+    predecessor ids of i, increasing, and ``succ[v]``, ``v``'s successors
+    sorted, are built on first read.
     """
 
     vertices: tuple = field(init=False)
     owner: dict
     edges: frozenset
     initial: Vertex
-    succ: dict = field(init=False, repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)
+    owners: bytes = field(init=False, repr=False, compare=False)
+    out: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         owner = self.owner
@@ -77,9 +88,9 @@ class Arena:
             u, w = min(unknown)
             raise InputError(f"edge ({u!r}, {w!r}) mentions an unknown vertex")
         self._set(owner, edges)
-        for v, out in self.succ.items():
-            if not out:
-                raise InputError(f"vertex {v!r} has no outgoing edge")
+        if not all(self.out):
+            v = self.vertices[self.out.index([])]
+            raise InputError(f"vertex {v!r} has no outgoing edge")
 
     @classmethod
     def _checked(cls, owner: Mapping[Vertex, int], edges: Iterable[Edge],
@@ -94,28 +105,37 @@ class Arena:
     def _set(self, owner: Mapping[Vertex, int], edges: Iterable[Edge]):
         """Set the fields from rows whose edges join owned vertices:
         ``vertices`` the sorted owner keys, ``owner`` in their order,
-        ``edges`` a frozenset and ``succ[v]`` ``v``'s successors sorted.
-        Rows given as a list with no repeats fill each successor list in
-        their order; game files list edges sorted, so the sorts then only
-        confirm the order."""
+        ``edges`` a frozenset, and the id rows ``index``, ``owners`` and
+        ``out``.  Rows given as a list with no repeats fill each successor
+        row in their order; game files list edges sorted, so the sorts then
+        only confirm the order."""
         verts, rows, edges = tuple(sorted(owner)), edges, frozenset(edges)
         if type(rows) is not list or len(rows) != len(edges):
             rows = edges
-        succ = {v: [] for v in verts}
+        index = {v: i for i, v in enumerate(verts)}
+        out = [[] for _ in verts]
         for u, w in rows:
-            succ[u].append(w)
-        for out in succ.values():
-            out.sort()
+            out[index[u]].append(index[w])
+        for row in out:
+            row.sort()
+        owner = {v: owner[v] for v in verts}
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "owner", {v: owner[v] for v in verts})
+        object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "succ", {v: tuple(out) for v, out in succ.items()})
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "owners", bytes(owner.values()))
+        object.__setattr__(self, "out", out)
 
     @cached_property
-    def pred(self) -> dict:
-        """Predecessors of each vertex, in the order of the sorted edge list
-        (sorted vertices, each with its sorted successors)."""
-        return _predecessors(self.succ)
+    def pred(self) -> list:
+        """Predecessor ids of each id, increasing."""
+        return _pred_rows(self.out)
+
+    @cached_property
+    def succ(self) -> dict:
+        """Each vertex's successors, sorted."""
+        verts = self.vertices
+        return {v: tuple([verts[k] for k in row]) for v, row in zip(verts, self.out)}
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -142,20 +162,84 @@ def _predecessors(succ: Mapping) -> dict:
     return pred
 
 
-def anchor(arena: Arena, within=None) -> Vertex:
-    """Initial vertex of the sub-arena induced by ``within``: the arena's
-    own if it is alive, otherwise the least alive vertex."""
-    if within is None or arena.initial in within:
-        return arena.initial
-    return min(within)
+def _pred_rows(out: list) -> list:
+    """Predecessor rows of successor-id rows: the ids listing each id, increasing."""
+    return list(_predecessors(dict(enumerate(out))).values())
+
+
+def _mask(arena: Arena, vertices=None) -> bytearray:
+    """Mask over the arena's ids of ``vertices`` (default: every vertex)."""
+    if vertices is None:
+        return bytearray(b"\1") * len(arena.out)
+    mask, index = bytearray(len(arena.out)), arena.index
+    for v in vertices:
+        mask[index[v]] = 1
+    return mask
+
+
+def _target_mask(arena: Arena, target: Iterable[Vertex]) -> bytearray:
+    """:func:`_mask` of a target a library caller gave, checked first."""
+    unknown = [v for v in frozenset(target) if v not in arena.owner]
+    if unknown:
+        raise InputError(f"target contains unknown vertices: {sorted(unknown)!r}")
+    return _mask(arena, target)
+
+
+def _and(a, b) -> bytes:
+    """The mask of the ids in both masks ``a`` and ``b``: the masks' bytes
+    are 0 or 1, so their integers are and-ed bit for bit."""
+    return (int.from_bytes(a, "big") & int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _minus(a, b) -> bytes:
+    """The mask of the ids in mask ``a`` and not in mask ``b``."""
+    return (int.from_bytes(a, "big") & ~int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _first(graph, i: int, alive):
+    """First successor id of id ``i`` in the mask ``alive``; None if none."""
+    for k in graph.out[i]:
+        if alive[k]:
+            return k
 
 
 def first_successor(arena: Arena, v: Vertex, within=None) -> Vertex:
     """First successor of ``v``, in the arena's order, inside ``within``."""
-    for w in arena.succ[v]:
-        if within is None or w in within:
-            return w
-    raise InputError(f"vertex {v!r} has no successor inside the alive set")
+    k = _first(arena, arena.index[v], _mask(arena, within))
+    if k is None:
+        raise InputError(f"vertex {v!r} has no successor inside the alive set")
+    return arena.vertices[k]
+
+
+def _attract(graph, player: int, target, alive) -> Tuple[bytearray, dict]:
+    """:func:`attractor` on ids: ``target`` and ``alive`` are masks over the
+    ids of ``graph`` (an arena or a numbered product), the target inside
+    the alive set.  Returns the attractor's mask and ``player``'s moves,
+    from id to id.  Targets are queued in id order, and an opponent id's
+    counter lives in a list, started on its first decrement at its number
+    of successors inside the alive set."""
+    out, owners, pred = graph.out, graph.owners, graph.pred
+    whole = 0 not in alive
+    inside = bytearray(target)
+    queue = list(compress(range(len(inside)), inside))
+    counters = [0] * len(inside)
+    strategy = {}
+    for v in queue:
+        for u in pred[v]:
+            if inside[u] or not alive[u]:
+                continue
+            if owners[u] == player:
+                inside[u] = 1
+                strategy[u] = v
+                queue.append(u)
+            else:
+                left = counters[u] or (len(out[u]) if whole
+                                       else sum(map(alive.__getitem__, out[u])))
+                counters[u] = left = left - 1
+                if left == 0:
+                    inside[u] = 1
+                    queue.append(u)
+    return inside, strategy
 
 
 def attractor(arena: Arena, player: int, target: Iterable[Vertex], within=None):
@@ -168,38 +252,13 @@ def attractor(arena: Arena, player: int, target: Iterable[Vertex], within=None):
     in time linear in the number of edges.  With ``within``, plays stay
     inside that alive set, which must contain the target: predecessors
     outside it are skipped, and an opponent vertex's counter starts, on
-    its first decrement, at its number of successors inside it.
+    its first decrement, at its number of successors inside it.  Runs
+    :func:`_attract` on the arena's ids.
     """
-    tgt = frozenset(target)
-    owner = arena.owner
-    unknown = [v for v in tgt if v not in owner]
-    if unknown:
-        raise InputError(f"target contains unknown vertices: {sorted(unknown)!r}")
-    alive = owner if within is None else within
-    succ, pred = arena.succ, arena.pred
-    inside = set(tgt)
-    counters: Dict[Vertex, int] = {}
-    strategy: Dict[Vertex, Vertex] = {}
-    queue = deque(sorted(tgt))
-    while queue:
-        v = queue.popleft()
-        for u in pred[v]:
-            if u in inside or u not in alive:
-                continue
-            if owner[u] == player:
-                inside.add(u)
-                strategy[u] = v
-                queue.append(u)
-            else:
-                left = counters.get(u)
-                if left is None:
-                    left = (len(succ[u]) if within is None
-                            else sum(1 for w in succ[u] if w in within))
-                counters[u] = left = left - 1
-                if left == 0:
-                    inside.add(u)
-                    queue.append(u)
-    return frozenset(inside), strategy
+    inside, strategy = _attract(arena, player, _target_mask(arena, target),
+                                _mask(arena, within))
+    verts = arena.vertices
+    return frozenset(compress(verts, inside)), {verts[u]: verts[v] for u, v in strategy.items()}
 
 
 @dataclass(frozen=True)

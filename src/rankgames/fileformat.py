@@ -18,10 +18,11 @@ check over the whole table accepts it, by its row count against the size
 of the dict it built (duplicates), the types of its values and their
 containment in the known vertices, edges and memory states.  The rank
 values and fault rows are checked once, by ``RankedGame`` and
-``FaultArena``, whose checks are such table checks too.  Only a table a
-check rejects is walked row by row, through the field-by-field checks of
-``_need``, which word its first error in file order.  Cost tables, a few
-rows long, are only walked.  The strategy reader takes the game's arena
+``FaultArena``, whose checks are such table checks too, and the edge
+endpoints by the arena's numbering, which looks each up among the vertex
+ids.  Only a table a check rejects is walked row by row, through the
+field-by-field checks of ``_need``, which word its first error in file
+order.  Cost tables, a few rows long, are only walked.  The strategy reader takes the game's arena
 and checks the update and move tables against it.  The arenas and
 memories the readers build go through the trusted constructors, which
 check nothing again.
@@ -32,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional
@@ -110,27 +110,23 @@ def _parse_arena(doc) -> Arena:
             owner[vid] = pl
     rows = _need(arena, "edges", "arena", list)
     try:
-        edges = [(entry["from"], entry["to"]) for entry in rows]
-        # the ids are strings, so containment checks the endpoints' type too
-        ok = owner.keys() >= set(chain.from_iterable(edges))
+        # numbering the endpoints looks each up among the ids, which are
+        # strings, so it checks the endpoints' type too; the initial
+        # vertex is checked after the edges
+        checked = Arena._checked(owner, [(entry["from"], entry["to"]) for entry in rows],
+                                 arena.get("initial"))
     except (TypeError, KeyError):
-        ok = False
-    if not ok:
-        edges = []
         for i, entry in enumerate(rows):
             where = f"arena.edges[{i}]"
-            u = _need(entry, "from", where, str)
-            w = _need(entry, "to", where, str)
-            for v in (u, w):
+            for v in (_need(entry, "from", where, str), _need(entry, "to", where, str)):
                 if v not in owner:
                     raise InputError(f"{where}: unknown vertex id {v!r}")
-            edges.append((u, w))
+        raise  # no row the walk accepts fails the numbering
     initial = _need(arena, "initial", "arena", str)
     if initial not in owner:
         raise InputError(f"arena.initial: unknown vertex id {initial!r}")
-    checked = Arena._checked(owner, edges, initial)
-    if not all(checked.succ.values()):
-        v = next(v for v in checked.vertices if not checked.succ[v])
+    if not all(checked.out):
+        v = checked.vertices[checked.out.index([])]
         raise InputError(f"arena: vertex {v!r} has no outgoing edge")
     return checked
 

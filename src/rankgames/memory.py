@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Optional, Tuple
 
-from .arena import Arena, Edge, Vertex, _predecessors, first_successor
+from .arena import Arena, Edge, Vertex, _pred_rows
 from .errors import InputError
 
 State = Any
@@ -70,9 +70,10 @@ class MemoryStructure:
 
 def trivial_memory(arena: Arena) -> MemoryStructure:
     """One-state memory over the given arena's edges, rows in sorted edge
-    order."""
+    order, read off the arena's id rows."""
+    verts = arena.vertices
     return MemoryStructure._checked(
-        (0,), 0, {(0, (v, w)): 0 for v, out in arena.succ.items() for w in out})
+        (0,), 0, {(0, (v, verts[k])): 0 for v, row in zip(verts, arena.out) for k in row})
 
 
 def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
@@ -126,15 +127,17 @@ def explore_product(arena: Arena, initial: State, step) -> Tuple[MemoryStructure
 
 @dataclass(frozen=True)
 class NumberedProduct:
-    """Product graph on the integers 0..N-1, numbering the (vertex, state)
-    pairs one walk reached in sorted order; built by
+    """Product graph on the ids 0..N-1, numbering the (vertex, state) pairs
+    one walk reached in sorted order; built by
     :func:`rankgames.qualsolve.rr_product`.
 
-    It gives what the solvers read of a graph, as an :class:`Arena` does
-    (see :mod:`rankgames.arena`): ``vertices`` is ``range(N)``, ``owner``
-    maps each id, in id order, to the owner of its vertex, ``succ[i]``
-    lists the walk's successor ids of i in increasing order, and ``pred``
-    is built on first read.  ``initial`` is the anchor's start id.
+    It gives the rows the solvers read of a graph, as an :class:`Arena`
+    does (see :mod:`rankgames.arena`), so both are solved by the same
+    attractor and Buchi loops: ``owners[i]`` is the owner of id i's
+    vertex, ``out[i]`` lists the walk's successor ids of i, increasing,
+    and ``pred`` is built on first read.  ``initial`` is the anchor's
+    start id.  Solving runs on the ids alone; the (vertex, state) labels
+    are read only where a strategy is read back (:meth:`pull_back`).
 
     ``pairs[i]`` decodes id i to its (vertex, memory state) pair.
     ``starts`` holds one id per alive vertex, in vertex order: the vertex
@@ -143,21 +146,17 @@ class NumberedProduct:
     state, ``pairs[initial][1]``.
     """
 
-    owner: dict
-    succ: dict
+    owners: bytes
+    out: list
     initial: int
     pairs: tuple
     starts: tuple
     states: tuple
 
-    @property
-    def vertices(self) -> range:
-        return range(len(self.pairs))
-
     @cached_property
-    def pred(self) -> dict:
-        """Predecessor ids of each id, in increasing order."""
-        return _predecessors(self.succ)
+    def pred(self) -> list:
+        """Predecessor ids of each id, increasing."""
+        return _pred_rows(self.out)
 
     def pull_back(self, owner: int, moves) -> Tuple[MemoryStructure, dict]:
         """Read ``owner``'s positional moves on this product, a map from id
@@ -169,18 +168,18 @@ class NumberedProduct:
         moves at reached ``owner`` vertices: what :func:`pull_back` gives
         for ``moves`` under a one-state memory, without tabulating that
         memory."""
-        succ, own = self.succ, self.owner
+        out, own = self.out, self.owners
         vertex = [v for v, _s in self.pairs]
         state = [(s, 0) for _v, s in self.pairs]
         order, reached = list(self.starts), set(self.starts)
         update, next_move = {}, {}
         for i in order:
             if own[i] == owner:
-                out = (moves[i],)
+                row = (moves[i],)
                 next_move[(vertex[i], state[i])] = vertex[moves[i]]
             else:
-                out = succ[i]
-            for k in out:
+                row = out[i]
+            for k in row:
                 update[(state[i], (vertex[i], vertex[k]))] = state[k]
                 if k not in reached:
                     reached.add(k)
@@ -239,19 +238,6 @@ class FiniteStateStrategy:
         except KeyError:
             raise InputError(
                 f"strategy has no move at vertex {vertex!r} in state {state!r}") from None
-
-
-def filled_moves(arena: Arena, owner: int, moves: Mapping[Vertex, Vertex],
-                 within=None) -> dict:
-    """``moves`` with every owner vertex it misses given its first
-    successor, which keeps strategies total without affecting the region
-    they are claimed to win on.  With an alive set ``within``, only its
-    owner vertices are filled, each with its first successor inside it."""
-    table = dict(moves)
-    for v, player in arena.owner.items():
-        if player == owner and v not in table and (within is None or v in within):
-            table[v] = first_successor(arena, v, within)
-    return table
 
 
 def positional_strategy(arena: Arena, owner: int,

@@ -8,27 +8,35 @@ request-response strategies carry the open-request memory.  Open request
 sets are stated here once, as bitmasks coded with the round-robin pointer
 as ``open_mask * d + pointer`` and ordered by their decoded states
 (:func:`rr_product`); the oracle in :mod:`rankgames.verify` states them
-once on its own, as sorted tuples.  The request-response product is not
-an :class:`~rankgames.arena.Arena`: the Buchi solver reads the numbered
-product's ``vertices``, ``owner``, ``succ`` and ``pred`` directly.
+once on its own, as sorted tuples.
 
 Every solver takes an optional alive set ``within`` (see
 :mod:`rankgames.arena`) and then solves the sub-arena it induces, on the
 one arena it is given: iterated solvers shrink that set round by round
 instead of building a sub-arena per round.  Regions then partition the
 alive set, and strategies have moves only inside it.
+
+Solving runs on vertex ids.  A library call maps its labels to ids once,
+on entry; the fixpoints (attractor, Buchi and coBuchi, safety, pruning)
+run on the graph's id rows, with alive sets, regions and targets as masks
+over the ids and moves as id-to-id tables (:class:`_Solved`); and labels
+come back only where a :class:`SolveResult` hands out its regions and
+move tables.  The request-response product is not an
+:class:`~rankgames.arena.Arena`: it gives the same id rows, and the same
+Buchi loop solves it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Dict, Optional
+from functools import cached_property, partial
+from itertools import compress
+from typing import Callable, Dict, NamedTuple, Optional
 
-from .arena import Arena, Vertex, anchor, attractor, first_successor
+from .arena import Arena, Vertex, _and, _attract, _first, _mask, _minus, _target_mask
 from .errors import InputError
 from .memory import (FiniteStateStrategy, MemoryStructure, NumberedProduct, explore,
-                     filled_moves, positional_strategy)
+                     positional_strategy)
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
                          SafetyAndCoBuchi, validate_objective)
 
@@ -76,37 +84,61 @@ class SolveResult:
         return self.strategy_0 if player == 0 else self.strategy_1
 
 
-def _alive(arena: Arena, within) -> frozenset:
-    return frozenset(arena.vertices) if within is None else frozenset(within)
+class _Solved(NamedTuple):
+    """A solve on vertex ids: the alive mask it ran in and Player 0's region,
+    a mask inside it (Player 1 has the rest).  ``moves(player)``, from id to
+    id, is filled with first successors at that player's other alive ids,
+    or is None where strategies carry memory; ``build(player)`` builds the
+    labelled strategy, or is None for the one-state strategy wrapping
+    ``moves``.  A pruned result keeps the ``inner`` result of its rest."""
+
+    alive: bytes
+    win: bytes
+    moves: Optional[Callable[[int], dict]]
+    build: Optional[Callable[[int], FiniteStateStrategy]] = None
+    inner: Optional["_Solved"] = None
 
 
-def _positional(arena: Arena, region_0, region_1, moves_of, within) -> SolveResult:
+def _result(arena: Arena, res: _Solved) -> SolveResult:
+    """``res`` handed out with its regions and move tables on labels."""
+    verts = arena.vertices
+
+    def moves(player):
+        return {verts[i]: verts[k] for i, k in res.moves(player).items()}
+    build = res.build or (lambda player: positional_strategy(arena, player, moves(player)))
+    return SolveResult(frozenset(compress(verts, res.win)),
+                       frozenset(compress(verts, _minus(res.alive, res.win))), build,
+                       moves=None if res.moves is None else moves)
+
+
+def _positional(graph, alive, win, moves_of) -> _Solved:
     """Result whose strategies are positional: ``moves_of(player)``, filled
     inside the alive set.  Every positional result is built here."""
+    owners = graph.owners
+
     def moves(player):
-        return filled_moves(arena, player, moves_of(player), within)
-    return SolveResult(region_0, region_1,
-                       lambda player: positional_strategy(arena, player, moves(player)),
-                       moves=moves)
+        table = dict(moves_of(player))
+        for i in compress(range(len(alive)), alive):
+            if owners[i] == player and i not in table:
+                table[i] = _first(graph, i, alive)
+        return table
+    return _Solved(alive, win, moves)
 
 
-def solve_safety(arena: Arena, safe, within=None) -> SolveResult:
+def _safety(graph, safe, alive) -> _Solved:
     """Player 1 wins exactly on the 1-attractor of the unsafe vertices."""
-    safe = frozenset(safe)
-    validate_objective(Safety(safe), arena)
-    alive = _alive(arena, within)
-    region_1, toward_unsafe = attractor(arena, 1, alive - safe, within)
-    region_0 = alive - region_1
+    region_1, toward_unsafe = _attract(graph, 1, _minus(alive, safe), alive)
+    region_0 = _minus(alive, region_1)
 
     def moves_of(player):
         if player == 1:
             return toward_unsafe
-        return {v: first_successor(arena, v, region_0)
-                for v in region_0 if arena.owner[v] == 0}
-    return _positional(arena, region_0, region_1, moves_of, within)
+        return {i: _first(graph, i, region_0)
+                for i in compress(range(len(alive)), region_0) if graph.owners[i] == 0}
+    return _positional(graph, alive, region_0, moves_of)
 
 
-def _buchi(arena: Arena, accept: frozenset, within, p: int) -> SolveResult:
+def _buchi(graph, accept, alive, p: int) -> _Solved:
     """Classical iterated-attractor solver for Player ``p`` visiting
     ``accept`` infinitely often.
 
@@ -115,44 +147,73 @@ def _buchi(arena: Arena, accept: frozenset, within, p: int) -> SolveResult:
     opponent and shrink the alive set.  What survives is ``p``'s region,
     on which her strategy attracts to the accepting set and re-enters it.
     """
-    owner, q = arena.owner, 1 - p
-    alive = _alive(arena, within)
-    cur = set(alive)
-    moves_q: Dict[Vertex, Vertex] = {}
-    while cur:
-        reach_acc, toward_accept = attractor(arena, p, accept & cur, cur)
-        losing = cur - reach_acc
-        if not losing:
+    owners, q, ids = graph.owners, 1 - p, range(len(alive))
+    cur = alive
+    moves_q: Dict[int, int] = {}
+    while 1 in cur:
+        reach_acc, toward_accept = _attract(graph, p, _and(accept, cur), cur)
+        losing = _minus(cur, reach_acc)
+        if 1 not in losing:
             break
-        trapdoor, toward_losing = attractor(arena, q, losing, cur)
-        for v in sorted(losing):
-            if owner[v] == q:
-                moves_q[v] = first_successor(arena, v, losing)
+        trapdoor, toward_losing = _attract(graph, q, losing, cur)
+        for i in compress(ids, losing):
+            if owners[i] == q:
+                moves_q[i] = _first(graph, i, losing)
         moves_q.update(toward_losing)
-        cur -= trapdoor
-    moves_p = dict(toward_accept) if cur else {}
-    for v in sorted(accept & cur):
-        if owner[v] == p:
-            moves_p[v] = first_successor(arena, v, cur)
-    region_p = frozenset(cur)
-    regions = (region_p, alive - region_p)
-    return _positional(arena, regions[p], regions[q],
-                       lambda player: moves_p if player == p else moves_q, within)
+        cur = _minus(cur, trapdoor)
+    moves_p = dict(toward_accept) if 1 in cur else {}
+    for i in compress(ids, _and(accept, cur)):
+        if owners[i] == p:
+            moves_p[i] = _first(graph, i, cur)
+    win = cur if p == 0 else _minus(alive, cur)
+    return _positional(graph, alive, win,
+                       lambda player: moves_p if player == p else moves_q)
+
+
+def _solver(arena: Arena, obj: Objective) -> Callable[[bytes], _Solved]:
+    """The solver of ``obj`` on ids, as a function of the alive mask; the
+    objective's vertex sets are mapped to masks once, here."""
+    if isinstance(obj, Safety):
+        return partial(_safety, arena, _mask(arena, obj.safe))
+    if isinstance(obj, Buchi):
+        return partial(_buchi, arena, _mask(arena, obj.accept), p=0)
+    if isinstance(obj, CoBuchi):
+        return partial(_buchi, arena, _mask(arena, obj.avoid), p=1)
+    if isinstance(obj, RequestResponse):
+        return partial(_request_response, arena, obj.pairs)
+    # the safety/coBuchi conjunction: prune the unsafe set, solve coBuchi
+    safe, inner = _mask(arena, obj.safe), _solver(arena, CoBuchi(obj.avoid))
+    return lambda alive: _pruned(arena, _minus(alive, safe), inner, alive)
+
+
+def _checked_solver(arena: Arena, obj) -> Callable[[bytes], _Solved]:
+    """:func:`_solver` of an objective a library caller gave, checked first."""
+    if not isinstance(obj, (Safety, Buchi, CoBuchi, RequestResponse, SafetyAndCoBuchi)):
+        raise InputError(f"no solver for objective {obj!r}")
+    validate_objective(obj, arena)
+    return _solver(arena, obj)
+
+
+def _labelled(arena: Arena, obj: Objective, within) -> SolveResult:
+    """``obj`` solved inside ``within``: labels mapped to ids on entry, and
+    the result handed out on labels."""
+    return _result(arena, _checked_solver(arena, obj)(_mask(arena, within)))
+
+
+def solve_safety(arena: Arena, safe, within=None) -> SolveResult:
+    """Player 1 wins exactly on the 1-attractor of the unsafe vertices."""
+    return _labelled(arena, Safety(frozenset(safe)), within)
 
 
 def solve_buchi(arena: Arena, accept, within=None) -> SolveResult:
     """Player 0 visits ``accept`` infinitely often."""
-    accept = frozenset(accept)
-    validate_objective(Buchi(accept), arena)
-    return _buchi(arena, accept, within, 0)
+    return _labelled(arena, Buchi(frozenset(accept)), within)
 
 
 def solve_cobuchi(arena: Arena, avoid, within=None) -> SolveResult:
     """Dual of the Buchi game: Player 1 visits ``avoid`` infinitely often
     exactly where Player 0 loses."""
-    avoid = frozenset(avoid)
-    validate_objective(CoBuchi(avoid), arena)
-    return _buchi(arena, avoid, within, 1)
+    return _labelled(arena, CoBuchi(frozenset(avoid)), within)
 
 
 def rr_product(arena: Arena, pairs, within=None) -> NumberedProduct:
@@ -166,43 +227,46 @@ def rr_product(arena: Arena, pairs, within=None) -> NumberedProduct:
     progress states infinitely often, which the product Buchi game of
     :func:`solve_request_response` checks.
 
-    The walk runs on integers.  Alive vertices are numbered by their
-    position in sorted order, open sets are bitmasks (entering ``w`` takes
-    ``open`` to ``(open | requests[w]) & ~responses[w]``), and a product
-    node is the one integer ``i * span + open_mask * d + pointer`` for
-    vertex number ``i``, with ``span = d * 2^d``.  The pointer is stepped
-    once per node the walk leaves, not once per edge.
+    The walk runs on integers, over the arena's id rows.  Open sets are
+    bitmasks (entering ``w`` takes ``open`` to ``(open | requests[w]) &
+    ~responses[w]``), and a product node is the one integer ``i * span +
+    open_mask * d + pointer`` for vertex id i, with ``span = d * 2^d``.
+    The pointer is stepped once per node the walk leaves, not once per
+    edge.
 
     The walk runs inside ``within`` from every alive vertex paired with its
     seed state, the requests it opens itself: of the d * 2^d states it
     reaches only those plays from there reach.  Each reached state code is
     decoded once to its ``(open tuple, pointer)`` state, and the product is
     numbered in sorted ``(vertex, state)`` order (:class:`NumberedProduct`),
-    by sorting the nodes on vertex number and decoded-state rank.  A node's
-    successors have distinct vertices, listed in sorted order, so their
-    ids come out increasing.  The product starts at the alive set's anchor.
+    by sorting the nodes on vertex id and decoded-state rank.  A node's
+    successors have distinct vertices, listed in id order, so their ids
+    come out increasing.  The product starts at the alive set's anchor:
+    the initial vertex if it is alive, otherwise the least alive vertex.
     No memory update table and no :class:`~rankgames.arena.Arena` is built:
     the solvers read the product as it is.
     """
+    return _rr_product(arena, pairs, _mask(arena, within))
+
+
+def _rr_product(arena: Arena, pairs, alive) -> NumberedProduct:
+    """:func:`rr_product` inside the alive mask ``alive``."""
     d = len(pairs)
     if d == 0:
         raise InputError("request-response needs at least one pair")
-    alive = arena.vertices if within is None else sorted(within)
-    index = {v: i for i, v in enumerate(alive)}
-    # per vertex number: the requests entering it opens, and the mask of
-    # the pairs it leaves open
-    add, keep = [0] * len(alive), [-1] * len(alive)
+    verts, index, n = arena.vertices, arena.index, len(alive)
+    ids = list(compress(range(n), alive))
+    # per vertex id: the requests entering it opens, and the mask of the
+    # pairs it leaves open
+    add, keep = [0] * n, [-1] * n
     for c, (q, p) in enumerate(pairs):
         for v in q:
-            if v in index:
-                add[index[v]] |= 1 << c
+            add[index[v]] |= 1 << c
         for v in p:
-            if v in index:
-                keep[index[v]] &= ~(1 << c)
+            keep[index[v]] &= ~(1 << c)
     span = d << d
-    succ = [[(index[w] * span, add[index[w]], keep[index[w]])
-             for w in arena.succ[v] if w in index] for v in alive]
-    seeds = [i * span + (add[i] & keep[i]) * d for i in range(len(alive))]
+    succ = {i: [(k * span, add[k], keep[k]) for k in arena.out[i] if alive[k]] for i in ids}
+    seeds = [i * span + (add[i] & keep[i]) * d for i in ids]
     order, reached, outs = list(seeds), set(seeds), {}
     for node in order:
         i, code = divmod(node, span)
@@ -223,41 +287,88 @@ def rr_product(arena: Arena, pairs, within=None) -> NumberedProduct:
     rank = {code: j for j, code in enumerate(codes)}
     order.sort(key=lambda node: node - node % span + rank[node % span])
     number = {node: j for j, node in enumerate(order)}.__getitem__
-    labels = tuple((alive[node // span], state[node % span]) for node in order)
     starts = tuple(map(number, seeds))
+    anchor = index[arena.initial]
     return NumberedProduct(
-        {j: arena.owner[v] for j, (v, _s) in enumerate(labels)},
-        {j: list(map(number, outs[node])) for j, node in enumerate(order)},
-        starts[index[anchor(arena, within)]], labels, starts,
+        bytes([arena.owners[node // span] for node in order]),
+        [list(map(number, outs[node])) for node in order],
+        starts[ids.index(anchor)] if alive[anchor] else starts[0],
+        tuple((verts[node // span], state[node % span]) for node in order), starts,
         tuple(state[code] for code in codes))
+
+
+def _request_response(arena: Arena, pairs, alive) -> _Solved:
+    """:func:`solve_request_response` on ids."""
+    if 1 not in alive:
+        return _positional(arena, alive, alive, lambda player: {})
+    product = _rr_product(arena, pairs, alive)
+    res = _buchi(product, bytes([ptr not in opened for _v, (opened, ptr) in product.pairs]),
+                 _mask(product), 0)
+    win = bytearray(len(alive))
+    for i, start in zip(compress(range(len(alive)), alive), product.starts):
+        win[i] = res.win[start]
+
+    def build(player):
+        return FiniteStateStrategy(player, *product.pull_back(player, res.moves(player)))
+    return _Solved(alive, win, None, build)
 
 
 def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
     """Reduce to a Buchi game over the open-request memory product.
 
     Player 0 wins from a vertex iff she wins the product Buchi game from
-    that vertex paired with its fresh memory state.  :func:`solve_buchi`
-    runs on the integer-numbered product of :func:`rr_product` itself, and
+    that vertex paired with its fresh memory state.  The Buchi loop runs
+    on the integer-numbered product of :func:`rr_product` itself, and
     each player's positional strategy there is read back through that
     product by :meth:`rankgames.memory.NumberedProduct.pull_back`.  Her
     strategy is the product strategy folded back through the memory, of
     size at most (number of pairs) * 2^(number of pairs); both strategies
     are tabulated on what plays from every seeded vertex can reach.
     """
-    objective = RequestResponse(tuple(pairs))
-    validate_objective(objective, arena)
-    alive = _alive(arena, within)
-    if not alive:
-        return _positional(arena, alive, alive, lambda player: {}, alive)
-    product = rr_product(arena, objective.pairs, within)
-    res = solve_buchi(product, frozenset(
-        i for i, (_v, (opened, ptr)) in enumerate(product.pairs) if ptr not in opened))
-    region_0 = frozenset(product.pairs[i][0] for i in product.starts if i in res.region_0)
-    region_1 = alive - region_0
+    return _labelled(arena, RequestResponse(tuple(pairs)), within)
+
+
+def _pruned(arena: Arena, bad, solve, alive) -> _Solved:
+    """:func:`solve_pruned` on ids, with ``solve`` the inner objective's
+    solver (:func:`_solver`)."""
+    attr_1, toward_bad = _attract(arena, 1, bad, alive)
+    res = solve(_minus(alive, attr_1))
+    verts, owners, ids = arena.vertices, arena.owners, range(len(alive))
+
+    def fill(i):
+        return toward_bad[i] if i in toward_bad else _first(arena, i, alive)
+
+    def moves(player):
+        inner = res.moves(player)
+        return {i: inner[i] if i in inner else fill(i)
+                for i in compress(ids, alive) if owners[i] == player}
 
     def build(player):
-        return FiniteStateStrategy(player, *product.pull_back(player, res.moves(player)))
-    return SolveResult(region_0, region_1, build)
+        if res.moves is not None:
+            # one state: a walk would visit each alive vertex once, in order
+            table, update = moves(player), {}
+            for i in compress(ids, alive):
+                for k in (table[i],) if i in table else arena.out[i]:
+                    if alive[k]:
+                        update[(0, (verts[i], verts[k]))] = 0
+            return FiniteStateStrategy(player, MemoryStructure._checked((0,), 0, update),
+                                       {(verts[i], 0): verts[k] for i, k in table.items()})
+        base = res.build(player)
+        mem, inner, index = base.memory, base.next_move, arena.index
+
+        def step(s, e):
+            return mem.update.get((s, e), s)
+
+        def move(v, s):
+            return inner[(v, s)] if (v, s) in inner else verts[fill(index[v])]
+
+        starts = list(compress(verts, alive))
+        reached, update = explore(arena, [(v, mem.initial) for v in starts], step,
+                                  player, move, None if 0 not in alive else frozenset(starts))
+        next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == player}
+        return FiniteStateStrategy(
+            player, MemoryStructure._checked(mem.states, mem.initial, update), next_move)
+    return _Solved(alive, res.win, None if res.moves is None else moves, build, res)
 
 
 def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveResult:
@@ -286,45 +397,8 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
     pairs the inner strategy has no move for, take the filler move there
     and leave a request open forever.  The result's strategies are then
     claimed winning only from the alive set's anchor."""
-    alive = _alive(arena, within)
-    attr_1, toward_bad = attractor(arena, 1, bad, within)
-    res = solve_objective(arena, objective, alive - attr_1)
-
-    def fill(v):
-        return toward_bad[v] if v in toward_bad else first_successor(arena, v, within)
-
-    def moves(player):
-        inner = res.moves(player)
-        return {v: inner[v] if v in inner else fill(v)
-                for v in alive if arena.owner[v] == player}
-
-    def build(player):
-        starts = arena.vertices if within is None else sorted(within)
-        if res.moves is not None:
-            # one state: a walk would visit each alive vertex once, in order
-            table, update = moves(player), {}
-            for v in starts:
-                for w in (table[v],) if v in table else arena.succ[v]:
-                    if within is None or w in within:
-                        update[(0, (v, w))] = 0
-            return FiniteStateStrategy(player, MemoryStructure._checked((0,), 0, update),
-                                       {(v, 0): w for v, w in table.items()})
-        base = res.build(player)
-        mem, inner = base.memory, base.next_move
-
-        def step(s, e):
-            return mem.update.get((s, e), s)
-
-        def move(v, s):
-            return inner[(v, s)] if (v, s) in inner else fill(v)
-
-        reached, update = explore(arena, [(v, mem.initial) for v in starts], step,
-                                  player, move, within)
-        next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == player}
-        return FiniteStateStrategy(
-            player, MemoryStructure._checked(mem.states, mem.initial, update), next_move)
-    return SolveResult(res.region_0, attr_1 | res.region_1, build,
-                       moves=None if res.moves is None else moves)
+    return _result(arena, _pruned(arena, _target_mask(arena, bad),
+                                  _checked_solver(arena, objective), _mask(arena, within)))
 
 
 def solve_safety_cobuchi(arena: Arena, safe, avoid, within=None) -> SolveResult:
@@ -333,14 +407,12 @@ def solve_safety_cobuchi(arena: Arena, safe, avoid, within=None) -> SolveResult:
     Remove the 1-attractor of the unsafe set, then solve coBuchi on what
     remains; Player 1 keeps the attractor plus his coBuchi region.
     """
-    safe, avoid = frozenset(safe), frozenset(avoid)
-    validate_objective(SafetyAndCoBuchi(safe, avoid), arena)
-    return solve_pruned(arena, _alive(arena, within) - safe, CoBuchi(avoid), within)
+    return _labelled(arena, SafetyAndCoBuchi(frozenset(safe), frozenset(avoid)), within)
 
 
 def solve_objective(arena: Arena, obj: Objective, within=None) -> SolveResult:
     """Solve ``obj`` on the sub-arena induced by the alive set ``within``
-    (default: the whole arena)."""
+    (default: the whole arena), by the library call of its kind."""
     if isinstance(obj, Safety):
         return solve_safety(arena, obj.safe, within)
     if isinstance(obj, Buchi):

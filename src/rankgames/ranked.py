@@ -13,16 +13,18 @@ from: it also bisects the bounds of request-response games with costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from itertools import compress
 from typing import Tuple
 
-from .arena import Arena, attractor
+from .arena import Arena, _and, _attract, _mask, _minus
 from .errors import CapabilityError, InputError
 from .extnat import INF, ExtNat
 from .memory import FiniteStateStrategy
 from .objectives import (Buchi, CoBuchi, Objective, Safety, rank_cost_lasso,
                          validate_objective, validate_rank)
-from .qualsolve import SolveResult, _positional, solve_pruned, solve_safety_cobuchi
+from .qualsolve import (SolveResult, _positional, _pruned, _result, _solver,
+                        solve_safety_cobuchi)
 
 MODES = ("sup", "lim")
 
@@ -53,6 +55,12 @@ class RankedGame:
 
     def rank_values(self) -> Tuple[int, ...]:
         return tuple(sorted({self.rk[v] for v in self.arena.vertices}))
+
+    @cached_property
+    def _on_ids(self):
+        """The objective's solver on the arena's ids (:func:`_solver`) and
+        the rank of each id, built on the first probe and shared by all."""
+        return _solver(self.arena, self.objective), [self.rk[v] for v in self.arena.vertices]
 
 
 @dataclass(frozen=True)
@@ -86,8 +94,9 @@ def solve_sup_with_bound(game: RankedGame, bound: int) -> SolveResult:
     if game.mode != "sup":
         raise InputError("solve_sup_with_bound needs a sup-mode game")
     _check_bound(bound)
-    high = frozenset(v for v in game.arena.vertices if game.rk[v] > bound)
-    return solve_pruned(game.arena, high, game.objective)
+    solve, ranks = game._on_ids
+    return _result(game.arena, _pruned(game.arena, bytes([r > bound for r in ranks]), solve,
+                                       _mask(game.arena)))
 
 
 def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
@@ -99,44 +108,48 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
     hand Player 0 its 0-attractor, shrink the alive set, repeat.  Both
     strategies are positional and the result gives ``moves`` like every
     positional result: hers stitches each round's attractor moves with
-    that round's pruned moves on its core, and his is the last round's
-    pruned moves.
+    its core's moves, read off the round's inner result, the solve of the
+    rest it pruned, and his is the last round's pruned moves.  The rounds
+    run on the arena's ids, with the alive set a mask.
     """
     if game.mode != "lim":
         raise InputError("solve_lim_with_bound needs a lim-mode game")
     _check_bound(bound)
     arena = game.arena
-    high = frozenset(v for v in arena.vertices if game.rk[v] > bound)
     if isinstance(game.objective, Safety):
-        return solve_safety_cobuchi(arena, game.objective.safe, high)
-    cur = frozenset(arena.vertices)
+        return solve_safety_cobuchi(arena, game.objective.safe,
+                                    [v for v in arena.vertices if game.rk[v] > bound])
+    solve, ranks = game._on_ids
+    high, every = bytes([r > bound for r in ranks]), _mask(arena)
+    cur = every
     rounds = []
     last = None
-    while cur:
-        sres = solve_pruned(arena, high & cur, game.objective, cur)
-        if not sres.region_0:
+    while 1 in cur:
+        sres = _pruned(arena, _and(high, cur), solve, cur)
+        if 1 not in sres.win:
             last = sres
             break
-        chunk, toward_core = attractor(arena, 0, sres.region_0, cur)
+        chunk, toward_core = _attract(arena, 0, sres.win, cur)
         rounds.append((sres, toward_core))
-        cur = cur - chunk
+        cur = _minus(cur, chunk)
 
     def moves_of(player):
         moves = {}
         if player == 0:
-            # a round's pruned moves win on its core, its attractor moves lead there
+            # a round's core is its rest's region, where the rest's moves
+            # win; its attractor moves lead there
             for pruned, toward_core in rounds:
-                core_moves = pruned.moves(0)
-                for v in sorted(pruned.region_0):
-                    if arena.owner[v] == 0:
-                        moves[v] = core_moves[v]
+                core_moves = pruned.inner.moves(0)
+                for i in compress(range(len(cur)), pruned.win):
+                    if arena.owners[i] == 0:
+                        moves[i] = core_moves[i]
                 moves.update(toward_core)
         elif last is not None:
             # the last round's pruned result is positional: its move table,
             # with no one-state strategy tabulated around it
             moves = last.moves(1)
         return moves
-    return _positional(arena, frozenset(arena.vertices) - cur, cur, moves_of, None)
+    return _result(arena, _positional(arena, every, _minus(every, cur), moves_of))
 
 
 def solve_with_bound(game: RankedGame, bound: int) -> SolveResult:

@@ -12,9 +12,10 @@ phase) over the fault-free arena.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict
 
-from .arena import Arena, Vertex, attractor
+from .arena import Arena, Vertex, _attract, _mask, _minus
 from .errors import InputError
 from .extnat import INF, ExtNat, is_finite
 from .memory import FiniteStateStrategy
@@ -59,18 +60,22 @@ def compute_val(fa: FaultArena) -> Dict[Vertex, ExtNat]:
     expansion whose states carry the remaining fault budget.
     """
     arena = fa.arena
-    unsafe = frozenset(arena.vertices) - fa.safe
-    level, _ = attractor(arena, 1, unsafe)
-    val = {v: (0 if v in level else INF) for v in arena.vertices}
+    every, index = _mask(arena), arena.index
+    faults = [(index[u], index[w]) for u, w in fa.faults]
+    level, _ = _attract(arena, 1, _minus(every, _mask(arena, fa.safe)), every)
+    val = [0 if at else INF for at in level]
     for k in range(1, len(arena) + 1):
-        fault_pre = {u for (u, w) in fa.faults if w in level}
-        nxt, _ = attractor(arena, 1, level | fault_pre)
+        target = bytearray(level)
+        for u, w in faults:
+            if level[w]:
+                target[u] = 1
+        nxt, _ = _attract(arena, 1, target, every)
         if nxt == level:
             break
-        for v in nxt - level:
-            val[v] = k
+        for i in compress(range(len(val)), _minus(nxt, level)):
+            val[i] = k
         level = nxt
-    return val
+    return dict(zip(arena.vertices, val))
 
 
 def resilience_rank(fa: FaultArena) -> Dict[Vertex, int]:

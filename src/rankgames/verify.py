@@ -183,8 +183,12 @@ def _product_graph(arena: Arena, strategy: FiniteStateStrategy, start: Vertex,
     and every path a search over it finds, runs through undecided nodes
     before its last node.  A failing play of the claim's failure query
     may only take such paths, so the root fails exactly when the query
-    has a core, and a search for that core needs no path constraint."""
+    has a core, and a search for that core needs no path constraint.
+    The arena is read through its id rows: an opponent node's row is
+    mapped to labels as the walk leaves it, and a strategy move is checked
+    against the edge set."""
     seed, step_t = tracker
+    index, out, label = arena.index, arena.out, arena.vertices.__getitem__
     root = (start, start_state, seed(start))
     succ: Dict = {}
     frontier = deque([root])
@@ -197,11 +201,11 @@ def _product_graph(arena: Arena, strategy: FiniteStateStrategy, start: Vertex,
             continue
         if arena.owner[v] == strategy.owner:
             w = strategy.move(v, s)
-            if w not in arena.succ[v]:
+            if (v, w) not in arena.edges:
                 raise InputError(f"strategy moves along {(v, w)!r}, which is not an edge")
             moves = (w,)
         else:
-            moves = arena.succ[v]
+            moves = map(label, out[index[v]])
         outs = []
         for w in moves:
             e = (v, w)
@@ -221,7 +225,7 @@ def _reach_witness(arena: Arena, path_nodes: List) -> Lasso:
     walk = [verts[-1]]
     pos = {verts[-1]: 0}
     while True:
-        nxt = arena.succ[walk[-1]][0]
+        nxt = arena.vertices[arena.out[arena.index[walk[-1]]][0]]
         if nxt in pos:
             i = pos[nxt]
             return Lasso(tuple(verts[:-1] + walk[:i]), tuple(walk[i:]))

@@ -8,10 +8,18 @@ memory alongside the product strategy's own.  The tests hold the
 package's solver to it: same memory, regions and strategies.
 """
 
-from rankgames.arena import Arena, anchor
+from rankgames.arena import Arena
 from rankgames.memory import FiniteStateStrategy, MemoryStructure, explore
 from rankgames.qualsolve import SolveResult, solve_buchi
 from rankgames.verify import rr_open_update
+
+
+def anchor(arena, within=None):
+    """Initial vertex of the sub-arena induced by ``within``: the arena's
+    own if it is alive, otherwise the least alive vertex."""
+    if within is None or arena.initial in within:
+        return arena.initial
+    return min(within)
 
 
 def rr_seed_state(pairs, vertex):

@@ -54,7 +54,8 @@ class TestArenaConstruction:
     @staticmethod
     def _fields(arena):
         return (arena.vertices, list(arena.owner.items()), arena.edges,
-                list(arena.succ.items()), list(arena.pred.items()))
+                list(arena.succ.items()), list(arena.index.items()), arena.owners,
+                arena.out, arena.pred)
 
     def _assert_rows_in_any_order_build_one_arena(self, rng, owner, rows, initial):
         # a list without repeats fills the successor lists in row order; a

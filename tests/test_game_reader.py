@@ -73,7 +73,7 @@ def _outcome(parse, doc):
     costs = game.costrr and list(game.costrr.spec.edge_costs.items())
     faults = game.fault and (game.fault.faults, game.fault.safe)
     return "game", (game.kind, a.vertices, list(a.owner.items()), a.edges,
-                    list(a.succ.items()), list(a.pred.items()), a.initial,
+                    list(a.succ.items()), a.out, a.pred, a.initial,
                     game.objective, ranked, costs, faults)
 
 
@@ -110,4 +110,17 @@ def test_fault_arena_error_no_row_explains_passes_through(monkeypatch):
     doc = game_to_doc(LoadedGame("fault", fa.arena, Safety(fa.safe), fault=fa))
     monkeypatch.setattr("rankgames.fileformat.FaultArena.__post_init__", refuse)
     with pytest.raises(InputError, match="^refused$"):
+        parse_game_doc(doc)
+
+
+def test_numbering_error_no_edge_row_explains_passes_through(monkeypatch):
+    """The edge rows are walked only to word the numbering's error; when
+    every row is well formed, that error is raised unchanged."""
+    def refuse(cls, owner, edges, initial):
+        raise KeyError("refused")
+
+    fa = random_fault_arena(random.Random("game-reader:numbering"), 4, 4)
+    doc = game_to_doc(LoadedGame("fault", fa.arena, Safety(fa.safe), fault=fa))
+    monkeypatch.setattr("rankgames.fileformat.Arena._checked", classmethod(refuse))
+    with pytest.raises(KeyError, match="refused"):
         parse_game_doc(doc)

@@ -13,7 +13,7 @@ from rankgames.memory import (FiniteStateStrategy, MemoryStructure, positional_s
                               trivial_memory)
 from rankgames.objectives import (CostRRSpec, Safety, conjuncts, validate_objective,
                                   validate_rank)
-from rankgames.qualsolve import SolveResult, rr_product, solve_objective
+from rankgames.qualsolve import SolveResult, rr_product, solve_objective, solve_pruned
 from rankgames.ranked import (RankedCondition, RankedGame, solve_lim_with_bound,
                               solve_sup_with_bound)
 from rankgames.resilience import FaultArena
@@ -80,6 +80,10 @@ LIBRARY_ERRORS = [
      InputError, "request-response needs at least one pair"),
     ("solve an unknown objective", lambda: solve_objective(A, "parity"),
      InputError, "no solver for objective 'parity'"),
+    ("pruned solve of an unknown objective", lambda: solve_pruned(A, {"b"}, "parity"),
+     InputError, "no solver for objective 'parity'"),
+    ("pruned solve with an unknown bad vertex", lambda: solve_pruned(A, {"z"}, SAFE_A),
+     InputError, "target contains unknown vertices: ['z']"),
     # ranked
     ("sup solve of a lim game", lambda: solve_sup_with_bound(LIM, 0),
      InputError, "solve_sup_with_bound needs a sup-mode game"),

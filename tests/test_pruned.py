@@ -16,10 +16,11 @@ import random
 import pytest
 
 import pruned_reference as ref
+from attractor_reference import filled_moves
 from rankgames import qualsolve
 from rankgames.arena import attractor
 from rankgames.gen import random_arena, random_subset
-from rankgames.memory import filled_moves, positional_strategy
+from rankgames.memory import positional_strategy
 from rankgames.objectives import Buchi, CoBuchi, RequestResponse, Safety, SafetyAndCoBuchi
 from rankgames.qualsolve import solve_pruned, solve_safety_cobuchi
 from rankgames.ranked import RankedGame, solve_lim_with_bound, solve_sup_with_bound
@@ -92,13 +93,13 @@ def test_safety_cobuchi_inside_and_outside_an_alive_set():
 
 def test_sup_probes_at_every_realized_rank_nested_pruning_included(monkeypatch):
     nested = 0
-    solve = qualsolve.solve_pruned
+    solve = qualsolve._pruned
 
-    def spy(*args):  # solve_safety_cobuchi's call, one level inside a probe
+    def spy(*args):  # the safety/coBuchi solver's call, one level inside a probe
         nonlocal nested
         nested += 1
         return solve(*args)
-    monkeypatch.setattr(qualsolve, "solve_pruned", spy)
+    monkeypatch.setattr(qualsolve, "_pruned", spy)
     for seed in range(40):
         rng = random.Random(f"pruned-sup:{seed}")
         for kind in KINDS:

@@ -12,12 +12,12 @@ import random
 import pullback_reference as ref
 import rr_reference
 from rankgames import memory, qualsolve
-from rankgames.arena import Arena, attractor
+from rankgames.arena import Arena, _mask, attractor
 from rankgames.extnat import INF
 from rankgames.gen import random_arena, random_costrr_game, random_subset
 from rankgames.memory import FiniteStateStrategy, MemoryStructure, trivial_memory
 from rankgames.objectives import RequestResponse
-from rankgames.qualsolve import rr_product, solve_buchi, solve_request_response
+from rankgames.qualsolve import _buchi, rr_product, solve_request_response
 from rankgames.quantred import Cap, QuantReduction, lift_strategy
 from rankgames.ranked import RankedGame, solve_sup_with_bound
 from rankgames.rrcost import build_reduction, cap_bound, optimize
@@ -118,8 +118,9 @@ def _six_pair_game():
 class TestRequestResponseStrategies:
     def _assert_builder_matches(self, arena, pairs, within):
         product = rr_product(arena, pairs, within)
-        res = solve_buchi(product, frozenset(
-            i for i, (_v, (opened, ptr)) in enumerate(product.pairs) if ptr not in opened))
+        # the Buchi loop on the product's ids, as solve_request_response runs it
+        accept = bytes([ptr not in opened for _v, (opened, ptr) in product.pairs])
+        res = _buchi(product, accept, _mask(product), 0)
         ref_mem, _seeds, ref_product = rr_reference.rr_memory(arena, pairs, within)
         name = product.pairs
         starts = [name[i] for i in product.starts]

@@ -123,7 +123,7 @@ class TestSolveRequestResponse:
                           for _ in range(d))
             product = rr_product(arena, pairs)
             ref_mem = rr_reference.rr_memory(arena, pairs)[0]
-            assert sum(map(len, product.succ.values())) == len(ref_mem.update)
+            assert sum(map(len, product.out)) == len(ref_mem.update)
             assert _memory_rows(product) == ref_mem.update
 
     def test_many_pairs_on_a_cycle(self):
@@ -306,16 +306,16 @@ def _memory_rows(product):
     ``{(state, edge): state}``, one per edge."""
     name = product.pairs
     return {(name[i][1], (name[i][0], name[k][0])): name[k][1]
-            for i, out in product.succ.items() for k in out}
+            for i, out in enumerate(product.out) for k in out}
 
 
-def _graph_fields(arena, name=lambda v: v):
-    """Initial vertex, owners, successor and predecessor lists, in the
-    graph's own order, with every vertex renamed by ``name``."""
-    def lists(table):
-        return [(name(v), [name(w) for w in out]) for v, out in table.items()]
-    return (name(arena.initial), [(name(v), p) for v, p in arena.owner.items()],
-            lists(arena.succ), lists(arena.pred))
+def _graph_fields(graph, labels, initial):
+    """Initial vertex, owners, successor and predecessor rows, in the
+    graph's id order, with every id read as its label in ``labels``."""
+    def rows(table):
+        return [(labels[i], [labels[k] for k in row]) for i, row in enumerate(table)]
+    return (initial, [(labels[i], p) for i, p in enumerate(graph.owners)],
+            rows(graph.out), rows(graph.pred))
 
 
 def _assert_matches_tuple_reference(arena, pairs, within):
@@ -331,7 +331,8 @@ def _assert_matches_tuple_reference(arena, pairs, within):
     # one start per alive vertex, in vertex order, paired with its seed state
     assert [product.pairs[i] for i in product.starts] == list(ref_seeds.items())
     assert list(product.pairs) == list(ref_product.vertices)
-    assert _graph_fields(product, product.pairs.__getitem__) == _graph_fields(ref_product)
+    assert (_graph_fields(product, product.pairs, product.pairs[product.initial])
+            == _graph_fields(ref_product, ref_product.vertices, ref_product.initial))
     got = solve_request_response(arena, pairs, within)
     want = rr_reference.solve_request_response(arena, pairs, within)
     assert (got.region_0, got.region_1) == (want.region_0, want.region_1)

@@ -65,6 +65,20 @@ def test_a_tree_against_itself_gives_the_same_answers():
         int(line.split()[3]) for line in lines if not line.startswith("  "))
 
 
+def test_more_rounds_time_more_requests_and_print_the_same_digests():
+    src = str(ROOT / "src")
+    printed = []
+    for rounds in ("1", "2"):
+        done = _run("--workload", "rr-many-pairs", "--src", src, "--src", src,
+                    "--rounds", rounds)
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout.splitlines())
+    # digests from the first round only; every round's requests timed
+    assert [printed[0][0]] == [printed[1][0]] == _digests().splitlines()
+    timed = [{row.split()[0]: int(row.split()[1]) for row in lines[1:]} for lines in printed]
+    assert timed[1] == {command: 2 * n for command, n in timed[0].items()}
+
+
 def test_a_tree_writing_other_strategy_bytes_is_named_with_its_request(spaced_tree):
     done = _run("--workload", "rr-many-pairs", "--src", str(ROOT / "src"),
                 "--src", spaced_tree)

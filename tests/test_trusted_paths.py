@@ -7,36 +7,41 @@ and memories through ``Arena._checked`` and ``MemoryStructure._checked``,
 which check nothing again.  Each result here must equal, field by field and
 in iteration order, what ``Arena(owner, edges, initial)`` and
 ``MemoryStructure(...)`` build from the same rows, and those must accept
-the rows.  ``rr_product`` builds no arena: the graph fields of its
-numbered product must equal those of the arena built from its rows.
+the rows.  An arena's fields include the id rows the solvers read: the
+index, the owner row and the successor and predecessor rows.
+``rr_product`` builds no arena: the id rows of its numbered product must
+equal those of the arena built from its rows.  Solving reads id rows
+only, so no request builds the label-keyed successor map except through
+the walks that step through labels.
 """
 
 import json
 import random
 
 import rr_reference
+from rankgames import fileformat
 from rankgames.arena import Arena, attractor
 from rankgames.fileformat import (game_to_doc, parse_game_doc, strategy_from_doc,
                                   strategy_to_doc)
 from rankgames.gen import random_arena, random_subset
 from rankgames.memory import MemoryStructure, explore_product, trivial_memory
+from rankgames.objectives import RequestResponse
 from rankgames.qualsolve import (rr_product, solve_objective, solve_request_response,
                                  solve_safety_cobuchi)
 from rankgames.verify import verify_strategy
 
-from test_cli_bytes import _games, reversed_rows
+from test_cli_bytes import _games, _run, digests, reversed_rows
 
 
 def arena_fields(arena):
     return (arena.vertices, list(arena.owner.items()), arena.edges, arena.initial,
-            list(arena.succ.items()), list(arena.pred.items()))
+            list(arena.index.items()), *graph_fields(arena))
 
 
 def graph_fields(graph):
-    """What the solvers read of an arena or a numbered product, in its own
-    order."""
-    return (tuple(graph.vertices), list(graph.owner.items()), graph.initial,
-            [(v, tuple(out)) for v, out in graph.succ.items()], list(graph.pred.items()))
+    """The id rows the solvers read of an arena or a numbered product, in id
+    order: owners, successor ids and predecessor ids."""
+    return (type(graph.owners), graph.owners, graph.out, graph.pred)
 
 
 def memory_fields(mem):
@@ -100,10 +105,10 @@ def test_rr_memory_products_inside_and_outside_an_alive_set():
                       for _ in range(rng.randint(1, 3)))
         for within in (None, _trap(rng, arena)):
             product = rr_product(arena, pairs, within)
-            edges = [(i, k) for i, out in product.succ.items() for k in out]
-            assert graph_fields(product) == graph_fields(
-                Arena(product.owner, edges, product.initial))
-            assert product.vertices == range(len(product.pairs))
+            edges = [(i, k) for i, out in enumerate(product.out) for k in out]
+            validated = Arena(dict(enumerate(product.owners)), edges, product.initial)
+            assert graph_fields(product) == graph_fields(validated)
+            assert validated.vertices == tuple(range(len(product.pairs)))
             assert product.states == rr_reference.rr_memory(arena, pairs, within)[0].states
             res = solve_request_response(arena, pairs, within)
             for player in (0, 1):  # pulled back through the numbered product
@@ -140,4 +145,24 @@ def test_pred_is_built_on_first_read_and_verify_does_not_read_it():
     verify_strategy(arena, game.objective, strategy)
     assert "pred" not in vars(arena)
     attractor(arena, 0, [arena.initial])
-    assert list(vars(arena)["pred"].items()) == list(game.arena.pred.items())
+    assert vars(arena)["pred"] == game.arena.pred
+
+
+def test_requests_build_no_label_successor_map_outside_label_walks(monkeypatch, tmp_path):
+    # every command on one seed's games, each parsed arena kept; only the
+    # walks that step through labels (cost-RR products, a pruned
+    # request-response strategy) read Arena.succ
+    parsed = []
+    parse = fileformat.parse_game
+
+    def keeping(path):
+        game = parse(path)
+        parsed.append(game)
+        return game
+    monkeypatch.setattr(fileformat, "parse_game", keeping)
+    digests(tmp_path, seeds=(1,), run=_run)
+    by_ids = [game for game in parsed if game.kind != "costrr"
+              and not (game.kind == "ranked" and isinstance(game.objective, RequestResponse))]
+    assert len(by_ids) > 30 and {game.kind for game in by_ids} == {
+        "qualitative", "ranked", "fault"}
+    assert not [game for game in by_ids if "succ" in vars(game.arena)]

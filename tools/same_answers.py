@@ -5,6 +5,7 @@ request by request.
 Usage, from any directory:
 
     python3 tools/same_answers.py [--src DIR [--src DIR]] [--workload NAME] [--limit N]
+                                  [--rounds N]
 
 For each workload of ``bench/workloads.py``, the instances of the bench's
 default seed (the one ``bench/golden`` records) are generated into a
@@ -22,18 +23,22 @@ stderr (its last 500 characters, as the worker keeps it) and the bytes
 of the strategy file written by ``--out``.  ``bench/golden`` records
 stdout only, not strategy files.  Two trees, or two runs under different
 ``PYTHONHASHSEED`` values, give the same answers when they print the
-same lines.
+same lines.  ``tools/same_answers.txt`` records the lines of a run over
+every instance; a change meant to alter output records them again with
+``python3 tools/same_answers.py > tools/same_answers.txt``.
 
 With ``--src`` given twice, trees A and B are both imported into this
 process, each keeping its own modules, and each instance's plan runs
-once per tree, A first on the first instance and the order swapped on
-each next one.  The line printed per workload is A's.  After it, one
-line per command gives the requests run, the median and quartiles of
-the per-request wall-time ratio B/A, and how often B was faster; these
-timings are not checked.
+once per tree in each of ``--rounds N`` rounds (default 1), A first on
+the first instance of the first round and the order swapped on each
+next instance and each next round.  The line printed per workload is
+A's, over the first round's answers, so it does not depend on N.  After
+it, one line per command gives the requests timed in all rounds, the
+median and quartiles of the per-request wall-time ratio B/A, and how
+often B was faster; these timings are not checked.
 The records (exit code, stdout, stderr, failure) and strategy bytes of
-the two trees are compared request by request, and the first request
-that differs is named on stderr.
+the two trees are compared request by request in every round, and the
+first request that differs is named on stderr.
 
 Exits 1 when a request fails, a plan finds an answer wrong, or two trees
 differ (the reason goes to stderr; the digest still covers every request
@@ -110,36 +115,38 @@ def _quartiles(ratios):
     return tuple(statistics.quantiles(ratios, n=4, method="inclusive"))
 
 
-def answers(trees, guard, workload: str, limit) -> tuple:
-    """Instances run, requests run, digest (of the first tree's answers),
-    failed requests, the first request two trees answer differently (or
-    None) and ``{command: [wall-time ratio B/A per request]}`` of one
-    workload, built and run in the current directory."""
+def answers(trees, guard, workload: str, limit, rounds: int = 1) -> tuple:
+    """Instances run, requests run, digest (of the first tree's answers in
+    the first round), failed requests, the first request two trees answer
+    differently (or None) and ``{command: [wall-time ratio B/A per request
+    and round]}`` of one workload, built and run in the current directory."""
     instances = wl.build(workload, trees[0].rk, DEFAULT_SEED, workload)[:limit]
     digest, requests, failed, differ, ratios = hashlib.sha256(), 0, [], None, {}
-    for i, inst in enumerate(instances):
-        runs = [None] * len(trees)
-        for k in range(len(trees))[::1 if i % 2 == 0 else -1]:
-            runs[k] = run_tree(trees[k], guard, inst)
-        for rec in runs[0]:
-            requests += 1
-            row = [rec["argv"], rec["code"], rec["stdout"], rec["stderr"]]
-            digest.update(json.dumps(row).encode() + b"\n")
-            if "--out" in rec["argv"]:
-                digest.update(b"%d\n" % len(rec["strategy"]) + rec["strategy"])
-        for label, recs in zip("AB", runs):
-            tag = f"{label}: " if len(trees) > 1 else ""
-            failed += [f"{tag}{inst.game}: {r['error']}" for r in recs if r["error"] is not None]
-        if len(trees) == 1:
-            continue
-        for j, (a, b) in enumerate(zip_longest(*runs)):
-            fields = _difference(a, b)
-            if fields and differ is None:
-                argv = " ".join((a or b)["argv"])
-                differ = (f"{workload} instance {i + 1} request {j + 1} ({argv}): "
-                          + ", ".join(fields))
-            if not fields:
-                ratios.setdefault(a["argv"][0], []).append(b["wall"] / a["wall"])
+    for r in range(rounds):
+        for i, inst in enumerate(instances):
+            runs = [None] * len(trees)
+            for k in range(len(trees))[::1 if (i + r) % 2 == 0 else -1]:
+                runs[k] = run_tree(trees[k], guard, inst)
+            for rec in runs[0] if r == 0 else ():
+                requests += 1
+                row = [rec["argv"], rec["code"], rec["stdout"], rec["stderr"]]
+                digest.update(json.dumps(row).encode() + b"\n")
+                if "--out" in rec["argv"]:
+                    digest.update(b"%d\n" % len(rec["strategy"]) + rec["strategy"])
+            for label, recs in zip("AB", runs):
+                tag = f"{label}: " if len(trees) > 1 else ""
+                failed += [f"{tag}{inst.game}: {e['error']}"
+                           for e in recs if e["error"] is not None]
+            if len(trees) == 1:
+                continue
+            for j, (a, b) in enumerate(zip_longest(*runs)):
+                fields = _difference(a, b)
+                if fields and differ is None:
+                    argv = " ".join((a or b)["argv"])
+                    differ = (f"{workload} instance {i + 1} request {j + 1} ({argv}): "
+                              + ", ".join(fields))
+                if not fields:
+                    ratios.setdefault(a["argv"][0], []).append(b["wall"] / a["wall"])
     return len(instances), requests, digest.hexdigest(), failed, differ, ratios
 
 
@@ -152,10 +159,15 @@ def main(argv=None) -> int:
                     help="workload to run (repeatable; default: all)")
     ap.add_argument("--limit", type=int, default=None,
                     help="run only the first N instances of each workload")
+    ap.add_argument("--rounds", type=int, default=1,
+                    help="with two trees, run every instance N times per tree "
+                    "(digests come from the first round)")
     args = ap.parse_args(argv)
     srcs = args.src or [str(ROOT / "src")]
     if len(srcs) > 2:
         ap.error("--src is given at most twice")
+    if args.rounds < 1 or (args.rounds > 1 and len(srcs) < 2):
+        ap.error("--rounds takes a positive count, and more than one needs two trees")
     trees = [Tree(os.path.abspath(src)) for src in srcs]
     guard = worker.Guard(LIMIT_S)
     failed, differ = [], None
@@ -165,7 +177,7 @@ def main(argv=None) -> int:
         try:
             for workload in args.workload or wl.WORKLOADS:
                 n, requests, digest, bad, first, ratios = answers(
-                    trees, guard, workload, args.limit)
+                    trees, guard, workload, args.limit, args.rounds)
                 print(f"{workload} {n} instances {requests} requests {digest}", flush=True)
                 for command in sorted(ratios):
                     r = ratios[command]
