@@ -163,8 +163,13 @@ def _predecessors(succ: Mapping) -> dict:
 
 
 def _pred_rows(out: list) -> list:
-    """Predecessor rows of successor-id rows: the ids listing each id, increasing."""
-    return list(_predecessors(dict(enumerate(out))).values())
+    """Predecessor rows of successor-id rows: the ids listing each id,
+    increasing, as the rows are read in id order."""
+    pred = [[] for _ in out]
+    for i, row in enumerate(out):
+        for k in row:
+            pred[k].append(i)
+    return pred
 
 
 def _mask(arena: Arena, vertices=None) -> bytearray:

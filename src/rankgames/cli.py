@@ -141,8 +141,7 @@ def cmd_resilience(game, args, out) -> int:
     if game.kind != "fault":
         raise InputError("resilience needs a game with a faults section")
     res = max_resilience(game.fault, "lim" if args.eventual else "sup")
-    for v in sorted(game.arena.vertices):
-        print(f"val {v} = {res.val[v]}", file=out)
+    out.write("".join([f"val {v} = {res.val[v]}\n" for v in game.arena.vertices]))
     if res.player1_wins:
         print("Player 1 wins the safety game", file=out)
     else:

@@ -10,7 +10,10 @@ The on-disk layout of a strategy file is part of the format: the text
 ``json.dump(strategy_to_doc(s), indent=2, sort_keys=True)`` writes, plus
 a final newline.  ``write_strategy`` emits that layout directly from the
 rows, and a test holds its bytes to the ``json`` reference; it rewrites an
-existing file in place and cuts it to length.
+existing file in place and cuts it to length.  A one-state strategy a
+solver built is written from its rows on vertex ids, in file order as they
+are, without building its label tables; every other strategy's label rows
+are sorted into file order first.
 
 Readers take the vertex, edge, update and move tables of a file, and the
 objective's vertex lists, whole: one comprehension reads a table and one
@@ -418,6 +421,14 @@ def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
     the rows: the two row shapes are fixed, so the pure-Python encoder's
     generality is not needed.
 
+    A strategy on vertex ids (:class:`rankgames.memory._OnIds`) gives its
+    rows on ids, and its label tables are not built: ids follow the sorted
+    labels and its rows are increasing, so they are in file order already,
+    and each label is encoded once.  Every other strategy gives its label
+    rows, named and sorted by :func:`_strategy_rows`.  One loop formats
+    both, reading vertex fields through ``vertex8`` and ``vertex6`` and
+    state names through ``at8`` and ``at6``.
+
     An existing file is rewritten in place and then cut to the new length,
     not truncated to zero first: on ext4, truncating a file and writing it
     again costs the kernel several times the in-place write.  New files get
@@ -426,13 +437,28 @@ def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
     file and a path that reports size 0 (a FIFO, ``/dev/null``) are not cut.
     The write is not atomic: a process killed between the write and the
     cut can leave the old tail after the new text."""
-    states, initial, update, moves = _strategy_rows(strategy)
     at8, at6 = _Encoded(" " * 8), _Encoded(" " * 6)
-    update_rows = [f'      {{\n        "from": {at8[u]},\n        "next": {at8[t]},\n'
-                   f'        "state": {at8[s]},\n        "to": {at8[w]}\n      }}'
+    ids = getattr(strategy, "_ids", None)
+    if ids is None:
+        states, initial, update, moves = _strategy_rows(strategy)
+        vertex8, vertex6 = at8, at6
+    else:
+        arena, table, rows = ids
+        # the one state, 0, named as _strategy_rows names it
+        states, initial = ["m0"], "m0"
+        update = [("m0", i, k, "m0") for i, row in enumerate(rows) for k in row]
+        moves = [(i, "m0", k) for i, k in table.items()]
+        # each label's text by id; a string's is the same at every indent
+        verts = arena.vertices
+        if {str} >= set(map(type, verts)):
+            vertex8 = vertex6 = list(map(encode_basestring_ascii, verts))
+        else:
+            vertex8, vertex6 = [at8[v] for v in verts], [at6[v] for v in verts]
+    update_rows = [f'      {{\n        "from": {vertex8[u]},\n        "next": {at8[t]},\n'
+                   f'        "state": {at8[s]},\n        "to": {vertex8[w]}\n      }}'
                    for s, u, w, t in update]
-    move_rows = [f'    {{\n      "state": {at6[s]},\n      "target": {at6[w]},\n'
-                 f'      "vertex": {at6[v]}\n    }}'
+    move_rows = [f'    {{\n      "state": {at6[s]},\n      "target": {vertex6[w]},\n'
+                 f'      "vertex": {vertex6[v]}\n    }}'
                  for v, s, w in moves]
     text = "".join((
         '{\n  "memory": {\n    "initial": ', at6[initial],

@@ -4,6 +4,11 @@ A memory structure is a deterministic transducer whose update function
 reads edges of a fixed arena, so memories can react to which edge was
 taken, not only to the vertex reached.  Vertex-driven updates are the
 special case that ignores the edge source.
+
+The one-state strategies the solvers build stay on vertex ids, and their
+label-keyed memory and move table are built on first read (:class:`_OnIds`);
+strategies with memory, strategies read from files and hand-built ones are
+label-keyed from the start.
 """
 
 from __future__ import annotations
@@ -219,6 +224,10 @@ class FiniteStateStrategy:
     ``next_move`` maps (vertex, memory state) pairs of the owner's
     vertices to successor vertices.  The reported size of the strategy is
     the size of its memory.
+
+    The one-state strategies the solvers build are held on vertex ids, as
+    instances of the private subclass :class:`_OnIds`, whose label-keyed
+    ``memory`` and ``next_move`` are built on first read.
     """
 
     owner: int
@@ -238,6 +247,52 @@ class FiniteStateStrategy:
         except KeyError:
             raise InputError(
                 f"strategy has no move at vertex {vertex!r} in state {state!r}") from None
+
+
+class _OnIds(FiniteStateStrategy):
+    """A one-state strategy held on the ids of an arena: ``_ids`` is the
+    arena, the owner's move table from id to id and the memory's rows, the
+    successor ids each vertex id's row takes, both in increasing id order.
+
+    Its label-keyed ``memory`` and ``next_move`` are built on first read,
+    as :attr:`Arena.succ` is: the memory's one state is 0, with its update
+    rows in id order.  The strategy writer reads the id rows and builds
+    neither, and ``size`` needs neither.  It equals a label-keyed strategy
+    with the same tables.  The lazy tables live on this subclass so that
+    reading a field of any other strategy stays a plain attribute read.
+    """
+
+    @classmethod
+    def _of(cls, owner: int, arena: Arena, moves: dict, rows: list) -> FiniteStateStrategy:
+        """The one-state strategy of ``owner`` with the move table ``moves``
+        and the memory rows ``rows`` on the ids of ``arena``."""
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "owner", owner)
+        object.__setattr__(strategy, "_ids", (arena, moves, rows))
+        strategy.__post_init__()
+        return strategy
+
+    @cached_property
+    def memory(self) -> MemoryStructure:
+        arena, _moves, rows = self._ids
+        verts = arena.vertices
+        return MemoryStructure._checked(
+            (0,), 0, {(0, (verts[i], verts[k])): 0 for i, row in enumerate(rows) for k in row})
+
+    @cached_property
+    def next_move(self) -> dict:
+        arena, moves, _rows = self._ids
+        verts = arena.vertices
+        return {(verts[i], 0): verts[k] for i, k in moves.items()}
+
+    def size(self) -> int:
+        # dataclasses.replace gives a copy its tables, not the id rows
+        return 1 if "_ids" in self.__dict__ else len(self.memory)
+
+    def __eq__(self, other):
+        return isinstance(other, FiniteStateStrategy) and (
+            (self.owner, self.memory, self.next_move)
+            == (other.owner, other.memory, other.next_move))
 
 
 def positional_strategy(arena: Arena, owner: int,

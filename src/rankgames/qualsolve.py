@@ -21,7 +21,11 @@ on entry; the fixpoints (attractor, Buchi and coBuchi, safety, pruning)
 run on the graph's id rows, with alive sets, regions and targets as masks
 over the ids and moves as id-to-id tables (:class:`_Solved`); and labels
 come back only where a :class:`SolveResult` hands out its regions and
-move tables.  The request-response product is not an
+move tables.  Its one-state strategies, the positional results' and the
+pruned one-state results', are filled straight from the id move tables:
+a strategy on ids (:class:`rankgames.memory._OnIds`), whose label tables
+are built on first read and which the strategy writer writes from its id
+rows.  The request-response product is not an
 :class:`~rankgames.arena.Arena`: it gives the same id rows, and the same
 Buchi loop solves it.
 """
@@ -35,8 +39,7 @@ from typing import Callable, Dict, NamedTuple, Optional
 
 from .arena import Arena, Vertex, _and, _attract, _first, _mask, _minus, _target_mask
 from .errors import InputError
-from .memory import (FiniteStateStrategy, MemoryStructure, NumberedProduct, explore,
-                     positional_strategy)
+from .memory import FiniteStateStrategy, MemoryStructure, NumberedProduct, _OnIds, explore
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
                          SafetyAndCoBuchi, validate_objective)
 
@@ -89,7 +92,7 @@ class _Solved(NamedTuple):
     a mask inside it (Player 1 has the rest).  ``moves(player)``, from id to
     id, is filled with first successors at that player's other alive ids,
     or is None where strategies carry memory; ``build(player)`` builds the
-    labelled strategy, or is None for the one-state strategy wrapping
+    strategy, or is None for the one-state strategy on ids wrapping
     ``moves``.  A pruned result keeps the ``inner`` result of its rest."""
 
     alive: bytes
@@ -105,23 +108,25 @@ def _result(arena: Arena, res: _Solved) -> SolveResult:
 
     def moves(player):
         return {verts[i]: verts[k] for i, k in res.moves(player).items()}
-    build = res.build or (lambda player: positional_strategy(arena, player, moves(player)))
+
+    def positional(player):
+        # a one-state memory with a row for every edge
+        return _OnIds._of(player, arena, res.moves(player), arena.out)
     return SolveResult(frozenset(compress(verts, res.win)),
-                       frozenset(compress(verts, _minus(res.alive, res.win))), build,
-                       moves=None if res.moves is None else moves)
+                       frozenset(compress(verts, _minus(res.alive, res.win))),
+                       res.build or positional, moves=None if res.moves is None else moves)
 
 
 def _positional(graph, alive, win, moves_of) -> _Solved:
-    """Result whose strategies are positional: ``moves_of(player)``, filled
-    inside the alive set.  Every positional result is built here."""
+    """Result whose strategies are positional: ``moves_of(player)``, which
+    moves only at that player's alive ids, filled inside the alive set, in
+    increasing id order.  Every positional result is built here."""
     owners = graph.owners
 
     def moves(player):
-        table = dict(moves_of(player))
-        for i in compress(range(len(alive)), alive):
-            if owners[i] == player and i not in table:
-                table[i] = _first(graph, i, alive)
-        return table
+        table = moves_of(player)
+        return {i: table[i] if i in table else _first(graph, i, alive)
+                for i in compress(range(len(alive)), alive) if owners[i] == player}
     return _Solved(alive, win, moves)
 
 
@@ -346,13 +351,10 @@ def _pruned(arena: Arena, bad, solve, alive) -> _Solved:
     def build(player):
         if res.moves is not None:
             # one state: a walk would visit each alive vertex once, in order
-            table, update = moves(player), {}
-            for i in compress(ids, alive):
-                for k in (table[i],) if i in table else arena.out[i]:
-                    if alive[k]:
-                        update[(0, (verts[i], verts[k]))] = 0
-            return FiniteStateStrategy(player, MemoryStructure._checked((0,), 0, update),
-                                       {(verts[i], 0): verts[k] for i, k in table.items()})
+            table, out = moves(player), arena.out
+            rows = [[table[i]] if i in table else [k for k in out[i] if alive[k]]
+                    if alive[i] else [] for i in ids]
+            return _OnIds._of(player, arena, table, rows)
         base = res.build(player)
         mem, inner, index = base.memory, base.next_move, arena.index
 
@@ -385,10 +387,10 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
     them winning on their whole region, and every alive vertex is a start
     the walk visits once.  The result is then positional too and gives
     ``moves``: each owner vertex of the alive set with its inner move,
-    attractor move or first successor.  Its one-state strategy is
-    tabulated in one pass over the sorted alive set, one row per owner
-    vertex for its move and one per successor inside the alive set
-    elsewhere.  Only a memoryful inner result, request-response, is
+    attractor move or first successor.  Its one-state strategy is held
+    on ids, with its memory rows filled in one pass over the ids: one row
+    per owner vertex for its move and one per successor inside the alive
+    set elsewhere.  Only a memoryful inner result, request-response, is
     walked with its memory.
 
     A request-response strategy's initial state is the seed state of the
