@@ -30,7 +30,11 @@ byte per id, 1 for a member, as ``bytes`` or ``bytearray``; whole masks
 are intersected and subtracted as integers (:func:`_and`,
 :func:`_minus`).  An :class:`Arena` gives the rows, and so does
 :class:`rankgames.memory.NumberedProduct`, the request-response product,
-so :func:`_attract` is the one attractor loop for both.  Labels are
+so :func:`_spread` is the one attractor loop for both.  It can be resumed:
+the mask, the opponent counters and the queue it grows from are handed
+in, so a caller that adds target ids and queues just those grows the
+attractor to the larger target, and :func:`_attract` runs it once from a
+fresh target.  Labels are
 mapped to ids where a library call enters (``index``) and back where its
 result leaves (``vertices``).  The label-keyed successor map ``succ`` is
 built on first read, for the walks that step through labels.
@@ -220,15 +224,26 @@ def _attract(graph, player: int, target, alive) -> Tuple[bytearray, dict]:
     """:func:`attractor` on ids: ``target`` and ``alive`` are masks over the
     ids of ``graph`` (an arena or a numbered product), the target inside
     the alive set.  Returns the attractor's mask and ``player``'s moves,
-    from id to id.  Targets are queued in id order, and an opponent id's
-    counter lives in a list, started on its first decrement at its number
-    of successors inside the alive set."""
+    from id to id.  Targets are queued in id order, with no counter
+    started, and :func:`_spread` grows the mask from them."""
+    inside, strategy = bytearray(target), {}
+    _spread(graph, player, alive, inside, [0] * len(inside),
+            list(compress(range(len(inside)), inside)), strategy)
+    return inside, strategy
+
+
+def _spread(graph, player: int, alive, inside: bytearray, counters: list,
+            queue: list, strategy: dict) -> None:
+    """The attractor loop: grow the mask ``inside`` from the ids in
+    ``queue``, which it holds and whose predecessors are not yet counted.
+    Each id it adds is appended to ``queue``, and ``player``'s move from
+    it to ``strategy``.  An opponent id's counter lives in ``counters``,
+    started on its first decrement at its number of successors inside the
+    alive set.  The mask, the counters and the moves are left as a later
+    call resumes them: a caller that sets more ids in ``inside`` and
+    queues just those gets the attractor to the larger target."""
     out, owners, pred = graph.out, graph.owners, graph.pred
     whole = 0 not in alive
-    inside = bytearray(target)
-    queue = list(compress(range(len(inside)), inside))
-    counters = [0] * len(inside)
-    strategy = {}
     for v in queue:
         for u in pred[v]:
             if inside[u] or not alive[u]:
@@ -244,7 +259,6 @@ def _attract(graph, player: int, target, alive) -> Tuple[bytearray, dict]:
                 if left == 0:
                     inside[u] = 1
                     queue.append(u)
-    return inside, strategy
 
 
 def attractor(arena: Arena, player: int, target: Iterable[Vertex], within=None):

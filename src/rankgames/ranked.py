@@ -4,10 +4,13 @@ A vertex-ranked game charges a play the highest rank it visits at all
 ("sup" mode) or infinitely often ("lim" mode), provided the play meets a
 qualitative objective; otherwise the play costs infinity.  Player 0
 minimizes.  Solving with respect to a bound b reduces to qualitative
-solving after pruning what Player 1 can force above b; the optimum is
-found by binary search over the realized rank values.  That search,
-:func:`least_winning_bound`, is the one every ``OptimizeResult`` comes
-from: it also bisects the bounds of request-response games with costs.
+solving after pruning what Player 1 can force above b.  The optimum is a
+realized rank value.  A sup game starts at its floor, the least rank b
+whose Player 1 attractor to the ranks above b misses the initial vertex,
+and searches further only when that probe loses below the top rank; a lim
+game bisects all realized ranks.  That bisection,
+:func:`least_winning_bound`, also searches the bounds of request-response
+games with costs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import cached_property, partial
 from itertools import compress
 from typing import Tuple
 
-from .arena import Arena, _and, _attract, _mask, _minus
+from .arena import Arena, _and, _attract, _mask, _minus, _spread
 from .errors import CapabilityError, InputError
 from .extnat import INF, ExtNat
 from .memory import FiniteStateStrategy
@@ -192,13 +195,52 @@ def least_winning_bound(initial, probe, candidates) -> OptimizeResult:
     return OptimizeResult(candidates[hi], best.strategy_0)
 
 
+def _floor(game: RankedGame) -> int:
+    """Least realized rank b whose Player 1 attractor to the ranks above b
+    misses the initial vertex.  Every sup cost is at least this floor: at
+    each lower realized b, Player 1 forces a rank above b from the initial
+    vertex.  The rank levels enter one growing attractor
+    (:func:`rankgames.arena._spread`) from the top down, until the initial
+    vertex is inside."""
+    _, ranks = game._on_ids
+    arena = game.arena
+    levels = {}
+    for i, r in enumerate(ranks):
+        levels.setdefault(r, []).append(i)
+    values = sorted(levels, reverse=True)
+    at, n = arena.index[arena.initial], len(ranks)
+    inside, counters, every = bytearray(n), [0] * n, b"\1" * n
+    for above in values[:-1]:
+        queue = [i for i in levels[above] if not inside[i]]
+        for i in queue:
+            inside[i] = 1
+        _spread(arena, 1, every, inside, counters, queue, {})
+        if inside[at]:
+            return above
+    return values[-1]
+
+
 def optimize(game: RankedGame) -> OptimizeResult:
-    """Binary search for the least bound Player 0 wins with.
+    """Least bound Player 0 wins with.
 
     Winning with respect to b is monotone in b, and the achievable costs
-    are realized rank values, so only those are probed.  Player 1 wins
-    outright when even the largest rank fails, which is exactly failing
-    the qualitative game.
+    are realized rank values, so only those are probed.  A sup game is
+    first probed at its floor (:func:`_floor`), below which Player 1
+    forces a higher rank: a win there is the optimum, a loss at the top
+    rank is cost ``INF`` with that probe's Player 1 strategy, and any
+    other loss bisects the ranks above the floor.  A lim game bisects all
+    realized ranks.  Player 1 wins outright when even the largest rank
+    fails, which is exactly failing the qualitative game.  Either way the
+    strategy comes from the probe at the optimum, or at the top rank.
     """
-    return least_winning_bound(game.arena.initial, partial(solve_with_bound, game),
-                               game.rank_values())
+    initial, ranks = game.arena.initial, game.rank_values()
+    if game.mode == "lim":
+        return least_winning_bound(initial, partial(solve_lim_with_bound, game), ranks)
+    floor = _floor(game)
+    res = solve_sup_with_bound(game, floor)
+    if initial in res.region_0:
+        return OptimizeResult(floor, res.strategy_0)
+    if floor == ranks[-1]:
+        return OptimizeResult(INF, res.strategy_1)
+    return least_winning_bound(initial, partial(solve_sup_with_bound, game),
+                               ranks[ranks.index(floor) + 1:])

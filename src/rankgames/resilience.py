@@ -12,10 +12,10 @@ phase) over the fault-free arena.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from typing import Dict
 
-from .arena import Arena, Vertex, _attract, _mask, _minus
+from .arena import Arena, Vertex, _mask, _minus, _spread
 from .errors import InputError
 from .extnat import INF, ExtNat, is_finite
 from .memory import FiniteStateStrategy
@@ -54,27 +54,35 @@ def compute_val(fa: FaultArena) -> Dict[Vertex, ExtNat]:
     """Minimal number of faults the opponent needs, per vertex.
 
     Level 0 is his plain attractor to the unsafe set; each further level
-    adds the vertices whose fault pairs reach the previous level and
-    attracts again.  The fixpoint settles within |V| rounds.  The test
-    suite holds it to a budget-game oracle: a safety game on an explicit
-    expansion whose states carry the remaining fault budget.
+    adds the sources of the fault pairs that reach the previous level and
+    attracts again.  Each level only grows the one before, so the levels
+    grow one attractor (:func:`rankgames.arena._spread`): a level queues
+    just the fault sources whose targets the previous level added, and
+    val k goes to the ids it adds.  The fixpoint settles within |V|
+    levels.  The test suite holds it to a budget-game oracle: a safety
+    game on an explicit expansion whose states carry the remaining fault
+    budget.
     """
     arena = fa.arena
-    every, index = _mask(arena), arena.index
-    faults = [(index[u], index[w]) for u, w in fa.faults]
-    level, _ = _attract(arena, 1, _minus(every, _mask(arena, fa.safe)), every)
-    val = [0 if at else INF for at in level]
-    for k in range(1, len(arena) + 1):
-        target = bytearray(level)
-        for u, w in faults:
-            if level[w]:
-                target[u] = 1
-        nxt, _ = _attract(arena, 1, target, every)
-        if nxt == level:
+    index, n = arena.index, len(arena)
+    sources = [[] for _ in range(n)]
+    for u, w in fa.faults:
+        sources[index[w]].append(index[u])
+    every, counters, val = b"\1" * n, [0] * n, [INF] * n
+    inside = bytearray(_minus(every, _mask(arena, fa.safe)))
+    level = list(compress(range(n), inside))
+    for k in count():
+        _spread(arena, 1, every, inside, counters, level, {})
+        fresh = []
+        for w in level:
+            val[w] = k
+            for u in sources[w]:
+                if not inside[u]:
+                    inside[u] = 1
+                    fresh.append(u)
+        if not fresh:
             break
-        for i in compress(range(len(val)), _minus(nxt, level)):
-            val[i] = k
-        level = nxt
+        level = fresh
     return dict(zip(arena.vertices, val))
 
 
