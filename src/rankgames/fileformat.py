@@ -8,12 +8,15 @@ are not strings are renamed to stable generated identifiers on write.
 
 The on-disk layout of a strategy file is part of the format: the text
 ``json.dump(strategy_to_doc(s), indent=2, sort_keys=True)`` writes, plus
-a final newline.  ``write_strategy`` emits that layout directly from the
-rows, and a test holds its bytes to the ``json`` reference; it rewrites an
-existing file in place and cuts it to length.  A one-state strategy a
-solver built is written from its rows on vertex ids, in file order as they
-are, without building its label tables; every other strategy's label rows
-are sorted into file order first.
+a final newline.  ``write_strategy`` formats that layout directly from
+the rows of a strategy whose vertex labels are strings, as every game
+file's are, and a test holds its bytes to the ``json`` reference; a
+strategy on other labels, which only library callers build, is written
+as that reference text itself.  It rewrites an existing file in place and
+cuts it to length.  A one-state strategy a solver built is written from
+its rows on vertex ids, in file order as they are, without building its
+label tables; every other strategy's label rows are sorted into file
+order first.
 
 Readers take the vertex, edge, update and move tables of a file, and the
 objective's vertex lists, whole: one comprehension reads a table and one
@@ -394,18 +397,12 @@ def strategy_from_doc(doc, arena: Arena) -> FiniteStateStrategy:
 
 
 class _Encoded(dict):
-    """JSON text of values as ``json.dump(indent=2, sort_keys=True)`` writes
-    them on a line indented by ``pad``; strings are memoized."""
-
-    def __init__(self, pad: str):
-        super().__init__()
-        self.newline = "\n" + pad
+    """JSON text of strings, memoized; the text of a string is the same at
+    every indent.  Any other value raises ``TypeError``."""
 
     def __missing__(self, value):
-        if type(value) is str:
-            text = self[value] = encode_basestring_ascii(value)
-            return text
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", self.newline)
+        text = self[value] = encode_basestring_ascii(value)
+        return text
 
 
 def _json_list(items, pad: str) -> str:
@@ -415,19 +412,52 @@ def _json_list(items, pad: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
 
+def _strategy_text(strategy: FiniteStateStrategy) -> str:
+    """The file text of a strategy whose vertex labels are strings, built
+    from its rows; ``TypeError`` for a label that is not a string."""
+    at = _Encoded()
+    ids = getattr(strategy, "_ids", None)
+    if ids is None:
+        states, initial, update, moves = _strategy_rows(strategy)
+        vertex = at
+    else:
+        arena, table, rows = ids
+        # each label's text by id; the one state, 0, named as
+        # _strategy_rows names it
+        vertex = list(map(encode_basestring_ascii, arena.vertices))
+        states, initial = ["m0"], "m0"
+        update = [("m0", i, k, "m0") for i, row in enumerate(rows) for k in row]
+        moves = [(i, "m0", k) for i, k in table.items()]
+    update_rows = [f'      {{\n        "from": {vertex[u]},\n        "next": {at[t]},\n'
+                   f'        "state": {at[s]},\n        "to": {vertex[w]}\n      }}'
+                   for s, u, w, t in update]
+    move_rows = [f'    {{\n      "state": {at[s]},\n      "target": {vertex[w]},\n'
+                 f'      "vertex": {vertex[v]}\n    }}'
+                 for v, s, w in moves]
+    return "".join((
+        '{\n  "memory": {\n    "initial": ', at[initial],
+        ',\n    "states": ', _json_list(["      " + at[s] for s in states], "    "),
+        ',\n    "update": ', _json_list(update_rows, "    "),
+        '\n  },\n  "moves": ', _json_list(move_rows, "  "),
+        ',\n  "owner": ', json.dumps(strategy.owner), "\n}\n"))
+
+
 def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
     """Write ``strategy_to_doc(strategy)`` in the layout of ``json.dump`` with
-    ``indent=2, sort_keys=True`` and a final newline, built directly from
-    the rows: the two row shapes are fixed, so the pure-Python encoder's
-    generality is not needed.
+    ``indent=2, sort_keys=True`` and a final newline.
 
-    A strategy on vertex ids (:class:`rankgames.memory._OnIds`) gives its
+    A strategy whose vertex labels are strings, which every game file
+    gives, is formatted directly from its rows: the two row shapes are
+    fixed, so the pure-Python encoder's generality is not needed.  A
+    strategy on vertex ids (:class:`rankgames.memory._OnIds`) gives its
     rows on ids, and its label tables are not built: ids follow the sorted
     labels and its rows are increasing, so they are in file order already,
     and each label is encoded once.  Every other strategy gives its label
-    rows, named and sorted by :func:`_strategy_rows`.  One loop formats
-    both, reading vertex fields through ``vertex8`` and ``vertex6`` and
-    state names through ``at8`` and ``at6``.
+    rows, named and sorted by :func:`_strategy_rows`.  A strategy with a
+    vertex label that is not a string, which only library callers build,
+    is written as the reference text itself, ``json.dumps`` of
+    :func:`strategy_to_doc`: the string encoder's ``TypeError`` on such a
+    label picks that path.
 
     An existing file is rewritten in place and then cut to the new length,
     not truncated to zero first: on ext4, truncating a file and writing it
@@ -437,35 +467,10 @@ def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
     file and a path that reports size 0 (a FIFO, ``/dev/null``) are not cut.
     The write is not atomic: a process killed between the write and the
     cut can leave the old tail after the new text."""
-    at8, at6 = _Encoded(" " * 8), _Encoded(" " * 6)
-    ids = getattr(strategy, "_ids", None)
-    if ids is None:
-        states, initial, update, moves = _strategy_rows(strategy)
-        vertex8, vertex6 = at8, at6
-    else:
-        arena, table, rows = ids
-        # the one state, 0, named as _strategy_rows names it
-        states, initial = ["m0"], "m0"
-        update = [("m0", i, k, "m0") for i, row in enumerate(rows) for k in row]
-        moves = [(i, "m0", k) for i, k in table.items()]
-        # each label's text by id; a string's is the same at every indent
-        verts = arena.vertices
-        if {str} >= set(map(type, verts)):
-            vertex8 = vertex6 = list(map(encode_basestring_ascii, verts))
-        else:
-            vertex8, vertex6 = [at8[v] for v in verts], [at6[v] for v in verts]
-    update_rows = [f'      {{\n        "from": {vertex8[u]},\n        "next": {at8[t]},\n'
-                   f'        "state": {at8[s]},\n        "to": {vertex8[w]}\n      }}'
-                   for s, u, w, t in update]
-    move_rows = [f'    {{\n      "state": {at6[s]},\n      "target": {vertex6[w]},\n'
-                 f'      "vertex": {vertex6[v]}\n    }}'
-                 for v, s, w in moves]
-    text = "".join((
-        '{\n  "memory": {\n    "initial": ', at6[initial],
-        ',\n    "states": ', _json_list(["      " + at6[s] for s in states], "    "),
-        ',\n    "update": ', _json_list(update_rows, "    "),
-        '\n  },\n  "moves": ', _json_list(move_rows, "  "),
-        ',\n  "owner": ', json.dumps(strategy.owner), "\n}\n"))
+    try:
+        text = _strategy_text(strategy)
+    except TypeError:
+        text = json.dumps(strategy_to_doc(strategy), indent=2, sort_keys=True) + "\n"
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8") as fh:
         old = os.fstat(fd).st_size

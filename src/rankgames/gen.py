@@ -38,16 +38,20 @@ def random_subset(rng: random.Random, arena: Arena, p: float = 0.5) -> frozenset
 
 
 def random_lasso(rng: random.Random, arena: Arena, wander: int = 6) -> Lasso:
-    """Random play: wander a few steps, then walk until a vertex repeats."""
-    walk = [arena.initial]
+    """Random play: wander a few steps, then walk until a vertex repeats.
+    It steps through the id rows ``out``, which list each vertex's
+    successors in the arena's order."""
+    out, verts = arena.out, arena.vertices
+    walk = [arena.index[arena.initial]]
     for _ in range(rng.randint(0, wander)):
-        walk.append(rng.choice(arena.succ[walk[-1]]))
+        walk.append(rng.choice(out[walk[-1]]))
     seen = {walk[-1]: len(walk) - 1}
     while True:
-        nxt = rng.choice(arena.succ[walk[-1]])
+        nxt = rng.choice(out[walk[-1]])
         if nxt in seen:
             i = seen[nxt]
-            return Lasso(tuple(walk[:i]), tuple(walk[i:]))
+            play = tuple(verts[k] for k in walk)
+            return Lasso(play[:i], play[i:])
         seen[nxt] = len(walk)
         walk.append(nxt)
 

@@ -120,7 +120,9 @@ def _result(arena: Arena, res: _Solved) -> SolveResult:
 def _positional(graph, alive, win, moves_of) -> _Solved:
     """Result whose strategies are positional: ``moves_of(player)``, which
     moves only at that player's alive ids, filled inside the alive set, in
-    increasing id order.  Every positional result is built here."""
+    increasing id order.  The safety, Buchi, coBuchi and lim results and
+    a request-response result on an empty alive set are built here;
+    :func:`_pruned` builds its own one-state moves and rows."""
     owners = graph.owners
 
     def moves(player):

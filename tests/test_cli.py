@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import rankgames
-from rankgames import cli
+from rankgames import cli, fileformat
 from rankgames.cli import main
 from rankgames.fileformat import (LoadedGame, game_to_doc, parse_game,
                                   parse_game_doc, read_strategy,
@@ -23,10 +23,11 @@ from rankgames.arena import Arena
 from rankgames.memory import FiniteStateStrategy, MemoryStructure
 from rankgames.objectives import (Buchi, CoBuchi, RequestResponse, Safety,
                                   SafetyAndCoBuchi)
-from rankgames.qualsolve import solve_request_response
+from rankgames.qualsolve import solve_request_response, solve_safety, solve_safety_cobuchi
 from rankgames.ranked import RankedGame, optimize as optimize_ranked, solve_with_bound
 from rankgames.resilience import max_resilience
 from rankgames.rrcost import optimize as optimize_costrr
+from test_id_strategies import _relabelled
 
 
 A2_COSTS = {
@@ -804,6 +805,47 @@ def test_strategy_bytes_equal_the_json_encoder(tmp_path):
         assert path.read_text(encoding="ascii") == expected
         lifted += '"m1"' in text
     assert lifted  # generated state names occur
+
+
+def test_only_labels_that_are_not_strings_reach_strategy_to_doc(tmp_path, monkeypatch):
+    # a strategy on string labels is formatted from its rows; any other is
+    # written as the json text of strategy_to_doc, which builds it once
+    path = str(tmp_path / "strategy.json")
+    calls = []
+
+    def counted(strategy):
+        calls.append(strategy)
+        return strategy_to_doc(strategy)
+
+    def calls_to_write(strategy):
+        expected = _strategy_text(strategy)
+        calls.clear()
+        write_strategy(path, strategy)
+        with open(path, encoding="ascii") as fh:
+            assert fh.read() == expected
+        return len(calls)
+
+    monkeypatch.setattr(fileformat, "strategy_to_doc", counted)
+    rng = random.Random(38)
+    arena = random_arena(rng, 12, p0_max_outdeg=3)
+    safe, avoid = random_subset(rng, arena, 0.8), random_subset(rng, arena, 0.3)
+    positional = solve_safety(arena, safe).strategy_0
+    pruned = solve_safety_cobuchi(arena, safe, avoid).strategy_1
+    pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.4))
+                  for _ in range(2))
+    memoryful = solve_request_response(arena, pairs).strategy_0
+    solver = [positional, pruned, memoryful, *_solver_strategies()]
+    assert "_ids" in vars(positional) and "_ids" in vars(pruned) and memoryful.size() > 1
+    assert all(calls_to_write(s) == 0 for s in solver)
+    # read back from its file, a strategy on labels
+    write_strategy(path, memoryful)
+    assert calls_to_write(read_strategy(path, arena)) == 0
+    # int and tuple labels, on label rows and on ids
+    tuples = _relabelled(arena)
+    others = [*list(_hand_built_strategies())[3:],
+              solve_safety(tuples, {(v, 1) for v in safe}).strategy_0]
+    assert "_ids" in vars(others[-1])
+    assert [calls_to_write(s) for s in others] == [1, 1, 1]
 
 
 class TestStrategyWriter:

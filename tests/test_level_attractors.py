@@ -7,7 +7,10 @@ On seeded games of 2 to 40 vertices with 1 to 40 distinct ranks and on a
 1000-vertex game of the bench's positional-large family, both must give
 the reference's costs, ``val`` and strategy documents.  The floor must
 equal a brute force over the public ``attractor``, a floor that wins must
-take one probe, and ``compute_val`` must run no cold attractor.
+take one probe, and ``compute_val`` must run no cold attractor.  In the
+sup game ``max_resilience`` builds, the floor must be the initial
+vertex's rank, on seeded fault games whose initial ``val`` is 0, finite
+and positive, and ``INF``.
 """
 
 import json
@@ -168,3 +171,25 @@ def test_levels_grow_one_attractor(faults, val):
     edges = {(v, v) for v in owner}
     fa = FaultArena(Arena(owner, edges, "c"), frozenset(faults), frozenset("abc"))
     assert compute_val(fa) == val == ref.compute_val(fa)
+
+
+def test_the_resilience_floor_is_the_initial_rank(monkeypatch):
+    # max_resilience ranks v at |V| - val(v), 0 where val is INF, so the
+    # ranks above b are the vertices with val below |V| - b, a level set
+    # closed under Player 1's attractor: the floor is the initial vertex's
+    # rank, which val gives without the floor's attractor
+    games = []
+
+    def recorded(game):
+        games.append(game)
+        return optimize(game)
+    monkeypatch.setattr(resilience, "optimize_ranked", recorded)
+    rng = random.Random(3801)
+    values = set()
+    for _ in range(3000):
+        fa = random_fault_arena(rng, rng.randint(1, 30), rng.randint(0, 12))
+        val = max_resilience(fa).val[fa.arena.initial]
+        game = games.pop()
+        assert game.mode == "sup" and _floor(game) == game.rk[fa.arena.initial]
+        values.add("INF" if val == INF else "positive" if val else "0")
+    assert values == {"0", "positive", "INF"}
