@@ -186,12 +186,16 @@ def _mask(arena: Arena, vertices=None) -> bytearray:
     return mask
 
 
-def _target_mask(arena: Arena, target: Iterable[Vertex]) -> bytearray:
-    """:func:`_mask` of a target a library caller gave, checked first."""
-    unknown = [v for v in frozenset(target) if v not in arena.owner]
+def _checked_mask(arena: Arena, vertices, what: str = "alive set") -> bytearray:
+    """:func:`_mask` of a vertex set a library caller gave, checked first:
+    an alive set (None: every vertex) or, as ``what`` names it, a target."""
+    if vertices is None:
+        return _mask(arena)
+    vertices = frozenset(vertices)
+    unknown = vertices.difference(arena.owner)
     if unknown:
-        raise InputError(f"target contains unknown vertices: {sorted(unknown)!r}")
-    return _mask(arena, target)
+        raise InputError(f"{what} contains unknown vertices: {sorted(unknown)!r}")
+    return _mask(arena, vertices)
 
 
 def _and(a, b) -> bytes:
@@ -214,7 +218,9 @@ def _first(graph, i: int, alive):
 
 def first_successor(arena: Arena, v: Vertex, within=None) -> Vertex:
     """First successor of ``v``, in the arena's order, inside ``within``."""
-    k = _first(arena, arena.index[v], _mask(arena, within))
+    if v not in arena.owner:
+        raise InputError(f"unknown vertex {v!r}")
+    k = _first(arena, arena.index[v], _checked_mask(arena, within))
     if k is None:
         raise InputError(f"vertex {v!r} has no successor inside the alive set")
     return arena.vertices[k]
@@ -274,8 +280,8 @@ def attractor(arena: Arena, player: int, target: Iterable[Vertex], within=None):
     its first decrement, at its number of successors inside it.  Runs
     :func:`_attract` on the arena's ids.
     """
-    inside, strategy = _attract(arena, player, _target_mask(arena, target),
-                                _mask(arena, within))
+    inside, strategy = _attract(arena, player, _checked_mask(arena, target, "target"),
+                                _checked_mask(arena, within))
     verts = arena.vertices
     return frozenset(compress(verts, inside)), {verts[u]: verts[v] for u, v in strategy.items()}
 

@@ -418,6 +418,11 @@ def _strategy_text(strategy: FiniteStateStrategy) -> str:
     at = _Encoded()
     ids = getattr(strategy, "_ids", None)
     if ids is None:
+        # one arena's labels sort together, and strings sort only with
+        # strings: a first move at another label raises here, before the
+        # rows are built that strategy_to_doc then builds
+        if strategy.next_move:
+            at[next(iter(strategy.next_move))[0]]
         states, initial, update, moves = _strategy_rows(strategy)
         vertex = at
     else:
@@ -457,7 +462,9 @@ def write_strategy(path: str, strategy: FiniteStateStrategy) -> None:
     vertex label that is not a string, which only library callers build,
     is written as the reference text itself, ``json.dumps`` of
     :func:`strategy_to_doc`: the string encoder's ``TypeError`` on such a
-    label picks that path.
+    label picks that path.  A strategy on label rows has the label of its
+    first move encoded before its rows are built, so one whose labels are
+    not strings has its rows built once, by :func:`strategy_to_doc`.
 
     An existing file is rewritten in place and then cut to the new length,
     not truncated to zero first: on ext4, truncating a file and writing it

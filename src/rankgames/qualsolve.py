@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import compress
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional, get_args
 
-from .arena import Arena, Vertex, _and, _attract, _first, _mask, _minus, _target_mask
+from .arena import Arena, Vertex, _and, _attract, _checked_mask, _first, _mask, _minus
 from .errors import InputError
 from .memory import FiniteStateStrategy, MemoryStructure, NumberedProduct, _OnIds, explore
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
@@ -195,32 +195,35 @@ def _solver(arena: Arena, obj: Objective) -> Callable[[bytes], _Solved]:
 
 def _checked_solver(arena: Arena, obj) -> Callable[[bytes], _Solved]:
     """:func:`_solver` of an objective a library caller gave, checked first."""
-    if not isinstance(obj, (Safety, Buchi, CoBuchi, RequestResponse, SafetyAndCoBuchi)):
+    if not isinstance(obj, get_args(Objective)):
         raise InputError(f"no solver for objective {obj!r}")
     validate_objective(obj, arena)
     return _solver(arena, obj)
 
 
-def _labelled(arena: Arena, obj: Objective, within) -> SolveResult:
-    """``obj`` solved inside ``within``: labels mapped to ids on entry, and
-    the result handed out on labels."""
-    return _result(arena, _checked_solver(arena, obj)(_mask(arena, within)))
+def solve_objective(arena: Arena, obj: Objective, within=None) -> SolveResult:
+    """Solve ``obj`` on the sub-arena induced by the alive set ``within``
+    (default: the whole arena): its labels are mapped to ids on entry, its
+    id solver is the one :func:`_solver` picks, and the result is handed
+    out on labels.  Every ``solve_*`` call of one objective kind solves
+    through here."""
+    return _result(arena, _checked_solver(arena, obj)(_checked_mask(arena, within)))
 
 
 def solve_safety(arena: Arena, safe, within=None) -> SolveResult:
     """Player 1 wins exactly on the 1-attractor of the unsafe vertices."""
-    return _labelled(arena, Safety(frozenset(safe)), within)
+    return solve_objective(arena, Safety(frozenset(safe)), within)
 
 
 def solve_buchi(arena: Arena, accept, within=None) -> SolveResult:
     """Player 0 visits ``accept`` infinitely often."""
-    return _labelled(arena, Buchi(frozenset(accept)), within)
+    return solve_objective(arena, Buchi(frozenset(accept)), within)
 
 
 def solve_cobuchi(arena: Arena, avoid, within=None) -> SolveResult:
     """Dual of the Buchi game: Player 1 visits ``avoid`` infinitely often
     exactly where Player 0 loses."""
-    return _labelled(arena, CoBuchi(frozenset(avoid)), within)
+    return solve_objective(arena, CoBuchi(frozenset(avoid)), within)
 
 
 def rr_product(arena: Arena, pairs, within=None) -> NumberedProduct:
@@ -253,7 +256,7 @@ def rr_product(arena: Arena, pairs, within=None) -> NumberedProduct:
     No memory update table and no :class:`~rankgames.arena.Arena` is built:
     the solvers read the product as it is.
     """
-    return _rr_product(arena, pairs, _mask(arena, within))
+    return _rr_product(arena, pairs, _checked_mask(arena, within))
 
 
 def _rr_product(arena: Arena, pairs, alive) -> NumberedProduct:
@@ -332,7 +335,7 @@ def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
     size at most (number of pairs) * 2^(number of pairs); both strategies
     are tabulated on what plays from every seeded vertex can reach.
     """
-    return _labelled(arena, RequestResponse(tuple(pairs)), within)
+    return solve_objective(arena, RequestResponse(tuple(pairs)), within)
 
 
 def _pruned(arena: Arena, bad, solve, alive) -> _Solved:
@@ -401,8 +404,8 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
     pairs the inner strategy has no move for, take the filler move there
     and leave a request open forever.  The result's strategies are then
     claimed winning only from the alive set's anchor."""
-    return _result(arena, _pruned(arena, _target_mask(arena, bad),
-                                  _checked_solver(arena, objective), _mask(arena, within)))
+    return _result(arena, _pruned(arena, _checked_mask(arena, bad, "target"),
+                                  _checked_solver(arena, objective), _checked_mask(arena, within)))
 
 
 def solve_safety_cobuchi(arena: Arena, safe, avoid, within=None) -> SolveResult:
@@ -411,20 +414,4 @@ def solve_safety_cobuchi(arena: Arena, safe, avoid, within=None) -> SolveResult:
     Remove the 1-attractor of the unsafe set, then solve coBuchi on what
     remains; Player 1 keeps the attractor plus his coBuchi region.
     """
-    return _labelled(arena, SafetyAndCoBuchi(frozenset(safe), frozenset(avoid)), within)
-
-
-def solve_objective(arena: Arena, obj: Objective, within=None) -> SolveResult:
-    """Solve ``obj`` on the sub-arena induced by the alive set ``within``
-    (default: the whole arena), by the library call of its kind."""
-    if isinstance(obj, Safety):
-        return solve_safety(arena, obj.safe, within)
-    if isinstance(obj, Buchi):
-        return solve_buchi(arena, obj.accept, within)
-    if isinstance(obj, CoBuchi):
-        return solve_cobuchi(arena, obj.avoid, within)
-    if isinstance(obj, RequestResponse):
-        return solve_request_response(arena, obj.pairs, within)
-    if isinstance(obj, SafetyAndCoBuchi):
-        return solve_safety_cobuchi(arena, obj.safe, obj.avoid, within)
-    raise InputError(f"no solver for objective {obj!r}")
+    return solve_objective(arena, SafetyAndCoBuchi(frozenset(safe), frozenset(avoid)), within)

@@ -26,12 +26,21 @@ from .extnat import INF, ExtNat
 from .memory import FiniteStateStrategy
 from .objectives import (Buchi, CoBuchi, Objective, Safety, rank_cost_lasso,
                          validate_objective, validate_rank)
-from .qualsolve import (SolveResult, _positional, _pruned, _result, _solver,
-                        solve_safety_cobuchi)
+from .qualsolve import SolveResult, _buchi, _positional, _pruned, _result, _solver
 
 MODES = ("sup", "lim")
 
 _PREFIX_INDEPENDENT = (Buchi, CoBuchi)
+
+
+def _check_ranked(arena: Arena, objective: Objective, rk: dict, mode: str) -> None:
+    """The checks a ranked game, and a rank-cost claim verified on
+    ``arena``, pass: a known mode, an objective naming arena vertices
+    only, and a natural rank for every vertex."""
+    if mode not in MODES:
+        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+    validate_objective(objective, arena)
+    validate_rank(rk, arena)
 
 
 @dataclass(frozen=True)
@@ -44,10 +53,7 @@ class RankedGame:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        validate_objective(self.objective, self.arena)
-        validate_rank(self.rk, self.arena)
+        _check_ranked(self.arena, self.objective, self.rk, self.mode)
         if self.mode == "lim" and not isinstance(
                 self.objective, _PREFIX_INDEPENDENT + (Safety,)):
             raise CapabilityError(
@@ -106,24 +112,26 @@ def solve_lim_with_bound(game: RankedGame, bound: int) -> SolveResult:
     """Decide, per vertex, whether Player 0 keeps the limsup-cost at most b.
 
     Safety objectives reduce to the safety/coBuchi conjunction (ranks above
-    b may appear only finitely often).  Prefix-independent objectives are
-    peeled iteratively: take the sup-winning region inside the alive set,
-    hand Player 0 its 0-attractor, shrink the alive set, repeat.  Both
-    strategies are positional and the result gives ``moves`` like every
-    positional result: hers stitches each round's attractor moves with
-    its core's moves, read off the round's inner result, the solve of the
-    rest it pruned, and his is the last round's pruned moves.  The rounds
-    run on the arena's ids, with the alive set a mask.
+    b may appear only finitely often), solved as :func:`_solver` solves it
+    and on masks: the unsafe set pruned, then the ranks above b avoided.
+    Prefix-independent objectives are peeled iteratively: take the
+    sup-winning region inside the alive set, hand Player 0 its
+    0-attractor, shrink the alive set, repeat.  Both strategies are
+    positional and the result gives ``moves`` like every positional
+    result: hers stitches each round's attractor moves with its core's
+    moves, read off the round's inner result, the solve of the rest it
+    pruned, and his is the last round's pruned moves.  The rounds run on
+    the arena's ids, with the alive set a mask.
     """
     if game.mode != "lim":
         raise InputError("solve_lim_with_bound needs a lim-mode game")
     _check_bound(bound)
     arena = game.arena
-    if isinstance(game.objective, Safety):
-        return solve_safety_cobuchi(arena, game.objective.safe,
-                                    [v for v in arena.vertices if game.rk[v] > bound])
     solve, ranks = game._on_ids
     high, every = bytes([r > bound for r in ranks]), _mask(arena)
+    if isinstance(game.objective, Safety):
+        unsafe = _minus(every, _mask(arena, game.objective.safe))
+        return _result(arena, _pruned(arena, unsafe, partial(_buchi, arena, high, p=1), every))
     cur = every
     rounds = []
     last = None

@@ -21,14 +21,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, get_args
 
 from .arena import Arena, Lasso, Vertex, _predecessors
 from .errors import InputError
 from .memory import FiniteStateStrategy
-from .objectives import (Buchi, CoBuchi, CostRRSpec, Objective,
-                         RequestResponse, Safety, SafetyAndCoBuchi, conjuncts)
-from .ranked import RankedCondition
+from .objectives import CostRRSpec, Objective, conjuncts, validate_objective
+from .ranked import RankedCondition, _check_ranked
 from .rrcost import counter_pending, counter_seed, counter_step, counter_value
 
 
@@ -324,7 +323,7 @@ def _normalize_condition(condition, bound):
     counter.  The tracker keeps what the claim's pending sets are read
     from: the cost counters, else the open requests when there are pairs,
     else nothing."""
-    if isinstance(condition, (Safety, Buchi, CoBuchi, RequestResponse, SafetyAndCoBuchi)):
+    if isinstance(condition, get_args(Objective)):
         if bound is not None:
             raise InputError("qualitative objectives take no bound")
         obj, mode, rank_of = condition, None, None
@@ -372,10 +371,17 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     the other qualitative and rank-cost claims.  A response-cost claim is
     checked as a sup rank claim over its request-response pairs on the
     counter product: per-pair cost counters saturating at ``bound`` + 1,
-    a node ranked by its largest counter.  A strategy move that is not an
-    arena edge raises ``InputError``.
+    a node ranked by its largest counter.  The claim is checked against
+    the arena first, as the game constructors check a game: its objective
+    names only arena vertices, and a rank-cost claim has a mode and ranks
+    every vertex (:func:`rankgames.ranked._check_ranked`).  A strategy move
+    that is not an arena edge raises ``InputError``.
     """
     obj, mode, bnd, rank_of, tracker, pending_of = _normalize_condition(condition, bound)
+    if isinstance(condition, RankedCondition):
+        _check_ranked(arena, obj, condition.rk, mode)
+    else:
+        validate_objective(obj, arena)
     start = arena.initial if start is None else start
     if start not in arena.owner:
         raise InputError(f"unknown start vertex {start!r}")

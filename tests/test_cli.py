@@ -848,6 +848,40 @@ def test_only_labels_that_are_not_strings_reach_strategy_to_doc(tmp_path, monkey
     assert [calls_to_write(s) for s in others] == [1, 1, 1]
 
 
+def test_the_writer_builds_label_rows_once(tmp_path, monkeypatch):
+    # a strategy on label rows has its rows built once, by the writer when
+    # its labels are strings and by strategy_to_doc when they are not; a
+    # strategy on ids over string labels is written from its id rows
+    path = str(tmp_path / "strategy.json")
+    calls = []
+    rows = fileformat._strategy_rows
+
+    def calls_to_write(strategy):
+        expected = _strategy_text(strategy)
+        calls.clear()
+        write_strategy(path, strategy)
+        with open(path, encoding="ascii") as fh:
+            assert fh.read() == expected
+        return len(calls)
+
+    monkeypatch.setattr(fileformat, "_strategy_rows", lambda s: calls.append(s) or rows(s))
+    rng = random.Random(39)
+    arena = random_arena(rng, 12, p0_max_outdeg=3)
+    safe = random_subset(rng, arena, 0.8)
+    pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.4))
+                  for _ in range(2))
+    on_ids = solve_safety(arena, safe).strategy_0
+    assert "_ids" in vars(on_ids)
+    assert calls_to_write(on_ids) == 0
+    tuples = _relabelled(arena)
+    on_labels = [*_hand_built_strategies(),
+                 solve_request_response(arena, pairs).strategy_0,
+                 solve_safety(tuples, {(v, 1) for v in safe}).strategy_0,
+                 solve_request_response(tuples, tuple(({(v, 1) for v in q}, {(v, 1) for v in p})
+                                                      for q, p in pairs)).strategy_1]
+    assert [calls_to_write(s) for s in on_labels] == [1] * len(on_labels)
+
+
 class TestStrategyWriter:
     # write_strategy rewrites an existing file in place and then cuts it to
     # the written length; each test pins a behaviour of open(path, "w") that

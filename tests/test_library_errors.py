@@ -7,13 +7,14 @@ import pytest
 
 from oracles import (FaultSimVerdict, budget_oracle, enumerate_regions,
                      simulate_faults)
-from rankgames.arena import Arena, Lasso, first_successor
+from rankgames.arena import Arena, Lasso, attractor, first_successor
 from rankgames.errors import CapabilityError, InputError
 from rankgames.memory import (FiniteStateStrategy, MemoryStructure, positional_strategy,
                               trivial_memory)
 from rankgames.objectives import (CostRRSpec, Safety, conjuncts, validate_objective,
                                   validate_rank)
-from rankgames.qualsolve import SolveResult, rr_product, solve_objective, solve_pruned
+from rankgames.qualsolve import (SolveResult, rr_product, solve_objective, solve_pruned,
+                                 solve_safety)
 from rankgames.ranked import (RankedCondition, RankedGame, solve_lim_with_bound,
                               solve_sup_with_bound)
 from rankgames.resilience import FaultArena
@@ -42,6 +43,14 @@ LIBRARY_ERRORS = [
     ("first successor outside the alive set",
      lambda: first_successor(A, "a", frozenset({"a"})),
      InputError, "vertex 'a' has no successor inside the alive set"),
+    ("first successor of an unknown vertex", lambda: first_successor(A, "zzz"),
+     InputError, "unknown vertex 'zzz'"),
+    ("first successor with an unknown alive vertex",
+     lambda: first_successor(A, "a", ["zzz"]),
+     InputError, "alive set contains unknown vertices: ['zzz']"),
+    ("attractor with an unknown alive vertex",
+     lambda: attractor(A, 0, ["a"], within=["zzz"]),
+     InputError, "alive set contains unknown vertices: ['zzz']"),
     ("lasso with an unknown vertex", lambda: Lasso(("a",), ("z",)).check_in(A),
      InputError, "lasso mentions unknown vertices: ['z']"),
     # memory
@@ -84,6 +93,15 @@ LIBRARY_ERRORS = [
      InputError, "no solver for objective 'parity'"),
     ("pruned solve with an unknown bad vertex", lambda: solve_pruned(A, {"z"}, SAFE_A),
      InputError, "target contains unknown vertices: ['z']"),
+    ("pruned solve with an unknown alive vertex",
+     lambda: solve_pruned(A, {"b"}, SAFE_A, within=["zzz"]),
+     InputError, "alive set contains unknown vertices: ['zzz']"),
+    ("safety solve with an unknown alive vertex",
+     lambda: solve_safety(A, {"a"}, within=["zzz"]),
+     InputError, "alive set contains unknown vertices: ['zzz']"),
+    ("request-response memory with an unknown alive vertex",
+     lambda: rr_product(A, PAIRS, within=["zzz"]),
+     InputError, "alive set contains unknown vertices: ['zzz']"),
     # ranked
     ("sup solve of a lim game", lambda: solve_sup_with_bound(LIM, 0),
      InputError, "solve_sup_with_bound needs a sup-mode game"),
@@ -130,6 +148,19 @@ LIBRARY_ERRORS = [
      InputError, "response-cost claims need a non-negative integer bound"),
     ("claim of an unknown kind", lambda: verify_strategy(A, "parity", TO_B),
      InputError, "cannot verify condition 'parity'"),
+    ("claim naming an unknown vertex",
+     lambda: verify_strategy(A, Safety(frozenset({"zzz"})), TO_B),
+     InputError, "safe set mentions unknown vertices: ['zzz']"),
+    ("rank-cost claim in an unknown mode",
+     lambda: verify_strategy(A, RankedCondition(SAFE_A, RANKS, "max"), TO_B, bound=1),
+     InputError, "mode must be one of ('sup', 'lim'), got 'max'"),
+    ("rank-cost claim missing a rank",
+     lambda: verify_strategy(A, RankedCondition(SAFE_A, {"a": 0}, "sup"), TO_B, bound=1),
+     InputError, "rank of 'b' must be a non-negative integer, got None"),
+    ("response-cost claim naming an unknown vertex",
+     lambda: verify_strategy(A, CostRRSpec(((frozenset({"zzz"}), frozenset({"b"})),), {}),
+                             TO_B, bound=1),
+     InputError, "request set 0 mentions unknown vertices: ['zzz']"),
     ("verify from an unknown start", lambda: verify_strategy(A, SAFE_A, TO_B, start="z"),
      InputError, "unknown start vertex 'z'"),
     ("enumeration seeds missing",

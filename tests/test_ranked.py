@@ -9,7 +9,8 @@ from rankgames.extnat import INF
 from rankgames.gen import random_arena, random_ranked_game, random_subset
 from rankgames.memory import trivial_memory
 from rankgames.objectives import Buchi, CoBuchi, RequestResponse, Safety
-from rankgames.qualsolve import solve_objective
+from rankgames.fileformat import strategy_to_doc
+from rankgames.qualsolve import solve_objective, solve_safety_cobuchi
 from rankgames.ranked import (RankedCondition, RankedGame, optimize,
                               solve_lim_with_bound, solve_sup_with_bound,
                               solve_with_bound)
@@ -123,6 +124,27 @@ class TestSolveLimWithBound:
             assert sup.region_0 <= lim.region_0
             checked += 1
         assert checked == 100
+
+    def test_safety_probes_equal_the_safety_cobuchi_solve(self):
+        # a lim safety probe runs the safety/coBuchi solver on masks; it must
+        # give what the library call on labels gives, strategies included
+        rng = random.Random(3939)
+        probes = 0
+        while probes < 400:
+            game = random_ranked_game(rng, rng.randint(1, 25), rng.randint(0, 6), mode="lim")
+            if not isinstance(game.objective, Safety):
+                continue
+            arena, safe = game.arena, game.objective.safe
+            for b in game.rank_values():
+                res = solve_lim_with_bound(game, b)
+                ref = solve_safety_cobuchi(arena, safe,
+                                           {v for v in arena.vertices if game.rk[v] > b})
+                assert (res.region_0, res.region_1) == (ref.region_0, ref.region_1)
+                for player in (0, 1):
+                    assert res.moves(player) == ref.moves(player)
+                    assert (strategy_to_doc(res.strategy_of(player))
+                            == strategy_to_doc(ref.strategy_of(player)))
+                probes += 1
 
     def test_request_response_rejected(self, a2):
         with pytest.raises(CapabilityError):

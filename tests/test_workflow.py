@@ -5,9 +5,10 @@ bench, and a renamed script, a dropped option or a workload renamed on
 one side would first fail there.  The workflow is read as text, and
 nothing it names is run: each ``tools/*.py`` and ``bench/*.py`` it
 invokes must exist, each ``--flag`` it passes one must be an
-``add_argument`` of that script, each test file it names must exist, and
-the workloads its bench step reads from ``BENCHMARK.json`` must be
-``bench/workloads.py``'s ``WORKLOADS``.
+``add_argument`` of that script, each test file it names must exist, the
+workloads its bench step reads from ``BENCHMARK.json`` must be
+``bench/workloads.py``'s ``WORKLOADS``, and the lowest Python of its
+matrix must be the ``requires-python`` floor of ``pyproject.toml``.
 """
 
 import importlib.util
@@ -44,3 +45,12 @@ def test_the_bench_step_runs_the_declared_workloads(monkeypatch):
     spec.loader.exec_module(workloads)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
     assert tuple(w["name"] for w in declared) == workloads.WORKLOADS
+
+
+def test_the_lowest_python_is_the_requires_python_floor():
+    # the matrix starts at the oldest Python the package says it supports
+    matrix = re.search(r"^\s*python-version: \[(.*)\]$", WORKFLOW, re.M).group(1)
+    versions = [tuple(map(int, v.strip(' "').split("."))) for v in matrix.split(",")]
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert min(versions) == tuple(map(int, floor.groups()))
