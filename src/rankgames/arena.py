@@ -11,7 +11,8 @@ part of the graph away, the vertices still in play form an alive set
 ``within``: a set of vertices in which each keeps a successor, so it
 induces a sub-arena.  Functions taking ``within`` act as on that
 sub-arena, with the same iteration order, without building it; ``None``
-means the whole arena.
+means the whole arena.  A library call rejects an alive set that does not
+induce a sub-arena, or that leaves out its target (:func:`_alive_mask`).
 
 An arena's vertices are its owner map's keys.  The arena invariants are
 checked once per input.  ``Arena(owner, edges, initial)`` checks them for
@@ -156,16 +157,6 @@ class Arena:
         return Arena(self.owner, self.edges, v)
 
 
-def _predecessors(succ: Mapping) -> dict:
-    """Predecessor lists of a successor map whose successors are all keys,
-    keyed in the map's order, each in the order the map lists its edges."""
-    pred: dict = {n: [] for n in succ}
-    for n, ws in succ.items():
-        for w in ws:
-            pred[w].append(n)
-    return pred
-
-
 def _pred_rows(out: list) -> list:
     """Predecessor rows of successor-id rows: the ids listing each id,
     increasing, as the rows are read in id order."""
@@ -216,14 +207,21 @@ def _first(graph, i: int, alive):
             return k
 
 
-def first_successor(arena: Arena, v: Vertex, within=None) -> Vertex:
-    """First successor of ``v``, in the arena's order, inside ``within``."""
-    if v not in arena.owner:
-        raise InputError(f"unknown vertex {v!r}")
-    k = _first(arena, arena.index[v], _checked_mask(arena, within))
-    if k is None:
-        raise InputError(f"vertex {v!r} has no successor inside the alive set")
-    return arena.vertices[k]
+def _alive_mask(arena: Arena, within, target=None) -> bytearray:
+    """:func:`_checked_mask` of an alive set a library caller gave (None:
+    every vertex), checked to induce a sub-arena: each of its vertices
+    keeps a successor inside it.  A target mask ``target``, if given, must
+    lie inside it."""
+    alive = _checked_mask(arena, within)
+    if within is None:
+        return alive
+    for v in compress(arena.vertices, alive):
+        if _first(arena, arena.index[v], alive) is None:
+            raise InputError(f"vertex {v!r} has no successor inside the alive set")
+    outside = [] if target is None else list(compress(arena.vertices, _minus(target, alive)))
+    if outside:
+        raise InputError(f"target contains vertices outside the alive set: {outside!r}")
+    return alive
 
 
 def _attract(graph, player: int, target, alive) -> Tuple[bytearray, dict]:
@@ -275,13 +273,14 @@ def attractor(arena: Arena, player: int, target: Iterable[Vertex], within=None):
     target; every prescribed move decreases the distance to the target
     by one.  Backward worklist with per-vertex outdegree counters; runs
     in time linear in the number of edges.  With ``within``, plays stay
-    inside that alive set, which must contain the target: predecessors
-    outside it are skipped, and an opponent vertex's counter starts, on
-    its first decrement, at its number of successors inside it.  Runs
+    inside that alive set, which must induce a sub-arena and contain the
+    target (:func:`_alive_mask`): predecessors outside it are skipped,
+    and an opponent vertex's counter starts, on its first decrement, at
+    its number of successors inside it.  Runs
     :func:`_attract` on the arena's ids.
     """
-    inside, strategy = _attract(arena, player, _checked_mask(arena, target, "target"),
-                                _checked_mask(arena, within))
+    target = _checked_mask(arena, target, "target")
+    inside, strategy = _attract(arena, player, target, _alive_mask(arena, within, target))
     verts = arena.vertices
     return frozenset(compress(verts, inside)), {verts[u]: verts[v] for u, v in strategy.items()}
 

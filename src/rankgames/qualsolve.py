@@ -37,7 +37,7 @@ from functools import cached_property, partial
 from itertools import compress
 from typing import Callable, Dict, NamedTuple, Optional, get_args
 
-from .arena import Arena, Vertex, _and, _attract, _checked_mask, _first, _mask, _minus
+from .arena import Arena, Vertex, _alive_mask, _and, _attract, _checked_mask, _first, _mask, _minus
 from .errors import InputError
 from .memory import FiniteStateStrategy, MemoryStructure, NumberedProduct, _OnIds, explore
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
@@ -207,7 +207,7 @@ def solve_objective(arena: Arena, obj: Objective, within=None) -> SolveResult:
     id solver is the one :func:`_solver` picks, and the result is handed
     out on labels.  Every ``solve_*`` call of one objective kind solves
     through here."""
-    return _result(arena, _checked_solver(arena, obj)(_checked_mask(arena, within)))
+    return _result(arena, _checked_solver(arena, obj)(_alive_mask(arena, within)))
 
 
 def solve_safety(arena: Arena, safe, within=None) -> SolveResult:
@@ -256,7 +256,7 @@ def rr_product(arena: Arena, pairs, within=None) -> NumberedProduct:
     No memory update table and no :class:`~rankgames.arena.Arena` is built:
     the solvers read the product as it is.
     """
-    return _rr_product(arena, pairs, _checked_mask(arena, within))
+    return _rr_product(arena, pairs, _alive_mask(arena, within))
 
 
 def _rr_product(arena: Arena, pairs, alive) -> NumberedProduct:
@@ -404,8 +404,8 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
     pairs the inner strategy has no move for, take the filler move there
     and leave a request open forever.  The result's strategies are then
     claimed winning only from the alive set's anchor."""
-    return _result(arena, _pruned(arena, _checked_mask(arena, bad, "target"),
-                                  _checked_solver(arena, objective), _checked_mask(arena, within)))
+    bad, solve = _checked_mask(arena, bad, "target"), _checked_solver(arena, objective)
+    return _result(arena, _pruned(arena, bad, solve, _alive_mask(arena, within, bad)))
 
 
 def solve_safety_cobuchi(arena: Arena, safe, avoid, within=None) -> SolveResult:

@@ -12,8 +12,8 @@ product stops at decided nodes, so every path in it runs through
 undecided nodes only and needs no further constraint.  The claim fails
 exactly when its failure query has a core there: a decided node, whose
 visit sinks a Player 0 claim, or a cycle-carrying component that sinks
-the claim.  A decided node refutes on its own; the predecessor map and
-the cycle analysis are built only when there is none.
+the claim.  A decided node refutes on its own; the cycle analysis runs
+only when there is none, and it reads the successor map alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, get_args
 
-from .arena import Arena, Lasso, Vertex, _predecessors
+from .arena import Arena, Lasso, Vertex
 from .errors import InputError
 from .memory import FiniteStateStrategy
 from .objectives import CostRRSpec, Objective, conjuncts, validate_objective
@@ -41,49 +41,48 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# graph analyses; nodes are opaque, succ maps every node to a tuple of
-# nodes, and pred, built once per graph by arena._predecessors, is its
-# reverse
+# graph analyses; nodes are opaque, and succ maps every node to a tuple of
+# nodes, the only view of a graph these read
 
-def _loop_comps(succ, pred, region) -> List[set]:
+def _loop_comps(succ, region) -> List[set]:
     """SCCs of the subgraph ``region`` induces that carry at least one edge.
 
-    Two passes (Sharir 1981): a depth-first finishing order forward, then,
-    latest finished first, backward reachability among the nodes not yet
-    placed.  Both passes stay inside the region."""
-    order: List = []
-    seen = set()
+    One iterative depth-first pass with lowlinks (Tarjan 1972).  ``low``
+    holds the lowlinks of the nodes still on the component stack; the pass
+    closes a component, the nodes stacked from a node on, when it leaves
+    that node with its lowlink at its own number.  The pass stays inside
+    the region."""
+    num, low, stack, out = {}, {}, [], []
     for root in region:
-        if root in seen:
+        if root in num:
             continue
-        seen.add(root)
+        num[root] = low[root] = len(num)
+        stack.append(root)
         work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
             for w in it:
-                if w in region and w not in seen:
-                    seen.add(w)
+                if w not in region:
+                    continue
+                if w not in num:
+                    num[w] = low[w] = len(num)
+                    stack.append(w)
                     work.append((w, iter(succ[w])))
                     break
+                if w in low and num[w] < low[node]:
+                    low[node] = num[w]
             else:
                 work.pop()
-                order.append(node)
-    placed = set()
-    out = []
-    for root in reversed(order):
-        if root in placed:
-            continue
-        placed.add(root)
-        comp = {root}
-        stack = [root]
-        while stack:
-            for p in pred[stack.pop()]:
-                if p in region and p not in placed:
-                    placed.add(p)
-                    comp.add(p)
-                    stack.append(p)
-        if len(comp) > 1 or root in succ[root]:
-            out.append(comp)
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == num[node]:
+                    comp = set()
+                    while node not in comp:
+                        w = stack.pop()
+                        del low[w]
+                        comp.add(w)
+                    if len(comp) > 1 or node in succ[node]:
+                        out.append(comp)
     return out
 
 
@@ -114,15 +113,15 @@ def _bfs_path(succ, start, targets: set, allowed) -> List:
     raise InputError("internal error: failure detected but no witness found")
 
 
-def _closed_walk(succ, pred, comp: set, entry, anchors: Iterable) -> List:
+def _closed_walk(succ, comp: set, entry, anchors: Iterable) -> List:
     """Closed walk entry -> entry inside the component, visiting every
     anchor; returned without the final repetition of the entry.  Each
-    segment is a shortest path, the last one into a predecessor of the
-    entry."""
+    segment is a shortest path, the last one into a node of the component
+    with an edge to the entry."""
     walk = [entry]
     for a in anchors:
         walk += _bfs_path(succ, walk[-1], {a}, comp)[1:]
-    into = {p for p in pred[entry] if p in comp}
+    into = {p for p in comp if entry in succ[p]}
     return walk + _bfs_path(succ, walk[-1], into, comp)[1:]
 
 
@@ -296,20 +295,20 @@ def _claim_failure_query(nodes, obj: Objective, mode: Optional[str], bnd, rank_o
     return _Query(set(filter(decided, nodes)), loops)
 
 
-def _cycles(succ, pred, query: _Query) -> List[List[Tuple[set, tuple]]]:
+def _cycles(succ, query: _Query) -> List[List[Tuple[set, tuple]]]:
     """Per loop family of the query, its cycle-carrying components that
     have an anchor batch, each with that batch."""
-    return [[(comp, batch) for comp in _loop_comps(succ, pred, region)
+    return [[(comp, batch) for comp in _loop_comps(succ, region)
              if (batch := anchors_fn(comp)) is not None]
             for region, anchors_fn in query.loops]
 
 
-def _loop_witness(succ, pred, root, family) -> Lasso:
+def _loop_witness(succ, root, family) -> Lasso:
     """Counterexample play from the root around the component of
     ``family`` that a shortest path from the root enters first."""
     path = _bfs_path(succ, root, {n for comp, _anchors in family for n in comp}, succ)
     comp, anchors = next((c, a) for c, a in family if path[-1] in c)
-    loop = _closed_walk(succ, pred, comp, path[-1], anchors)
+    loop = _closed_walk(succ, comp, path[-1], anchors)
     return Lasso(tuple(n[0] for n in path[:-1]), tuple(n[0] for n in loop))
 
 
@@ -392,9 +391,8 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     if query.bad:
         witness = _reach_witness(arena, _bfs_path(succ, root, query.bad, succ))
     else:
-        pred = _predecessors(succ)
-        family = next(filter(None, _cycles(succ, pred, query)), None)
+        family = next(filter(None, _cycles(succ, query)), None)
         if family is None:
             return Verdict(True)
-        witness = _loop_witness(succ, pred, root, family)
+        witness = _loop_witness(succ, root, family)
     return Verdict(False, witness)

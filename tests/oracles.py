@@ -14,7 +14,8 @@ These check the package's answers and are not part of what it solves:
 
 The first two reuse ``verify``'s cycle analysis, which certification
 shares.  The enumeration oracle also owns the backward closure that turns
-a candidate's failure cores into every start node that fails.  A
+a candidate's failure cores into every start node that fails, and the
+predecessor map that closure reads, which ``verify`` does without.  A
 candidate graph has a start per vertex and does not stop at decided
 nodes, so it needs that answer for all starts, along paths through
 undecided nodes only; it works that allowed set out itself, from
@@ -27,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from rankgames.arena import Arena, Vertex, _predecessors
+from rankgames.arena import Arena, Vertex
 from rankgames.errors import CapabilityError, CapacityError, InputError
 from rankgames.extnat import INF, ExtNat
 from rankgames.memory import FiniteStateStrategy, MemoryStructure, explore
@@ -89,6 +90,15 @@ def _candidate_graphs(product: Arena, owner: int, guard: int):
         yield succ
 
 
+def _pred_map(succ) -> dict:
+    """Predecessor lists of a successor map whose successors are all keys."""
+    pred: dict = {n: [] for n in succ}
+    for n, ws in succ.items():
+        for w in ws:
+            pred[w].append(n)
+    return pred
+
+
 def _backward_closure(pred, cores: set, allowed: set) -> set:
     """The cores, and the nodes in ``allowed`` from which some path through
     ``allowed`` reaches them."""
@@ -134,8 +144,8 @@ def _enumeration(arena: Arena, condition, template: MemoryStructure, seeds, boun
         decided = _decided(obj, mode, bnd, rank_of)
         allowed = {pv for pv in product.vertices if not decided(pv)}
         for succ in _candidate_graphs(product, owner, guard):
-            pred = _predecessors(succ)
-            yield succ, _query_failures(pred, query, _cycles(succ, pred, query), allowed)
+            yield succ, _query_failures(_pred_map(succ), query, _cycles(succ, query),
+                                        allowed)
 
     return starts, product, candidates
 
@@ -213,7 +223,7 @@ def max_response_cost(game: CostRRGame, strategy: FiniteStateStrategy,
                                  strategy.memory.initial, tracker,
                                  _decided(obj, mode, bnd, rank_of))
     query = _claim_failure_query(succ, obj, mode, bnd, rank_of, pending_of, 0)
-    if query.bad or any(_cycles(succ, _predecessors(succ), query)):
+    if query.bad or any(_cycles(succ, query)):
         return INF
     return max(map(_counter_rank, succ))
 

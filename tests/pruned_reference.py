@@ -11,9 +11,9 @@ both levels.  The tests hold the package's builder to it: same memory
 states, initial state, update rows in order, and moves.
 """
 
-from attractor_reference import _alive, _positional
+from attractor_reference import _alive, _positional, first_successor
 from rankgames import qualsolve
-from rankgames.arena import attractor, first_successor
+from rankgames.arena import attractor
 from rankgames.memory import FiniteStateStrategy, MemoryStructure, explore
 from rankgames.objectives import CoBuchi, SafetyAndCoBuchi
 from rankgames.qualsolve import SolveResult

@@ -7,14 +7,14 @@ import pytest
 
 from oracles import (FaultSimVerdict, budget_oracle, enumerate_regions,
                      simulate_faults)
-from rankgames.arena import Arena, Lasso, attractor, first_successor
+from rankgames.arena import Arena, Lasso, attractor
 from rankgames.errors import CapabilityError, InputError
 from rankgames.memory import (FiniteStateStrategy, MemoryStructure, positional_strategy,
                               trivial_memory)
 from rankgames.objectives import (CostRRSpec, Safety, conjuncts, validate_objective,
                                   validate_rank)
-from rankgames.qualsolve import (SolveResult, rr_product, solve_objective, solve_pruned,
-                                 solve_safety)
+from rankgames.qualsolve import (SolveResult, rr_product, solve_buchi, solve_objective,
+                                 solve_pruned, solve_safety)
 from rankgames.ranked import (RankedCondition, RankedGame, solve_lim_with_bound,
                               solve_sup_with_bound)
 from rankgames.resilience import FaultArena
@@ -31,6 +31,9 @@ SUP = RankedGame(A, SAFE_A, RANKS, "sup")
 LIM = RankedGame(A, SAFE_A, RANKS, "lim")
 TO_B = positional_strategy(A, 0, {"a": "b"})
 FAULTS = FaultArena(A, {("a", "b")}, {"a", "b"})
+# B: A with a Player 0 vertex c that a may move to and that moves back to a
+B = Arena({"a": 0, "b": 1, "c": 0},
+          [("a", "b"), ("b", "a"), ("b", "b"), ("a", "c"), ("c", "a")], "a")
 
 
 # (case, call, error type, first error message)
@@ -40,17 +43,15 @@ LIBRARY_ERRORS = [
      InputError, "an arena needs at least one vertex"),
     ("arena owner 2", lambda: Arena({"a": 2}, [("a", "a")], "a"),
      InputError, "owner of 'a' must be 0 or 1, got 2"),
-    ("first successor outside the alive set",
-     lambda: first_successor(A, "a", frozenset({"a"})),
-     InputError, "vertex 'a' has no successor inside the alive set"),
-    ("first successor of an unknown vertex", lambda: first_successor(A, "zzz"),
-     InputError, "unknown vertex 'zzz'"),
-    ("first successor with an unknown alive vertex",
-     lambda: first_successor(A, "a", ["zzz"]),
-     InputError, "alive set contains unknown vertices: ['zzz']"),
     ("attractor with an unknown alive vertex",
      lambda: attractor(A, 0, ["a"], within=["zzz"]),
      InputError, "alive set contains unknown vertices: ['zzz']"),
+    ("attractor on an alive set with a dead end",
+     lambda: attractor(A, 0, ["a"], within=["a"]),
+     InputError, "vertex 'a' has no successor inside the alive set"),
+    ("attractor to a target outside the alive set",
+     lambda: attractor(B, 0, ["c"], within=["a", "b"]),
+     InputError, "target contains vertices outside the alive set: ['c']"),
     ("lasso with an unknown vertex", lambda: Lasso(("a",), ("z",)).check_in(A),
      InputError, "lasso mentions unknown vertices: ['z']"),
     # memory
@@ -102,6 +103,18 @@ LIBRARY_ERRORS = [
     ("request-response memory with an unknown alive vertex",
      lambda: rr_product(A, PAIRS, within=["zzz"]),
      InputError, "alive set contains unknown vertices: ['zzz']"),
+    ("Buchi solve on an alive set with a dead end",
+     lambda: solve_buchi(B, {"a"}, within=["a"]),
+     InputError, "vertex 'a' has no successor inside the alive set"),
+    ("pruned solve on an alive set with a dead end",
+     lambda: solve_pruned(B, {"a"}, SAFE_A, within=["a"]),
+     InputError, "vertex 'a' has no successor inside the alive set"),
+    ("pruned solve with a bad vertex outside the alive set",
+     lambda: solve_pruned(B, {"c"}, Safety(frozenset({"a", "b", "c"})), within=["a", "b"]),
+     InputError, "target contains vertices outside the alive set: ['c']"),
+    ("request-response memory on an alive set with a dead end",
+     lambda: rr_product(B, PAIRS, within=["a"]),
+     InputError, "vertex 'a' has no successor inside the alive set"),
     # ranked
     ("sup solve of a lim game", lambda: solve_sup_with_bound(LIM, 0),
      InputError, "solve_sup_with_bound needs a sup-mode game"),

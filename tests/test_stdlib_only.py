@@ -1,5 +1,6 @@
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rankgames"
@@ -53,3 +54,34 @@ def test_no_module_imports_a_name_it_never_reads():
                 read.add(node.id)
         unused = sorted(imported - read)
         assert not unused, f"{path.name} imports {unused} and never reads them"
+
+
+def _private_defs(tree):
+    """Module-level functions and methods of module-level classes whose
+    names start with one underscore."""
+    for node in tree.body:
+        inner = node.body if isinstance(node, ast.ClassDef) else [node]
+        for d in inner:
+            if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and d.name.startswith("_") and not d.name.startswith("__")):
+                yield d
+
+
+def _names(node) -> Counter:
+    """How often each name is read under ``node``, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_private_function_is_named_elsewhere():
+    # a private function or method that nothing else in the package names
+    # is dead code its last caller left behind; a name read only inside
+    # its own body does not count
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(PACKAGE.rglob("*.py"))]
+    assert trees
+    named = sum(map(_names, trees), Counter())
+    dead = sorted(d.name for tree in trees for d in _private_defs(tree)
+                  if named[d.name] == _names(d)[d.name])
+    assert not dead, f"no other code in the package names {dead}"

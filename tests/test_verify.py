@@ -8,7 +8,7 @@ import rr_reference
 import walk_reference
 from oracles import (FaultSimVerdict, enumerate_regions, enumerate_solve,
                      max_response_cost, simulate_faults)
-from rankgames.arena import Arena, Lasso, _predecessors
+from rankgames.arena import Arena, Lasso
 from rankgames.errors import CapacityError, InputError
 from rankgames.extnat import INF
 from rankgames.gen import random_arena, random_costrr_game, random_subset
@@ -262,11 +262,44 @@ class TestLoopComponents:
             sub = graph.subgraph(region)
             expected = {frozenset(c) for c in nx.strongly_connected_components(sub)
                         if len(c) > 1 or any(sub.has_edge(u, u) for u in c)}
-            found = _loop_comps(succ, _predecessors(succ), region)
+            found = _loop_comps(succ, region)
             assert len(found) == len(expected)
             assert {frozenset(c) for c in found} == expected
             checked += len(expected)
         assert checked > 300
+
+    def test_matches_networkx_on_larger_digraphs(self):
+        # graphs of 20 to 80 nodes where a lowlink slip shows: a chain
+        # through every node, in shuffled order, that makes the depth-first
+        # stack deep, back edges into it that nest cycles inside cycles, a
+        # few random edges and self-loops, and regions that cut components
+        # apart; successor order is shuffled
+        rng = random.Random(17)
+        largest = checked = 0
+        for _ in range(150):
+            n = rng.randint(20, 80)
+            chain = rng.sample(range(n), n)
+            edges = set(zip(chain, chain[1:]))
+            for _ in range(rng.randint(0, n // 4)):
+                i = rng.randrange(n)
+                edges.add((chain[i], chain[rng.randint(0, i)]))
+            edges.update((rng.randrange(n), rng.randrange(n)) for _ in range(n // 8))
+            edges.update((u, u) for u in rng.sample(range(n), rng.randint(0, 4)))
+            succ = {u: [] for u in range(n)}
+            for u, w in sorted(edges):
+                succ[u].append(w)
+            succ = {u: tuple(rng.sample(ws, len(ws))) for u, ws in succ.items()}
+            region = (set(succ) if rng.random() < 0.3
+                      else {u for u in range(n) if rng.random() < 0.85})
+            sub = nx.DiGraph(sorted(edges)).subgraph(region)
+            expected = {frozenset(c) for c in nx.strongly_connected_components(sub)
+                        if len(c) > 1 or sub.has_edge(*c, *c)}
+            found = _loop_comps(succ, region)
+            assert len(found) == len(expected)
+            assert {frozenset(c) for c in found} == expected
+            checked += len(expected)
+            largest = max(largest, *map(len, expected), 0)
+        assert checked > 300 and largest >= 60
 
 
 class TestClosedWalk:
@@ -286,7 +319,6 @@ class TestClosedWalk:
             graph.add_nodes_from(succ)
             graph.add_edges_from((u, w) for u, ws in succ.items() for w in ws)
             sub = graph.subgraph(u for u in range(n) if rng.random() < 0.75)
-            pred = _predecessors(succ)
             for comp in nx.strongly_connected_components(sub):
                 if len(comp) == 1 and not sub.has_edge(*comp, *comp):
                     continue
@@ -294,7 +326,7 @@ class TestClosedWalk:
                 for _ in range(3):
                     entry = rng.choice(nodes)
                     anchors = tuple(rng.choice(nodes) for _ in range(rng.randint(0, 3)))
-                    walk = _closed_walk(succ, pred, comp, entry, anchors)
+                    walk = _closed_walk(succ, comp, entry, anchors)
                     assert walk == walk_reference.closed_walk(succ, comp, entry, anchors)
                     assert walk[0] == entry and set(anchors) <= set(walk) <= comp
                     assert all(w in succ[u] for u, w in zip(walk, walk[1:] + walk[:1]))
@@ -310,9 +342,9 @@ class TestClosedWalk:
         loop_comps = verify._loop_comps
         bfs_path = verify._bfs_path
 
-        def counting(succ, pred, region):
+        def counting(succ, region):
             calls.append(len(region))
-            return loop_comps(succ, pred, region)
+            return loop_comps(succ, region)
 
         def recording(succ, start, targets, allowed):
             searched.append(len(targets))
@@ -339,12 +371,11 @@ def _root_fails_for_all_starts_oracle(arena, condition, strategy, bound, start, 
     state = strategy.memory.initial if state is None else state
     decided = verify._decided(obj, mode, bnd, rank_of)
     root, succ = verify._product_graph(arena, strategy, start, state, tracker, decided)
-    pred = _predecessors(succ)
     query = verify._claim_failure_query(succ, obj, mode, bnd, rank_of, pending_of,
                                         strategy.owner)
     allowed = {n for n in succ if not decided(n)}
-    return root in oracles._query_failures(pred, query, verify._cycles(succ, pred, query),
-                                           allowed)
+    return root in oracles._query_failures(oracles._pred_map(succ), query,
+                                           verify._cycles(succ, query), allowed)
 
 
 def _random_positional(rng, arena, owner):
@@ -405,23 +436,15 @@ class TestFailureCores:
     def test_bad_node_refutes_before_any_cycle_analysis(self, monkeypatch):
         # a Player 0 sup claim over a Buchi objective: the play a b c
         # reaches c, ranked above the bound, which refutes the claim before
-        # any loop family is analysed or the predecessor map is built; the
-        # witness runs into c
+        # any loop family is analysed; the witness runs into c
         calls = []
-        maps = []
         loop_comps = verify._loop_comps
-        predecessors = verify._predecessors
 
-        def counting(succ, pred, region):
+        def counting(succ, region):
             calls.append(len(region))
-            return loop_comps(succ, pred, region)
-
-        def counting_maps(succ):
-            maps.append(len(succ))
-            return predecessors(succ)
+            return loop_comps(succ, region)
 
         monkeypatch.setattr(verify, "_loop_comps", counting)
-        monkeypatch.setattr(verify, "_predecessors", counting_maps)
         arena = Arena({"a": 0, "b": 1, "c": 0},
                       [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a"), ("c", "c")], "a")
         claim = RankedCondition(Buchi(frozenset({"a"})), {"a": 0, "b": 1, "c": 3}, "sup")
@@ -429,7 +452,6 @@ class TestFailureCores:
         verdict = verify_strategy(arena, claim, strategy, bound=1)
         assert verdict.witness == Lasso(("a", "b", "c"), ("a", "b"))
         assert calls == []
-        assert maps == []
 
 
 class TestMaxResponseCost:
