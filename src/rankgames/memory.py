@@ -203,18 +203,21 @@ def pull_back(m1: MemoryStructure, product: Arena, m2: MemoryStructure,
     each vertex it reaches is read as its pair.  As the product's
     successors of (u, s1) are exactly (w, ``m1.step(s1, (u, w))``), this
     reaches what ``m1`` run alongside ``m2`` over the source would.
-    Returns the memory, on all state pairs with the walk's rows, and the
-    moves at reached ``owner`` vertices.  A numbered request-response
-    product reads its positional moves back with
-    :meth:`NumberedProduct.pull_back` instead."""
+    Returns the memory, on the state pairs its initial state and the
+    walk's rows name, in product order, and the moves at reached ``owner``
+    vertices.  A numbered request-response product reads its positional
+    moves back with :meth:`NumberedProduct.pull_back` instead."""
     rows = explore(product, [(product.initial, m2.initial)], m2.step, owner, move)[1]
     update, next_move = {}, {}
     for (s2, ((v, s1), (w, t1))), t2 in rows.items():
         update[((s1, s2), (v, w))] = (t1, t2)
         if product.owner[(v, s1)] == owner:  # the walk's one row there is the move
             next_move[(v, (s1, s2))] = w
-    pair_states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
-    return MemoryStructure._checked(pair_states, (m1.initial, m2.initial), update), next_move
+    initial = (m1.initial, m2.initial)
+    at1, at2 = ({s: k for k, s in enumerate(m.states)} for m in (m1, m2))
+    # a row's source state is the initial one or another row's target
+    named = sorted({initial, *update.values()}, key=lambda p: (at1[p[0]], at2[p[1]]))
+    return MemoryStructure._checked(tuple(named), initial, update), next_move
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,13 @@ class SolveResult:
     ``strategy_of`` and cached, so callers that need only the regions
     never build one.  Results that extend another read its ``moves`` or
     call its ``build``, so only the outermost result keeps a strategy.
-    Strategies are total (moves outside a player's own region are filler)
-    but only claimed winning on that player's region, except that a
-    :func:`solve_pruned` result over a request-response objective claims
-    its strategies winning only from the alive set's anchor (see there).
+    Strategies of results whose regions cover the alive set are total
+    (moves outside a player's own region are filler) but only claimed
+    winning on that player's region, except that a :func:`solve_pruned`
+    result over a request-response objective claims its strategies winning
+    only from the alive set's anchor (see there).  A result that decides
+    only the initial vertex, as cost-RR results do, has strategies defined
+    on the plays from there only.
 
     Every result whose strategies are positional gives ``moves(player)``,
     the move table its one-state strategy wraps, so results that extend it

@@ -68,12 +68,12 @@ def lift_strategy(r: QuantReduction, strat: FiniteStateStrategy) -> FiniteStateS
     it was solved on, by one walk of it (:func:`rankgames.memory.pull_back`):
     the reduction memory is not stepped again and no second expansion is
     built.  The lifted
-    strategy runs the reduction memory alongside the target strategy's and
-    therefore has exactly the product size; its update and move rows cover
-    only what plays from the source's initial vertex that are consistent
-    with it can reach.  Its cost contract (target cost f(b') below the
-    parameter gives source cost b') is certified by the verify module, not
-    assumed here.
+    strategy runs the reduction memory alongside the target strategy's, at
+    most the product size: it declares the state pairs its rows name, which
+    cover only what plays from the source's initial vertex that are
+    consistent with it can reach.  Its cost contract (target cost f(b')
+    below the parameter gives source cost b') is certified by the verify
+    module, not assumed here.
     """
     return FiniteStateStrategy(strat.owner, *pull_back(r.memory, r.target.arena, strat.memory,
                                                        strat.owner, strat.move))

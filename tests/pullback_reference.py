@@ -3,9 +3,12 @@
 These are the three walks that read product strategies back to the source
 arena before one walk of the product replaced them.  ``compose_strategy``
 and ``product_memory`` run the first memory over the source arena
-alongside the second; ``compose_numbered`` walks the labelled
-request-response product of ``tests/rr_reference.py`` under a numbered
-product's moves, read on their labels.
+alongside the second and declare every state pair, as the paper's
+calculus does; ``lifted_strategy`` is ``compose_strategy`` declared only on
+the pairs it names, as the package lifts a strategy through a reduction;
+``compose_numbered`` walks the labelled request-response product of
+``tests/rr_reference.py`` under a numbered product's moves, read on their
+labels.
 The tests hold the package's pull-back to them: same owner, states,
 initial state, update rows and moves.
 """
@@ -43,6 +46,21 @@ def compose_strategy(m1, strat, arena):
     reached, memory = _product_walk(m1, strat.memory, arena, strat.owner, move)
     next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == strat.owner}
     return FiniteStateStrategy(strat.owner, memory, next_move)
+
+
+def named_states(memory):
+    """The states a memory's initial state and update rows name."""
+    return {memory.initial, *memory.update.values(), *(s for s, _e in memory.update)}
+
+
+def lifted_strategy(m1, strat, arena):
+    """``compose_strategy`` on the state pairs its initial state and rows
+    name, in the order of the full product."""
+    full = compose_strategy(m1, strat, arena)
+    mem, named = full.memory, named_states(full.memory)
+    states = tuple(pair for pair in mem.states if pair in named)
+    return FiniteStateStrategy(full.owner, MemoryStructure(states, mem.initial, mem.update),
+                               full.next_move)
 
 
 def compose_numbered(m1, product, starts, moves, owner):

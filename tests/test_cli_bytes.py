@@ -8,7 +8,9 @@ were recorded before the solvers moved from per-round sub-arenas to
 alive-vertex sets; the ``verify`` digests, refutation witnesses included,
 before the objectives were restated as one conjunction of demands; the
 six-pair request-response game's (``qual-rr6``), before the
-request-response solver moved to bitmask open sets.
+request-response solver moved to bitmask open sets; the cost-RR strategy
+files (``--out`` on ``costrr-*``), after lifted strategies stopped
+declaring the memory state pairs that none of their rows name.
 Re-record only for a change that is meant to alter output:
 ``PYTHONPATH=src python tests/test_cli_bytes.py``.
 

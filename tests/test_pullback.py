@@ -47,7 +47,7 @@ def _assert_lifts_match(r, target_result, arena):
     for player in (0, 1):
         strat = target_result.strategy_of(player)
         assert _rows(lift_strategy(r, strat)) == \
-            _rows(ref.compose_strategy(r.memory, strat, arena))
+            _rows(ref.lifted_strategy(r.memory, strat, arena))
 
 
 def _toggled(game: RankedGame) -> QuantReduction:

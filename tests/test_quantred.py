@@ -12,6 +12,7 @@ from rankgames.objectives import RequestResponse, Safety
 from rankgames.quantred import Cap, QuantReduction, lift_strategy
 from rankgames.ranked import RankedGame
 from rankgames.rrcost import build_reduction, cap_bound
+from pullback_reference import named_states
 from theory import (check_reduction_on_lasso, compose, compose_functions, expand,
                     extend_lasso, is_correction, relabel_game, trivial_reduction,
                     validate_expansion)
@@ -271,4 +272,5 @@ class TestLiftStrategy:
 
         res = solve_sup_with_bound(r.target, 3)
         lifted = lift_strategy(r, res.strategy_0)
-        assert lifted.size() == len(r.memory) * len(res.strategy_0.memory)
+        assert lifted.size() == len(named_states(lifted.memory))
+        assert lifted.size() <= len(r.memory) * len(res.strategy_0.memory)

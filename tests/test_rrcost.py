@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import max_response_cost
+from pullback_reference import named_states
 from rankgames import rrcost
 from rankgames.arena import Arena, Lasso
 from rankgames.errors import InputError
@@ -142,21 +143,41 @@ class TestSolveWithBound:
             assert res.strategy_of(winner).owner == winner
             assert strategies_built[0] > 0
 
+    def test_strategies_are_certified_from_the_initial_vertex_as_the_regions_say(self):
+        # the result decides the initial vertex only, and each player's
+        # strategy is certified from there exactly when that player wins it
+        rng = random.Random(4101)
+        certified = [0, 0]
+        for _ in range(60):
+            game = random_costrr_game(rng, 3, rng.randint(1, 2), 2)
+            for b in range(3):
+                res = solve_with_bound(game, b)
+                for player in (0, 1):
+                    wins = game.arena.initial in (res.region_0, res.region_1)[player]
+                    verdict = verify_strategy(game.arena, game.spec,
+                                              res.strategy_of(player), bound=b)
+                    assert verdict.certified == wins
+                    certified[player] += wins
+        assert min(certified) > 0
+
     def test_bound_beyond_cap_clamps(self, a2_game):
         winner, _ = solve_winner(a2_game, 10 ** 9)
         assert winner == 0
 
     def test_builds_reduction_at_clamped_bound(self, a2_game, a3_game):
         # the strategy is lifted through the reduction at the probe that
-        # decided it; on a3 at bound 0 that memory is smaller than the cap's.
-        # a2 at 10**9 is won at probe 3, whose memory has the cap's size
+        # decided it, and declares the pairs of that reduction's memory and
+        # the target strategy's that it names; on a3 at bound 0 that memory
+        # is smaller than the cap's.  a2 at 10**9 is won at probe 3, whose
+        # memory has the cap's size
         for game, b in ((a2_game, 3), (a2_game, 10 ** 9), (a3_game, 0)):
             bound = min(b, cap_bound(game))
             r = build_reduction(game, bound)
             target = solve_sup_with_bound(r.target, bound)
             winner, strategy = solve_winner(game, b)
             tau = target.strategy_of(winner)
-            assert strategy.size() == len(r.memory) * len(tau.memory)
+            assert strategy.size() == len(named_states(strategy.memory))
+            assert strategy.size() <= len(r.memory) * len(tau.memory)
 
 
 class TestOptimize:
@@ -231,21 +252,52 @@ class TestOptimize:
         r = build_reduction(a2_game, 3)
         target = solve_sup_with_bound(r.target, 3)
         res = optimize(a2_game)
-        assert res.strategy.size() == len(r.memory) * len(target.strategy_0.memory)
+        assert res.strategy.size() == len(named_states(res.strategy.memory))
+        assert res.strategy.size() <= len(r.memory) * len(target.strategy_0.memory)
 
     def test_trimmed_lifting_certifies_identically(self, a2_game):
         # the lifted strategy is tabulated only where consistent plays can
-        # go, yet keeps the exact product size and certifies as before
+        # go, declares only the pairs it names and certifies as before
         from rankgames.quantred import lift_strategy
 
         r = build_reduction(a2_game, cap_bound(a2_game))
         target = solve_sup_with_bound(r.target, 3)
         trimmed = lift_strategy(r, target.strategy_0)
-        assert trimmed.size() == len(r.memory) * len(target.strategy_0.memory)
+        assert trimmed.size() == len(named_states(trimmed.memory))
+        assert trimmed.size() <= len(r.memory) * len(target.strategy_0.memory)
         for bound, expect in ((3, True), (2, False)):
             verdict = verify_strategy(a2_game.arena, a2_game.spec, trimmed,
                                       bound=bound)
             assert verdict.certified == expect
+
+
+@pytest.mark.parametrize("n, d, max_cost, seeds", [
+    (4, 2, 1, range(20)), (20, 3, 2, range(20)), (100, 4, 5, range(3))])
+def test_lifted_strategies_declare_the_named_pairs_in_product_order(n, d, max_cost, seeds):
+    # the optimal strategy, lifted through the reduction at the optimum,
+    # declares exactly the state pairs its initial state and rows name,
+    # ordered as in the product of the reduction memory and the target
+    # strategy's; it is certified at the optimum and refuted one below
+    finite = 0
+    for seed in seeds:
+        game = random_costrr_game(random.Random(seed), n, d, max_cost, p0_max_outdeg=3)
+        res = optimize(game)
+        if res.cost is INF:
+            continue
+        r = build_reduction(game, res.cost)
+        target_memory = solve_sup_with_bound(r.target, res.cost).strategy_0.memory
+        at1, at2 = ({s: k for k, s in enumerate(m.states)} for m in (r.memory, target_memory))
+        states = res.strategy.memory.states
+        assert set(states) == named_states(res.strategy.memory)
+        order = [(at1[s1], at2[s2]) for s1, s2 in states]
+        assert order == sorted(set(order))
+        assert res.strategy.size() <= len(r.memory) * len(target_memory)
+        assert verify_strategy(game.arena, game.spec, res.strategy, bound=res.cost).certified
+        if res.cost > 0:
+            assert not verify_strategy(game.arena, game.spec, res.strategy,
+                                       bound=res.cost - 1).certified
+        finite += 1
+    assert finite > 0
 
 
 def test_optimize_builds_no_more_strategies_than_one_solve(a3_game, strategies_built):

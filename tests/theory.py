@@ -14,7 +14,9 @@ are not part of what the package solves:
   cap the smaller one, the parameter the minimum;
 - a lifted strategy's size is the product of the memories
   (``compose_strategy``, ``product_memory``, both through
-  ``memory.pull_back``).
+  ``memory.pull_back``).  The calculus declares every state pair, so
+  these two list the full product themselves: ``pull_back`` declares
+  only the pairs its rows name, the memory the package writes.
 
 Renaming the vertices of a game, which ``compose`` needs to re-associate
 a doubly-expanded target, is ``relabel_game``; it knows ranked and
@@ -148,7 +150,7 @@ def product_memory(m1: MemoryStructure, m2: MemoryStructure, arena: Arena) -> Me
         if not all(isinstance(pv, tuple) and len(pv) == 2 for pv in e):
             raise InputError("second memory must read edges of the expanded arena")
         break
-    return pull_back(m1, expand(arena, m1), m2)[0]
+    return _on_all_pairs(m1, m2, pull_back(m1, expand(arena, m1), m2)[0])
 
 
 def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy,
@@ -158,8 +160,16 @@ def compose_strategy(m1: MemoryStructure, strat: FiniteStateStrategy,
     memory, so its size is exactly ``len(m1) * len(strat.memory)``; its
     rows cover what plays consistent with it reach from the initial
     vertex."""
-    return FiniteStateStrategy(strat.owner, *pull_back(m1, expand(arena, m1), strat.memory,
-                                                       strat.owner, strat.move))
+    memory, next_move = pull_back(m1, expand(arena, m1), strat.memory, strat.owner, strat.move)
+    return FiniteStateStrategy(strat.owner, _on_all_pairs(m1, strat.memory, memory), next_move)
+
+
+def _on_all_pairs(m1: MemoryStructure, m2: MemoryStructure,
+                  pulled: MemoryStructure) -> MemoryStructure:
+    """``pulled``, a memory ``pull_back`` read, declared on every state pair
+    of ``m1`` and ``m2``, in product order."""
+    states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
+    return MemoryStructure(states, pulled.initial, pulled.update)
 
 
 # ---------------------------------------------------------------------------
