@@ -180,12 +180,10 @@ def parse_game_doc(doc) -> LoadedGame:
         rk = dict(values)
         for v in arena.vertices:
             rk.setdefault(v, 0)
-        # RankedGame checks the ranks but lets a rank of a non-vertex pass,
-        # which makes rk longer than the arena; only then are the rows
-        # walked, to word the first error
+        # RankedGame checks the ranks as it checks the objective's sets, a
+        # rank of a non-vertex included; only when it refuses them are the
+        # rows walked, to word the first error
         try:
-            if len(rk) > len(arena.owner):
-                raise InputError("rank.values: unknown vertex")
             game = RankedGame(arena, objective, rk, mode)
         except InputError:
             for v, r in values.items():

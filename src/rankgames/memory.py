@@ -13,7 +13,6 @@ label-keyed from the start.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Optional, Tuple
@@ -81,10 +80,26 @@ def trivial_memory(arena: Arena) -> MemoryStructure:
         (0,), 0, {(0, (v, verts[k])): 0 for v, row in zip(verts, arena.out) for k in row})
 
 
+def _reach(starts, successors) -> list:
+    """The nodes reachable from ``starts``, in breadth-first visit order:
+    the starts first, each once, in the order given, then each node's new
+    successors in the order ``successors(node)`` lists them.  That call
+    is made once per node, in visit order, so a product walk records the
+    rows it takes there."""
+    order = list(dict.fromkeys(starts))
+    reached = set(order)
+    for node in order:
+        for nxt in successors(node):
+            if nxt not in reached:
+                reached.add(nxt)
+                order.append(nxt)
+    return order
+
+
 def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
             owner: Optional[int] = None, move=None, within=None):
-    """Breadth-first walk over the (vertex, state) pairs reachable from
-    ``starts``.
+    """Breadth-first walk (:func:`_reach`) over the (vertex, state) pairs
+    reachable from ``starts``.
 
     ``step(state, edge)`` gives the state after taking an edge.  With
     ``owner`` set, that player's vertices follow only ``move(vertex,
@@ -94,28 +109,17 @@ def explore(arena: Arena, starts: Iterable[Tuple[Vertex, State]], step,
     reached pairs and the update table ``{(state, edge): next state}``
     holding exactly the reached (state, edge) pairs, one per product edge.
     """
-    succ = arena.succ
+    succ, own = arena.succ, arena.owner
     if within is not None:
         succ = {v: tuple(w for w in succ[v] if w in within) for v in within}
-    frontier = deque()
-    reached = set()
-    for v, s in starts:
-        if (v, s) not in reached:
-            reached.add((v, s))
-            frontier.append((v, s))
     update = {}
-    while frontier:
-        v, s = frontier.popleft()
-        targets = (move(v, s),) if arena.owner[v] == owner else succ[v]
-        for w in targets:
-            e = (v, w)
-            t = step(s, e)
-            update[(s, e)] = t
-            node = (w, t)
-            if node not in reached:
-                reached.add(node)
-                frontier.append(node)
-    return reached, update
+
+    def successors(node):
+        v, s = node
+        for w in (move(v, s),) if own[v] == owner else succ[v]:
+            t = update[(s, (v, w))] = step(s, (v, w))
+            yield w, t
+    return set(_reach(starts, successors)), update
 
 
 def explore_product(arena: Arena, initial: State, step) -> Tuple[MemoryStructure, Arena]:
@@ -167,8 +171,9 @@ class NumberedProduct:
         """Read ``owner``'s positional moves on this product, a map from id
         to id, back to the source.
 
-        One walk from the start ids, in which ``owner``'s ids follow only
-        their move, decodes each row as it takes it.  Returns the memory,
+        One walk (:func:`_reach`) from the start ids, in which ``owner``'s
+        ids follow only their move, decodes each row as it takes it, and the
+        moves are read off the ids it reached.  Returns the memory,
         on the states ``(memory state, 0)`` with the walk's rows, and the
         moves at reached ``owner`` vertices: what :func:`pull_back` gives
         for ``moves`` under a one-state memory, without tabulating that
@@ -176,19 +181,15 @@ class NumberedProduct:
         out, own = self.out, self.owners
         vertex = [v for v, _s in self.pairs]
         state = [(s, 0) for _v, s in self.pairs]
-        order, reached = list(self.starts), set(self.starts)
-        update, next_move = {}, {}
-        for i in order:
-            if own[i] == owner:
-                row = (moves[i],)
-                next_move[(vertex[i], state[i])] = vertex[moves[i]]
-            else:
-                row = out[i]
+        update = {}
+
+        def successors(i):
+            row = (moves[i],) if own[i] == owner else out[i]
             for k in row:
                 update[(state[i], (vertex[i], vertex[k]))] = state[k]
-                if k not in reached:
-                    reached.add(k)
-                    order.append(k)
+            return row
+        order = _reach(self.starts, successors)
+        next_move = {(vertex[i], state[i]): vertex[moves[i]] for i in order if own[i] == owner}
         states = tuple((s, 0) for s in self.states)
         return MemoryStructure._checked(states, state[self.initial], update), next_move
 

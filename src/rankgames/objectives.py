@@ -109,8 +109,9 @@ def validate_objective(obj: Objective, arena: Arena) -> None:
 
 
 def validate_rank(rk: Mapping[Vertex, int], arena: Arena) -> None:
-    """Every vertex must have a natural-number rank; the first vertex in
-    order that has none is reported."""
+    """Every vertex must have a natural-number rank, and only vertices may
+    have one; the first vertex in order that has none is reported, before
+    the keys that are not vertices."""
     # a bool is an int equal to 0 or 1, so the types are checked exactly
     if (rk.keys() == arena.owner.keys() and {int} >= set(map(type, rk.values()))
             and min(rk.values(), default=0) >= 0):
@@ -119,6 +120,9 @@ def validate_rank(rk: Mapping[Vertex, int], arena: Arena) -> None:
         r = rk.get(v)
         if not isinstance(r, int) or isinstance(r, bool) or r < 0:
             raise InputError(f"rank of {v!r} must be a non-negative integer, got {r!r}")
+    extra = rk.keys() - arena.owner.keys()
+    if extra:
+        raise InputError(f"rank map mentions unknown vertices: {sorted(extra)!r}")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from typing import Callable, Dict, NamedTuple, Optional, get_args
 
 from .arena import Arena, Vertex, _alive_mask, _and, _attract, _checked_mask, _first, _mask, _minus
 from .errors import InputError
-from .memory import FiniteStateStrategy, MemoryStructure, NumberedProduct, _OnIds, explore
+from .memory import FiniteStateStrategy, MemoryStructure, NumberedProduct, _OnIds, _reach, explore
 from .objectives import (Buchi, CoBuchi, Objective, RequestResponse, Safety,
                          SafetyAndCoBuchi, validate_objective)
 
@@ -240,12 +240,12 @@ def rr_product(arena: Arena, pairs, within=None) -> NumberedProduct:
     progress states infinitely often, which the product Buchi game of
     :func:`solve_request_response` checks.
 
-    The walk runs on integers, over the arena's id rows.  Open sets are
-    bitmasks (entering ``w`` takes ``open`` to ``(open | requests[w]) &
-    ~responses[w]``), and a product node is the one integer ``i * span +
-    open_mask * d + pointer`` for vertex id i, with ``span = d * 2^d``.
-    The pointer is stepped once per node the walk leaves, not once per
-    edge.
+    The walk (:func:`rankgames.memory._reach`) runs on integers, over the
+    arena's id rows.  Open sets are bitmasks (entering ``w`` takes ``open``
+    to ``(open | requests[w]) & ~responses[w]``), and a product node is
+    the one integer ``i * span + open_mask * d + pointer`` for vertex id
+    i, with ``span = d * 2^d``.  The pointer is stepped once per node the
+    walk leaves, not once per edge.
 
     The walk runs inside ``within`` from every alive vertex paired with its
     seed state, the requests it opens itself: of the d * 2^d states it
@@ -280,18 +280,16 @@ def _rr_product(arena: Arena, pairs, alive) -> NumberedProduct:
     span = d << d
     succ = {i: [(k * span, add[k], keep[k]) for k in arena.out[i] if alive[k]] for i in ids}
     seeds = [i * span + (add[i] & keep[i]) * d for i in ids]
-    order, reached, outs = list(seeds), set(seeds), {}
-    for node in order:
+    outs = {}
+
+    def successors(node):
         i, code = divmod(node, span)
         mask, ptr = divmod(code, d)
-        if not mask >> ptr & 1:
-            ptr = (ptr + 1) % d
+        ptr = ptr if mask >> ptr & 1 else (ptr + 1) % d
         out = outs[node] = [base + ((mask | plus) & kept) * d + ptr
                             for base, plus, kept in succ[i]]
-        for nxt in out:
-            if nxt not in reached:
-                reached.add(nxt)
-                order.append(nxt)
+        return out
+    order = _reach(seeds, successors)
     state = {}
     for code in {node % span for node in order}:
         mask, ptr = divmod(code, d)

@@ -36,7 +36,7 @@ _PREFIX_INDEPENDENT = (Buchi, CoBuchi)
 def _check_ranked(arena: Arena, objective: Objective, rk: dict, mode: str) -> None:
     """The checks a ranked game, and a rank-cost claim verified on
     ``arena``, pass: a known mode, an objective naming arena vertices
-    only, and a natural rank for every vertex."""
+    only, and a natural rank for every vertex and for nothing else."""
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     validate_objective(objective, arena)

@@ -32,6 +32,16 @@ from .ranked import (OptimizeResult, RankedGame, _check_bound, least_winning_bou
 IDLE = ("idle",)
 
 
+def _check_costrr(arena: Arena, spec: CostRRSpec) -> None:
+    """The checks a cost-RR game, and a response-cost claim verified on
+    ``arena``, pass: pairs naming arena vertices only, and costs on arena
+    edges only."""
+    validate_objective(spec.rr_objective(), arena)
+    for (_c, e) in spec.edge_costs:
+        if e not in arena.edges:
+            raise InputError(f"cost assigned to missing edge {e!r}")
+
+
 @dataclass(frozen=True)
 class CostRRGame:
     """Arena plus request-response pairs with per-pair edge costs."""
@@ -40,10 +50,7 @@ class CostRRGame:
     spec: CostRRSpec
 
     def __post_init__(self):
-        validate_objective(self.spec.rr_objective(), self.arena)
-        for (_c, e) in self.spec.edge_costs:
-            if e not in self.arena.edges:
-                raise InputError(f"cost assigned to missing edge {e!r}")
+        _check_costrr(self.arena, self.spec)
 
     def lasso_cost(self, lasso) -> ExtNat:
         return cost_rr_lasso(self.spec, lasso)

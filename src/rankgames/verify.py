@@ -28,7 +28,7 @@ from .errors import InputError
 from .memory import FiniteStateStrategy
 from .objectives import CostRRSpec, Objective, conjuncts, validate_objective
 from .ranked import RankedCondition, _check_ranked
-from .rrcost import counter_pending, counter_seed, counter_step, counter_value
+from .rrcost import _check_costrr, counter_pending, counter_seed, counter_step, counter_value
 
 
 @dataclass(frozen=True)
@@ -372,13 +372,17 @@ def verify_strategy(arena: Arena, condition, strategy: FiniteStateStrategy,
     counter product: per-pair cost counters saturating at ``bound`` + 1,
     a node ranked by its largest counter.  The claim is checked against
     the arena first, as the game constructors check a game: its objective
-    names only arena vertices, and a rank-cost claim has a mode and ranks
-    every vertex (:func:`rankgames.ranked._check_ranked`).  A strategy move
+    names only arena vertices, a rank-cost claim has a mode and ranks
+    every vertex and nothing else (:func:`rankgames.ranked._check_ranked`),
+    and a response-cost claim puts its costs on arena edges only
+    (:func:`rankgames.rrcost._check_costrr`).  A strategy move
     that is not an arena edge raises ``InputError``.
     """
     obj, mode, bnd, rank_of, tracker, pending_of = _normalize_condition(condition, bound)
     if isinstance(condition, RankedCondition):
         _check_ranked(arena, obj, condition.rk, mode)
+    elif isinstance(condition, CostRRSpec):
+        _check_costrr(arena, condition)
     else:
         validate_objective(obj, arena)
     start = arena.initial if start is None else start

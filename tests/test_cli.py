@@ -216,6 +216,27 @@ FIRST_ERRORS = [
     ("non-edge update row before the missing --bound", RANKED_SUP,
      _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"][2].update(to="a")),
      "strategy memory reads unknown edge ('b', 'a')"),
+    # two faults in one row: a row's fields are read before any is checked,
+    # a repeated vertex id is found before its owner is read, a cost row's
+    # pair is checked before its edge, and an update row's repeated key is
+    # reported at once, while its unknown state and edge wait for later
+    ("move with an unknown state and no target", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: (d["moves"][0].update(state="x"),
+                                       d["moves"][0].pop("target"))),
+     "moves[0]: missing required field 'target'"),
+    ("repeated vertex id with a non-int owner",
+     _edit(SAFETY_WIN, lambda d: d["arena"]["vertices"].append({"id": "a", "owner": "x"})),
+     None, "arena.vertices[2]: duplicate vertex id 'a'"),
+    ("edge from an unknown vertex with no to",
+     _edit(SAFETY_WIN, lambda d: d["arena"]["edges"].append({"from": "zz"})),
+     None, "arena.edges[3]: missing required field 'to'"),
+    ("cost row for an unknown pair on a non-edge",
+     _edit(A2_COSTS, lambda d: d["costs"][0].update(pair=5, to="q")),
+     None, "costs[0].pair: no pair with index 5"),
+    ("repeated update row with an unknown state on a non-edge", SAFETY_WIN,
+     _edit(SAFETY_STRATEGY, lambda d: d["memory"]["update"].extend(
+         [{"state": "x", "from": "b", "to": "a", "next": "m0"}] * 2)),
+     "memory.update[4]: duplicate update row"),
 ]
 
 

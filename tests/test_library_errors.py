@@ -116,6 +116,9 @@ LIBRARY_ERRORS = [
      lambda: rr_product(B, PAIRS, within=["a"]),
      InputError, "vertex 'a' has no successor inside the alive set"),
     # ranked
+    ("ranked game ranking an unknown vertex",
+     lambda: RankedGame(A, SAFE_A, {"a": 0, "b": 1, "zz": 5}, "sup"),
+     InputError, "rank map mentions unknown vertices: ['zz']"),
     ("sup solve of a lim game", lambda: solve_sup_with_bound(LIM, 0),
      InputError, "solve_sup_with_bound needs a sup-mode game"),
     ("lim solve of a sup game", lambda: solve_lim_with_bound(SUP, 0),
@@ -174,6 +177,9 @@ LIBRARY_ERRORS = [
      lambda: verify_strategy(A, CostRRSpec(((frozenset({"zzz"}), frozenset({"b"})),), {}),
                              TO_B, bound=1),
      InputError, "request set 0 mentions unknown vertices: ['zzz']"),
+    ("response-cost claim with a cost on a missing edge",
+     lambda: verify_strategy(A, CostRRSpec(PAIRS, {(0, ("a", "zz")): 1}), TO_B, bound=1),
+     InputError, "cost assigned to missing edge ('a', 'zz')"),
     ("verify from an unknown start", lambda: verify_strategy(A, SAFE_A, TO_B, start="z"),
      InputError, "unknown start vertex 'z'"),
     ("enumeration seeds missing",

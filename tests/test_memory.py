@@ -1,11 +1,12 @@
 import random
+from collections import deque
 
 import pytest
 
 from rankgames.arena import Arena, Lasso
 from rankgames.errors import InputError
 from rankgames.gen import random_lasso
-from rankgames.memory import MemoryStructure, positional_strategy, trivial_memory
+from rankgames.memory import MemoryStructure, _reach, positional_strategy, trivial_memory
 
 from conftest import play_positions, project
 from theory import compose_strategy, expand, extend_lasso, product_memory, update_plus
@@ -14,6 +15,39 @@ from theory import compose_strategy, expand, extend_lasso, product_memory, updat
 def toggle_memory(arena):
     return MemoryStructure((0, 1), 0, {(s, e): 1 - s for s in (0, 1)
                                        for e in arena.edges})
+
+
+def _queue_walk(starts, graph):
+    """Breadth-first visit order written out with a queue."""
+    order, queue = [], deque(starts)
+    while queue:
+        node = queue.popleft()
+        if node not in order:
+            order.append(node)
+            queue.extend(graph[node])
+    return order
+
+
+def test_reach_visits_breadth_first_once_per_node():
+    graph = {0: [2, 1], 1: [3, 0], 2: [3, 4], 3: [3], 4: [1], 5: [0]}
+    calls = []
+
+    def successors(node):
+        calls.append(node)
+        return graph[node]
+    # repeated starts are visited once, at their first place; 5 is never
+    # reached
+    assert _reach([2, 0, 2], successors) == [2, 0, 3, 4, 1]
+    assert calls == [2, 0, 3, 4, 1]
+    rng = random.Random("reach")
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        graph = {v: [rng.randrange(n) for _ in range(rng.randint(0, 3))] for v in range(n)}
+        starts = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
+        calls = []
+        # successors may return any iterable, as explore's generator does
+        order = _reach(starts, lambda v: calls.append(v) or iter(graph[v]))
+        assert order == calls == _queue_walk(starts, graph)
 
 
 def random_prefix(rng, arena, length):
