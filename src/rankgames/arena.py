@@ -167,6 +167,16 @@ def _pred_rows(out: list) -> list:
     return pred
 
 
+def _listed(labels) -> list:
+    """``labels`` sorted for an error message, grouped by type name so
+    that labels of two types are never compared; labels that one type
+    cannot order among themselves are ordered by their repr."""
+    try:
+        return sorted(labels, key=lambda v: (type(v).__name__, v))
+    except TypeError:
+        return sorted(labels, key=lambda v: (type(v).__name__, repr(v)))
+
+
 def _mask(arena: Arena, vertices=None) -> bytearray:
     """Mask over the arena's ids of ``vertices`` (default: every vertex)."""
     if vertices is None:
@@ -185,7 +195,7 @@ def _checked_mask(arena: Arena, vertices, what: str = "alive set") -> bytearray:
     vertices = frozenset(vertices)
     unknown = vertices.difference(arena.owner)
     if unknown:
-        raise InputError(f"{what} contains unknown vertices: {sorted(unknown)!r}")
+        raise InputError(f"{what} contains unknown vertices: {_listed(unknown)!r}")
     return _mask(arena, vertices)
 
 
@@ -323,7 +333,7 @@ class Lasso:
     def check_in(self, arena: Arena) -> "Lasso":
         unknown = self.vertices() - set(arena.vertices)
         if unknown:
-            raise InputError(f"lasso mentions unknown vertices: {sorted(unknown)!r}")
+            raise InputError(f"lasso mentions unknown vertices: {_listed(unknown)!r}")
         if self.first() != arena.initial:
             raise InputError(
                 f"lasso starts at {self.first()!r}, not the initial vertex {arena.initial!r}")

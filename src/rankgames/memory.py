@@ -173,10 +173,12 @@ class NumberedProduct:
 
         One walk (:func:`_reach`) from the start ids, in which ``owner``'s
         ids follow only their move, decodes each row as it takes it, and the
-        moves are read off the ids it reached.  Returns the memory,
-        on the states ``(memory state, 0)`` with the walk's rows, and the
-        moves at reached ``owner`` vertices: what :func:`pull_back` gives
-        for ``moves`` under a one-state memory, without tabulating that
+        moves are read off the ids it reached.  Returns the memory, with
+        the walk's rows, on the states ``(memory state, 0)`` of the ids it
+        reached, which are the states its initial state and rows name
+        (every reached id takes a row), in sorted order; and the moves at
+        reached ``owner`` vertices: what :func:`pull_back` gives for
+        ``moves`` under a one-state memory, without tabulating that
         memory."""
         out, own = self.out, self.owners
         vertex = [v for v, _s in self.pairs]
@@ -190,7 +192,8 @@ class NumberedProduct:
             return row
         order = _reach(self.starts, successors)
         next_move = {(vertex[i], state[i]): vertex[moves[i]] for i in order if own[i] == owner}
-        states = tuple((s, 0) for s in self.states)
+        named = {self.pairs[i][1] for i in order}
+        states = tuple((s, 0) for s in self.states if s in named)
         return MemoryStructure._checked(states, state[self.initial], update), next_move
 
 

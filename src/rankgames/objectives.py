@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple, Union
 
-from .arena import Arena, Edge, Lasso, Vertex
+from .arena import Arena, Edge, Lasso, Vertex, _listed
 from .errors import InputError
 from .extnat import INF, ExtNat
 
@@ -105,7 +105,7 @@ def validate_objective(obj: Objective, arena: Arena) -> None:
     for what, vs in named:
         extra = vs and vs.difference(arena.owner)
         if extra:
-            raise InputError(f"{what} mentions unknown vertices: {sorted(extra)!r}")
+            raise InputError(f"{what} mentions unknown vertices: {_listed(extra)!r}")
 
 
 def validate_rank(rk: Mapping[Vertex, int], arena: Arena) -> None:
@@ -122,7 +122,7 @@ def validate_rank(rk: Mapping[Vertex, int], arena: Arena) -> None:
             raise InputError(f"rank of {v!r} must be a non-negative integer, got {r!r}")
     extra = rk.keys() - arena.owner.keys()
     if extra:
-        raise InputError(f"rank map mentions unknown vertices: {sorted(extra)!r}")
+        raise InputError(f"rank map mentions unknown vertices: {_listed(extra)!r}")
 
 
 @dataclass(frozen=True)

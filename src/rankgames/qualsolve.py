@@ -334,7 +334,8 @@ def solve_request_response(arena: Arena, pairs, within=None) -> SolveResult:
     product by :meth:`rankgames.memory.NumberedProduct.pull_back`.  Her
     strategy is the product strategy folded back through the memory, of
     size at most (number of pairs) * 2^(number of pairs); both strategies
-    are tabulated on what plays from every seeded vertex can reach.
+    are tabulated on what plays from every seeded vertex can reach, and
+    declare only the memory states their rows name, in sorted order.
     """
     return solve_objective(arena, RequestResponse(tuple(pairs)), within)
 
@@ -374,8 +375,10 @@ def _pruned(arena: Arena, bad, solve, alive) -> _Solved:
         reached, update = explore(arena, [(v, mem.initial) for v in starts], step,
                                   player, move, None if 0 not in alive else frozenset(starts))
         next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == player}
+        named = {s for _v, s in reached}
+        states = tuple(s for s in mem.states if s in named)
         return FiniteStateStrategy(
-            player, MemoryStructure._checked(mem.states, mem.initial, update), next_move)
+            player, MemoryStructure._checked(states, mem.initial, update), next_move)
     return _Solved(alive, res.win, None if res.moves is None else moves, build, res)
 
 
@@ -397,7 +400,8 @@ def solve_pruned(arena: Arena, bad, objective: Objective, within=None) -> SolveR
     on ids, with its memory rows filled in one pass over the ids: one row
     per owner vertex for its move and one per successor inside the alive
     set elsewhere.  Only a memoryful inner result, request-response, is
-    walked with its memory.
+    walked with its memory, and its strategy declares the inner states
+    that walk reached, the states its rows name, in the inner order.
 
     A request-response strategy's initial state is the seed state of the
     rest's anchor, while its region is solved with every vertex in its own

@@ -5,13 +5,15 @@ tabulated in one pass over the alive set: whatever the inner result, its
 builder runs ``explore`` from every alive vertex paired with the inner
 memory's initial state, under a ``step`` and ``move`` per edge, and a
 positional inner result enters the walk as a one-state memory with no
-rows.  ``solve_safety_cobuchi`` and ``solve_objective`` route the
-safety/coBuchi conjunction back here, so a nested pruned solve walks at
-both levels.  The tests hold the package's builder to it: same memory
-states, initial state, update rows in order, and moves.
+rows; the memory is trimmed to the states the walk names.
+``solve_safety_cobuchi`` and ``solve_objective`` route the safety/coBuchi
+conjunction back here, so a nested pruned solve walks at both levels.
+The tests hold the package's builder to it: same memory states, initial
+state, update rows in order, and moves.
 """
 
 from attractor_reference import _alive, _positional, first_successor
+from pullback_reference import trimmed
 from rankgames import qualsolve
 from rankgames.arena import attractor
 from rankgames.memory import FiniteStateStrategy, MemoryStructure, explore
@@ -49,7 +51,7 @@ def solve_pruned(arena, bad, objective, within=None):
                                   player, move, within)
         next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == player}
         return FiniteStateStrategy(
-            player, MemoryStructure._checked(mem.states, mem.initial, update), next_move)
+            player, trimmed(MemoryStructure._checked(mem.states, mem.initial, update)), next_move)
     return SolveResult(res.region_0, attr_1 | res.region_1, build)
 
 

@@ -8,7 +8,7 @@ calculus does; ``lifted_strategy`` is ``compose_strategy`` declared only on
 the pairs it names, as the package lifts a strategy through a reduction;
 ``compose_numbered`` walks the labelled request-response product of
 ``tests/rr_reference.py`` under a numbered product's moves, read on their
-labels.
+labels, and is declared on the states it names too.
 The tests hold the package's pull-back to them: same owner, states,
 initial state, update rows and moves.
 """
@@ -53,26 +53,31 @@ def named_states(memory):
     return {memory.initial, *memory.update.values(), *(s for s, _e in memory.update)}
 
 
+def trimmed(memory):
+    """``memory`` on the states its initial state and rows name, in its
+    own order."""
+    named = named_states(memory)
+    return MemoryStructure(tuple(s for s in memory.states if s in named), memory.initial,
+                           memory.update)
+
+
 def lifted_strategy(m1, strat, arena):
     """``compose_strategy`` on the state pairs its initial state and rows
     name, in the order of the full product."""
     full = compose_strategy(m1, strat, arena)
-    mem, named = full.memory, named_states(full.memory)
-    states = tuple(pair for pair in mem.states if pair in named)
-    return FiniteStateStrategy(full.owner, MemoryStructure(states, mem.initial, mem.update),
-                               full.next_move)
+    return FiniteStateStrategy(full.owner, trimmed(full.memory), full.next_move)
 
 
 def compose_numbered(m1, product, starts, moves, owner):
     """The positional strategy ``moves`` of a numbered request-response
     product, given on its (vertex, state) labels, pulled back from the
     start pairs ``starts`` through ``product``, the labelled product of
-    ``m1``."""
+    ``m1``, and trimmed to the states it names."""
     reached, rows = explore(product, [(pv, 0) for pv in starts], lambda _s, _e: 0, owner,
                             lambda pv, _s: moves[pv])
     states = tuple((s, 0) for s in m1.states)
     update = {((s, 0), (u, w)): (t, 0) for _s, ((u, s), (w, t)) in rows}
     next_move = {(v, (s, 0)): moves[(v, s)][0]
                  for (v, s), _s in reached if product.owner[(v, s)] == owner}
-    return FiniteStateStrategy(owner, MemoryStructure(states, (m1.initial, 0), update),
+    return FiniteStateStrategy(owner, trimmed(MemoryStructure(states, (m1.initial, 0), update)),
                                next_move)

@@ -8,6 +8,7 @@ memory alongside the product strategy's own.  The tests hold the
 package's solver to it: same memory, regions and strategies.
 """
 
+from pullback_reference import trimmed
 from rankgames.arena import Arena
 from rankgames.memory import FiniteStateStrategy, MemoryStructure, explore
 from rankgames.qualsolve import SolveResult, solve_buchi
@@ -49,8 +50,9 @@ def rr_memory(arena, pairs, within=None):
 
 def _compose(mem, strat, arena, seeds, within):
     """The product strategy ``strat`` pulled back to ``arena``: states are
-    (memory state, strategy state) pairs, rows what plays consistent with
-    it reach from the anchor and every seed."""
+    the (memory state, strategy state) pairs it names, in product order,
+    rows what plays consistent with it reach from the anchor and every
+    seed."""
     m2 = strat.memory
 
     def step(state, edge):
@@ -67,7 +69,8 @@ def _compose(mem, strat, arena, seeds, within):
     reached, update = explore(arena, starts, step, strat.owner, move, within)
     states = tuple((s1, s2) for s1 in mem.states for s2 in m2.states)
     next_move = {pv: move(*pv) for pv in reached if arena.owner[pv[0]] == strat.owner}
-    return FiniteStateStrategy(strat.owner, MemoryStructure(states, initial, update), next_move)
+    return FiniteStateStrategy(strat.owner, trimmed(MemoryStructure(states, initial, update)),
+                               next_move)
 
 
 def solve_request_response(arena, pairs, within=None):

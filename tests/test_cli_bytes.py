@@ -10,7 +10,10 @@ before the objectives were restated as one conjunction of demands; the
 six-pair request-response game's (``qual-rr6``), before the
 request-response solver moved to bitmask open sets; the cost-RR strategy
 files (``--out`` on ``costrr-*``), after lifted strategies stopped
-declaring the memory state pairs that none of their rows name.
+declaring the memory state pairs that none of their rows name; the
+request-response and ranked request-response strategy files (``--out`` on
+``qual-rr*`` and ``ranked-rr-*``), after those strategies stopped
+declaring the memory states that none of their rows name.
 Re-record only for a change that is meant to alter output:
 ``PYTHONPATH=src python tests/test_cli_bytes.py``.
 

@@ -46,6 +46,9 @@ LIBRARY_ERRORS = [
     ("attractor with an unknown alive vertex",
      lambda: attractor(A, 0, ["a"], within=["zzz"]),
      InputError, "alive set contains unknown vertices: ['zzz']"),
+    ("attractor with unknown alive vertices of two types",
+     lambda: attractor(A, 0, ["a"], within=["zzz", 3]),
+     InputError, "alive set contains unknown vertices: [3, 'zzz']"),
     ("attractor on an alive set with a dead end",
      lambda: attractor(A, 0, ["a"], within=["a"]),
      InputError, "vertex 'a' has no successor inside the alive set"),
@@ -54,6 +57,9 @@ LIBRARY_ERRORS = [
      InputError, "target contains vertices outside the alive set: ['c']"),
     ("lasso with an unknown vertex", lambda: Lasso(("a",), ("z",)).check_in(A),
      InputError, "lasso mentions unknown vertices: ['z']"),
+    ("lasso with unknown vertices of two types",
+     lambda: Lasso(("a",), ("z", 3)).check_in(A),
+     InputError, "lasso mentions unknown vertices: [3, 'z']"),
     # memory
     ("memory with an unknown initial state", lambda: MemoryStructure((0,), 1, {}),
      InputError, "initial memory state 1 is not a state"),
@@ -74,6 +80,12 @@ LIBRARY_ERRORS = [
     ("objective naming an unknown vertex",
      lambda: validate_objective(Safety(frozenset({"z"})), A),
      InputError, "safe set mentions unknown vertices: ['z']"),
+    ("objective naming unknown vertices of two types",
+     lambda: validate_objective(Safety(frozenset({1, "zz"})), A),
+     InputError, "safe set mentions unknown vertices: [1, 'zz']"),
+    ("objective naming unknown tuples that do not compare",
+     lambda: validate_objective(Safety(frozenset({("z", 1), (1, "z")})), A),
+     InputError, "safe set mentions unknown vertices: [('z', 1), (1, 'z')]"),
     ("negative rank", lambda: validate_rank({"a": 0, "b": -1}, A),
      InputError, "rank of 'b' must be a non-negative integer, got -1"),
     ("cost spec with no pair", lambda: CostRRSpec((), {}),
@@ -119,6 +131,9 @@ LIBRARY_ERRORS = [
     ("ranked game ranking an unknown vertex",
      lambda: RankedGame(A, SAFE_A, {"a": 0, "b": 1, "zz": 5}, "sup"),
      InputError, "rank map mentions unknown vertices: ['zz']"),
+    ("ranked game ranking unknown vertices of two types",
+     lambda: RankedGame(A, SAFE_A, {"a": 1, "b": 2, "zz": 5, 3: 1}, "sup"),
+     InputError, "rank map mentions unknown vertices: [3, 'zz']"),
     ("sup solve of a lim game", lambda: solve_sup_with_bound(LIM, 0),
      InputError, "solve_sup_with_bound needs a sup-mode game"),
     ("lim solve of a sup game", lambda: solve_lim_with_bound(SUP, 0),

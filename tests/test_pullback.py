@@ -11,7 +11,7 @@ import random
 
 import pullback_reference as ref
 import rr_reference
-from rankgames import memory, qualsolve
+from rankgames import memory, qualsolve, rrcost
 from rankgames.arena import Arena, _mask, attractor
 from rankgames.extnat import INF
 from rankgames.gen import random_arena, random_costrr_game, random_subset
@@ -171,3 +171,61 @@ class TestRequestResponseStrategies:
         for player in (0, 1):
             assert res.strategy_of(player).next_move
         assert calls == []
+
+
+class TestDeclaredStatesAreNamed:
+    """Every memoryful strategy the package builds declares exactly the
+    states its initial state and rows name, in the product's order: each
+    memory it runs declares its own states sorted, so its states and state
+    pairs come out sorted."""
+
+    @staticmethod
+    def _assert_named(strategy):
+        states = strategy.memory.states
+        assert set(states) == ref.named_states(strategy.memory)
+        assert list(states) == sorted(states)
+        return len(states) > 1
+
+    def test_request_response_inside_and_outside_an_alive_set(self):
+        rng = random.Random(1105)
+        memoryful = 0
+        for i in range(16):
+            arena = random_arena(rng, 12, p0_max_outdeg=3)
+            pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
+                          for _ in range(1 + i % 4))
+            region, _ = attractor(arena, rng.randint(0, 1), random_subset(rng, arena, 0.1))
+            for within in (None, frozenset(arena.vertices) - region or None):
+                res = solve_request_response(arena, pairs, within)
+                memoryful += sum(self._assert_named(res.strategy_of(p)) for p in (0, 1))
+        arena, pairs = _six_pair_game()
+        res = solve_request_response(arena, pairs)
+        memoryful += sum(self._assert_named(res.strategy_of(p)) for p in (0, 1))
+        assert memoryful > 30
+
+    def test_ranked_sup_probes_over_request_response(self):
+        rng = random.Random(1106)
+        memoryful = 0
+        for i in range(20):
+            arena = random_arena(rng, rng.randint(2, 10), p0_max_outdeg=3)
+            pairs = tuple((random_subset(rng, arena, 0.3), random_subset(rng, arena, 0.3))
+                          for _ in range(1 + i % 3))
+            game = RankedGame(arena, RequestResponse(pairs),
+                              {v: rng.randint(0, 4) for v in arena.vertices}, "sup")
+            for b in game.rank_values():
+                res = solve_sup_with_bound(game, b)
+                memoryful += sum(self._assert_named(res.strategy_of(p)) for p in (0, 1))
+        assert memoryful > 30
+
+    def test_cost_request_response_lifted_and_at_cost_inf(self):
+        rng = random.Random(1107)
+        memoryful = infinite = 0
+        for _ in range(30):
+            game = random_costrr_game(rng, rng.randint(3, 6), 2, 2)
+            for b in range(cap_bound(game) + 1):
+                res = rrcost.solve_with_bound(game, b)
+                memoryful += sum(self._assert_named(res.strategy_of(p)) for p in (0, 1))
+            best = optimize(game)
+            if best.cost == INF:
+                infinite += 1
+                self._assert_named(best.strategy)
+        assert memoryful > 30 and infinite > 3

@@ -1,6 +1,7 @@
 """``tools/same_answers.py``: its digests do not depend on the hash seed,
 and they cover the strategy files the requests write, not only stdout.
-Given two trees, it compares their answers request by request."""
+Given two trees, it compares their answers request by request, and times
+the requests whose answers differ in their strategy bytes alone."""
 
 import os
 import shutil
@@ -86,3 +87,6 @@ def test_a_tree_writing_other_strategy_bytes_is_named_with_its_request(spaced_tr
     assert done.stderr == ("differs: rr-many-pairs instance 1 request 1 (solve "
                            "rr-many-pairs/r000.json --out rr-many-pairs/r000.win.json): "
                            "strategy\n")
+    # the requests that differ only in their strategy bytes are timed too
+    timed = [line.split() for line in done.stdout.splitlines() if line.startswith("  ")]
+    assert {row[0]: int(row[1]) for row in timed} == {"solve": 2, "verify": 2}

@@ -35,7 +35,10 @@ next instance and each next round.  The line printed per workload is
 A's, over the first round's answers, so it does not depend on N.  After
 it, one line per command gives the requests timed in all rounds, the
 median and quartiles of the per-request wall-time ratio B/A, and how
-often B was faster; these timings are not checked.
+often B was faster; these timings are not checked.  A request is timed
+when the two trees' records agree on all but, at most, the strategy
+bytes, so a change that writes other strategy files on purpose still
+gets a ratio for the requests that write them.
 The records (exit code, stdout, stderr, failure) and strategy bytes of
 the two trees are compared request by request in every round, and the
 first request that differs is named on stderr.
@@ -145,7 +148,7 @@ def answers(trees, guard, workload: str, limit, rounds: int = 1) -> tuple:
                     argv = " ".join((a or b)["argv"])
                     differ = (f"{workload} instance {i + 1} request {j + 1} ({argv}): "
                               + ", ".join(fields))
-                if not fields:
+                if set(fields) <= {"strategy"}:
                     ratios.setdefault(a["argv"][0], []).append(b["wall"] / a["wall"])
     return len(instances), requests, digest.hexdigest(), failed, differ, ratios
 
